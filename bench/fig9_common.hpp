@@ -25,7 +25,6 @@
 #include "obs/profiler.hpp"
 #include "obs/stopwatch.hpp"
 #include "stats/runner.hpp"
-#include "util/simd.hpp"
 #include "util/table.hpp"
 
 namespace ftsched::bench {
@@ -211,7 +210,7 @@ inline void write_bench_json(const std::string& path,
 
 /// Shared argv handling for the sweep benches:
 /// [reps] [--csv] [--json[=FILE]] [--profile] [--profile-backend=auto|timer]
-/// [--threads=N] [--simd=LEVEL] in any order. `--json` without a file writes
+/// [--threads=N] in any order. `--json` without a file writes
 /// BENCH_<bench>.json in the working directory.
 struct Fig9Args {
   std::size_t reps = 100;
@@ -228,11 +227,6 @@ struct Fig9Args {
   /// Repetition fan-out width (--threads=N; 0 = all hardware threads).
   /// Ratios are bit-identical at any width — only wall_ms moves.
   std::size_t threads = 1;
-  /// --simd=LEVEL (scalar|avx2|avx512|auto): the dispatch level the run was
-  /// pinned to, already applied process-wide by parse_fig9_args. Results are
-  /// bit-identical at every level (the CI equivalence job diffs them); only
-  /// wall time moves.
-  std::string simd = "auto";
 };
 
 inline Fig9Args parse_fig9_args(int argc, char** argv) {
@@ -256,17 +250,6 @@ inline Fig9Args parse_fig9_args(int argc, char** argv) {
       const long n = std::atol(arg.c_str() + 10);
       args.threads = n <= 0 ? exec::hardware_threads()
                             : static_cast<std::size_t>(n);
-    } else if (arg.rfind("--simd=", 0) == 0) {
-      args.simd = arg.substr(7);
-      if (args.simd == "auto") {
-        simd::use_auto();
-      } else if (const auto level = simd::parse_level(args.simd)) {
-        simd::force(*level);
-      } else {
-        std::cerr << "unknown --simd '" << args.simd
-                  << "' (scalar|avx2|avx512|auto)\n";
-        std::exit(2);
-      }
     } else {
       args.reps = static_cast<std::size_t>(std::atoi(arg.c_str()));
     }

@@ -5,19 +5,8 @@
 
 #include "core/label_math.hpp"
 #include "linkstate/transaction.hpp"
-#include "util/simd.hpp"
 
 namespace ftsched {
-
-namespace {
-
-/// Requests gathered per wavefront. Sized so the select kernels run a few
-/// full vectors (2×8 rows at AVX-512, 4×4 at AVX2) while keeping
-/// within-chunk conflicts — the only source of stale picks — rare even when
-/// many requests share a switch row.
-constexpr std::size_t kWavefrontChunk = 16;
-
-}  // namespace
 
 std::string_view to_string(PortPolicy policy) {
   switch (policy) {
@@ -81,13 +70,6 @@ std::optional<std::uint32_t> LevelwiseScheduler::pick_port_impl(
         level, state.available_port_count(level, src_sw, dst_sw));
   }
   obs::ProfileRegion pick_region(prof, obs::ProfilePhase::kPortPick, level);
-  return pick_port_policy<kProbed>(state, level, src_sw, dst_sw, rr_hint);
-}
-
-template <bool kProbed>
-std::optional<std::uint32_t> LevelwiseScheduler::pick_port_policy(
-    const LinkState& state, std::uint32_t level, std::uint64_t src_sw,
-    std::uint64_t dst_sw, std::vector<std::uint32_t>& rr_hint) {
   const auto picked = [&](std::optional<std::uint32_t> port) {
     if constexpr (kProbed) {
       if (port) probe_->on_port_pick(level, *port);
@@ -114,8 +96,7 @@ std::optional<std::uint32_t> LevelwiseScheduler::pick_port_policy(
       }
       // The round-robin hint rule: after a successful pick the row's hint
       // becomes (port + 1) mod w; a failed pick leaves it untouched. The
-      // wavefront commit loop applies this same rule verbatim — the
-      // rr-pick-sequence regression test pins the two together.
+      // RoundRobinPin regression test pins the resulting pick sequence.
       if (port) hint = (*port + 1) % w;
       return picked(port);
     }
@@ -141,129 +122,6 @@ std::optional<std::uint32_t> LevelwiseScheduler::pick_port_policy(
     }
   }
   FT_UNREACHABLE();
-}
-
-template <bool kProfiled>
-void LevelwiseScheduler::wavefront_select(const LinkState& state,
-                                          std::uint32_t h, std::size_t base,
-                                          std::size_t count) {
-  obs::ProfileSession* const prof = kProfiled ? profiler_ : nullptr;
-  const std::size_t rw = static_cast<std::size_t>(state.row_words());
-  const bool rr = options_.policy == PortPolicy::kRoundRobin;
-  const simd::Ops& kernels = simd::ops();
-  {
-    obs::ProfileRegion and_region(prof, obs::ProfilePhase::kAnd, h);
-    if (wf_and_.size() < count * rw) {
-      wf_u_.resize(count * rw);
-      wf_d_.resize(count * rw);
-      wf_and_.resize(count * rw);
-    }
-    if (wf_pick_.size() < count) {
-      wf_pick_.resize(count);
-      wf_hint_.resize(count);
-    }
-    if (rw == 1) {
-      // Single-word rows (w <= 64, every paper grid): the gather IS the
-      // AND. Fusing them writes one wavefront word per request instead of
-      // staging two and re-reading both through the kernel.
-      for (std::size_t j = 0; j < count; ++j) {
-        const std::size_t i = live_[base + j];
-        wf_and_[j] = *state.ulink_row(h, sigma_[i]) &
-                     *state.dlink_row(h, delta_[i]);
-        if (rr) wf_hint_[j] = rr_hint_[sigma_[i]];
-      }
-    } else {
-      for (std::size_t j = 0; j < count; ++j) {
-        const std::size_t i = live_[base + j];
-        const std::uint64_t* src_row = state.ulink_row(h, sigma_[i]);
-        const std::uint64_t* dst_row = state.dlink_row(h, delta_[i]);
-        for (std::size_t k = 0; k < rw; ++k) {
-          wf_u_[j * rw + k] = src_row[k];
-          wf_d_[j * rw + k] = dst_row[k];
-        }
-        if (rr) wf_hint_[j] = rr_hint_[sigma_[i]];
-      }
-      kernels.and_rows(wf_u_.data(), wf_d_.data(), wf_and_.data(),
-                       count * rw);
-    }
-  }
-  obs::ProfileRegion pick_region(prof, obs::ProfilePhase::kPortPick, h);
-  if (policy_weighted(options_.policy)) {
-    // Capacity weights move with every commit, so only EMPTINESS survives
-    // from gather to commit (bits are cleared, never set, within a level
-    // sweep). The select is deferred to wavefront_commit_pick; the slot
-    // records just empty (-1) vs non-empty (0).
-    for (std::size_t j = 0; j < count; ++j) {
-      std::uint64_t any = 0;
-      for (std::size_t k = 0; k < rw; ++k) any |= wf_and_[j * rw + k];
-      wf_pick_[j] = any != 0 ? 0 : -1;
-    }
-  } else if (rr) {
-    kernels.first_set_select_hint(wf_and_.data(), count, rw, wf_hint_.data(),
-                                  wf_pick_.data());
-  } else {
-    kernels.first_set_select(wf_and_.data(), count, rw, wf_pick_.data());
-  }
-}
-
-template <bool kProfiled>
-std::optional<std::uint32_t> LevelwiseScheduler::wavefront_commit_pick(
-    const LinkState& state, std::uint32_t h, std::size_t slot,
-    std::size_t req) {
-  obs::ProfileSession* const prof = kProfiled ? profiler_ : nullptr;
-  if (probe_) [[unlikely]] {
-    // Popcount read from the CURRENT state (after this level's earlier
-    // occupies), exactly where the legacy loop reads it — the probe streams
-    // stay bit-identical.
-    obs::ProfileRegion and_region(prof, obs::ProfilePhase::kAnd, h);
-    probe_->on_and_popcount(
-        h, state.available_port_count(h, sigma_[req], delta_[req]));
-  }
-  obs::ProfileRegion pick_region(prof, obs::ProfilePhase::kPortPick, h);
-  const std::int32_t pre = wf_pick_[slot];
-  if (pre < 0) {
-    // Within a level sweep availability bits are only cleared, so an AND
-    // that was empty at gather time is still empty now.
-    return std::nullopt;
-  }
-  if (policy_weighted(options_.policy)) {
-    // No freshness shortcut exists for weighted picks: earlier commits this
-    // level shifted the column weights, so the pick is always re-derived
-    // from live state through the one policy switch (which also keeps the
-    // probe pick stream and the balanced-rr hint rule identical to the
-    // legacy loop's).
-    if (probe_) [[unlikely]] {
-      return pick_port_policy<true>(state, h, sigma_[req], delta_[req],
-                                    rr_hint_);
-    }
-    return pick_port_policy<false>(state, h, sigma_[req], delta_[req],
-                                   rr_hint_);
-  }
-  const auto port = static_cast<std::uint32_t>(pre);
-  const bool rr = options_.policy == PortPolicy::kRoundRobin;
-  bool fresh = state.ulink(h, sigma_[req], port) &&
-               state.dlink(h, delta_[req], port);
-  if (rr) fresh = fresh && rr_hint_[sigma_[req]] == wf_hint_[slot];
-  if (!fresh) {
-    // An earlier request this level took the gathered pick's channel (or
-    // advanced this row's round-robin hint); re-pick from the live state.
-    if (probe_) [[unlikely]] {
-      return pick_port_policy<true>(state, h, sigma_[req], delta_[req],
-                                    rr_hint_);
-    }
-    return pick_port_policy<false>(state, h, sigma_[req], delta_[req],
-                                   rr_hint_);
-  }
-  // Monotonicity again: every port below `port` that was busy at gather time
-  // is still busy, and `port` itself is still free — so it is exactly the
-  // pick the legacy loop would make from the current state.
-  if (rr) {
-    rr_hint_[sigma_[req]] = (port + 1) % state.ports_per_switch();
-  }
-  if (probe_) [[unlikely]] {
-    probe_->on_port_pick(h, port);
-  }
-  return port;
 }
 
 ScheduleResult LevelwiseScheduler::schedule(const FatTree& tree,
@@ -343,12 +201,6 @@ ScheduleResult LevelwiseScheduler::schedule_level_major_impl(
     }
   }
 
-  // The RNG-consuming policies draw in pick order; routing them through
-  // the wavefront would keep results identical but buy nothing (every pick
-  // depends on a live popcount), so they stay on the legacy loop.
-  const bool use_wavefront =
-      options_.wavefront && !policy_uses_rng(options_.policy);
-
   const std::uint32_t link_levels = tree.levels() - 1;
   for (std::uint32_t h = 0; h < link_levels; ++h) {
     // With no request left in flight the remaining sweeps are no-ops; skip
@@ -362,57 +214,44 @@ ScheduleResult LevelwiseScheduler::schedule_level_major_impl(
     }
     const std::uint64_t wnext = wpow[h + 1];
     const std::size_t n_live = live_.size();
-    const std::size_t chunk =
-        use_wavefront ? kWavefrontChunk : (n_live == 0 ? 1 : n_live);
     std::size_t kept = 0;
     // Compaction (live_[kept++] = i below) writes at or before the read
-    // cursor, so chunked gathers always read not-yet-compacted entries.
-    for (std::size_t base = 0; base < n_live; base += chunk) {
-      const std::size_t count = std::min(chunk, n_live - base);
-      if (use_wavefront) {
-        wavefront_select<kProfiled>(state, h, base, count);
+    // cursor, so the sweep always reads not-yet-compacted entries.
+    for (std::size_t j = 0; j < n_live; ++j) {
+      const std::size_t i = live_[j];
+      RequestOutcome& out = result.outcomes[i];
+      const auto port = pick_port(state, h, sigma_[i], delta_[i], rr_hint_);
+      if (!port) {
+        out.reason = RejectReason::kNoCommonPort;
+        out.fail_level = h;
+        continue;  // dropped from the live list
       }
-      for (std::size_t j = 0; j < count; ++j) {
-        const std::size_t i = live_[base + j];
-        RequestOutcome& out = result.outcomes[i];
-        const auto port =
-            use_wavefront
-                ? wavefront_commit_pick<kProfiled>(state, h, j, i)
-                : pick_port(state, h, sigma_[i], delta_[i], rr_hint_);
-        if (!port) {
-          out.reason = RejectReason::kNoCommonPort;
-          out.fail_level = h;
-          continue;  // dropped from the live list
-        }
-        {
-          obs::ProfileRegion commit_region(prof, obs::ProfilePhase::kCommit,
-                                           h);
-          // Direct occupation — no transaction journal. The recorded port
-          // digits ARE the journal: a rejected request's partial circuit is
-          // reconstructed in the cleanup sweep by replaying the digit shift
-          // from the leaves, so the hot path records nothing beyond the path
-          // it already builds.
-          state.occupy_ulink(h, sigma_[i], *port);
-          state.occupy_dlink(h, delta_[i], *port);
-          out.path.ports.push_back(*port);
-        }
-        obs::ProfileRegion label_region(prof, obs::ProfilePhase::kLabel, h);
-        // Theorem-1 digit shift, incrementally: new port digit in front,
-        // one source digit consumed on each side.
-        pval_[i] = *port + w * pval_[i];
-        src_rest_[i] = divm(src_rest_[i]);
-        dst_rest_[i] = divm(dst_rest_[i]);
-        if (out.path.ports.size() == ancestor_[i]) {
-          // Theorem 2: sides meet at level H (σ_H == δ_H ⇔ equal
-          // remainders).
-          FT_ASSERT(src_rest_[i] == dst_rest_[i]);
-          out.granted = true;
-          continue;  // dropped from the live list
-        }
-        sigma_[i] = pval_[i] + wnext * src_rest_[i];
-        delta_[i] = pval_[i] + wnext * dst_rest_[i];
-        live_[kept++] = i;
+      {
+        obs::ProfileRegion commit_region(prof, obs::ProfilePhase::kCommit, h);
+        // Direct occupation — no transaction journal. The recorded port
+        // digits ARE the journal: a rejected request's partial circuit is
+        // reconstructed in the cleanup sweep by replaying the digit shift
+        // from the leaves, so the hot path records nothing beyond the path
+        // it already builds.
+        state.occupy_ulink(h, sigma_[i], *port);
+        state.occupy_dlink(h, delta_[i], *port);
+        out.path.ports.push_back(*port);
       }
+      obs::ProfileRegion label_region(prof, obs::ProfilePhase::kLabel, h);
+      // Theorem-1 digit shift, incrementally: new port digit in front, one
+      // source digit consumed on each side.
+      pval_[i] = *port + w * pval_[i];
+      src_rest_[i] = divm(src_rest_[i]);
+      dst_rest_[i] = divm(dst_rest_[i]);
+      if (out.path.ports.size() == ancestor_[i]) {
+        // Theorem 2: sides meet at level H (σ_H == δ_H ⇔ equal remainders).
+        FT_ASSERT(src_rest_[i] == dst_rest_[i]);
+        out.granted = true;
+        continue;  // dropped from the live list
+      }
+      sigma_[i] = pval_[i] + wnext * src_rest_[i];
+      delta_[i] = pval_[i] + wnext * dst_rest_[i];
+      live_[kept++] = i;
     }
     live_.resize(kept);
   }

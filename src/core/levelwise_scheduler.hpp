@@ -37,17 +37,6 @@ struct LevelwiseOptions {
   /// Release the partial allocations of rejected requests before returning.
   bool release_rejected = true;
 
-  /// Use the SIMD wavefront sweep for level-major non-RNG policies: gather
-  /// the live requests' Ulink/Dlink rows, vector AND + select across the
-  /// whole level, then validate + commit sequentially (capacity-weighted
-  /// policies keep the gathered AND only for empty-row rejection and
-  /// re-derive every pick at commit). False forces the legacy per-request
-  /// reference loop. Results — grants, probe streams, round-robin hints,
-  /// verifier output — are bit-identical either way (the equivalence tests
-  /// pin this); RNG-consuming policies always take the legacy loop to
-  /// preserve their draw order.
-  bool wavefront = true;
-
   std::uint64_t seed = 0x5eedULL;
 };
 
@@ -94,40 +83,12 @@ class LevelwiseScheduler final : public Scheduler {
   /// kProbed adds popcount/pick recording; kProfiled brackets the explicit
   /// AND evaluation (probed mode only — unprobed picks fuse AND and select,
   /// and that fused cost lands in the kPortPick slot) and the selection
-  /// itself with profile regions.
+  /// itself with profile regions. The round-robin hint update follows
+  /// docs/PERFORMANCE.md "Round-robin hint rule".
   template <bool kProbed, bool kProfiled>
   std::optional<std::uint32_t> pick_port_impl(
       const LinkState& state, std::uint32_t level, std::uint64_t src_sw,
       std::uint64_t dst_sw, std::vector<std::uint32_t>& rr_hint);
-
-  /// The policy switch alone — port selection, round-robin hint update
-  /// (docs/PERFORMANCE.md "Round-robin hint rule"), on_port_pick emission —
-  /// with no popcount probe and no profile region. pick_port_impl wraps it
-  /// for the legacy loop; the wavefront commit loop calls it directly when a
-  /// gathered pick went stale, so the popcount it already emitted is not
-  /// duplicated.
-  template <bool kProbed>
-  std::optional<std::uint32_t> pick_port_policy(
-      const LinkState& state, std::uint32_t level, std::uint64_t src_sw,
-      std::uint64_t dst_sw, std::vector<std::uint32_t>& rr_hint);
-
-  /// Gathers the rows of the `count` live requests starting at live_[base]
-  /// into the wavefront scratch and runs the vector AND + select kernels,
-  /// filling wf_pick_[0..count) (and, for round-robin, wf_hint_).
-  /// Attribution: gather+AND → kAnd(h), select → kPortPick(h).
-  template <bool kProfiled>
-  void wavefront_select(const LinkState& state, std::uint32_t h,
-                        std::size_t base, std::size_t count);
-
-  /// Resolves wavefront slot `slot` (request index `req`) at commit time:
-  /// emits the probe popcount, validates the gathered pick against the
-  /// current state (falling back to pick_port_policy when stale), applies
-  /// the round-robin hint rule, and emits on_port_pick.
-  template <bool kProfiled>
-  std::optional<std::uint32_t> wavefront_commit_pick(const LinkState& state,
-                                                     std::uint32_t h,
-                                                     std::size_t slot,
-                                                     std::size_t req);
 
   LevelwiseOptions options_;
   Xoshiro256ss rng_;
@@ -153,27 +114,11 @@ class LevelwiseScheduler final : public Scheduler {
   std::vector<std::uint64_t> dst_rest_;  ///< ⌊dst_leaf / m^h⌋ per request
   std::vector<std::uint32_t> ancestor_;  ///< H per request
   /// In-flight request indices, compacted in place each level (stable order,
-  /// so pick order — and with it every RNG/probe stream — matches the
-  /// reference sweep over all requests exactly).
+  /// so pick order — and with it every RNG/probe stream — matches a sweep
+  /// over all requests in batch order exactly).
   std::vector<std::size_t> live_;
   std::vector<std::uint32_t> rr_hint_;   ///< level-major: current level's rows
   std::vector<std::vector<std::uint32_t>> rr_hint_by_level_;  ///< req-major
-
-  // Wavefront scratch (level-major, first-fit / round-robin): one slot per
-  // live request of the current CHUNK, in live_ order. The sweep gathers a
-  // chunk of requests' candidate rows (a strided copy out of LinkState's
-  // flat matrices), runs the simd kernels across the chunk, then validates
-  // each gathered pick at commit time — a pick can only go stale
-  // monotonically (bits are cleared, never set, within a level sweep), so
-  // "still available now" proves it equals the pick the legacy loop would
-  // make. Chunking bounds staleness: a pick can only be invalidated by the
-  // few requests committed since ITS chunk was gathered, not by the whole
-  // level.
-  std::vector<std::uint64_t> wf_u_;     ///< gathered Ulink rows
-  std::vector<std::uint64_t> wf_d_;     ///< gathered Dlink rows
-  std::vector<std::uint64_t> wf_and_;   ///< vector AND of the two
-  std::vector<std::uint32_t> wf_hint_;  ///< gathered rr hints (round-robin)
-  std::vector<std::int32_t> wf_pick_;   ///< selected port per slot, -1 = none
 };
 
 }  // namespace ftsched

@@ -48,23 +48,9 @@ std::string_view to_string(PortPolicy policy);
 /// "balanced-rr", "balanced-random"); nullopt on anything else.
 std::optional<PortPolicy> parse_port_policy(std::string_view name);
 
-/// Policies that consume RNG draws in pick order — these must stay on the
-/// legacy per-request loop (the wavefront would reorder nothing, but it
-/// buys nothing when every pick needs a live candidate count).
-constexpr bool policy_uses_rng(PortPolicy policy) {
-  return policy == PortPolicy::kRandom || policy == PortPolicy::kBalancedRandom;
-}
-
 /// Policies that keep a per-row rotating pointer (the rr hint rule).
 constexpr bool policy_uses_hint(PortPolicy policy) {
   return policy == PortPolicy::kRoundRobin || policy == PortPolicy::kBalancedRR;
-}
-
-/// Capacity-weighted policies: their pick depends on column-free counters
-/// that move with every commit, so a gathered wavefront pick can never be
-/// proven fresh — the commit loop re-derives the pick from live state.
-constexpr bool policy_weighted(PortPolicy policy) {
-  return policy == PortPolicy::kBalanced || policy == PortPolicy::kBalancedRR;
 }
 
 /// Occupancy of the PE<->leaf-switch channels, which LinkState does not

@@ -157,15 +157,15 @@ class LinkState {
                                                std::uint64_t src_sw,
                                                std::uint32_t index) const;
 
-  // --- Wavefront raw-row access ---------------------------------------------
+  // --- Raw-row access -------------------------------------------------------
   //
-  // The SIMD wavefront sweep (levelwise scheduler) gathers many switches'
-  // rows into one contiguous matrix and runs vector kernels over it; these
-  // accessors expose the packed row storage that strided copy reads. Rows
-  // are row_words() uint64 words, bit i = port i available, spare high bits
-  // zero. Faults are already folded in (a faulted channel reads busy here,
-  // like through every other accessor). Pointers are invalidated by nothing
-  // short of destroying or assigning over the LinkState itself.
+  // Bulk readers (the imbalance telemetry in linkstate/imbalance.hpp) scan
+  // every switch's rows; these accessors expose the packed row storage so
+  // they can popcount whole words. Rows are row_words() uint64 words, bit
+  // i = port i available, spare high bits zero. Faults are already folded in
+  // (a faulted channel reads busy here, like through every other accessor).
+  // Pointers are invalidated by nothing short of destroying or assigning
+  // over the LinkState itself.
 
   /// Words per packed row (= BitVec::word_count(ports_per_switch())).
   std::uint64_t row_words() const { return row_words_; }

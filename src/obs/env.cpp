@@ -5,7 +5,6 @@
 #include <string>
 
 #include "obs/metrics.hpp"
-#include "util/simd.hpp"
 
 #if defined(__unix__) || defined(__APPLE__)
 #include <unistd.h>
@@ -70,11 +69,7 @@ void write_env_json(std::ostream& os, const EnvInfo& env) {
      << "\",\"cores\":" << env.cores << ",\"compiler\":\""
      << json_escape(env.compiler) << "\",\"build\":\""
      << json_escape(env.build_type) << "\",\"governor\":\""
-     << json_escape(env.governor) << "\",\"simd\":\""
-     // Read at write time, not collect time: unlike the machine facts above
-     // the dispatch level is per-process state (--simd / FTSCHED_SIMD) that
-     // is settled only after flag parsing.
-     << simd::to_string(simd::active()) << "\"}";
+     << json_escape(env.governor) << "\"}";
 }
 
 }  // namespace ftsched::obs

@@ -1,31 +1,72 @@
 #include "obs/flight_decoder.hpp"
 
 #include <algorithm>
+#include <initializer_list>
 #include <istream>
+#include <limits>
 #include <string>
 
 namespace ftsched::obs {
 
 namespace {
 
+/// Outcome of looking up one unsigned field.
+enum class Field : std::uint8_t { kOk, kMissing, kOverflow };
+
 /// Finds `"key":` in a flat one-line JSON object and parses the unsigned
 /// integer that follows. The dump writer emits exactly this shape (no
 /// spaces, no nesting), so plain string scanning is both sufficient and
-/// byte-for-byte deterministic.
-bool find_u64(const std::string& line, std::string_view key,
-              std::uint64_t& out) {
+/// byte-for-byte deterministic. A value that does not fit 64 bits is
+/// kOverflow, never wrapped.
+Field find_u64(const std::string& line, std::string_view key,
+               std::uint64_t& out) {
   const std::string needle = "\"" + std::string(key) + "\":";
   const std::size_t at = line.find(needle);
-  if (at == std::string::npos) return false;
+  if (at == std::string::npos) return Field::kMissing;
   std::size_t i = at + needle.size();
-  if (i >= line.size() || line[i] < '0' || line[i] > '9') return false;
+  if (i >= line.size() || line[i] < '0' || line[i] > '9') {
+    return Field::kMissing;
+  }
+  constexpr std::uint64_t kMax = std::numeric_limits<std::uint64_t>::max();
   std::uint64_t value = 0;
   while (i < line.size() && line[i] >= '0' && line[i] <= '9') {
-    value = value * 10 + static_cast<std::uint64_t>(line[i] - '0');
+    const auto digit = static_cast<std::uint64_t>(line[i] - '0');
+    if (value > (kMax - digit) / 10) return Field::kOverflow;
+    value = value * 10 + digit;
     ++i;
   }
   out = value;
-  return true;
+  return Field::kOk;
+}
+
+/// One unsigned field to read, and the largest value the field it is
+/// stored in can hold.
+struct U64Field {
+  std::string_view key;
+  std::uint64_t* out;
+  std::uint64_t max = std::numeric_limits<std::uint64_t>::max();
+};
+
+/// Reads each field of `line` into its slot. Returns the empty string on
+/// success, else what is wrong with the first bad field: missing, longer
+/// than 64 bits, or above its `max`.
+std::string read_fields(const std::string& line,
+                        std::initializer_list<U64Field> fields) {
+  for (const U64Field& f : fields) {
+    switch (find_u64(line, f.key, *f.out)) {
+      case Field::kMissing:
+        return "missing field '" + std::string(f.key) + "'";
+      case Field::kOverflow:
+        return "field '" + std::string(f.key) + "' overflows 64 bits";
+      case Field::kOk:
+        break;
+    }
+    if (*f.out > f.max) {
+      return "field '" + std::string(f.key) + "' = " +
+             std::to_string(*f.out) + " exceeds " + std::to_string(f.max);
+    }
+  }
+  return {};
 }
 
 /// Same, for a quoted string value.
@@ -52,6 +93,11 @@ Result<FlightDump> read_flight_jsonl(std::istream& is) {
   std::string line;
   bool have_header = false;
   std::size_t line_no = 0;
+  constexpr std::uint64_t kU32Max = std::numeric_limits<std::uint32_t>::max();
+  const auto at_line = [&](const std::string& what) {
+    return Result<FlightDump>::error("flight dump: " + what + " at line " +
+                                     std::to_string(line_no));
+  };
   while (std::getline(is, line)) {
     ++line_no;
     if (blank(line)) continue;
@@ -62,19 +108,19 @@ Result<FlightDump> read_flight_jsonl(std::istream& is) {
             "flight dump: first line is not a flight_recorder header");
       }
       std::uint64_t version = 0;
-      if (!find_u64(line, "version", version) || version != 1) {
+      std::uint64_t rings = 0;
+      const std::string bad = read_fields(
+          line, {{"version", &version, kU32Max},
+                 {"rings", &rings, kU32Max},
+                 {"capacity", &dump.capacity},
+                 {"recorded", &dump.recorded},
+                 {"dropped", &dump.dropped}});
+      if (!bad.empty()) return at_line("header " + bad);
+      if (version != 1) {
         return Result<FlightDump>::error(
             "flight dump: unsupported format version");
       }
       dump.version = static_cast<std::uint32_t>(version);
-      std::uint64_t rings = 0;
-      if (!find_u64(line, "rings", rings) ||
-          !find_u64(line, "capacity", dump.capacity) ||
-          !find_u64(line, "recorded", dump.recorded) ||
-          !find_u64(line, "dropped", dump.dropped)) {
-        return Result<FlightDump>::error(
-            "flight dump: header is missing rings/capacity/recorded/dropped");
-      }
       dump.rings = static_cast<std::uint32_t>(rings);
       have_header = true;
       continue;
@@ -85,13 +131,21 @@ Result<FlightDump> read_flight_jsonl(std::istream& is) {
     std::uint64_t b = 0;
     std::uint64_t c = 0;
     std::string kind;
-    if (!find_u64(line, "ring", ring) ||
-        !find_u64(line, "req", record.event.req) ||
-        !find_u64(line, "t", record.event.t) ||
-        !find_string(line, "kind", kind) || !find_u64(line, "a", a) ||
-        !find_u64(line, "b", b) || !find_u64(line, "c", c)) {
-      return Result<FlightDump>::error("flight dump: malformed event at line " +
-                                       std::to_string(line_no));
+    const std::string bad = read_fields(
+        line, {{"ring", &ring, kU32Max},
+               {"req", &record.event.req},
+               {"t", &record.event.t},
+               {"a", &a, std::numeric_limits<std::uint8_t>::max()},
+               {"b", &b, std::numeric_limits<std::uint16_t>::max()},
+               {"c", &c, kU32Max}});
+    if (!bad.empty()) return at_line("malformed event: " + bad);
+    if (!find_string(line, "kind", kind)) {
+      return at_line("malformed event: missing field 'kind'");
+    }
+    if (ring >= dump.rings) {
+      return at_line("event ring " + std::to_string(ring) +
+                     " is not below the header's rings = " +
+                     std::to_string(dump.rings));
     }
     if (!flight_kind_from_string(kind, record.event.kind)) {
       return Result<FlightDump>::error("flight dump: unknown event kind '" +

@@ -43,8 +43,11 @@ struct FlightDump {
 };
 
 /// Parses a format-v1 dump. Fails (never aborts) on a missing/foreign
-/// header, an unsupported version, an unknown event kind, or a malformed
-/// line — dumps are post-mortem artifacts and may be truncated.
+/// header, an unsupported version, an unknown event kind, a malformed
+/// line, a value that does not fit its field (never narrowed or wrapped),
+/// or an event ring not below the header's `rings` — dumps are post-mortem
+/// artifacts and may be truncated or hand-edited. Errors past the header
+/// check name the line.
 Result<FlightDump> read_flight_jsonl(std::istream& is);
 
 /// Every event of one tracked request, in emission order.

@@ -4,9 +4,8 @@
 // this layer measures what it COST: wall nanoseconds and — where the
 // machine exposes a PMU — cycles, instructions, and cache/branch misses
 // (obs::PerfCounters), attributed per phase and per tree level of the
-// scheduling hot loop. It is the measurement substrate for the SIMD
-// wavefront work: before vectorizing the AND/find-first-set sweep, know
-// where the instructions actually go.
+// scheduling hot loop: before optimizing the AND/find-first-set sweep,
+// know where the instructions actually go.
 //
 // Attribution is MARK-BASED SELF-TIME. The session keeps one cursor sample
 // ("last mark"); at every region boundary (enter, exit, batch end) it reads

@@ -76,18 +76,6 @@ class BitVec {
   /// Index of the lowest set bit at position >= from, or nullopt.
   std::optional<std::size_t> find_next(std::size_t from) const;
 
-  /// this = a & b, word-wise through the simd dispatch shim — the bulk form
-  /// for callers that re-evaluate an AND every round and want neither the
-  /// temporary of operator& nor the load-modify of operator&=. Sizes of `a`
-  /// and `b` must match; this vector is resized to fit.
-  void and_into(const BitVec& a, const BitVec& b);
-
-  /// Index of the lowest set bit of (a & b) without materializing the AND;
-  /// nullopt when the intersection is empty. Sizes must match. This is the
-  /// scheduler's AND+first-fit probe as one scan with early exit.
-  static std::optional<std::size_t> find_first_and(const BitVec& a,
-                                                   const BitVec& b);
-
   /// In-place AND with `other`. Sizes must match.
   BitVec& operator&=(const BitVec& other);
   /// In-place OR with `other`. Sizes must match.

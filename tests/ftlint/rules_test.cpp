@@ -87,9 +87,8 @@ TEST(Rules, CatalogNamesAreKnown) {
   EXPECT_TRUE(known_rule("dead-suppression"));
   EXPECT_TRUE(known_rule("flight-event-guard"));
   EXPECT_TRUE(known_rule("no-raw-timing"));
-  EXPECT_TRUE(known_rule("no-raw-intrinsics"));
   EXPECT_FALSE(known_rule("no-such-rule"));
-  EXPECT_EQ(rule_catalog().size(), 19u);
+  EXPECT_EQ(rule_catalog().size(), 18u);
 }
 
 TEST(Rules, DeterministicModules) {
@@ -224,34 +223,6 @@ TEST(Rules, RawTimingBansClocksAndCounterSyscalls) {
                                      "struct W { long now(); };\n"
                                      "long q(W& w) { return w.now(); }\n"),
                         "no-raw-timing"));
-}
-
-TEST(Rules, RawIntrinsicsBannedOutsideUtil) {
-  const std::string include_form = "#include <immintrin.h>\nint x;\n";
-  EXPECT_TRUE(has_rule(findings_for("src/core/t.cpp", include_form),
-                       "no-raw-intrinsics"));
-  EXPECT_TRUE(has_rule(findings_for("bench/t.cpp", include_form),
-                       "no-raw-intrinsics"));
-  // The shim's implementation is the one legitimate home.
-  EXPECT_FALSE(has_rule(findings_for("src/util/simd.cpp", include_form),
-                        "no-raw-intrinsics"));
-
-  EXPECT_TRUE(has_rule(findings_for("src/core/t.cpp",
-                                    "int f(__m256i v);\n"),
-                       "no-raw-intrinsics"));
-  EXPECT_TRUE(has_rule(
-      findings_for("tools/t.cpp",
-                   "long g(long a, long b) { return _mm_popcnt_u64(a & b); }\n"),
-      "no-raw-intrinsics"));
-  EXPECT_TRUE(has_rule(findings_for("tests/t.cpp",
-                                    "long h(long v) "
-                                    "{ return __builtin_ia32_lzcnt_u64(v); }\n"),
-                       "no-raw-intrinsics"));
-  // Ordinary identifiers that merely resemble the prefixes stay legal.
-  EXPECT_FALSE(has_rule(findings_for("src/core/t.cpp",
-                                     "int _mmap_region = 0;\n"
-                                     "int mm256 = _mmap_region;\n"),
-                        "no-raw-intrinsics"));
 }
 
 TEST(IncludeGraph, FindsCycles) {

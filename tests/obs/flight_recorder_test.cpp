@@ -184,6 +184,49 @@ TEST(FlightDump, DecoderRejectsMalformedInput) {
                     "{\"ring\":0,\"req\":1,\"t\":0,\"kind\":\"CLOSED\","
                     "\"a\":0,\"b\":0,\"c\":0}\n")
                   .ok());
+
+  // Values the decoder cannot store are rejected with the line number,
+  // never wrapped or narrowed.
+  const auto rejects_at_line = [&](const std::string& text, int line) {
+    const auto result = parse(text);
+    ASSERT_FALSE(result.ok()) << text;
+    EXPECT_NE(result.message().find("at line " + std::to_string(line)),
+              std::string::npos)
+        << result.message();
+  };
+  const auto event = [](const std::string& ring, const std::string& req,
+                        const std::string& a, const std::string& b,
+                        const std::string& c) {
+    return "{\"ring\":" + ring + ",\"req\":" + req +
+           ",\"t\":0,\"kind\":\"CLOSED\",\"a\":" + a + ",\"b\":" + b +
+           ",\"c\":" + c + "}\n";
+  };
+  // 2^64 + 1 would wrap to 1, a valid version.
+  rejects_at_line(
+      "{\"type\":\"flight_recorder\",\"version\":18446744073709551617,"
+      "\"rings\":1,\"capacity\":4,\"recorded\":1,\"dropped\":0}\n",
+      1);
+  // rings past 32 bits.
+  rejects_at_line(
+      "{\"type\":\"flight_recorder\",\"version\":1,\"rings\":4294967297,"
+      "\"capacity\":4,\"recorded\":1,\"dropped\":0}\n",
+      1);
+  // A 64-bit field one past its maximum.
+  rejects_at_line(header + event("0", "18446744073709551616", "0", "0", "0"),
+                  2);
+  // Narrowed fields: ring (32-bit), a (8-bit), b (16-bit), c (32-bit).
+  rejects_at_line(header + event("4294967296", "1", "0", "0", "0"), 2);
+  rejects_at_line(header + event("0", "1", "256", "0", "0"), 2);
+  rejects_at_line(header + event("0", "1", "0", "65536", "0"), 2);
+  rejects_at_line(header + event("0", "1", "0", "0", "4294967296"), 2);
+  // A ring the header does not declare.
+  rejects_at_line(header + event("0", "1", "0", "0", "0") +
+                      event("1", "2", "0", "0", "0"),
+                  3);
+  // The largest storable values still parse.
+  EXPECT_TRUE(parse(header + event("0", "18446744073709551615", "255",
+                                   "65535", "4294967295"))
+                  .ok());
 }
 
 TEST(FlightStitch, SortsByRequestAndKeepsPerRequestOrder) {

@@ -419,50 +419,6 @@ void rule_raw_timing(const SourceFile& src, std::vector<Finding>& out) {
   }
 }
 
-// --- SIMD authority ---------------------------------------------------------
-
-/// All vector code lives behind the runtime-dispatch shim (util/simd.hpp):
-/// every kernel exists at every dispatch level with the scalar table as the
-/// tested reference, so a raw intrinsic anywhere else is by definition a
-/// second, untested vector path. src/util (the shim's own implementation) is
-/// the only place allowed to know how the kernels are vectorized.
-void rule_raw_intrinsics(const SourceFile& src, std::vector<Finding>& out) {
-  if (src.module == "src/util") return;
-  constexpr std::array<std::string_view, 9> kIntrinsicHeaders = {
-      "immintrin.h", "x86intrin.h", "emmintrin.h",
-      "xmmintrin.h", "smmintrin.h", "tmmintrin.h",
-      "nmmintrin.h", "pmmintrin.h", "arm_neon.h"};
-  for (const IncludeDirective& inc : src.includes) {
-    if (!inc.quoted && std::find(kIntrinsicHeaders.begin(),
-                                 kIntrinsicHeaders.end(),
-                                 inc.target) != kIntrinsicHeaders.end()) {
-      add(out, src, inc.line, "no-raw-intrinsics",
-          "<" + inc.target +
-              "> outside src/util opens a second, untested vector path; call "
-              "the dispatch shim (util/simd.hpp) instead");
-    }
-  }
-  constexpr std::array<std::string_view, 9> kVectorTypes = {
-      "__m128", "__m128i", "__m128d", "__m256", "__m256i",
-      "__m256d", "__m512", "__m512i", "__m512d"};
-  for (const Token& tok : src.code) {
-    if (tok.kind != TokKind::kIdent) continue;
-    const std::string& t = tok.text;
-    const bool vector_type =
-        std::find(kVectorTypes.begin(), kVectorTypes.end(), t) !=
-        kVectorTypes.end();
-    const bool intrinsic_call =
-        t.rfind("_mm_", 0) == 0 || t.rfind("_mm256_", 0) == 0 ||
-        t.rfind("_mm512_", 0) == 0 || t.rfind("__builtin_ia32_", 0) == 0;
-    if (!vector_type && !intrinsic_call) continue;
-    add(out, src, tok.line, "no-raw-intrinsics",
-        "raw SIMD '" + t +
-            "' outside src/util; vector kernels live behind util/simd.hpp "
-            "so every dispatch level stays tested against the scalar "
-            "reference");
-  }
-}
-
 // --- Lock discipline --------------------------------------------------------
 
 void rule_mutex_guarded_by(const SourceFile& src, std::vector<Finding>& out) {
@@ -570,10 +526,6 @@ const std::vector<RuleInfo>& rule_catalog() {
       {"no-raw-timing",
        "timing flows through obs/ (Stopwatch, PerfCounters); raw clocks and "
        "counter syscalls live only in src/obs and src/des"},
-      {"no-raw-intrinsics",
-       "vector intrinsics (<immintrin.h>, __m256i, _mm*/_mm256_*/_mm512_*, "
-       "__builtin_ia32_*) live only in src/util behind the simd dispatch "
-       "shim"},
   };
   return kCatalog;
 }
@@ -637,7 +589,6 @@ void run_file_rules(const SourceFile& src,
   rule_mutex_guarded_by(src, out);
   rule_flight_event_guard(src, out);
   rule_raw_timing(src, out);
-  rule_raw_intrinsics(src, out);
 }
 
 }  // namespace ftlint

@@ -58,8 +58,8 @@
 // misses are too noisy to gate on). The gate only fires from perf_event
 // data: timer-backend artifacts warn and pass, so CI degrades gracefully on
 // PMU-less runners. Mismatched env fingerprints (cpu/cores/compiler/build/
-// governor/simd) warn but still compare — instructions retired barely move
-// across same-ISA boxes at a fixed dispatch level.
+// governor) warn but still compare — instructions retired barely move
+// across same-ISA boxes.
 //
 // Anchor mode: pin the degradation engine's fault-free baseline to the
 // one-shot fig9 bench — the two must agree bit for bit (same seeds, same
@@ -514,11 +514,12 @@ std::string env_summary(const JsonValue& env) {
   const JsonValue* cores = env.find("cores");
   return str("cpu") + ", " + fmt(cores ? cores->num_or(0) : 0, 0) +
          " cores, compiler " + str("compiler") + ", " + str("build") +
-         " build, governor " + str("governor") + ", simd " + str("simd");
+         " build, governor " + str("governor");
 }
 
 /// Field-by-field diff of two env fingerprints. Empty when either side did
-/// not record one (old artifacts) — absence is not a mismatch.
+/// not record one (old artifacts) — absence is not a mismatch, and neither
+/// is a key only one side carries.
 std::vector<std::string> env_mismatches(const JsonValue& base,
                                         const JsonValue& cand) {
   std::vector<std::string> diffs;
@@ -526,8 +527,7 @@ std::vector<std::string> env_mismatches(const JsonValue& base,
       cand.type != JsonValue::Type::kObject) {
     return diffs;
   }
-  for (const char* key :
-       {"cpu", "cores", "compiler", "build", "governor", "simd"}) {
+  for (const char* key : {"cpu", "cores", "compiler", "build", "governor"}) {
     const JsonValue* b = base.find(key);
     const JsonValue* c = cand.find(key);
     if (!b || !c) continue;
@@ -595,11 +595,9 @@ void usage(std::ostream& os) {
      << "                  [--flight FILE.jsonl] [--profile FILE]\n"
      << "                  [--out report.md] [--csv report.csv]\n"
      << "  ftreport --baseline OLD.json --candidate NEW.json\n"
-     << "           [--threshold PCT[%]] [--perf] [--min-ratio R[x]]\n"
+     << "           [--threshold PCT[%]] [--perf]\n"
      << "           (profile JSONL baselines gate instructions/request;\n"
-     << "            --perf also gates embedded \"profile\" blocks;\n"
-     << "            --min-ratio: throughput metrics must reach R x the\n"
-     << "            baseline — a speedup floor, not just no-regression)\n"
+     << "            --perf also gates embedded \"profile\" blocks)\n"
      << "  ftreport anchor --degradation BENCH_degradation.json\n"
      << "           --fig9 BENCH_fig9*.json [--scheduler levelwise]\n"
      << "  ftreport quality --bench BENCH_degradation.json\n"
@@ -631,24 +629,6 @@ bool is_regression(const Comparison& c, double threshold_pct) {
   }
   if (c.higher_is_better) return c.candidate < c.baseline * (1.0 - slack);
   return c.candidate > c.baseline * (1.0 + slack);
-}
-
-/// Throughput metrics are the ones a speedup floor (--min-ratio) applies
-/// to: deterministic quality metrics (schedulability mean) and cost metrics
-/// (instructions/request) are gated by --threshold alone.
-bool is_throughput_metric(const std::string& metric) {
-  return metric == "items_per_second" || metric == "requests_per_sec";
-}
-
-/// --min-ratio: candidate must reach `ratio` x baseline — the CI gate that
-/// keeps an optimization's speedup, not merely its non-regression. A
-/// baseline of zero (degenerate artifact) cannot impose a floor.
-bool is_below_floor(const Comparison& c, double ratio) {
-  if (ratio <= 0.0 || c.missing || !c.higher_is_better ||
-      !is_throughput_metric(c.metric) || c.baseline == 0.0) {
-    return false;
-  }
-  return c.candidate < c.baseline * ratio;
 }
 
 double delta_pct(const Comparison& c) {
@@ -921,17 +901,6 @@ int run_regression(const Args& args) {
     }
   }
   const bool perf = args.flags.count("perf") > 0;
-  double min_ratio = 0.0;  // 0 = floor disabled
-  if (const auto it = args.flags.find("min-ratio"); it != args.flags.end()) {
-    std::string t = it->second;
-    if (!t.empty() && (t.back() == 'x' || t.back() == 'X')) t.pop_back();
-    char* end = nullptr;
-    min_ratio = std::strtod(t.c_str(), &end);
-    if (t.empty() || end != t.c_str() + t.size() || min_ratio <= 0.0) {
-      std::cerr << "ftreport: bad --min-ratio '" << it->second << "'\n";
-      return 2;
-    }
-  }
 
   std::vector<Comparison> comparisons;
   bool profile_skipped = false;
@@ -989,24 +958,16 @@ int run_regression(const Args& args) {
   std::cout << "# Bench regression gate\n\n"
             << "baseline:  " << base_it->second << "\n"
             << "candidate: " << cand_it->second << "\n"
-            << "threshold: " << fmt(threshold, 2) << "%\n";
-  if (min_ratio > 0.0) {
-    std::cout << "floor:     " << fmt(min_ratio, 2)
-              << "x baseline (throughput metrics)\n";
-  }
-  std::cout << "\n"
+            << "threshold: " << fmt(threshold, 2) << "%\n\n"
             << "| benchmark | metric | baseline | candidate | delta | status |\n"
             << "|---|---|---:|---:|---:|---|\n";
   std::size_t regressions = 0;
   for (const Comparison& c : comparisons) {
     const bool regressed = is_regression(c, threshold);
-    const bool below_floor = is_below_floor(c, min_ratio);
-    const bool bad = regressed || below_floor;
-    if (bad) ++regressions;
-    const char* status = c.missing          ? "MISSING"
-                         : regressed        ? "REGRESSED"
-                         : below_floor      ? "BELOW-FLOOR"
-                                            : "ok";
+    if (regressed) ++regressions;
+    const char* status = c.missing     ? "MISSING"
+                         : regressed   ? "REGRESSED"
+                                       : "ok";
     std::cout << "| " << c.name << " | " << c.metric << " | "
               << fmt(c.baseline) << " | "
               << (c.missing ? std::string("-") : fmt(c.candidate)) << " | "
@@ -2336,7 +2297,7 @@ int main(int argc, char** argv) {
       "baseline", "candidate",   "threshold", "metrics",
       "telemetry", "trace",      "bench",     "out",
       "csv",       "degradation", "fig9",     "scheduler",
-      "flight",    "profile",     "min-ratio",
+      "flight",    "profile",
       "baseline-scheduler", "candidate-scheduler", "max-sched-drop"};
   if (raw[0] == "report") {
     Args args;
