@@ -1,5 +1,7 @@
 #include "core/rearranging_manager.hpp"
 
+#include <span>
+
 #include "topology/path.hpp"
 
 namespace ftsched {
@@ -32,7 +34,9 @@ std::optional<DigitVec> RearrangingConnectionManager::walk(
 
 void RearrangingConnectionManager::install(ConnectionId id, const Path& path) {
   state_.occupy_path(tree_, path);
-  for (const ChannelId& ch : expand_path(tree_, path).channels) {
+  ChannelBuffer channels;
+  const std::size_t n = expand_channels(tree_, path, channels);
+  for (const ChannelId& ch : std::span(channels).first(n)) {
     [[maybe_unused]] const bool inserted =
         channel_owner_.emplace(ch, id).second;
     FT_ASSERT(inserted);
@@ -43,7 +47,9 @@ void RearrangingConnectionManager::install(ConnectionId id, const Path& path) {
 void RearrangingConnectionManager::uninstall(ConnectionId id,
                                              const Path& path) {
   state_.release_path(tree_, path);
-  for (const ChannelId& ch : expand_path(tree_, path).channels) {
+  ChannelBuffer channels;
+  const std::size_t n = expand_channels(tree_, path, channels);
+  for (const ChannelId& ch : std::span(channels).first(n)) {
     const auto it = channel_owner_.find(ch);
     FT_ASSERT(it != channel_owner_.end() && it->second == id);
     channel_owner_.erase(it);

@@ -23,6 +23,11 @@
 // Expected, recoverable failures travel through the VerifyReport — the
 // verifier never aborts on a corrupted schedule, it reports every violation
 // it finds (up to `max_violations`).
+//
+// Cost: verify() sizes its scratch once per batch (a bitmap over the tree's
+// directed channels, the expected LinkState) and derives each granted path
+// once for all four checks; a clean grant allocates nothing
+// (docs/PERFORMANCE.md §6).
 #pragma once
 
 #include <cstdint>
@@ -92,6 +97,8 @@ class ScheduleVerifier {
   /// down-channel at each level must carry the same port digit. Exposed for
   /// tests, which corrupt expansions directly.
   static Status check_mirror(const PathExpansion& expansion,
+                             std::uint32_t ancestor_level);
+  static Status check_mirror(std::span<const ChannelId> channels,
                              std::uint32_t ancestor_level);
 
  private:

@@ -203,15 +203,20 @@ std::uint64_t FatTree::side_switch(std::uint64_t leaf, std::uint32_t level,
   FT_REQUIRE(leaf < leaves.cardinality());
   const DigitVec source = leaves.decompose(leaf);
 
-  // δ_h (LSB first) = P_{h-1}, …, P_0, d_h, …, d_{l-2}.
-  DigitVec digits;
+  // δ_h (LSB first) = P_{h-1}, …, P_0, d_h, …, d_{l-2}, weighted by the
+  // level-h label system's place values: compose() without building the
+  // digit string first.
+  const MixedRadix& system = label_systems_[level];
+  std::uint64_t label = 0;
   for (std::uint32_t i = 0; i < level; ++i) {
-    digits.push_back(ports[level - 1 - i]);
+    const std::uint32_t port = ports[level - 1 - i];
+    FT_REQUIRE(port < params_.parent_arity);
+    label += system.place_value(i) * port;
   }
   for (std::size_t i = level; i < source.size(); ++i) {
-    digits.push_back(source[i]);
+    label += system.place_value(i) * source[i];
   }
-  return label_systems_[level].compose(digits);
+  return label;
 }
 
 }  // namespace ftsched

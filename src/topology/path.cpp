@@ -9,23 +9,41 @@ PathExpansion expand_path(const FatTree& tree, const Path& path) {
   const std::uint32_t H = path.ancestor_level;
 
   PathExpansion out;
-  // Upward side: σ_0 … σ_H with Ulink(h, σ_h, P_h).
+  // σ_0 … σ_H, then δ_{H-1} … δ_0.
   for (std::uint32_t h = 0; h <= H; ++h) {
-    const std::uint64_t sigma = tree.side_switch(src_leaf, h, path.ports);
-    out.switches.push_back(SwitchId{h, sigma});
-    if (h < H) {
-      out.channels.push_back(
-          ChannelId{CableId{h, sigma, path.ports[h]}, Direction::kUp});
-    }
+    out.switches.push_back(
+        SwitchId{h, tree.side_switch(src_leaf, h, path.ports)});
   }
-  // Downward side: δ_{H-1} … δ_0 with Dlink(h, δ_h, P_h).
   for (std::uint32_t h = H; h-- > 0;) {
-    const std::uint64_t delta = tree.side_switch(dst_leaf, h, path.ports);
-    out.switches.push_back(SwitchId{h, delta});
-    out.channels.push_back(
-        ChannelId{CableId{h, delta, path.ports[h]}, Direction::kDown});
+    out.switches.push_back(
+        SwitchId{h, tree.side_switch(dst_leaf, h, path.ports)});
   }
+  out.channels.resize(2 * static_cast<std::size_t>(H));
+  expand_channels(tree, path, out.channels);
   return out;
+}
+
+std::size_t expand_channels(const FatTree& tree, const Path& path,
+                            std::span<ChannelId> out) {
+  const std::uint32_t H = path.ancestor_level;
+  FT_REQUIRE(path.ports.size() == H);
+  FT_REQUIRE(out.size() >= 2 * static_cast<std::size_t>(H));
+  const std::uint64_t src_leaf = tree.leaf_switch(path.src).index;
+  const std::uint64_t dst_leaf = tree.leaf_switch(path.dst).index;
+  std::size_t n = 0;
+  // Upward side: Ulink(h, σ_h, P_h) for h = 0 … H-1.
+  for (std::uint32_t h = 0; h < H; ++h) {
+    out[n++] = ChannelId{
+        CableId{h, tree.side_switch(src_leaf, h, path.ports), path.ports[h]},
+        Direction::kUp};
+  }
+  // Downward side: Dlink(h, δ_h, P_h) for h = H-1 … 0.
+  for (std::uint32_t h = H; h-- > 0;) {
+    out[n++] = ChannelId{
+        CableId{h, tree.side_switch(dst_leaf, h, path.ports), path.ports[h]},
+        Direction::kDown};
+  }
+  return n;
 }
 
 Status check_path_legal(const FatTree& tree, const Path& path) {

@@ -8,6 +8,8 @@
 // materializes the switch/channel sequence for verification and display.
 #pragma once
 
+#include <array>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -36,6 +38,16 @@ struct PathExpansion {
 /// Materializes the circuit. Aborts (contract) if `path.ports` is
 /// inconsistent with the tree or with `ancestor_level`.
 PathExpansion expand_path(const FatTree& tree, const Path& path);
+
+/// Channel-only expansion into a caller buffer: writes exactly
+/// expand_path(tree, path).channels to the front of `out` and returns their
+/// number, 2·H. No switch list, no allocation. `path` must be legal
+/// (check_path_legal) and `out` must hold at least 2·H channels.
+std::size_t expand_channels(const FatTree& tree, const Path& path,
+                            std::span<ChannelId> out);
+
+/// A buffer that holds the channels of any legal path (2·H < 2·l).
+using ChannelBuffer = std::array<ChannelId, 2 * kMaxTreeLevels>;
 
 /// Checks that `path` is a legal circuit for (src, dst) on `tree`:
 /// H equals the true common-ancestor level, ports.size() == H, every port is

@@ -1,0 +1,65 @@
+// ScheduleVerifier::verify sizes its scratch once per batch: the number of
+// heap allocations a clean verify() makes must not depend on how many
+// requests were granted. This binary replaces the global operator new to
+// count them, so it holds no other tests.
+#include <gtest/gtest.h>
+
+#include <cstdlib>
+#include <new>
+
+#include "core/levelwise_scheduler.hpp"
+#include "core/verifier.hpp"
+
+namespace {
+std::size_t g_allocations = 0;
+}  // namespace
+
+void* operator new(std::size_t size) {
+  ++g_allocations;
+  if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
+  throw std::bad_alloc();
+}
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+
+namespace ftsched {
+namespace {
+
+/// Allocations made by one verify() of a levelwise schedule of `batch`.
+std::size_t verify_allocations(const FatTree& tree,
+                               const std::vector<Request>& batch,
+                               std::uint64_t* granted) {
+  LinkState state(tree);
+  LevelwiseScheduler scheduler;
+  const ScheduleResult result = scheduler.schedule(tree, batch, state);
+  const ScheduleVerifier verifier(tree);
+  const std::size_t before = g_allocations;
+  const VerifyReport report = verifier.verify(batch, result, &state);
+  const std::size_t made = g_allocations - before;
+  EXPECT_TRUE(report.ok()) << report.to_string();
+  *granted = report.granted;
+  return made;
+}
+
+TEST(VerifierAllocations, IndependentOfGrantCount) {
+  for (const FatTreeParams& params :
+       {FatTreeParams{3, 4, 4}, FatTreeParams{3, 6, 5}}) {
+    const FatTree tree = FatTree::create(params).value();
+    std::vector<Request> full;
+    for (NodeId n = 0; n < tree.node_count(); ++n) {
+      full.push_back(Request{n, (n + 7) % tree.node_count()});
+    }
+    const std::vector<Request> few(full.begin(), full.begin() + 3);
+    std::uint64_t granted_full = 0;
+    std::uint64_t granted_few = 0;
+    const std::size_t full_allocs =
+        verify_allocations(tree, full, &granted_full);
+    const std::size_t few_allocs = verify_allocations(tree, few, &granted_few);
+    ASSERT_GT(granted_full, 10 * granted_few);
+    EXPECT_EQ(full_allocs, few_allocs)
+        << granted_full << " grants vs " << granted_few;
+  }
+}
+
+}  // namespace
+}  // namespace ftsched
