@@ -1,5 +1,10 @@
 #include "core/connection_manager.hpp"
 
+#include <algorithm>
+#include <array>
+#include <string>
+#include <utility>
+
 #include "linkstate/transaction.hpp"
 #include "topology/path.hpp"
 
@@ -11,7 +16,14 @@ ConnectionManager::ConnectionManager(const FatTree& tree, PortPolicy policy,
       policy_(policy),
       rng_(seed),
       state_(tree),
-      leaves_(tree.node_count()) {}
+      leaves_(tree.node_count()) {
+  std::uint64_t cables = 0;
+  for (std::uint32_t h = 0; h < state_.link_levels(); ++h) {
+    owner_offset_.push_back(cables);
+    cables += state_.rows_at(h) * state_.ports_per_switch();
+  }
+  owner_offset_.push_back(cables);  // total, sizes the index
+}
 
 std::optional<ConnectionId> ConnectionManager::open(const Request& request) {
   FT_REQUIRE(request.src < tree_.node_count());
@@ -68,6 +80,7 @@ std::optional<ConnectionId> ConnectionManager::open(const Request& request) {
   tx.commit();
   const ConnectionId id = next_id_++;
   connections_.emplace(id, path);
+  if (!owners_.empty()) set_owner(path, id);
   return id;
 }
 
@@ -132,6 +145,7 @@ BatchOpenResult ConnectionManager::open_batch(
     (void)claimed;
     const ConnectionId id = next_id_++;
     connections_.emplace(id, out.schedule.outcomes[i].path);
+    if (!owners_.empty()) set_owner(out.schedule.outcomes[i].path, id);
     out.ids[i] = id;
     if (tracked) flight_ids_.emplace(id, request_ids[i]);
   }
@@ -143,6 +157,7 @@ Status ConnectionManager::close(ConnectionId id) {
   if (it == connections_.end()) {
     return Status::error("unknown connection id " + std::to_string(id));
   }
+  if (!owners_.empty()) set_owner(it->second, 0);
   state_.release_path(tree_, it->second);
   leaves_.release(it->second.src, it->second.dst);
   connections_.erase(it);
@@ -159,6 +174,7 @@ void ConnectionManager::clear() {
   state_.reset();
   leaves_.reset();
   connections_.clear();
+  std::fill(owners_.begin(), owners_.end(), ConnectionId{0});
   flight_ids_.clear();  // mass teardown, not a lifecycle event
 }
 
@@ -167,20 +183,30 @@ std::vector<Revocation> ConnectionManager::fail_cable(const CableId& cable) {
   // fault shadow instead of re-advertising a dead link.
   state_.fail_cable(cable.level, cable.lower_index, cable.port);
 
-  // connections_ is id-ordered, so victims come out in grant order and the
-  // re-enqueue order is deterministic by construction.
+  // The victims are the owners of the cable's two channels: LinkState lets
+  // one open circuit at most hold a directed channel, and a circuit crosses
+  // a cable at most once (σ_h ≠ δ_h below H). Ascending ids are grant
+  // order, the order a scan over the id-ordered connections_ would give.
+  if (owners_.empty()) build_owners();
+  std::array<ConnectionId, 2> ids = {
+      owners_[owner_slot(ChannelId{cable, Direction::kUp})],
+      owners_[owner_slot(ChannelId{cable, Direction::kDown})]};
+  FT_ASSERT(ids[0] == 0 || ids[0] != ids[1]);
+  if (ids[0] > ids[1]) std::swap(ids[0], ids[1]);
+
   std::vector<Revocation> victims;
-  for (const auto& [id, path] : connections_) {
-    if (path_crosses_cable(tree_, path, cable)) {
-      victims.push_back(Revocation{id, Request{path.src, path.dst}});
-    }
-  }
-  for (const Revocation& v : victims) {
-    auto it = connections_.find(v.id);
-    state_.release_path(tree_, it->second);
-    leaves_.release(v.request.src, v.request.dst);
+  for (const ConnectionId id : ids) {
+    if (id == 0) continue;
+    auto it = connections_.find(id);
+    FT_ASSERT(it != connections_.end());
+    const Path& path = it->second;
+    FT_ASSERT(path_crosses_cable(tree_, path, cable));
+    victims.push_back(Revocation{id, Request{path.src, path.dst}});
+    set_owner(path, 0);
+    state_.release_path(tree_, path);
+    leaves_.release(path.src, path.dst);
     connections_.erase(it);
-    auto fit = flight_ids_.find(v.id);
+    auto fit = flight_ids_.find(id);
     if (fit != flight_ids_.end()) {
       FT_FLIGHT_EVENT(flight_,
                       obs::FlightEvent::revoked(
@@ -192,6 +218,70 @@ std::vector<Revocation> ConnectionManager::fail_cable(const CableId& cable) {
     }
   }
   return victims;
+}
+
+std::size_t ConnectionManager::owner_slot(const ChannelId& channel) const {
+  const CableId& c = channel.cable;
+  FT_ASSERT(c.level < state_.link_levels());
+  FT_ASSERT(c.lower_index < state_.rows_at(c.level));
+  FT_ASSERT(c.port < state_.ports_per_switch());
+  const std::uint64_t cable = owner_offset_[c.level] +
+                              c.lower_index * state_.ports_per_switch() +
+                              c.port;
+  return static_cast<std::size_t>(cable * 2 +
+                                  (channel.direction == Direction::kDown));
+}
+
+void ConnectionManager::set_owner(const Path& path, ConnectionId owner) {
+  // Claim free slots, or free held ones: Ulink(h, σ_h, P_h) and
+  // Dlink(h, δ_h, P_h) for every level the circuit climbs.
+  auto store = [&](const ChannelId& channel) {
+    ConnectionId& slot = owners_[owner_slot(channel)];
+    FT_ASSERT((slot == 0) != (owner == 0));
+    slot = owner;
+  };
+  const std::uint64_t src_leaf = tree_.leaf_switch(path.src).index;
+  const std::uint64_t dst_leaf = tree_.leaf_switch(path.dst).index;
+  for (std::uint32_t h = 0; h < path.ancestor_level; ++h) {
+    const std::uint32_t port = path.ports[h];
+    const std::uint64_t sigma = tree_.side_switch(src_leaf, h, path.ports);
+    const std::uint64_t delta = tree_.side_switch(dst_leaf, h, path.ports);
+    store(ChannelId{CableId{h, sigma, port}, Direction::kUp});
+    store(ChannelId{CableId{h, delta, port}, Direction::kDown});
+  }
+}
+
+void ConnectionManager::build_owners() {
+  owners_.assign(2 * owner_offset_.back(), 0);
+  for (const auto& [id, path] : connections_) set_owner(path, id);
+}
+
+Status ConnectionManager::audit_owners() const {
+  if (owners_.empty()) return Status();
+  std::uint64_t held = 0;
+  ChannelBuffer channels;
+  for (const auto& [id, path] : connections_) {
+    const std::size_t n = expand_channels(tree_, path, channels);
+    for (std::size_t i = 0; i < n; ++i) {
+      const ConnectionId owner = owners_[owner_slot(channels[i])];
+      if (owner != id) {
+        return Status::error("owner index names connection " +
+                             std::to_string(owner) + " for " +
+                             to_string(channels[i]) +
+                             ", held by open connection " + std::to_string(id));
+      }
+    }
+    held += n;
+  }
+  const auto owned = static_cast<std::uint64_t>(
+      std::count_if(owners_.begin(), owners_.end(),
+                    [](ConnectionId owner) { return owner != 0; }));
+  if (owned != held) {
+    return Status::error("owner index holds " + std::to_string(owned) +
+                         " channels, open circuits hold " +
+                         std::to_string(held));
+  }
+  return Status();
 }
 
 void ConnectionManager::repair_cable(const CableId& cable) {

@@ -82,10 +82,13 @@ class ConnectionManager {
   // --- Fault handling -------------------------------------------------------
 
   /// Fails the cable in the link state and revokes every open circuit that
-  /// crosses it (Theorem-1/2 digit test, no path expansion): victims'
-  /// channels are released (the failed cable's own channels park in the
-  /// fault shadow), their leaf claims are dropped, and they are returned in
-  /// ascending ConnectionId order — the deterministic re-enqueue order.
+  /// crosses it: victims' channels are released (the failed cable's own
+  /// channels park in the fault shadow), their leaf claims are dropped, and
+  /// they are returned in ascending ConnectionId order — the deterministic
+  /// re-enqueue order. The victims are read from the channel owner index
+  /// (at most two: the owners of the cable's up- and down-channel), so a
+  /// failure costs its victims, not a scan of every open circuit. The
+  /// first call builds the index; from then on open/close keep it current.
   /// The cable must not already be faulted.
   std::vector<Revocation> fail_cable(const CableId& cable);
 
@@ -102,6 +105,12 @@ class ConnectionManager {
 
   /// Fraction of inter-switch up-channels occupied at `level`.
   double level_utilization(std::uint32_t level) const;
+
+  /// Residue check of the channel owner index: once it is built, every
+  /// channel of every open circuit must name that circuit, and no other
+  /// channel may name any — i.e. the index equals one re-derived from the
+  /// open paths. Before the first fail_cable there is no index to check.
+  Status audit_owners() const;
 
   // --- Flight recorder ------------------------------------------------------
 
@@ -124,6 +133,18 @@ class ConnectionManager {
   // order, so revocation sweeps are deterministic without re-sorting.
   std::map<ConnectionId, Path> connections_;
   ConnectionId next_id_ = 1;
+
+  // Channel owner index: the open circuit holding each directed channel,
+  // 0 = free, at slot (owner_offset_[h] + lower_index·w + port)·2 +
+  // direction. Empty until the first fail_cable builds it, so a manager
+  // that never sees a fault (circuit churn) pays one branch per open or
+  // close; once built, open/open_batch/close/clear and fail_cable's own
+  // revocations keep it current, and a failure never rescans.
+  std::size_t owner_slot(const ChannelId& channel) const;
+  void set_owner(const Path& path, ConnectionId owner);
+  void build_owners();
+  std::vector<std::uint64_t> owner_offset_;  // per level, in cables
+  std::vector<ConnectionId> owners_;
 
   obs::FlightRing* flight_ = nullptr;
   std::uint64_t flight_now_ = 0;

@@ -1,5 +1,6 @@
 #include "fault/fabric_manager.hpp"
 
+#include <optional>
 #include <utility>
 
 #include "linkstate/imbalance.hpp"
@@ -150,8 +151,9 @@ void FabricManager::handle_reject(RetryEntry entry) {
                         obs::kShedBudget));
     return;
   }
-  const SimTime eligible = sim_.now() + *delay;
-  if (eligible > options_.horizon) {
+  // now + delay > horizon, without the sum wrapping for a huge delay.
+  const SimTime now = sim_.now();
+  if (now > options_.horizon || *delay > options_.horizon - now) {
     ++stats_.abandoned;
     FT_FLIGHT_EVENT(options_.flight,
                     obs::FlightEvent::retry_shed(
@@ -159,6 +161,7 @@ void FabricManager::handle_reject(RetryEntry entry) {
                         obs::kShedHorizon));
     return;
   }
+  const SimTime eligible = now + *delay;
   entry.attempts = attempt;
   entry.eligible_at = eligible;
   if (!queue_.admit(entry)) {
@@ -234,15 +237,30 @@ Status FabricManager::check_invariants() const {
   }
 
   // Every failed cable still masked, both channels unavailable; no open
-  // circuit crosses one.
+  // circuit crosses one. Each open circuit's channels are walked once and
+  // looked up in the failed set — O(open·H), independent of the manager's
+  // owner index. The lowest crossed cable is reported where the per-cable
+  // sweep below reaches it, so findings keep the failed set's order.
   // conn_seq_ is id-ordered, so `open` comes out sorted in grant order.
-  std::vector<std::pair<ConnectionId, const Path*>> open;
+  std::vector<const Path*> open;
+  open.reserve(conn_seq_.size());
+  std::optional<CableId> lowest_crossed;
+  ChannelBuffer channels;
   for (const auto& [id, seq] : conn_seq_) {
     const Path* path = manager_.find(id);
     if (path == nullptr) {
       return Status::error("ledgered connection id has no open circuit");
     }
-    open.emplace_back(id, path);
+    open.push_back(path);
+    if (failed_cables_.empty()) continue;
+    const std::size_t n = expand_channels(tree_, *path, channels);
+    for (std::size_t i = 0; i < n; ++i) {
+      const CableId& cable = channels[i].cable;
+      if (failed_cables_.count(cable) != 0 &&
+          (!lowest_crossed || cable < *lowest_crossed)) {
+        lowest_crossed = cable;
+      }
+    }
   }
   for (const CableId& cable : failed_cables_) {
     if (!live.cable_faulted(cable.level, cable.lower_index, cable.port)) {
@@ -254,13 +272,13 @@ Status FabricManager::check_invariants() const {
       return Status::error("faulted cable advertises availability: " +
                            to_string(cable));
     }
-    for (const auto& [id, path] : open) {
-      if (path_crosses_cable(tree_, *path, cable)) {
-        return Status::error("open circuit crosses a faulted cable: " +
-                             to_string(cable));
-      }
+    if (cable == lowest_crossed) {
+      return Status::error("open circuit crosses a faulted cable: " +
+                           to_string(cable));
     }
   }
+  const Status owners = manager_.audit_owners();
+  if (!owners.ok()) return owners;
 
   // Residue: rebuilding from scratch — faults first, then every open
   // circuit — must land on the live state exactly. This is the
@@ -269,9 +287,7 @@ Status FabricManager::check_invariants() const {
   for (const CableId& cable : failed_cables_) {
     expected.fail_cable(cable.level, cable.lower_index, cable.port);
   }
-  for (const auto& [id, path] : open) {
-    expected.occupy_path(tree_, *path);
-  }
+  for (const Path* path : open) expected.occupy_path(tree_, *path);
   if (!(expected == live)) {
     return Status::error("link state residue differs from re-derivation");
   }

@@ -147,9 +147,11 @@ class FabricManager {
   double recovery_success_ratio() const;
 
   /// The invariant bundle: LinkState audit, no open circuit crosses a
-  /// faulted cable, the full-state residue re-derivation (faults first,
-  /// then every open circuit — must reproduce the live state exactly), and
-  /// circuit conservation (grants == open + closed + victims). Returns the
+  /// faulted cable, the connection manager's owner-index residue
+  /// (ConnectionManager::audit_owners), the full-state residue
+  /// re-derivation (faults first, then every open circuit — must reproduce
+  /// the live state exactly), and circuit conservation (grants == open +
+  /// closed + victims). O(open circuits · H + fabric). Returns the
   /// first violation instead of aborting — the chaos soak engine keeps the
   /// process alive to shrink the violating interleaving.
   Status check_invariants() const;

@@ -1,6 +1,7 @@
 #include "fault/retry_policy.hpp"
 
 #include <algorithm>
+#include <limits>
 #include <vector>
 
 namespace ftsched {
@@ -60,10 +61,20 @@ std::optional<std::uint64_t> RetryPolicy::delay_for(std::uint32_t attempt,
       double d = static_cast<double>(base_delay);
       const double cap = static_cast<double>(max_delay);
       for (std::uint32_t i = 1; i < attempt && d < cap; ++i) d *= multiplier;
-      std::uint64_t delay = std::min(max_delay, static_cast<std::uint64_t>(d));
+      // d < cap <= 2^64 here makes the cast defined; a cap near 2^64 rounds
+      // up as a double, so the comparison comes first.
+      std::uint64_t delay =
+          d >= cap ? max_delay
+                   : std::min(max_delay, static_cast<std::uint64_t>(d));
       if (jitter > 0.0) {
-        delay += static_cast<std::uint64_t>(rng.uniform01() * jitter *
-                                            static_cast<double>(delay));
+        // The extra ticks saturate at the u64 range instead of wrapping.
+        constexpr auto kMax = std::numeric_limits<std::uint64_t>::max();
+        constexpr double kTwo64 = 18446744073709551616.0;
+        const double extra =
+            rng.uniform01() * jitter * static_cast<double>(delay);
+        if (extra >= kTwo64) return kMax;
+        const auto ticks = static_cast<std::uint64_t>(extra);
+        delay = ticks > kMax - delay ? kMax : delay + ticks;
       }
       return delay;
     }
@@ -100,24 +111,38 @@ Result<RetryPolicy> parse_retry_policy(const std::string& text) {
     start = colon + 1;
   }
 
-  auto parse_u64 = [](const std::string& s, std::uint64_t& out) {
+  // A number past its field's range is never wrapped or narrowed: the
+  // first such field is named in the error instead of the grammar.
+  std::string range_error;
+  auto parse_u64 = [&](const std::string& s, const char* field,
+                       std::uint64_t max, std::uint64_t& out) {
     if (s.empty()) return false;
     out = 0;
     for (char c : s) {
       if (c < '0' || c > '9') return false;
-      out = out * 10 + static_cast<std::uint64_t>(c - '0');
+      const auto digit = static_cast<std::uint64_t>(c - '0');
+      if (out > (max - digit) / 10) {
+        if (range_error.empty()) {
+          range_error = "retry policy field '" + std::string(field) +
+                        "' out of range: " + s + " (max " +
+                        std::to_string(max) + ")";
+        }
+        return false;
+      }
+      out = out * 10 + digit;
     }
     return true;
   };
   auto parse_frac = [&](const std::string& s, double& out) {
+    constexpr std::uint64_t kMax = std::numeric_limits<std::uint64_t>::max();
     const std::size_t dot = s.find('.');
     std::uint64_t whole = 0;
     std::uint64_t frac = 0;
-    if (!parse_u64(s.substr(0, dot), whole)) return false;
+    if (!parse_u64(s.substr(0, dot), "jitter", kMax, whole)) return false;
     double f = 0.0;
     if (dot != std::string::npos) {
       const std::string tail = s.substr(dot + 1);
-      if (!parse_u64(tail, frac)) return false;
+      if (!parse_u64(tail, "jitter", kMax, frac)) return false;
       double scale = 1.0;
       for (std::size_t i = 0; i < tail.size(); ++i) scale *= 10.0;
       f = static_cast<double>(frac) / scale;
@@ -125,6 +150,16 @@ Result<RetryPolicy> parse_retry_policy(const std::string& text) {
     out = static_cast<double>(whole) + f;
     return true;
   };
+  auto fail = [&](const char* grammar) {
+    return Result<RetryPolicy>::error(range_error.empty() ? grammar
+                                                          : range_error);
+  };
+
+  constexpr std::uint64_t kMaxDelay = std::numeric_limits<std::uint64_t>::max();
+  constexpr std::uint64_t kMaxRetries =
+      std::numeric_limits<std::uint32_t>::max();
+  // backoff caps its delay at 64·base, which must itself fit.
+  constexpr std::uint64_t kMaxBase = kMaxDelay / 64;
 
   const std::string& kind = parts[0];
   std::uint64_t retries = 8;
@@ -136,17 +171,20 @@ Result<RetryPolicy> parse_retry_policy(const std::string& text) {
   }
   if (kind == "immediate") {
     if (parts.size() > 2 ||
-        (parts.size() == 2 && !parse_u64(parts[1], retries))) {
-      return Result<RetryPolicy>::error("expected immediate[:retries]");
+        (parts.size() == 2 &&
+         !parse_u64(parts[1], "retries", kMaxRetries, retries))) {
+      return fail("expected immediate[:retries]");
     }
     return Result<RetryPolicy>(
         RetryPolicy::immediate(static_cast<std::uint32_t>(retries)));
   }
   if (kind == "fixed") {
     std::uint64_t delay = 0;
-    if (parts.size() < 2 || parts.size() > 3 || !parse_u64(parts[1], delay) ||
-        delay == 0 || (parts.size() == 3 && !parse_u64(parts[2], retries))) {
-      return Result<RetryPolicy>::error("expected fixed:delay[:retries]");
+    if (parts.size() < 2 || parts.size() > 3 ||
+        !parse_u64(parts[1], "delay", kMaxDelay, delay) || delay == 0 ||
+        (parts.size() == 3 &&
+         !parse_u64(parts[2], "retries", kMaxRetries, retries))) {
+      return fail("expected fixed:delay[:retries]");
     }
     return Result<RetryPolicy>(
         RetryPolicy::fixed(delay, static_cast<std::uint32_t>(retries)));
@@ -154,11 +192,12 @@ Result<RetryPolicy> parse_retry_policy(const std::string& text) {
   if (kind == "backoff") {
     std::uint64_t base = 0;
     double jitter = 0.0;
-    if (parts.size() < 2 || parts.size() > 4 || !parse_u64(parts[1], base) ||
-        base == 0 || (parts.size() >= 3 && !parse_u64(parts[2], retries)) ||
+    if (parts.size() < 2 || parts.size() > 4 ||
+        !parse_u64(parts[1], "base", kMaxBase, base) || base == 0 ||
+        (parts.size() >= 3 &&
+         !parse_u64(parts[2], "retries", kMaxRetries, retries)) ||
         (parts.size() == 4 && !parse_frac(parts[3], jitter))) {
-      return Result<RetryPolicy>::error(
-          "expected backoff:base[:retries[:jitter]]");
+      return fail("expected backoff:base[:retries[:jitter]]");
     }
     return Result<RetryPolicy>(
         RetryPolicy::backoff(base, 2.0, 64 * base,

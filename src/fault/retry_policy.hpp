@@ -52,7 +52,9 @@ struct RetryPolicy {
 
 /// Parses "none" | "immediate[:R]" | "fixed:D[:R]" | "backoff:B[:R[:J]]"
 /// where R = max retries, D/B = ticks, J = jitter fraction. backoff uses
-/// multiplier 2 and cap 64·B.
+/// multiplier 2 and cap 64·B. A number past its field's range (R above
+/// 2^32-1, D above 2^64-1, B above (2^64-1)/64 so the cap fits) is an
+/// error naming the field, never a wrapped or narrowed value.
 Result<RetryPolicy> parse_retry_policy(const std::string& text);
 
 }  // namespace ftsched

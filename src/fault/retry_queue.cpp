@@ -25,6 +25,7 @@ bool RetryQueue::admit(RetryEntry entry) {
                               });
   FT_REQUIRE_MSG(pos == entries_.end() || pos->seq != entry.seq,
                  "duplicate seq admitted to retry queue");
+  next_due_ = std::min(next_due_, entry.eligible_at);
   entries_.insert(pos, std::move(entry));
   peak_ = std::max(peak_, entries_.size());
   return true;
@@ -32,15 +33,19 @@ bool RetryQueue::admit(RetryEntry entry) {
 
 std::vector<RetryEntry> RetryQueue::take_due(SimTime now) {
   std::vector<RetryEntry> due;
+  if (entries_.empty() || now < next_due_) return due;
+  SimTime next = kNever;
   auto keep = entries_.begin();
   for (auto it = entries_.begin(); it != entries_.end(); ++it) {
     if (it->eligible_at <= now) {
       due.push_back(std::move(*it));
     } else {
+      next = std::min(next, it->eligible_at);
       *keep++ = std::move(*it);
     }
   }
   entries_.erase(keep, entries_.end());
+  next_due_ = next;
   return due;
 }
 

@@ -6,9 +6,15 @@
 // the drain were interleaved. The max_pending gate is the fabric manager's
 // overload valve: when the queue is full, new entries are shed (counted,
 // never silently dropped) instead of growing the backlog without bound.
+//
+// Every retry schedules its own DES wake-up, so most take_due() calls find
+// nothing due. A watermark (the earliest eligible_at still pending) lets
+// those calls return without touching the entries; only a real drain walks
+// the queue, and it recomputes the watermark in the same compaction pass.
 #pragma once
 
 #include <cstdint>
+#include <limits>
 #include <vector>
 
 #include "core/request.hpp"
@@ -38,8 +44,13 @@ class RetryQueue {
   bool admit(RetryEntry entry);
 
   /// Removes and returns every entry with eligible_at <= now, ordered by
-  /// seq. Entries eligible in the future stay queued.
+  /// seq. Entries eligible in the future stay queued. O(1) when nothing is
+  /// due (now < next_due()).
   std::vector<RetryEntry> take_due(SimTime now);
+
+  /// Earliest eligible_at over the pending entries; kNever when empty.
+  SimTime next_due() const { return next_due_; }
+  static constexpr SimTime kNever = std::numeric_limits<SimTime>::max();
 
   std::size_t pending() const { return entries_.size(); }
   std::uint64_t shed() const { return shed_; }
@@ -57,6 +68,7 @@ class RetryQueue {
  private:
   std::size_t max_pending_;
   std::vector<RetryEntry> entries_;  // kept sorted by seq
+  SimTime next_due_ = kNever;        // min eligible_at over entries_
   std::uint64_t shed_ = 0;
   std::size_t peak_ = 0;
   obs::FlightRing* flight_ = nullptr;

@@ -201,11 +201,12 @@ std::uint64_t FatTree::side_switch(std::uint64_t leaf, std::uint32_t level,
   FT_REQUIRE(ports.size() >= level);
   const MixedRadix& leaves = label_systems_[0];
   FT_REQUIRE(leaf < leaves.cardinality());
-  const DigitVec source = leaves.decompose(leaf);
+  if (level == 0) return leaf;
 
   // δ_h (LSB first) = P_{h-1}, …, P_0, d_h, …, d_{l-2}, weighted by the
-  // level-h label system's place values: compose() without building the
-  // digit string first.
+  // level-h label system's place values. The leaf's digits d_h … d_{l-2}
+  // are ⌊leaf / m^h⌋ in the leaf system, and in the level-h system they sit
+  // above the h port digits, at place w^h: one division, no digit string.
   const MixedRadix& system = label_systems_[level];
   std::uint64_t label = 0;
   for (std::uint32_t i = 0; i < level; ++i) {
@@ -213,8 +214,8 @@ std::uint64_t FatTree::side_switch(std::uint64_t leaf, std::uint32_t level,
     FT_REQUIRE(port < params_.parent_arity);
     label += system.place_value(i) * port;
   }
-  for (std::size_t i = level; i < source.size(); ++i) {
-    label += system.place_value(i) * source[i];
+  if (level < system.digit_count()) {  // the top level has no leaf digits
+    label += system.place_value(level) * (leaf / leaves.place_value(level));
   }
   return label;
 }

@@ -2,8 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <vector>
 
+#include "fault/retry_policy.hpp"
 #include "linkstate/faults.hpp"
 #include "workload/patterns.hpp"
 
@@ -141,6 +143,48 @@ TEST(FabricManager, RetryPastHorizonIsAbandoned) {
   EXPECT_EQ(fabric.stats().victims, 1u);
   EXPECT_EQ(fabric.stats().abandoned, 1u);
   EXPECT_EQ(fabric.stats().retries, 0u);
+  fabric.verify_invariants();
+}
+
+TEST(FabricManager, DelayNearTheTickRangeIsAbandonedNotWrapped) {
+  // now + delay used to wrap to now - 1 and abort in schedule_at; the
+  // largest delay the parser takes must be abandoned at any horizon.
+  const FatTree tree = FatTree::symmetric(2, 4);
+  for (const SimTime horizon : {SimTime{1000}, ~SimTime{0}}) {
+    Simulator sim;
+    FabricOptions options;
+    options.retry = parse_retry_policy("fixed:18446744073709551615:1").value();
+    options.horizon = horizon;
+    FabricManager fabric(tree, sim, options);
+    fabric.submit({{0, 4}, {0, 5}}, 1);  // one injection-conflict reject
+    sim.run();
+    const FabricStats& stats = fabric.stats();
+    EXPECT_EQ(stats.first_attempt_granted, 1u);
+    EXPECT_EQ(stats.abandoned, 1u);
+    EXPECT_EQ(stats.retries, 0u);
+    fabric.verify_invariants();
+  }
+}
+
+TEST(FabricManager, BackoffAtTheLargestBaseRetriesUntilTheTickRangeRunsOut) {
+  // backoff at the largest base the parser takes: 2^58, 2^59, … ticks. The
+  // reject repeats (the source stays busy), so the clock climbs toward 2^64;
+  // the seventh delay reaches the cap, which no longer fits before the
+  // horizon, and is abandoned instead of wrapping the clock.
+  const FatTree tree = FatTree::symmetric(2, 4);
+  Simulator sim;
+  FabricOptions options;
+  options.retry = parse_retry_policy("backoff:288230376151711743").value();
+  options.horizon = ~SimTime{0};
+  FabricManager fabric(tree, sim, options);
+  fabric.submit({{0, 4}, {0, 5}}, 1);
+  sim.run();
+  const FabricStats& stats = fabric.stats();
+  EXPECT_EQ(stats.first_attempt_granted, 1u);
+  EXPECT_EQ(stats.retries, 6u);
+  EXPECT_EQ(stats.abandoned, 1u);
+  EXPECT_EQ(stats.permanent_rejects, 0u);
+  EXPECT_EQ(sim.now(), 1 + (std::uint64_t{63} << 58));
   fabric.verify_invariants();
 }
 

@@ -124,5 +124,91 @@ TEST(RetryQueueDeath, DuplicateSeqRejected) {
   EXPECT_DEATH((void)q.admit(entry(4, 2)), "duplicate seq");
 }
 
+// --- Watermark: next_due() is the earliest pending eligible_at ----------
+
+TEST(RetryQueueWatermark, EmptyQueueIsNever) {
+  RetryQueue q;
+  EXPECT_EQ(q.next_due(), RetryQueue::kNever);
+  EXPECT_TRUE(q.take_due(RetryQueue::kNever).empty());
+  EXPECT_EQ(q.next_due(), RetryQueue::kNever);
+}
+
+TEST(RetryQueueWatermark, OlderSeqReadmittedEarlierLowersIt) {
+  // Re-admitting an older seq with an earlier eligible_at lowers the
+  // watermark even though the entry sorts to the front by seq.
+  RetryQueue q;
+  EXPECT_TRUE(q.admit(entry(7, 20)));
+  EXPECT_TRUE(q.admit(entry(9, 30)));
+  EXPECT_EQ(q.next_due(), 20u);
+  EXPECT_TRUE(q.admit(entry(3, 12)));
+  EXPECT_EQ(q.next_due(), 12u);
+  EXPECT_TRUE(q.take_due(11).empty());
+  const auto due = q.take_due(12);
+  ASSERT_EQ(due.size(), 1u);
+  EXPECT_EQ(due[0].seq, 3u);
+  EXPECT_EQ(q.next_due(), 20u);
+}
+
+TEST(RetryQueueWatermark, PartialDrainKeepsLaterEntries) {
+  RetryQueue q;
+  EXPECT_TRUE(q.admit(entry(0, 5)));
+  EXPECT_TRUE(q.admit(entry(1, 9)));
+  EXPECT_TRUE(q.admit(entry(2, 5)));
+  EXPECT_TRUE(q.admit(entry(3, 7)));
+  auto due = q.take_due(6);
+  ASSERT_EQ(due.size(), 2u);
+  EXPECT_EQ(due[0].seq, 0u);
+  EXPECT_EQ(due[1].seq, 2u);
+  EXPECT_EQ(q.pending(), 2u);
+  EXPECT_EQ(q.next_due(), 7u);  // recomputed over the survivors
+  due = q.take_due(7);
+  ASSERT_EQ(due.size(), 1u);
+  EXPECT_EQ(due[0].seq, 3u);
+  EXPECT_EQ(q.next_due(), 9u);
+}
+
+TEST(RetryQueueWatermark, DrainToEmptyResetsIt) {
+  RetryQueue q;
+  EXPECT_TRUE(q.admit(entry(0, 4)));
+  EXPECT_TRUE(q.admit(entry(1, 6)));
+  EXPECT_EQ(q.take_due(10).size(), 2u);
+  EXPECT_EQ(q.pending(), 0u);
+  EXPECT_EQ(q.next_due(), RetryQueue::kNever);
+  // A later admission sets it afresh, even one earlier than the last drain.
+  EXPECT_TRUE(q.admit(entry(2, 3)));
+  EXPECT_EQ(q.next_due(), 3u);
+}
+
+TEST(RetryQueueWatermark, EmptyWakeUpsLeaveTheQueueUnchanged) {
+  // The fabric manager schedules one wake-up per retry, so most take_due
+  // calls find nothing due; they must neither drain nor reorder anything.
+  RetryQueue q;
+  EXPECT_TRUE(q.admit(entry(4, 50)));
+  EXPECT_TRUE(q.admit(entry(1, 40)));
+  EXPECT_TRUE(q.admit(entry(6, 45)));
+  for (SimTime now = 0; now < 40; ++now) {
+    for (int repeat = 0; repeat < 3; ++repeat) {
+      EXPECT_TRUE(q.take_due(now).empty());
+    }
+  }
+  EXPECT_EQ(q.pending(), 3u);
+  EXPECT_EQ(q.next_due(), 40u);
+  const auto due = q.take_due(50);
+  ASSERT_EQ(due.size(), 3u);
+  EXPECT_EQ(due[0].seq, 1u);
+  EXPECT_EQ(due[1].seq, 4u);
+  EXPECT_EQ(due[2].seq, 6u);
+  EXPECT_EQ(due[1].request, (Request{4, 5}));
+}
+
+TEST(RetryQueueWatermark, ShedAdmissionLeavesItAlone) {
+  RetryQueue q(1);
+  EXPECT_TRUE(q.admit(entry(0, 8)));
+  EXPECT_FALSE(q.admit(entry(1, 2)));  // shed: must not lower the mark
+  EXPECT_EQ(q.next_due(), 8u);
+  EXPECT_TRUE(q.take_due(7).empty());
+  EXPECT_EQ(q.pending(), 1u);
+}
+
 }  // namespace
 }  // namespace ftsched
