@@ -17,6 +17,12 @@ ConnectionManager::ConnectionManager(const FatTree& tree, PortPolicy policy,
       rng_(seed),
       state_(tree),
       leaves_(tree.node_count()) {
+  slots_.reserve(tree.node_count());
+  free_.reserve(tree.node_count());
+  std::size_t buckets = 1;
+  while (buckets < 2 * tree.node_count()) buckets *= 2;
+  index_.resize(buckets);
+  mask_ = buckets - 1;
   std::uint64_t cables = 0;
   for (std::uint32_t h = 0; h < state_.link_levels(); ++h) {
     owner_offset_.push_back(cables);
@@ -79,7 +85,7 @@ std::optional<ConnectionId> ConnectionManager::open(const Request& request) {
   FT_ASSERT(sigma == delta);
   tx.commit();
   const ConnectionId id = next_id_++;
-  connections_.emplace(id, path);
+  insert(id, path, false, 0);
   if (!owners_.empty()) set_owner(path, id);
   return id;
 }
@@ -144,38 +150,81 @@ BatchOpenResult ConnectionManager::open_batch(
     FT_ASSERT(claimed);  // pre-filter + scheduler tracker guarantee this
     (void)claimed;
     const ConnectionId id = next_id_++;
-    connections_.emplace(id, out.schedule.outcomes[i].path);
+    insert(id, out.schedule.outcomes[i].path, tracked,
+           tracked ? request_ids[i] : 0);
     if (!owners_.empty()) set_owner(out.schedule.outcomes[i].path, id);
     out.ids[i] = id;
-    if (tracked) flight_ids_.emplace(id, request_ids[i]);
   }
   return out;
 }
 
+void ConnectionManager::insert(ConnectionId id, const Path& path,
+                               bool tracked, std::uint64_t flight_id) {
+  std::uint32_t slot = 0;
+  if (free_.empty()) {
+    FT_ASSERT(slots_.size() < slots_.capacity());  // never reallocates
+    slot = static_cast<std::uint32_t>(slots_.size());
+    slots_.push_back(Circuit{id, path, tracked, flight_id});
+  } else {
+    slot = free_.back();
+    free_.pop_back();
+    slots_[slot] = Circuit{id, path, tracked, flight_id};
+  }
+  std::size_t b = id & mask_;
+  while (index_[b].id != 0) b = (b + 1) & mask_;
+  index_[b] = Bucket{id, slot};
+}
+
+std::size_t ConnectionManager::bucket_of(ConnectionId id) const {
+  if (id == 0) return index_.size();
+  for (std::size_t b = id & mask_;; b = (b + 1) & mask_) {
+    if (index_[b].id == id) return b;
+    if (index_[b].id == 0) return index_.size();
+  }
+}
+
+void ConnectionManager::erase(std::size_t bucket) {
+  const std::uint32_t slot = index_[bucket].slot;
+  slots_[slot].id = 0;
+  free_.push_back(slot);
+  // Backward shift: pull each later member of the probe run into the hole
+  // unless that would move it before its home bucket. No tombstones.
+  std::size_t hole = bucket;
+  for (std::size_t b = (bucket + 1) & mask_; index_[b].id != 0;
+       b = (b + 1) & mask_) {
+    const std::size_t home = index_[b].id & mask_;
+    if (((b - home) & mask_) >= ((b - hole) & mask_)) {
+      index_[hole] = index_[b];
+      hole = b;
+    }
+  }
+  index_[hole] = Bucket{};
+}
+
 Status ConnectionManager::close(ConnectionId id) {
-  auto it = connections_.find(id);
-  if (it == connections_.end()) {
+  const std::size_t b = bucket_of(id);
+  if (b == index_.size()) {
     return Status::error("unknown connection id " + std::to_string(id));
   }
-  if (!owners_.empty()) set_owner(it->second, 0);
-  state_.release_path(tree_, it->second);
-  leaves_.release(it->second.src, it->second.dst);
-  connections_.erase(it);
-  auto fit = flight_ids_.find(id);
-  if (fit != flight_ids_.end()) {
+  const Circuit& c = slots_[index_[b].slot];
+  if (!owners_.empty()) set_owner(c.path, 0);
+  state_.release_path(tree_, c.path);
+  leaves_.release(c.path.src, c.path.dst);
+  if (c.tracked) {
     FT_FLIGHT_EVENT(flight_,
-                    obs::FlightEvent::closed(fit->second, flight_now_));
-    flight_ids_.erase(fit);
+                    obs::FlightEvent::closed(c.flight_id, flight_now_));
   }
+  erase(b);
   return Status();
 }
 
 void ConnectionManager::clear() {
   state_.reset();
   leaves_.reset();
-  connections_.clear();
+  slots_.clear();  // mass teardown, not a lifecycle event
+  free_.clear();
+  std::fill(index_.begin(), index_.end(), Bucket{});
   std::fill(owners_.begin(), owners_.end(), ConnectionId{0});
-  flight_ids_.clear();  // mass teardown, not a lifecycle event
 }
 
 std::vector<Revocation> ConnectionManager::fail_cable(const CableId& cable) {
@@ -186,7 +235,7 @@ std::vector<Revocation> ConnectionManager::fail_cable(const CableId& cable) {
   // The victims are the owners of the cable's two channels: LinkState lets
   // one open circuit at most hold a directed channel, and a circuit crosses
   // a cable at most once (σ_h ≠ δ_h below H). Ascending ids are grant
-  // order, the order a scan over the id-ordered connections_ would give.
+  // order, the order a scan over the open circuits by id would give.
   if (owners_.empty()) build_owners();
   std::array<ConnectionId, 2> ids = {
       owners_[owner_slot(ChannelId{cable, Direction::kUp})],
@@ -197,25 +246,23 @@ std::vector<Revocation> ConnectionManager::fail_cable(const CableId& cable) {
   std::vector<Revocation> victims;
   for (const ConnectionId id : ids) {
     if (id == 0) continue;
-    auto it = connections_.find(id);
-    FT_ASSERT(it != connections_.end());
-    const Path& path = it->second;
-    FT_ASSERT(path_crosses_cable(tree_, path, cable));
-    victims.push_back(Revocation{id, Request{path.src, path.dst}});
-    set_owner(path, 0);
-    state_.release_path(tree_, path);
-    leaves_.release(path.src, path.dst);
-    connections_.erase(it);
-    auto fit = flight_ids_.find(id);
-    if (fit != flight_ids_.end()) {
+    const std::size_t b = bucket_of(id);
+    FT_ASSERT(b != index_.size());
+    const Circuit& c = slots_[index_[b].slot];
+    FT_ASSERT(path_crosses_cable(tree_, c.path, cable));
+    victims.push_back(Revocation{id, Request{c.path.src, c.path.dst}});
+    set_owner(c.path, 0);
+    state_.release_path(tree_, c.path);
+    leaves_.release(c.path.src, c.path.dst);
+    if (c.tracked) {
       FT_FLIGHT_EVENT(flight_,
                       obs::FlightEvent::revoked(
-                          fit->second, flight_now_,
+                          c.flight_id, flight_now_,
                           static_cast<std::uint8_t>(cable.level),
                           static_cast<std::uint16_t>(cable.port),
                           static_cast<std::uint32_t>(cable.lower_index)));
-      flight_ids_.erase(fit);
     }
+    erase(b);
   }
   return victims;
 }
@@ -253,22 +300,26 @@ void ConnectionManager::set_owner(const Path& path, ConnectionId owner) {
 
 void ConnectionManager::build_owners() {
   owners_.assign(2 * owner_offset_.back(), 0);
-  for (const auto& [id, path] : connections_) set_owner(path, id);
+  for (const Circuit& c : slots_) {
+    if (c.id != 0) set_owner(c.path, c.id);
+  }
 }
 
 Status ConnectionManager::audit_owners() const {
   if (owners_.empty()) return Status();
   std::uint64_t held = 0;
   ChannelBuffer channels;
-  for (const auto& [id, path] : connections_) {
-    const std::size_t n = expand_channels(tree_, path, channels);
+  for (const Circuit& c : slots_) {
+    if (c.id == 0) continue;
+    const std::size_t n = expand_channels(tree_, c.path, channels);
     for (std::size_t i = 0; i < n; ++i) {
       const ConnectionId owner = owners_[owner_slot(channels[i])];
-      if (owner != id) {
+      if (owner != c.id) {
         return Status::error("owner index names connection " +
                              std::to_string(owner) + " for " +
                              to_string(channels[i]) +
-                             ", held by open connection " + std::to_string(id));
+                             ", held by open connection " +
+                             std::to_string(c.id));
       }
     }
     held += n;
@@ -289,8 +340,8 @@ void ConnectionManager::repair_cable(const CableId& cable) {
 }
 
 const Path* ConnectionManager::find(ConnectionId id) const {
-  auto it = connections_.find(id);
-  return it == connections_.end() ? nullptr : &it->second;
+  const std::size_t b = bucket_of(id);
+  return b == index_.size() ? nullptr : &slots_[index_[b].slot].path;
 }
 
 double ConnectionManager::level_utilization(std::uint32_t level) const {

@@ -10,7 +10,6 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <optional>
 #include <span>
 #include <vector>
@@ -96,11 +95,14 @@ class ConnectionManager {
   /// available again. The cable must currently be faulted.
   void repair_cable(const CableId& cable);
 
-  std::size_t active_count() const { return connections_.size(); }
+  std::size_t active_count() const { return slots_.size() - free_.size(); }
   const LinkState& state() const { return state_; }
   const FatTree& tree() const { return tree_; }
 
-  /// The established path of an open connection.
+  /// The established path of an open connection, or null. The pointer stays
+  /// valid, and the path unchanged, until that connection closes (close,
+  /// clear, or revocation by fail_cable): other circuits' opens and closes
+  /// never move it, because the slot table never reallocates.
   const Path* find(ConnectionId id) const;
 
   /// Fraction of inter-switch up-channels occupied at `level`.
@@ -129,9 +131,33 @@ class ConnectionManager {
   Xoshiro256ss rng_;
   LinkState state_;
   LeafTracker leaves_;
-  // Ordered by id, and ids are handed out monotonically: iteration is grant
-  // order, so revocation sweeps are deterministic without re-sorting.
-  std::map<ConnectionId, Path> connections_;
+  // Circuit table. Each open circuit lives in a stable slot of slots_
+  // (id 0 = free; freed slots are reused from free_). Every open circuit
+  // claims a distinct source PE through leaves_, so at most node_count
+  // slots are ever live: the constructor reserves that many and the table
+  // never reallocates. index_ maps an id to its slot by open addressing:
+  // home bucket id & mask, linear probing, backward-shift deletion, sized
+  // to the smallest power of two >= 2·node_count. Buckets carry the id, so
+  // a probe never touches slots_. Ids are handed out monotonically, so
+  // ascending id is grant order.
+  struct Circuit {
+    ConnectionId id = 0;
+    Path path;
+    bool tracked = false;  // flight_id is a flight-recorder id
+    std::uint64_t flight_id = 0;
+  };
+  struct Bucket {
+    ConnectionId id = 0;  // 0 = empty
+    std::uint32_t slot = 0;
+  };
+  void insert(ConnectionId id, const Path& path, bool tracked,
+              std::uint64_t flight_id);
+  std::size_t bucket_of(ConnectionId id) const;  // index_.size() if absent
+  void erase(std::size_t bucket);  // frees the slot and the bucket
+  std::vector<Circuit> slots_;
+  std::vector<std::uint32_t> free_;
+  std::vector<Bucket> index_;
+  std::size_t mask_ = 0;
   ConnectionId next_id_ = 1;
 
   // Channel owner index: the open circuit holding each directed channel,
@@ -148,9 +174,6 @@ class ConnectionManager {
 
   obs::FlightRing* flight_ = nullptr;
   std::uint64_t flight_now_ = 0;
-  // Flight id of each tracked open connection (only populated for batches
-  // that passed request_ids); id-ordered like connections_.
-  std::map<ConnectionId, std::uint64_t> flight_ids_;
 };
 
 }  // namespace ftsched

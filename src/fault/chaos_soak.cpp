@@ -1,7 +1,9 @@
 #include "fault/chaos_soak.hpp"
 
 #include <algorithm>
+#include <cctype>
 #include <iomanip>
+#include <limits>
 #include <map>
 #include <numeric>
 #include <set>
@@ -315,16 +317,35 @@ Status need_u64(const KvMap& kv, const char* key, std::size_t line_no,
     return Status::error("line " + std::to_string(line_no) +
                          ": missing key '" + key + "'");
   }
+  // std::stoull skips a leading sign and negates after a '-' (so "-1"
+  // reads as 2^64 - 1): only a plain run of digits is accepted.
   std::size_t used = 0;
-  try {
-    out = std::stoull(it->second, &used);
-  } catch (...) {
-    used = 0;
+  if (!it->second.empty() && std::isdigit(static_cast<unsigned char>(
+                                 it->second.front())) != 0) {
+    try {
+      out = std::stoull(it->second, &used);
+    } catch (...) {
+      used = 0;
+    }
   }
   if (used != it->second.size() || it->second.empty()) {
     return Status::error("line " + std::to_string(line_no) + ": key '" + key +
                          "' is not an unsigned integer: '" + it->second + "'");
   }
+  return Status();
+}
+
+/// need_u64 for a 32-bit field: a value that does not fit is an error, not
+/// a silent wrap.
+Status need_u32(const KvMap& kv, const char* key, std::size_t line_no,
+                std::uint32_t& out) {
+  std::uint64_t v = 0;
+  if (Status s = need_u64(kv, key, line_no, v); !s.ok()) return s;
+  if (v > std::numeric_limits<std::uint32_t>::max()) {
+    return Status::error("line " + std::to_string(line_no) + ": key '" + key +
+                         "' does not fit in 32 bits: " + std::to_string(v));
+  }
+  out = static_cast<std::uint32_t>(v);
   return Status();
 }
 
@@ -398,13 +419,16 @@ Result<SoakScript> parse_soak_script(const std::string& text) {
     KvMap kv;
     if (Status s = parse_kv(line, line_no, keyword, kv); !s.ok()) return s;
     if (keyword == "tree") {
-      std::uint64_t levels = 0, m = 0, w = 0;
-      if (Status s = need_u64(kv, "levels", line_no, levels); !s.ok()) return s;
-      if (Status s = need_u64(kv, "m", line_no, m); !s.ok()) return s;
-      if (Status s = need_u64(kv, "w", line_no, w); !s.ok()) return s;
-      script.tree.levels = static_cast<std::uint32_t>(levels);
-      script.tree.child_arity = static_cast<std::uint32_t>(m);
-      script.tree.parent_arity = static_cast<std::uint32_t>(w);
+      FatTreeParams& tree = script.tree;
+      if (Status s = need_u32(kv, "levels", line_no, tree.levels); !s.ok()) {
+        return s;
+      }
+      if (Status s = need_u32(kv, "m", line_no, tree.child_arity); !s.ok()) {
+        return s;
+      }
+      if (Status s = need_u32(kv, "w", line_no, tree.parent_arity); !s.ok()) {
+        return s;
+      }
       saw_tree = true;
     } else if (keyword == "soak") {
       const auto sched = kv.find("scheduler");
@@ -435,8 +459,11 @@ Result<SoakScript> parse_soak_script(const std::string& text) {
       }
       if (Status s = need_u64(kv, "retry_cap", line_no, v); !s.ok()) return s;
       script.config.retry.max_delay = v;
-      if (Status s = need_u64(kv, "retry_max", line_no, v); !s.ok()) return s;
-      script.config.retry.max_retries = static_cast<std::uint32_t>(v);
+      if (Status s = need_u32(kv, "retry_max", line_no,
+                              script.config.retry.max_retries);
+          !s.ok()) {
+        return s;
+      }
       if (Status s = need_double(kv, "retry_jitter", line_no,
                                  script.config.retry.jitter);
           !s.ok()) {
@@ -455,19 +482,23 @@ Result<SoakScript> parse_soak_script(const std::string& text) {
       if (kind->second == "open" || kind->second == "close") {
         op.kind = kind->second == "open" ? SoakOpKind::kOpen
                                          : SoakOpKind::kClose;
-        if (Status s = need_u64(kv, "count", line_no, v); !s.ok()) return s;
-        op.count = static_cast<std::uint32_t>(v);
+        if (Status s = need_u32(kv, "count", line_no, op.count); !s.ok()) {
+          return s;
+        }
         if (Status s = need_u64(kv, "draw", line_no, v); !s.ok()) return s;
         op.draw = v;
       } else if (kind->second == "fail" || kind->second == "repair") {
         op.kind = kind->second == "fail" ? SoakOpKind::kFail
                                          : SoakOpKind::kRepair;
-        if (Status s = need_u64(kv, "level", line_no, v); !s.ok()) return s;
-        op.cable.level = static_cast<std::uint32_t>(v);
+        if (Status s = need_u32(kv, "level", line_no, op.cable.level);
+            !s.ok()) {
+          return s;
+        }
         if (Status s = need_u64(kv, "switch", line_no, v); !s.ok()) return s;
         op.cable.lower_index = v;
-        if (Status s = need_u64(kv, "port", line_no, v); !s.ok()) return s;
-        op.cable.port = static_cast<std::uint32_t>(v);
+        if (Status s = need_u32(kv, "port", line_no, op.cable.port); !s.ok()) {
+          return s;
+        }
       } else {
         return Status::error("line " + std::to_string(line_no) +
                              ": unknown op kind '" + kind->second + "'");

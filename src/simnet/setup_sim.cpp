@@ -48,6 +48,25 @@ bool active(const Token& t) {
 
 }  // namespace
 
+std::optional<std::uint64_t> DistributedSetupSim::relaunch_delay(
+    std::uint32_t attempts, std::uint64_t cycle) {
+  if (!options_.relaunch) {
+    return attempts < options_.max_attempts ? std::optional<std::uint64_t>(0)
+                                            : std::nullopt;
+  }
+  // The delay is drawn exactly once per relaunch (attempt numbers are
+  // 1-based retry counts), so jittered policies stay deterministic per seed.
+  const std::optional<std::uint64_t> delay =
+      options_.relaunch->delay_for(attempts, rng_);
+  // A wait that would end at or past max_cycles gives the token up, as if
+  // the policy had no retries left: cycle + 1 + delay could wrap near 2^64
+  // and wake it at once, and a run that outlives max_cycles aborts.
+  if (delay && *delay > 0 && *delay >= options_.max_cycles - cycle - 1) {
+    return std::nullopt;
+  }
+  return delay;
+}
+
 SetupSimReport DistributedSetupSim::run(std::span<const Request> requests,
                                         LinkState& state) {
   state.reset();
@@ -244,15 +263,9 @@ SetupSimReport DistributedSetupSim::run(std::span<const Request> requests,
         t.ports.pop_back();
         t.up_switches.pop_back();
       } else if (std::optional<std::uint64_t> delay =
-                     options_.relaunch
-                         ? options_.relaunch->delay_for(t.attempts, rng_)
-                         : (t.attempts < options_.max_attempts
-                                ? std::optional<std::uint64_t>(0)
-                                : std::nullopt)) {
+                     relaunch_delay(t.attempts, cycle)) {
         // Relaunch from the source — next cycle by default, or after the
-        // RetryPolicy's backoff when one is configured. The delay is drawn
-        // exactly once per relaunch (attempt numbers are 1-based retry
-        // counts), so jittered policies stay deterministic per seed.
+        // RetryPolicy's backoff when one is configured.
         ++t.attempts;
         ++report.retries;
         if (*delay > 0) {

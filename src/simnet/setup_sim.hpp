@@ -47,7 +47,8 @@ struct SetupSimOptions {
   /// of max_attempts: a torn-down token waits delay_for(retry#) cycles at
   /// its source before re-entering the race, and gives up when the policy
   /// says so (the policy's max_retries replaces max_attempts). Spacing the
-  /// losers out drains convoys that immediate relaunch re-creates. Unset
+  /// losers out drains convoys that immediate relaunch re-creates. A wait
+  /// that would end at or past max_cycles gives the token up instead. Unset
   /// (the default) preserves the relaunch-next-cycle behavior above.
   std::optional<RetryPolicy> relaunch;
   /// Safety valve: abort the run after this many cycles (a correct run
@@ -78,6 +79,11 @@ class DistributedSetupSim {
   SetupSimReport run(std::span<const Request> requests, LinkState& state);
 
  private:
+  /// Cycles a token torn down after `attempts` launches waits before it
+  /// relaunches, or nullopt when it gives up.
+  std::optional<std::uint64_t> relaunch_delay(std::uint32_t attempts,
+                                              std::uint64_t cycle);
+
   const FatTree& tree_;
   SetupSimOptions options_;
   Xoshiro256ss rng_;

@@ -201,6 +201,18 @@ TEST(ChaosSoak, ParseDiagnosesMalformedScripts) {
   expect_error("tree levels=3 m=4 w=4\nop t=1 kind=warp\n", "kind");
   expect_error("tree levels=3 m=4 w=4\nop t=1 kind=open count=x draw=0\n",
                "count");
+  // A 32-bit field must not narrow: retry_max = 2^32 + 1 is not 1.
+  expect_error(
+      "tree levels=3 m=4 w=4\n"
+      "soak scheduler=levelwise seed=1 epoch=8 max_pending=4 retry=fixed "
+      "retry_base=1 retry_mult=1 retry_cap=1 retry_max=4294967297 "
+      "retry_jitter=0\n",
+      "line 2: key 'retry_max'");
+  // std::stoull reads "-1" as 2^64 - 1; a sign is not an unsigned integer.
+  expect_error("tree levels=3 m=4 w=4\nop t=-1 kind=open count=2 draw=3\n",
+               "line 2: key 't'");
+  expect_error("tree levels=3 m=4 w=4\nop t=+1 kind=open count=2 draw=3\n",
+               "line 2: key 't'");
   // Op times must be non-decreasing — the DES cannot schedule into the past.
   expect_error(
       "tree levels=3 m=4 w=4\n"

@@ -197,6 +197,39 @@ TEST(SetupSim, RelaunchPolicyNoneMeansSingleAttempt) {
   EXPECT_TRUE(verify_schedule(tree, batch, report.result, &state).ok());
 }
 
+TEST(SetupSim, RelaunchDelayPastMaxCyclesGivesUp) {
+  // A wait that ends at or past max_cycles gives the token up, exactly as
+  // RetryPolicy::none() does: neither a delay near 2^64 (whose relaunch
+  // cycle would wrap) nor one just past the cycle bound relaunches, and
+  // neither run aborts.
+  const FatTree tree = FatTree::symmetric(3, 8);
+  Xoshiro256ss rng(7);
+  const auto batch = random_permutation(tree.node_count(), rng);
+  SetupSimOptions none;
+  none.relaunch = RetryPolicy::none();
+  LinkState base_state(tree);
+  const SetupSimReport base =
+      DistributedSetupSim(tree, none).run(batch, base_state);
+  ASSERT_GT(base.teardowns, 0u);  // some token does want a relaunch
+
+  const auto huge = parse_retry_policy("fixed:18446744073709551615");
+  ASSERT_TRUE(huge.ok()) << huge.status().message();
+  SetupSimOptions wrapping;
+  wrapping.relaunch = huge.value();
+  SetupSimOptions past_bound;
+  past_bound.relaunch = RetryPolicy::fixed(/*delay=*/100);
+  past_bound.max_cycles = 100;
+  for (const SetupSimOptions& options : {wrapping, past_bound}) {
+    LinkState state(tree);
+    const SetupSimReport report =
+        DistributedSetupSim(tree, options).run(batch, state);
+    EXPECT_EQ(report.result.outcomes, base.result.outcomes);
+    EXPECT_EQ(report.retries, 0u);
+    EXPECT_EQ(report.cycles, base.cycles);
+    EXPECT_TRUE(state == base_state);
+  }
+}
+
 TEST(SetupSim, RelaunchBackoffDelaysButStillRecovers) {
   // The Fig. 4 loser relaunches after a fixed 5-cycle wait instead of the
   // next cycle: it still grants, and the run takes at least that much
