@@ -13,18 +13,18 @@
 #pragma once
 
 #include <cstdlib>
-#include <deque>
 #include <fstream>
 #include <iostream>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "exec/thread_pool.hpp"
 #include "obs/env.hpp"
 #include "obs/metrics.hpp"
-#include "obs/profiler.hpp"
 #include "obs/stopwatch.hpp"
 #include "stats/runner.hpp"
+#include "util/parse.hpp"
 #include "util/table.hpp"
 
 namespace ftsched::bench {
@@ -137,36 +137,10 @@ inline void write_timed_point(std::ostream& os, const char* scheduler,
      << ",\"requests_per_sec\":" << timed.requests_per_sec() << '}';
 }
 
-/// One profiled scheduler run destined for a BENCH json's profile block.
-/// Deque-stored: ProfileSession owns perf fds and is immovable.
-struct ProfiledPoint {
-  std::string label;
-  obs::ProfileSession session;
-};
-
-/// The embedded `"profile"` block: same point-object shape as the profile
-/// JSONL v1 `point` lines, plus the backend/env header fields inline.
-inline void write_profile_block(std::ostream& os,
-                                const std::deque<ProfiledPoint>& profiled) {
-  const obs::PerfBackend backend =
-      profiled.empty() ? obs::PerfBackend::kTimer
-                       : profiled.front().session.backend();
-  os << "\"profile\":{\"version\":1,\"backend\":\""
-     << obs::to_string(backend) << "\",\"env\":";
-  obs::write_env_json(os, obs::collect_env());
-  os << ",\"points\":[";
-  for (std::size_t i = 0; i < profiled.size(); ++i) {
-    if (i) os << ',';
-    os << "\n";
-    profiled[i].session.write_point_json(os, profiled[i].label);
-  }
-  os << "\n]}";
-}
-
 /// BENCH_*.json: one self-contained JSON document per bench —
 ///   {"bench":..,"reps":..,"threads":..,"env":{..},"points":[{"levels":..,
 ///    "arity":..,"nodes":..,"schedulers":{"<name>":{"mean","min","max",
-///    "stddev","wall_ms","requests_per_sec"},..}},..][,"profile":{..}]}
+///    "stddev","wall_ms","requests_per_sec"},..}},..]}
 /// `threads` records the repetition fan-out the numbers were measured with;
 /// the ratio fields are thread-count-invariant, the wall-clock fields are
 /// not. `env` fingerprints the machine and build (obs::EnvInfo) so ftreport
@@ -175,9 +149,7 @@ inline void write_profile_block(std::ostream& os,
 inline void write_bench_json(const std::string& path,
                              const std::string& bench, std::size_t reps,
                              const std::vector<Fig9Row>& rows,
-                             std::size_t threads = 1,
-                             const std::deque<ProfiledPoint>* profiled =
-                                 nullptr) {
+                             std::size_t threads = 1) {
   std::ofstream os(path);
   if (!os) {
     std::cerr << "cannot open " << path << "\n";
@@ -199,38 +171,51 @@ inline void write_bench_json(const std::string& path,
     write_timed_point(os, "local", row.local_greedy);
     os << "}}";
   }
-  os << "\n]";
-  if (profiled != nullptr && !profiled->empty()) {
-    os << ',';
-    write_profile_block(os, *profiled);
-  }
-  os << "}\n";
+  os << "\n]}\n";
   std::cout << "wrote " << path << "\n";
 }
 
 /// Shared argv handling for the sweep benches:
-/// [reps] [--csv] [--json[=FILE]] [--profile] [--profile-backend=auto|timer]
-/// [--threads=N] in any order. `--json` without a file writes
-/// BENCH_<bench>.json in the working directory.
+/// [reps] [--csv] [--json[=FILE]] [--threads=N] in any order. `--json`
+/// without a file writes BENCH_<bench>.json in the working directory.
 struct Fig9Args {
   std::size_t reps = 100;
   bool csv = false;
   bool json = false;
   std::string json_path;  // empty = default BENCH_<bench>.json
-  /// --profile: re-run the levelwise sweep with the cost profiler attached
-  /// and embed the per-level/per-phase attribution as a "profile" block in
-  /// the bench JSON (requires --json; ignored without it).
-  bool profile = false;
-  /// --profile-backend=timer forces the wall-clock fallback backend.
-  obs::PerfCounters::Request profile_request =
-      obs::PerfCounters::Request::kAuto;
   /// Repetition fan-out width (--threads=N; 0 = all hardware threads).
   /// Ratios are bit-identical at any width — only wall_ms moves.
   std::size_t threads = 1;
 };
 
-inline Fig9Args parse_fig9_args(int argc, char** argv) {
+/// Reads the one positional argument, the repetition count. An unknown
+/// `--` flag, a second positional, or anything but a positive plain integer
+/// is a usage error: a mistyped or removed option must never turn into a
+/// different repetition count.
+inline bool read_reps_arg(const std::string& arg, bool& seen,
+                          std::size_t& reps) {
+  if (arg.rfind("--", 0) == 0) {
+    std::cerr << "unknown option " << arg << "\n";
+    return false;
+  }
+  if (seen) {
+    std::cerr << "unexpected argument '" << arg << "'\n";
+    return false;
+  }
+  const std::optional<std::uint64_t> value = parse_unsigned(arg);
+  if (!value || *value == 0) {
+    std::cerr << "bad reps '" << arg << "' (expected a positive integer)\n";
+    return false;
+  }
+  reps = static_cast<std::size_t>(*value);
+  seen = true;
+  return true;
+}
+
+/// Nullopt (after a message on stderr) on a usage error; callers exit 2.
+inline std::optional<Fig9Args> parse_fig9_args(int argc, char** argv) {
   Fig9Args args;
+  bool reps_seen = false;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg == "--csv") {
@@ -240,47 +225,15 @@ inline Fig9Args parse_fig9_args(int argc, char** argv) {
     } else if (arg.rfind("--json=", 0) == 0) {
       args.json = true;
       args.json_path = arg.substr(7);
-    } else if (arg == "--profile") {
-      args.profile = true;
-    } else if (arg == "--profile-backend=timer") {
-      args.profile_request = obs::PerfCounters::Request::kTimer;
-    } else if (arg == "--profile-backend=auto") {
-      args.profile_request = obs::PerfCounters::Request::kAuto;
     } else if (arg.rfind("--threads=", 0) == 0) {
       const long n = std::atol(arg.c_str() + 10);
       args.threads = n <= 0 ? exec::hardware_threads()
                             : static_cast<std::size_t>(n);
-    } else {
-      args.reps = static_cast<std::size_t>(std::atoi(arg.c_str()));
+    } else if (!read_reps_arg(arg, reps_seen, args.reps)) {
+      return std::nullopt;
     }
   }
-  if (args.reps == 0) args.reps = 100;
   return args;
-}
-
-/// --profile support: re-runs the levelwise sweep — same grid, same seeds,
-/// so the profile describes exactly the run the ratios came from — with a
-/// ProfileSession attached per point.
-inline std::deque<ProfiledPoint> profile_sweep(
-    std::uint32_t levels, const std::vector<std::uint32_t>& arities,
-    std::size_t reps, std::size_t threads,
-    obs::PerfCounters::Request request) {
-  std::deque<ProfiledPoint> profiled;
-  for (const std::uint32_t w : arities) {
-    const FatTree tree = FatTree::symmetric(levels, w);
-    ExperimentConfig config;
-    config.repetitions = reps;
-    config.seed = 2006 + w;
-    config.threads = threads;
-    config.scheduler = "levelwise";
-    ProfiledPoint& pp = profiled.emplace_back();
-    pp.label = "levelwise/l" + std::to_string(levels) + "w" +
-               std::to_string(w);
-    pp.session.set_request(request);
-    config.profiler = &pp.session;
-    run_experiment(tree, config);
-  }
-  return profiled;
 }
 
 /// Runs a standard single-family sweep bench end to end (fig9a/b/c share
@@ -293,15 +246,9 @@ inline int run_sweep_bench(const std::string& bench, const std::string& title,
   print_sweep(title, levels, arities, args.reps, args.csv, &rows,
               args.threads);
   if (args.json) {
-    std::deque<ProfiledPoint> profiled;
-    if (args.profile) {
-      profiled = profile_sweep(levels, arities, args.reps, args.threads,
-                               args.profile_request);
-    }
     const std::string path =
         args.json_path.empty() ? "BENCH_" + bench + ".json" : args.json_path;
-    write_bench_json(path, bench, args.reps, rows, args.threads,
-                     profiled.empty() ? nullptr : &profiled);
+    write_bench_json(path, bench, args.reps, rows, args.threads);
   }
   return 0;
 }

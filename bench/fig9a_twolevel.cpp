@@ -9,7 +9,8 @@
 
 int main(int argc, char** argv) {
   const auto args = ftsched::bench::parse_fig9_args(argc, argv);
+  if (!args) return 2;
   return ftsched::bench::run_sweep_bench(
       "fig9a_twolevel", "Figure 9(a): Schedulability of Two-Level Fat-Tree",
-      2, {8, 16, 32, 48, 64}, args);
+      2, {8, 16, 32, 48, 64}, *args);
 }

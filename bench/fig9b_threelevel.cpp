@@ -7,7 +7,8 @@
 
 int main(int argc, char** argv) {
   const auto args = ftsched::bench::parse_fig9_args(argc, argv);
+  if (!args) return 2;
   return ftsched::bench::run_sweep_bench(
       "fig9b_threelevel", "Figure 9(b): Schedulability of Three-Level Fat-Tree",
-      3, {4, 6, 8, 12, 16}, args);
+      3, {4, 6, 8, 12, 16}, *args);
 }

@@ -7,7 +7,8 @@
 
 int main(int argc, char** argv) {
   const auto args = ftsched::bench::parse_fig9_args(argc, argv);
+  if (!args) return 2;
   return ftsched::bench::run_sweep_bench(
       "fig9c_fourlevel", "Figure 9(c): Schedulability of Four-Level Fat-Tree",
-      4, {3, 4, 5, 6, 7}, args);
+      4, {3, 4, 5, 6, 7}, *args);
 }

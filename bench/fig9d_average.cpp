@@ -10,8 +10,9 @@ using namespace ftsched;
 using namespace ftsched::bench;
 
 int main(int argc, char** argv) {
-  const Fig9Args args = parse_fig9_args(argc, argv);
-  const std::size_t reps = args.reps;
+  const std::optional<Fig9Args> args = parse_fig9_args(argc, argv);
+  if (!args) return 2;
+  const std::size_t reps = args->reps;
 
   struct Family {
     std::uint32_t levels;
@@ -76,14 +77,14 @@ int main(int argc, char** argv) {
               << TextTable::pct(large_spread)
               << (large_spread < small_spread ? "  (shrinks)" : "") << "\n";
   }
-  if (args.json) {
+  if (args->json) {
     std::vector<Fig9Row> flat;
     for (const auto& rows : all_rows) {
       flat.insert(flat.end(), rows.begin(), rows.end());
     }
-    const std::string path = args.json_path.empty()
+    const std::string path = args->json_path.empty()
                                  ? "BENCH_fig9d_average.json"
-                                 : args.json_path;
+                                 : args->json_path;
     write_bench_json(path, "fig9d_average", reps, flat);
   }
   return 0;

@@ -10,8 +10,7 @@
 //
 // Usage: fig_degradation [reps] [--csv] [--json[=FILE]] [--threads=N]
 //                        [--retry=SPEC] [--horizon=T] [--rates=R1,R2,...]
-//                        [--schedulers=A,B,...] [--flight=FILE] [--profile]
-//                        [--profile-backend=auto|timer]
+//                        [--schedulers=A,B,...] [--flight=FILE]
 //
 // --schedulers sweeps several registry schedulers per (topology, rate)
 // point — the fault-aware policy comparison (levelwise vs
@@ -24,16 +23,8 @@
 // ring per worker thread) and writes the combined dump; request ids carry a
 // per-point namespace on top of the per-repetition one, so one file holds
 // the whole sweep's ledger. The hook is also armed as the crash black box.
-//
-// --profile attaches the hot-path cost profiler to every point (requires
-// --json): each point's per-level/per-phase attribution — covering every
-// scheduler batch the DES drives, arrivals and retry drains alike — lands
-// in a "profile" block in the bench JSON. Unlike the fig9 benches there is
-// no separate profiled re-run; the profiler observes the measured run
-// itself (it never steers scheduling, so the ratios are unchanged).
 #include <algorithm>
 #include <cstdlib>
-#include <deque>
 #include <fstream>
 #include <iostream>
 #include <optional>
@@ -48,6 +39,7 @@
 #include "obs/metrics.hpp"
 #include "obs/stopwatch.hpp"
 #include "stats/summary.hpp"
+#include "util/parse.hpp"
 #include "util/table.hpp"
 
 namespace ftsched::bench {
@@ -69,9 +61,6 @@ struct Args {
   std::vector<double> rates = {0.0, 0.1, 0.25, 0.5, 0.75};
   std::vector<std::string> schedulers = {"levelwise"};
   std::string flight_path;
-  bool profile = false;
-  obs::PerfCounters::Request profile_request =
-      obs::PerfCounters::Request::kAuto;
 };
 
 std::vector<double> parse_rates(const std::string& spec) {
@@ -88,8 +77,10 @@ std::vector<double> parse_rates(const std::string& spec) {
   return rates;
 }
 
-Args parse_args(int argc, char** argv) {
+/// Nullopt (after a message on stderr) on a usage error; main exits 2.
+std::optional<Args> parse_args(int argc, char** argv) {
   Args args;
+  bool reps_seen = false;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg == "--csv") {
@@ -106,7 +97,14 @@ Args parse_args(int argc, char** argv) {
     } else if (arg.rfind("--retry=", 0) == 0) {
       args.retry = arg.substr(8);
     } else if (arg.rfind("--horizon=", 0) == 0) {
-      args.horizon = static_cast<SimTime>(std::atol(arg.c_str() + 10));
+      const std::optional<std::uint64_t> horizon =
+          parse_unsigned(arg.substr(10));
+      if (!horizon) {
+        std::cerr << "bad --horizon '" << arg.substr(10)
+                  << "' (expected an unsigned integer)\n";
+        return std::nullopt;
+      }
+      args.horizon = static_cast<SimTime>(*horizon);
     } else if (arg.rfind("--rates=", 0) == 0) {
       args.rates = parse_rates(arg.substr(8));
     } else if (arg.rfind("--schedulers=", 0) == 0) {
@@ -123,17 +121,10 @@ Args parse_args(int argc, char** argv) {
       }
     } else if (arg.rfind("--flight=", 0) == 0) {
       args.flight_path = arg.substr(9);
-    } else if (arg == "--profile") {
-      args.profile = true;
-    } else if (arg == "--profile-backend=timer") {
-      args.profile_request = obs::PerfCounters::Request::kTimer;
-    } else if (arg == "--profile-backend=auto") {
-      args.profile_request = obs::PerfCounters::Request::kAuto;
-    } else {
-      args.reps = static_cast<std::size_t>(std::atoi(arg.c_str()));
+    } else if (!read_reps_arg(arg, reps_seen, args.reps)) {
+      return std::nullopt;
     }
   }
-  if (args.reps == 0) args.reps = 100;
   if (args.rates.empty()) args.rates = {0.0};
   if (args.schedulers.empty()) args.schedulers = {"levelwise"};
   return args;
@@ -172,13 +163,12 @@ void write_latency(std::ostream& os, const char* name,
 ///    "imbalance_max_over_mean"/"imbalance_cov"/"imbalance_hotspot":{..},
 ///    counters..., "recovery_success_ratio",
 ///    "recovery_latency"/"retry_latency":{count[,p50,p90,p99]},
-///    "wall_ms"},..][,"profile":{..}]}
+///    "wall_ms"},..]}
 /// Ratio and counter fields are thread-count-invariant; wall_ms is not.
 /// `env` fingerprints machine and build so ftreport can warn on
-/// cross-machine comparisons; `profile` appears under --profile.
+/// cross-machine comparisons.
 void write_json(const std::string& path, const Args& args,
-                const std::vector<DegradationRow>& rows,
-                const std::deque<ProfiledPoint>& profiled) {
+                const std::vector<DegradationRow>& rows) {
   std::ofstream os(path);
   if (!os) {
     std::cerr << "cannot open " << path << "\n";
@@ -220,12 +210,7 @@ void write_json(const std::string& path, const Args& args,
     write_latency(os, "retry_latency", p.retry_latency);
     os << ",\"wall_ms\":" << row.wall_ms << '}';
   }
-  os << "\n]";
-  if (!profiled.empty()) {
-    os << ',';
-    write_profile_block(os, profiled);
-  }
-  os << "}\n";
+  os << "\n]}\n";
   std::cout << "wrote " << path << "\n";
 }
 
@@ -270,7 +255,6 @@ int run(const Args& args) {
   }
 
   std::vector<DegradationRow> rows;
-  std::deque<ProfiledPoint> profiled;
   std::uint64_t point_counter = 0;
   for (const TreeSpec& spec : specs) {
     const FatTree tree = FatTree::symmetric(spec.levels, spec.arity);
@@ -287,14 +271,6 @@ int run(const Args& args) {
         if (recorder) {
           config.flight = &*recorder;
           config.flight_base = (++point_counter) << 44U;
-        }
-        if (args.profile && args.json) {
-          ProfiledPoint& pp = profiled.emplace_back();
-          pp.label = scheduler + "/l" + std::to_string(spec.levels) + "w" +
-                     std::to_string(spec.arity) + "/rate" +
-                     TextTable::num(rate, 2);
-          pp.session.set_request(args.profile_request);
-          config.profiler = &pp.session;
         }
 
         const obs::Stopwatch watch;
@@ -344,7 +320,7 @@ int run(const Args& args) {
   if (args.json) {
     const std::string path =
         args.json_path.empty() ? "BENCH_degradation.json" : args.json_path;
-    write_json(path, args, rows, profiled);
+    write_json(path, args, rows);
   }
   if (recorder) {
     obs::disarm_flight_dump_on_contract_failure();
@@ -365,5 +341,6 @@ int run(const Args& args) {
 }  // namespace ftsched::bench
 
 int main(int argc, char** argv) {
-  return ftsched::bench::run(ftsched::bench::parse_args(argc, argv));
+  const auto args = ftsched::bench::parse_args(argc, argv);
+  return args ? ftsched::bench::run(*args) : 2;
 }

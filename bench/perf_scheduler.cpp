@@ -2,29 +2,16 @@
 // implementation of each scheduler, and do the primitives scale the way the
 // complexity claims say (O(l·N) total work for the level-wise scheduler,
 // one AND + find-first per request-level)?
-//
-// Extra flags (consumed here, stripped before google-benchmark sees argv):
-//   --profile                 after the timed run, replay the BM_Levelwise
-//                             and BM_Local grids with the cost profiler
-//                             attached, write PROFILE_perf_scheduler.jsonl,
-//                             and splice a "profile" block into the JSON
-//                             artifact (the input of ftreport --perf).
-//   --profile-backend=timer   force the wall-clock fallback backend.
-// The profiled replay is separate from the timed gbench loops, so
-// attribution overhead never pollutes the throughput numbers.
 #include <benchmark/benchmark.h>
 
 #include <cstddef>
-#include <deque>
-#include <fstream>
+#include <map>
 #include <memory>
-#include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "core/registry.hpp"
-#include "fig9_common.hpp"
 #include "hw/pipeline.hpp"
 #include "stats/runner.hpp"
 #include "workload/patterns.hpp"
@@ -154,103 +141,6 @@ void BM_FirstAvailablePort(benchmark::State& state) {
 }
 BENCHMARK(BM_FirstAvailablePort);
 
-// --profile replay: the same workload derivation as schedule_benchmark
-// (seed-42 permutation, reset link state per batch) with a ProfileSession
-// attached, so the attribution describes exactly the code the timed loops
-// measured. Few repetitions suffice: the profiler aggregates per-request
-// averages, not wall-time distributions.
-constexpr std::size_t kProfileReps = 16;
-
-void profile_grid_point(std::deque<bench::ProfiledPoint>& out,
-                        const char* scheduler_name, std::uint32_t levels,
-                        std::uint32_t w,
-                        obs::PerfCounters::Request request) {
-  const FatTree& tree = tree_for(levels, w);
-  auto scheduler = make_scheduler(scheduler_name, 1).value();
-  Xoshiro256ss rng(42);
-  const auto batch = random_permutation(tree.node_count(), rng);
-  LinkState link_state(tree);
-  bench::ProfiledPoint& pp = out.emplace_back();
-  pp.label = std::string(scheduler_name) + "/l" + std::to_string(levels) +
-             "w" + std::to_string(w);
-  pp.session.set_request(request);
-  pp.session.open();
-  scheduler->set_profiler(&pp.session);
-  for (std::size_t rep = 0; rep < kProfileReps; ++rep) {
-    link_state.reset();
-    pp.session.begin_batch();
-    const ScheduleResult result =
-        scheduler->schedule(tree, batch, link_state);
-    pp.session.end_batch(result.outcomes.size());
-  }
-}
-
-std::deque<bench::ProfiledPoint> run_profile_passes(
-    obs::PerfCounters::Request request) {
-  std::deque<bench::ProfiledPoint> out;
-  const std::pair<std::uint32_t, std::uint32_t> levelwise_grid[] = {
-      {2, 16}, {2, 64}, {3, 8}, {3, 16}, {4, 7}};
-  for (const auto& [levels, w] : levelwise_grid) {
-    profile_grid_point(out, "levelwise", levels, w, request);
-  }
-  const std::pair<std::uint32_t, std::uint32_t> local_grid[] = {
-      {2, 64}, {3, 16}, {4, 7}};
-  for (const auto& [levels, w] : local_grid) {
-    profile_grid_point(out, "local", levels, w, request);
-  }
-  return out;
-}
-
-/// Standalone profile artifact: JSONL v1, same schema the CLI --profile-out
-/// writes. ftreport --perf consumes either this file or the embedded block.
-void write_profile_jsonl(const std::string& path,
-                         const std::deque<bench::ProfiledPoint>& profiled) {
-  std::ofstream os(path);
-  if (!os) {
-    std::cerr << "cannot open " << path << "\n";
-    return;
-  }
-  const obs::PerfBackend backend =
-      profiled.empty() ? obs::PerfBackend::kTimer
-                       : profiled.front().session.backend();
-  obs::ProfileSession::write_jsonl_header(os, "perf_scheduler", backend);
-  for (const bench::ProfiledPoint& pp : profiled) {
-    pp.session.write_jsonl_point(os, pp.label);
-  }
-  std::cout << "wrote " << path << " (" << profiled.size() << " points, "
-            << obs::to_string(backend) << " backend)\n";
-}
-
-/// Rewrites the google-benchmark JSON artifact with `,"profile":{...}`
-/// spliced in before the document's final `}` — one self-contained file for
-/// ftreport, same embedded-block shape as the fig9 benches.
-void splice_profile_block(const std::string& path,
-                          const std::deque<bench::ProfiledPoint>& profiled) {
-  std::ifstream in(path);
-  if (!in) {
-    std::cerr << "cannot reopen " << path << " to embed the profile\n";
-    return;
-  }
-  std::stringstream buffer;
-  buffer << in.rdbuf();
-  in.close();
-  const std::string doc = buffer.str();
-  const std::size_t brace = doc.find_last_of('}');
-  if (brace == std::string::npos) {
-    std::cerr << path << ": no JSON object to embed the profile into\n";
-    return;
-  }
-  std::ofstream os(path, std::ios::trunc);
-  if (!os) {
-    std::cerr << "cannot rewrite " << path << "\n";
-    return;
-  }
-  os << doc.substr(0, brace) << ',';
-  bench::write_profile_block(os, profiled);
-  os << doc.substr(brace);
-  std::cout << "embedded profile block into " << path << "\n";
-}
-
 }  // namespace
 }  // namespace ftsched
 
@@ -258,9 +148,6 @@ void splice_profile_block(const std::string& path,
 // drop the machine-readable BENCH_perf_scheduler.json next to the console
 // report, so CI and the perf-regression workflow always get JSON for free.
 int main(int argc, char** argv) {
-  // Our flags first: strip them so google-benchmark never sees them.
-  bool profile = false;
-  auto request = ftsched::obs::PerfCounters::Request::kAuto;
   std::vector<char*> args;
   args.reserve(static_cast<std::size_t>(argc) + 2);
   args.push_back(argv[0]);
@@ -268,21 +155,13 @@ int main(int argc, char** argv) {
   bool has_out = false;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
-    if (arg == "--profile") {
-      profile = true;
-    } else if (arg == "--profile-backend=timer") {
-      request = ftsched::obs::PerfCounters::Request::kTimer;
-    } else if (arg == "--profile-backend=auto") {
-      request = ftsched::obs::PerfCounters::Request::kAuto;
-    } else {
-      if (arg.rfind("--benchmark_out=", 0) == 0) {
-        has_out = true;
-        out_path = arg.substr(16);
-      } else if (arg.rfind("--benchmark_out", 0) == 0) {
-        has_out = true;
-      }
-      args.push_back(argv[i]);
+    if (arg.rfind("--benchmark_out=", 0) == 0) {
+      has_out = true;
+      out_path = arg.substr(16);
+    } else if (arg.rfind("--benchmark_out", 0) == 0) {
+      has_out = true;
     }
+    args.push_back(argv[i]);
   }
   std::string out_flag = "--benchmark_out=" + out_path;
   std::string fmt_flag = "--benchmark_out_format=json";
@@ -297,10 +176,5 @@ int main(int argc, char** argv) {
   }
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();
-  if (profile) {
-    const auto profiled = ftsched::run_profile_passes(request);
-    ftsched::write_profile_jsonl("PROFILE_perf_scheduler.jsonl", profiled);
-    ftsched::splice_profile_block(out_path, profiled);
-  }
   return 0;
 }

@@ -47,29 +47,20 @@ LevelwiseScheduler::LevelwiseScheduler(LevelwiseOptions options)
 std::optional<std::uint32_t> LevelwiseScheduler::pick_port(
     const LinkState& state, std::uint32_t level, std::uint64_t src_sw,
     std::uint64_t dst_sw, std::vector<std::uint32_t>& rr_hint) {
-  if (profiler_) [[unlikely]] {
-    if (probe_) {
-      return pick_port_impl<true, true>(state, level, src_sw, dst_sw, rr_hint);
-    }
-    return pick_port_impl<false, true>(state, level, src_sw, dst_sw, rr_hint);
-  }
   if (probe_) [[unlikely]] {
-    return pick_port_impl<true, false>(state, level, src_sw, dst_sw, rr_hint);
+    return pick_port_impl<true>(state, level, src_sw, dst_sw, rr_hint);
   }
-  return pick_port_impl<false, false>(state, level, src_sw, dst_sw, rr_hint);
+  return pick_port_impl<false>(state, level, src_sw, dst_sw, rr_hint);
 }
 
-template <bool kProbed, bool kProfiled>
+template <bool kProbed>
 std::optional<std::uint32_t> LevelwiseScheduler::pick_port_impl(
     const LinkState& state, std::uint32_t level, std::uint64_t src_sw,
     std::uint64_t dst_sw, std::vector<std::uint32_t>& rr_hint) {
-  obs::ProfileSession* const prof = kProfiled ? profiler_ : nullptr;
   if constexpr (kProbed) {
-    obs::ProfileRegion and_region(prof, obs::ProfilePhase::kAnd, level);
     probe_->on_and_popcount(
         level, state.available_port_count(level, src_sw, dst_sw));
   }
-  obs::ProfileRegion pick_region(prof, obs::ProfilePhase::kPortPick, level);
   const auto picked = [&](std::optional<std::uint32_t> port) {
     if constexpr (kProbed) {
       if (port) probe_->on_port_pick(level, *port);
@@ -135,18 +126,6 @@ ScheduleResult LevelwiseScheduler::schedule(const FatTree& tree,
 
 ScheduleResult LevelwiseScheduler::schedule_level_major(
     const FatTree& tree, std::span<const Request> requests, LinkState& state) {
-  if (profiler_) [[unlikely]] {
-    return schedule_level_major_impl<true>(tree, requests, state);
-  }
-  return schedule_level_major_impl<false>(tree, requests, state);
-}
-
-template <bool kProfiled>
-ScheduleResult LevelwiseScheduler::schedule_level_major_impl(
-    const FatTree& tree, std::span<const Request> requests, LinkState& state) {
-  // Compile-time null in the detached instantiation: every ProfileRegion
-  // below folds away entirely, leaving the uninstrumented loop.
-  obs::ProfileSession* const prof = kProfiled ? profiler_ : nullptr;
   if (probe_) probe_->on_batch_begin(requests.size());
   obs::ScopedSpan batch_span(tracer_, name_, "sched.batch");
   ScheduleResult result;
@@ -174,7 +153,6 @@ ScheduleResult LevelwiseScheduler::schedule_level_major_impl(
   // and initialize σ_0 / δ_0 for the rest.
   {
     obs::ScopedSpan admission_span(tracer_, "admission", "sched.phase");
-    obs::ProfileRegion admission_region(prof, obs::ProfilePhase::kAdmission);
     for (std::size_t i = 0; i < requests.size(); ++i) {
       const Request& r = requests[i];
       RequestOutcome& out = result.outcomes[i];
@@ -226,18 +204,14 @@ ScheduleResult LevelwiseScheduler::schedule_level_major_impl(
         out.fail_level = h;
         continue;  // dropped from the live list
       }
-      {
-        obs::ProfileRegion commit_region(prof, obs::ProfilePhase::kCommit, h);
-        // Direct occupation — no transaction journal. The recorded port
-        // digits ARE the journal: a rejected request's partial circuit is
-        // reconstructed in the cleanup sweep by replaying the digit shift
-        // from the leaves, so the hot path records nothing beyond the path
-        // it already builds.
-        state.occupy_ulink(h, sigma_[i], *port);
-        state.occupy_dlink(h, delta_[i], *port);
-        out.path.ports.push_back(*port);
-      }
-      obs::ProfileRegion label_region(prof, obs::ProfilePhase::kLabel, h);
+      // Direct occupation — no transaction journal. The recorded port
+      // digits ARE the journal: a rejected request's partial circuit is
+      // reconstructed in the cleanup sweep by replaying the digit shift
+      // from the leaves, so the hot path records nothing beyond the path
+      // it already builds.
+      state.occupy_ulink(h, sigma_[i], *port);
+      state.occupy_dlink(h, delta_[i], *port);
+      out.path.ports.push_back(*port);
       // Theorem-1 digit shift, incrementally: new port digit in front, one
       // source digit consumed on each side.
       pval_[i] = *port + w * pval_[i];
@@ -257,50 +231,45 @@ ScheduleResult LevelwiseScheduler::schedule_level_major_impl(
   }
 
   // Cleanup: rejected requests release their leaf claims and (optionally)
-  // their partial channel allocations. Profiled, the sweep is commit volume
-  // with rollback carved out as nested self-time. Since the sweep occupies
-  // channels directly, a granted request needs no commit step at all; a
-  // rejected one replays the Theorem-1 digit shift over its recorded port
+  // their partial channel allocations. Since the sweep occupies channels
+  // directly, a granted request needs no commit step at all; a rejected one
+  // replays the Theorem-1 digit shift over its recorded port
   // digits to rediscover each level's (σ_h, δ_h) and release the pair —
   // exactly the entries a transaction journal would have held (the probe's
   // released-entry count is preserved: two channels per recorded port, and
   // the rollback event still fires, possibly with zero entries, for every
   // reject when release is enabled).
-  {
-    obs::ProfileRegion cleanup_region(prof, obs::ProfilePhase::kCommit);
-    for (std::size_t i = 0; i < requests.size(); ++i) {
-      RequestOutcome& out = result.outcomes[i];
-      if (out.granted) continue;
-      if (out.reason != RejectReason::kLeafBusy) {
-        leaves.release(requests[i].src, requests[i].dst);
-      }
-      if (options_.release_rejected) {
-        obs::ProfileRegion rollback_region(prof, obs::ProfilePhase::kRollback);
-        if (probe_) probe_->on_rollback(2 * out.path.ports.size());
-        if (!out.path.ports.empty()) {
-          std::uint64_t sigma = tree.leaf_switch(requests[i].src).index;
-          std::uint64_t delta = tree.leaf_switch(requests[i].dst).index;
-          std::uint64_t pval = 0;
-          std::uint64_t src_rest = sigma;
-          std::uint64_t dst_rest = delta;
-          for (std::uint32_t h = 0; h < out.path.ports.size(); ++h) {
-            const std::uint32_t port = out.path.ports[h];
-            // The recorded path IS the journal; this loop is the rollback.
-            state.set_ulink(h, sigma, port, true);  // ftlint:allow(transaction-discipline)
-            state.set_dlink(h, delta, port, true);  // ftlint:allow(transaction-discipline)
-            pval = port + w * pval;
-            src_rest = divm(src_rest);
-            dst_rest = divm(dst_rest);
-            sigma = pval + wpow[h + 1] * src_rest;
-            delta = pval + wpow[h + 1] * dst_rest;
-          }
+  for (std::size_t i = 0; i < requests.size(); ++i) {
+    RequestOutcome& out = result.outcomes[i];
+    if (out.granted) continue;
+    if (out.reason != RejectReason::kLeafBusy) {
+      leaves.release(requests[i].src, requests[i].dst);
+    }
+    if (options_.release_rejected) {
+      if (probe_) probe_->on_rollback(2 * out.path.ports.size());
+      if (!out.path.ports.empty()) {
+        std::uint64_t sigma = tree.leaf_switch(requests[i].src).index;
+        std::uint64_t delta = tree.leaf_switch(requests[i].dst).index;
+        std::uint64_t pval = 0;
+        std::uint64_t src_rest = sigma;
+        std::uint64_t dst_rest = delta;
+        for (std::uint32_t h = 0; h < out.path.ports.size(); ++h) {
+          const std::uint32_t port = out.path.ports[h];
+          // The recorded path IS the journal; this loop is the rollback.
+          state.set_ulink(h, sigma, port, true);  // ftlint:allow(transaction-discipline)
+          state.set_dlink(h, delta, port, true);  // ftlint:allow(transaction-discipline)
+          pval = port + w * pval;
+          src_rest = divm(src_rest);
+          dst_rest = divm(dst_rest);
+          sigma = pval + wpow[h + 1] * src_rest;
+          delta = pval + wpow[h + 1] * dst_rest;
         }
       }
-      // hardware-fidelity mode (!release_rejected): partial allocation
-      // persists — the channels stay occupied, nothing to undo.
-      out.path.ports.clear();
-      out.path.ancestor_level = 0;
     }
+    // hardware-fidelity mode (!release_rejected): partial allocation
+    // persists — the channels stay occupied, nothing to undo.
+    out.path.ports.clear();
+    out.path.ancestor_level = 0;
   }
   if (probe_) record_outcomes(result);
   return result;
@@ -338,20 +307,16 @@ ScheduleResult LevelwiseScheduler::schedule_request_major(
     std::uint64_t dst_leaf = 0;
     std::uint32_t H = 0;
     bool resolved = false;
-    {
-      obs::ProfileRegion admission_region(profiler_,
-                                          obs::ProfilePhase::kAdmission);
-      if (!leaves.try_claim(r.src, r.dst)) {
-        out.reason = RejectReason::kLeafBusy;
+    if (!leaves.try_claim(r.src, r.dst)) {
+      out.reason = RejectReason::kLeafBusy;
+      resolved = true;
+    } else {
+      src_leaf = tree.leaf_switch(r.src).index;
+      dst_leaf = tree.leaf_switch(r.dst).index;
+      H = divm.meet(src_leaf, dst_leaf);
+      if (H == 0) {
+        out.granted = true;  // circuit lives inside one leaf crossbar
         resolved = true;
-      } else {
-        src_leaf = tree.leaf_switch(r.src).index;
-        dst_leaf = tree.leaf_switch(r.dst).index;
-        H = divm.meet(src_leaf, dst_leaf);
-        if (H == 0) {
-          out.granted = true;  // circuit lives inside one leaf crossbar
-          resolved = true;
-        }
       }
     }
     if (resolved) {
@@ -375,13 +340,8 @@ ScheduleResult LevelwiseScheduler::schedule_request_major(
         rejected = true;
         break;
       }
-      {
-        obs::ProfileRegion commit_region(profiler_, obs::ProfilePhase::kCommit,
-                                         h);
-        tx.occupy(h, sigma, delta, *port);
-        out.path.ports.push_back(*port);
-      }
-      obs::ProfileRegion label_region(profiler_, obs::ProfilePhase::kLabel, h);
+      tx.occupy(h, sigma, delta, *port);
+      out.path.ports.push_back(*port);
       // Theorem-1 digit shift, incrementally (see schedule_level_major).
       pval = *port + w * pval;
       src_rest = divm(src_rest);
@@ -394,8 +354,6 @@ ScheduleResult LevelwiseScheduler::schedule_request_major(
       out.path.ancestor_level = 0;
       leaves.release(r.src, r.dst);
       if (options_.release_rejected) {
-        obs::ProfileRegion rollback_region(profiler_,
-                                           obs::ProfilePhase::kRollback);
         if (probe_) probe_->on_rollback(tx.size());
         tx.rollback();
       } else {
@@ -404,7 +362,6 @@ ScheduleResult LevelwiseScheduler::schedule_request_major(
     } else {
       FT_ASSERT(sigma == delta);
       out.granted = true;
-      obs::ProfileRegion commit_region(profiler_, obs::ProfilePhase::kCommit);
       tx.commit();
     }
     result.outcomes.push_back(out);

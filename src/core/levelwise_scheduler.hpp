@@ -61,15 +61,6 @@ class LevelwiseScheduler final : public Scheduler {
                                         std::span<const Request> requests,
                                         LinkState& state);
 
-  /// The level-major sweep, templated on profiler attachment so the
-  /// detached instantiation carries no ProfileRegion objects at all — not
-  /// even their null checks — and stays byte-for-byte the uninstrumented
-  /// loop. schedule_level_major() dispatches on `profiler_` once per batch.
-  template <bool kProfiled>
-  ScheduleResult schedule_level_major_impl(const FatTree& tree,
-                                           std::span<const Request> requests,
-                                           LinkState& state);
-
   /// Applies the port policy to the AND row; nullopt when the row is zero.
   std::optional<std::uint32_t> pick_port(const LinkState& state,
                                          std::uint32_t level,
@@ -77,15 +68,12 @@ class LevelwiseScheduler final : public Scheduler {
                                          std::uint64_t dst_sw,
                                          std::vector<std::uint32_t>& rr_hint);
 
-  /// kProbed=false / kProfiled=false compiles to exactly the uninstrumented
-  /// pick (direct returns, no popcount, no regions) so unattached
-  /// instruments cost branches in pick_port(), not a slower codepath.
-  /// kProbed adds popcount/pick recording; kProfiled brackets the explicit
-  /// AND evaluation (probed mode only — unprobed picks fuse AND and select,
-  /// and that fused cost lands in the kPortPick slot) and the selection
-  /// itself with profile regions. The round-robin hint update follows
-  /// docs/PERFORMANCE.md "Round-robin hint rule".
-  template <bool kProbed, bool kProfiled>
+  /// kProbed=false compiles to exactly the uninstrumented pick (direct
+  /// returns, no popcount) so an unattached probe costs a branch in
+  /// pick_port(), not a slower codepath. kProbed adds popcount/pick
+  /// recording. The round-robin hint update follows docs/PERFORMANCE.md
+  /// "Round-robin hint rule".
+  template <bool kProbed>
   std::optional<std::uint32_t> pick_port_impl(
       const LinkState& state, std::uint32_t level, std::uint64_t src_sw,
       std::uint64_t dst_sw, std::vector<std::uint32_t>& rr_hint);

@@ -16,28 +16,19 @@ LocalAdaptiveScheduler::LocalAdaptiveScheduler(LocalOptions options)
 std::optional<std::uint32_t> LocalAdaptiveScheduler::pick_local_port(
     const LinkState& state, std::uint32_t level, std::uint64_t src_sw,
     std::vector<std::uint32_t>& rr_hint) {
-  if (profiler_) [[unlikely]] {
-    if (probe_) {
-      return pick_local_port_impl<true, true>(state, level, src_sw, rr_hint);
-    }
-    return pick_local_port_impl<false, true>(state, level, src_sw, rr_hint);
-  }
   if (probe_) [[unlikely]] {
-    return pick_local_port_impl<true, false>(state, level, src_sw, rr_hint);
+    return pick_local_port_impl<true>(state, level, src_sw, rr_hint);
   }
-  return pick_local_port_impl<false, false>(state, level, src_sw, rr_hint);
+  return pick_local_port_impl<false>(state, level, src_sw, rr_hint);
 }
 
-template <bool kProbed, bool kProfiled>
+template <bool kProbed>
 std::optional<std::uint32_t> LocalAdaptiveScheduler::pick_local_port_impl(
     const LinkState& state, std::uint32_t level, std::uint64_t src_sw,
     std::vector<std::uint32_t>& rr_hint) {
-  obs::ProfileSession* const prof = kProfiled ? profiler_ : nullptr;
   if constexpr (kProbed) {
-    obs::ProfileRegion and_region(prof, obs::ProfilePhase::kAnd, level);
     probe_->on_and_popcount(level, state.local_ulink_count(level, src_sw));
   }
-  obs::ProfileRegion pick_region(prof, obs::ProfilePhase::kPortPick, level);
   const auto picked = [&](std::optional<std::uint32_t> port) {
     if constexpr (kProbed) {
       if (port) probe_->on_port_pick(level, *port);
@@ -116,20 +107,16 @@ ScheduleResult LocalAdaptiveScheduler::schedule(
     std::uint64_t dst_leaf = 0;
     std::uint32_t H = 0;
     bool resolved = false;
-    {
-      obs::ProfileRegion admission_region(profiler_,
-                                          obs::ProfilePhase::kAdmission);
-      if (!leaves.try_claim(r.src, r.dst)) {
-        out.reason = RejectReason::kLeafBusy;
+    if (!leaves.try_claim(r.src, r.dst)) {
+      out.reason = RejectReason::kLeafBusy;
+      resolved = true;
+    } else {
+      src_leaf = tree.leaf_switch(r.src).index;
+      dst_leaf = tree.leaf_switch(r.dst).index;
+      H = divm.meet(src_leaf, dst_leaf);
+      if (H == 0) {
+        out.granted = true;
         resolved = true;
-      } else {
-        src_leaf = tree.leaf_switch(r.src).index;
-        dst_leaf = tree.leaf_switch(r.dst).index;
-        H = divm.meet(src_leaf, dst_leaf);
-        if (H == 0) {
-          out.granted = true;
-          resolved = true;
-        }
       }
     }
     if (resolved) {
@@ -160,13 +147,8 @@ ScheduleResult LocalAdaptiveScheduler::schedule(
         rejected = true;
         break;
       }
-      {
-        obs::ProfileRegion commit_region(profiler_, obs::ProfilePhase::kCommit,
-                                         h);
-        tx.occupy_up(h, sigma, *port);
-        out.path.ports.push_back(*port);
-      }
-      obs::ProfileRegion label_region(profiler_, obs::ProfilePhase::kLabel, h);
+      tx.occupy_up(h, sigma, *port);
+      out.path.ports.push_back(*port);
       pval = *port + w * pval;
       src_rest = divm(src_rest);
       dst_rest = divm(dst_rest);
@@ -178,8 +160,6 @@ ScheduleResult LocalAdaptiveScheduler::schedule(
     // kills the request.
     if (!rejected) {
       for (std::uint32_t h = H; h-- > 0;) {
-        obs::ProfileRegion commit_region(profiler_, obs::ProfilePhase::kCommit,
-                                         h);
         const std::uint64_t delta = delta_at[h];
         if (!state.dlink(h, delta, out.path.ports[h])) {
           out.reason = RejectReason::kDownConflict;
@@ -196,8 +176,6 @@ ScheduleResult LocalAdaptiveScheduler::schedule(
       out.path.ancestor_level = 0;
       leaves.release(r.src, r.dst);
       if (options_.release_on_fail) {
-        obs::ProfileRegion rollback_region(profiler_,
-                                           obs::ProfilePhase::kRollback);
         if (probe_) probe_->on_rollback(tx.size());
         tx.rollback();
       } else {
@@ -205,7 +183,6 @@ ScheduleResult LocalAdaptiveScheduler::schedule(
       }
     } else {
       out.granted = true;
-      obs::ProfileRegion commit_region(profiler_, obs::ProfilePhase::kCommit);
       tx.commit();
     }
     result.outcomes.push_back(out);

@@ -44,12 +44,10 @@ class LocalAdaptiveScheduler final : public Scheduler {
       const LinkState& state, std::uint32_t level, std::uint64_t src_sw,
       std::vector<std::uint32_t>& rr_hint);
 
-  /// kProbed=false / kProfiled=false compiles to exactly the uninstrumented
-  /// pick, so unattached instruments cost branches in pick_local_port(),
-  /// not a slower codepath. Same region taxonomy as LevelwiseScheduler:
-  /// explicit popcount under kAnd (probed mode only), selection under
-  /// kPortPick.
-  template <bool kProbed, bool kProfiled>
+  /// kProbed=false compiles to exactly the uninstrumented pick, so an
+  /// unattached probe costs a branch in pick_local_port(), not a slower
+  /// codepath.
+  template <bool kProbed>
   std::optional<std::uint32_t> pick_local_port_impl(
       const LinkState& state, std::uint32_t level, std::uint64_t src_sw,
       std::vector<std::uint32_t>& rr_hint);

@@ -17,7 +17,6 @@
 
 #include "core/request.hpp"
 #include "linkstate/link_state.hpp"
-#include "obs/profiler.hpp"
 #include "obs/sched_probe.hpp"
 #include "obs/trace.hpp"
 #include "topology/fat_tree.hpp"
@@ -116,14 +115,6 @@ class Scheduler {
   void set_tracer(obs::TraceWriter* tracer) { tracer_ = tracer; }
   obs::TraceWriter* tracer() const { return tracer_; }
 
-  /// Attaches a cost profiler (null detaches); same lifetime and
-  /// observe-never-steer rules as the probe. The session must be open() on
-  /// the thread that calls schedule(), and the driver brackets each
-  /// schedule() call with begin_batch()/end_batch() — regions fired outside
-  /// a window are dropped (see obs::ProfileSession).
-  void set_profiler(obs::ProfileSession* profiler) { profiler_ = profiler; }
-  obs::ProfileSession* profiler() const { return profiler_; }
-
  protected:
   /// Uniform end-of-batch accounting: every outcome reports to the probe
   /// exactly once — grants by ancestor level, rejections by first-failure
@@ -146,7 +137,6 @@ class Scheduler {
 
   obs::SchedulerProbe* probe_ = nullptr;
   obs::TraceWriter* tracer_ = nullptr;
-  obs::ProfileSession* profiler_ = nullptr;
 };
 
 }  // namespace ftsched

@@ -1,7 +1,6 @@
 #include "fault/chaos_soak.hpp"
 
 #include <algorithm>
-#include <cctype>
 #include <iomanip>
 #include <limits>
 #include <map>
@@ -10,6 +9,7 @@
 #include <sstream>
 #include <utility>
 
+#include "util/parse.hpp"
 #include "workload/patterns.hpp"
 
 namespace ftsched {
@@ -293,7 +293,8 @@ bool parse_retry_kind(const std::string& name, RetryPolicy::Kind& kind) {
 
 using KvMap = std::map<std::string, std::string>;
 
-/// Splits "key=value key=value ..." tokens after the line keyword.
+/// Splits "key=value key=value ..." tokens after the line keyword. A key
+/// given twice is an error: the second value must not silently win.
 Status parse_kv(const std::string& line, std::size_t line_no,
                 std::string& keyword, KvMap& kv) {
   std::istringstream is(line);
@@ -305,39 +306,51 @@ Status parse_kv(const std::string& line, std::size_t line_no,
       return Status::error("line " + std::to_string(line_no) +
                            ": expected key=value, got '" + token + "'");
     }
-    kv[token.substr(0, eq)] = token.substr(eq + 1);
+    const std::string key = token.substr(0, eq);
+    if (!kv.emplace(key, token.substr(eq + 1)).second) {
+      return Status::error("line " + std::to_string(line_no) +
+                           ": repeated key '" + key + "'");
+    }
   }
   return Status();
 }
 
-Status need_u64(const KvMap& kv, const char* key, std::size_t line_no,
-                std::uint64_t& out) {
+/// Removes `key` from `kv` into `out`, so whatever a line's keyword does not
+/// consume is left over for no_unused_keys to report.
+Status take(KvMap& kv, const char* key, std::size_t line_no,
+            std::string& out) {
   const auto it = kv.find(key);
   if (it == kv.end()) {
     return Status::error("line " + std::to_string(line_no) +
                          ": missing key '" + key + "'");
   }
-  // std::stoull skips a leading sign and negates after a '-' (so "-1"
-  // reads as 2^64 - 1): only a plain run of digits is accepted.
-  std::size_t used = 0;
-  if (!it->second.empty() && std::isdigit(static_cast<unsigned char>(
-                                 it->second.front())) != 0) {
-    try {
-      out = std::stoull(it->second, &used);
-    } catch (...) {
-      used = 0;
-    }
-  }
-  if (used != it->second.size() || it->second.empty()) {
+  out = std::move(it->second);
+  kv.erase(it);
+  return Status();
+}
+
+Status no_unused_keys(const KvMap& kv, std::size_t line_no) {
+  if (kv.empty()) return Status();
+  return Status::error("line " + std::to_string(line_no) + ": unknown key '" +
+                       kv.begin()->first + "'");
+}
+
+Status need_u64(KvMap& kv, const char* key, std::size_t line_no,
+                std::uint64_t& out) {
+  std::string text;
+  if (Status s = take(kv, key, line_no, text); !s.ok()) return s;
+  const auto value = parse_unsigned(text);
+  if (!value) {
     return Status::error("line " + std::to_string(line_no) + ": key '" + key +
-                         "' is not an unsigned integer: '" + it->second + "'");
+                         "' is not an unsigned integer: '" + text + "'");
   }
+  out = *value;
   return Status();
 }
 
 /// need_u64 for a 32-bit field: a value that does not fit is an error, not
 /// a silent wrap.
-Status need_u32(const KvMap& kv, const char* key, std::size_t line_no,
+Status need_u32(KvMap& kv, const char* key, std::size_t line_no,
                 std::uint32_t& out) {
   std::uint64_t v = 0;
   if (Status s = need_u64(kv, key, line_no, v); !s.ok()) return s;
@@ -349,22 +362,19 @@ Status need_u32(const KvMap& kv, const char* key, std::size_t line_no,
   return Status();
 }
 
-Status need_double(const KvMap& kv, const char* key, std::size_t line_no,
+Status need_double(KvMap& kv, const char* key, std::size_t line_no,
                    double& out) {
-  const auto it = kv.find(key);
-  if (it == kv.end()) {
-    return Status::error("line " + std::to_string(line_no) +
-                         ": missing key '" + key + "'");
-  }
+  std::string text;
+  if (Status s = take(kv, key, line_no, text); !s.ok()) return s;
   std::size_t used = 0;
   try {
-    out = std::stod(it->second, &used);
+    out = std::stod(text, &used);
   } catch (...) {
     used = 0;
   }
-  if (used != it->second.size() || it->second.empty()) {
+  if (used != text.size() || text.empty()) {
     return Status::error("line " + std::to_string(line_no) + ": key '" + key +
-                         "' is not a number: '" + it->second + "'");
+                         "' is not a number: '" + text + "'");
   }
   return Status();
 }
@@ -429,14 +439,13 @@ Result<SoakScript> parse_soak_script(const std::string& text) {
       if (Status s = need_u32(kv, "w", line_no, tree.parent_arity); !s.ok()) {
         return s;
       }
+      if (Status s = no_unused_keys(kv, line_no); !s.ok()) return s;
       saw_tree = true;
     } else if (keyword == "soak") {
-      const auto sched = kv.find("scheduler");
-      if (sched == kv.end()) {
-        return Status::error("line " + std::to_string(line_no) +
-                             ": missing key 'scheduler'");
+      if (Status s = take(kv, "scheduler", line_no, script.config.scheduler);
+          !s.ok()) {
+        return s;
       }
-      script.config.scheduler = sched->second;
       std::uint64_t v = 0;
       if (Status s = need_u64(kv, "seed", line_no, v); !s.ok()) return s;
       script.config.seed = v;
@@ -444,9 +453,9 @@ Result<SoakScript> parse_soak_script(const std::string& text) {
       script.config.epoch_ops = static_cast<std::size_t>(v);
       if (Status s = need_u64(kv, "max_pending", line_no, v); !s.ok()) return s;
       script.config.max_pending = static_cast<std::size_t>(v);
-      const auto retry = kv.find("retry");
-      if (retry == kv.end() ||
-          !parse_retry_kind(retry->second, script.config.retry.kind)) {
+      std::string retry;
+      if (!take(kv, "retry", line_no, retry).ok() ||
+          !parse_retry_kind(retry, script.config.retry.kind)) {
         return Status::error("line " + std::to_string(line_no) +
                              ": bad or missing retry kind");
       }
@@ -469,27 +478,23 @@ Result<SoakScript> parse_soak_script(const std::string& text) {
           !s.ok()) {
         return s;
       }
+      if (Status s = no_unused_keys(kv, line_no); !s.ok()) return s;
     } else if (keyword == "op") {
       SoakOp op;
       std::uint64_t v = 0;
       if (Status s = need_u64(kv, "t", line_no, v); !s.ok()) return s;
       op.time = v;
-      const auto kind = kv.find("kind");
-      if (kind == kv.end()) {
-        return Status::error("line " + std::to_string(line_no) +
-                             ": missing key 'kind'");
-      }
-      if (kind->second == "open" || kind->second == "close") {
-        op.kind = kind->second == "open" ? SoakOpKind::kOpen
-                                         : SoakOpKind::kClose;
+      std::string kind;
+      if (Status s = take(kv, "kind", line_no, kind); !s.ok()) return s;
+      if (kind == "open" || kind == "close") {
+        op.kind = kind == "open" ? SoakOpKind::kOpen : SoakOpKind::kClose;
         if (Status s = need_u32(kv, "count", line_no, op.count); !s.ok()) {
           return s;
         }
         if (Status s = need_u64(kv, "draw", line_no, v); !s.ok()) return s;
         op.draw = v;
-      } else if (kind->second == "fail" || kind->second == "repair") {
-        op.kind = kind->second == "fail" ? SoakOpKind::kFail
-                                         : SoakOpKind::kRepair;
+      } else if (kind == "fail" || kind == "repair") {
+        op.kind = kind == "fail" ? SoakOpKind::kFail : SoakOpKind::kRepair;
         if (Status s = need_u32(kv, "level", line_no, op.cable.level);
             !s.ok()) {
           return s;
@@ -501,8 +506,9 @@ Result<SoakScript> parse_soak_script(const std::string& text) {
         }
       } else {
         return Status::error("line " + std::to_string(line_no) +
-                             ": unknown op kind '" + kind->second + "'");
+                             ": unknown op kind '" + kind + "'");
       }
+      if (Status s = no_unused_keys(kv, line_no); !s.ok()) return s;
       if (!script.ops.empty() && op.time < script.ops.back().time) {
         return Status::error("line " + std::to_string(line_no) +
                              ": op times must be non-decreasing");

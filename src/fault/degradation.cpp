@@ -46,8 +46,7 @@ void run_repetitions(const FatTree& tree, const DegradationConfig& config,
                      std::span<double> ever_granted,
                      std::span<double> imb_max_over_mean,
                      std::span<double> imb_cov, std::span<double> imb_hotspot,
-                     obs::FlightRing* ring, obs::ProfileSession* profiler,
-                     DegradationShard& shard) {
+                     obs::FlightRing* ring, DegradationShard& shard) {
   FabricOptions options;
   options.scheduler = config.scheduler;
   options.seed = config.seed;
@@ -56,7 +55,6 @@ void run_repetitions(const FatTree& tree, const DegradationConfig& config,
   options.horizon = config.horizon;
   options.deep_verify = config.deep_verify;
   options.flight = ring;
-  options.profiler = profiler;
 
   for (std::size_t rep = rep_begin; rep < rep_end; ++rep) {
     // Request ids stay unique across repetitions: the per-rep namespace
@@ -161,44 +159,26 @@ DegradationPoint run_degradation(const FatTree& tree,
                  "flight recorder needs one ring per degradation thread");
   if (threads == 1) {
     DegradationShard shard;
-    if (config.profiler) config.profiler->open();
     run_repetitions(tree, config, mtbf, mttr, 0, config.repetitions,
                     first_attempt, open_ratio, ever_granted, imb_max_over_mean,
                     imb_cov, imb_hotspot,
-                    config.flight ? &config.flight->ring(0) : nullptr,
-                    config.profiler, shard);
+                    config.flight ? &config.flight->ring(0) : nullptr, shard);
     merge_shard(point, shard);
   } else {
     std::vector<DegradationShard> shards(threads);
-    std::vector<obs::ProfileSession> profilers(
-        config.profiler ? threads : 0);
     exec::ThreadPool pool(threads);
     pool.run([&](std::size_t k) {
       const exec::ChunkRange chunk =
           exec::chunk_range(config.repetitions, threads, k);
       if (chunk.empty()) return;
-      obs::ProfileSession* profiler = nullptr;
-      if (config.profiler) {
-        // Private per-worker session, opened ON this worker (perf fds are
-        // per-thread); merged below in chunk order.
-        profiler = &profilers[k];
-        profiler->set_request(config.profiler->request());
-        profiler->open();
-      }
       run_repetitions(tree, config, mtbf, mttr, chunk.begin, chunk.end,
                       first_attempt, open_ratio, ever_granted,
                       imb_max_over_mean, imb_cov, imb_hotspot,
                       config.flight ? &config.flight->ring(k) : nullptr,
-                      profiler, shards[k]);
-      if (profiler) profiler->close();
+                      shards[k]);
     });
     // Chunk order == repetition order: bit-identical to the sequential run.
     for (DegradationShard& shard : shards) merge_shard(point, shard);
-    if (config.profiler) {
-      for (obs::ProfileSession& profiler : profilers) {
-        config.profiler->merge_from(profiler);
-      }
-    }
   }
 
   point.schedulability = Summary::from(first_attempt);

@@ -18,7 +18,6 @@
 #include "des/simulator.hpp"
 #include "fault/retry_policy.hpp"
 #include "obs/flight_recorder.hpp"
-#include "obs/profiler.hpp"
 #include "stats/summary.hpp"
 #include "util/contracts.hpp"
 #include "workload/patterns.hpp"
@@ -53,13 +52,6 @@ struct DegradationConfig {
   /// `flight_base + ((rep + 1) << 24)`.
   obs::FlightRecorder* flight = nullptr;
   std::uint64_t flight_base = 0;
-
-  /// Optional cost profiler (null = detached). Accounts every scheduler
-  /// batch — arrivals and retry drains — across all repetitions; the same
-  /// per-worker shard + chunk-order merge scheme as run_experiment, so
-  /// merged totals are thread-count-invariant up to hardware counter noise
-  /// (and exactly equal on the timer backend's attribution structure).
-  obs::ProfileSession* profiler = nullptr;
 };
 
 struct DegradationPoint {

@@ -34,9 +34,6 @@ FabricManager::FabricManager(const FatTree& tree, Simulator& sim,
     flight_probe_.set_flight(options_.flight);
     scheduler_->set_probe(&flight_probe_);
   }
-  if (options_.profiler != nullptr) {
-    scheduler_->set_profiler(options_.profiler);
-  }
 }
 
 void FabricManager::reseed(std::uint64_t seed) {
@@ -94,14 +91,8 @@ void FabricManager::run_batch(std::vector<RetryEntry> entries) {
     }
     manager_.set_flight_now(now);
   }
-  // Bracket exactly the scheduling work; the outcome bookkeeping below is
-  // fabric-manager cost, not scheduler cost.
-  if (options_.profiler != nullptr) options_.profiler->begin_batch();
   const BatchOpenResult result =
       manager_.open_batch(requests, *scheduler_, flight_ids);
-  if (options_.profiler != nullptr) {
-    options_.profiler->end_batch(result.schedule.outcomes.size());
-  }
   for (std::size_t i = 0; i < entries.size(); ++i) {
     RetryEntry& entry = entries[i];
     const RequestOutcome& outcome = result.schedule.outcomes[i];

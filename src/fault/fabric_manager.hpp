@@ -32,7 +32,6 @@
 #include "fault/retry_queue.hpp"
 #include "obs/flight_recorder.hpp"
 #include "obs/metrics.hpp"
-#include "obs/profiler.hpp"
 #include "obs/sched_probe.hpp"
 #include "obs/trace.hpp"
 #include "util/contracts.hpp"
@@ -57,12 +56,6 @@ struct FabricOptions {
   /// `flight_base + seq` so dumps from different repetitions never collide.
   obs::FlightRing* flight = nullptr;
   std::uint64_t flight_base = 0;
-  /// Optional cost profiler (must be open() on the thread that runs the
-  /// simulator). Every scheduler batch — arrivals and retry drains alike —
-  /// runs inside one begin/end_batch accounting window, so DES bookkeeping
-  /// between batches never pollutes the scheduler's totals. Observe-only:
-  /// attaching it changes no scheduling or retry decision.
-  obs::ProfileSession* profiler = nullptr;
 };
 
 struct FabricStats {

@@ -1,12 +1,11 @@
 // EnvInfo — the machine/build fingerprint stamped into bench artifacts.
 //
-// Wall-clock and hardware-counter numbers only mean something relative to
-// the box and the build that produced them. Every BENCH_*.json and profile
-// JSONL carries this header so `ftreport`'s regression mode can refuse to
-// silently compare numbers from different machines: when baseline and
-// candidate envs differ it prints a warning naming the mismatching fields
-// (the ratio gates still run — schedulability is machine-invariant; only
-// the time-domain comparisons become suspect).
+// Wall-clock numbers only mean something relative to the box and the build
+// that produced them. Every BENCH_*.json carries this header so `ftreport`'s
+// regression mode can refuse to silently compare numbers from different
+// machines: when baseline and candidate envs differ it prints a warning
+// naming the mismatching fields (the ratio gates still run — schedulability
+// is machine-invariant; only the time-domain comparisons become suspect).
 //
 // Collection is best-effort and never fails: unreadable fields come back as
 // "unknown" (e.g. the cpufreq governor inside most containers).
@@ -32,7 +31,7 @@ const EnvInfo& collect_env();
 
 /// Writes one JSON object: {"cpu":"...","cores":N,"compiler":"...",
 /// "build":"...","governor":"..."} — the `env` header the bench JSON
-/// schema and the profile JSONL v1 header embed.
+/// schema embeds.
 void write_env_json(std::ostream& os, const EnvInfo& env);
 
 }  // namespace ftsched::obs

@@ -4,8 +4,8 @@
 // reading std::chrono directly: raw clock reads are banned outside src/obs
 // and src/des by ftlint's `no-raw-timing` rule, so run-to-run equality
 // arguments stay auditable (every timestamp source is in one subsystem).
-// This is that seam for plain elapsed time; hardware counters go through
-// obs::PerfCounters, trace spans through obs::ScopedSpan.
+// This is that seam for plain elapsed time; trace spans go through
+// obs::ScopedSpan.
 #pragma once
 
 #include <cstdint>

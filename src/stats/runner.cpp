@@ -19,8 +19,7 @@ namespace {
 void run_repetitions(const FatTree& tree, const ExperimentConfig& config,
                      Scheduler& scheduler, LinkState& state,
                      std::size_t rep_begin, std::size_t rep_end,
-                     obs::LinkTelemetry* telemetry,
-                     obs::ProfileSession* profiler, std::span<double> ratios,
+                     obs::LinkTelemetry* telemetry, std::span<double> ratios,
                      std::uint64_t& total_requests,
                      std::uint64_t& total_granted) {
   for (std::size_t rep = rep_begin; rep < rep_end; ++rep) {
@@ -34,11 +33,7 @@ void run_repetitions(const FatTree& tree, const ExperimentConfig& config,
     const std::vector<Request> batch =
         generate_pattern(tree, config.pattern, workload_rng, config.workload);
     state.reset();
-    // The accounting window brackets exactly the schedule() call: workload
-    // generation, telemetry, and verification stay outside the profile.
-    if (profiler) profiler->begin_batch();
     const ScheduleResult result = scheduler.schedule(tree, batch, state);
-    if (profiler) profiler->end_batch(result.outcomes.size());
     // Batch boundary: the granted circuits of this repetition are exactly
     // what occupies the fabric now.
     if (telemetry) sample_link_state(state, rep, *telemetry);
@@ -59,7 +54,6 @@ struct RepetitionShard {
   // Shards keep every sample so the merge can apply the target collector's
   // own series_every to combined sample ordinals (see merge_shard).
   obs::LinkTelemetry telemetry{obs::LinkTelemetryOptions{1, 8}};
-  obs::ProfileSession profiler;
   std::uint64_t total_requests = 0;
   std::uint64_t total_granted = 0;
 };
@@ -83,14 +77,10 @@ ExperimentPoint run_experiment(const FatTree& tree,
     FT_REQUIRE(scheduler.ok());
     scheduler.value()->set_probe(config.probe);
     scheduler.value()->set_tracer(config.tracer);
-    if (config.profiler) {
-      config.profiler->open();
-      scheduler.value()->set_profiler(config.profiler);
-    }
     LinkState state(tree);
     run_repetitions(tree, config, *scheduler.value(), state, 0,
-                    config.repetitions, config.telemetry, config.profiler,
-                    ratios, point.total_requests, point.total_granted);
+                    config.repetitions, config.telemetry, ratios,
+                    point.total_requests, point.total_granted);
   } else {
     // Validate the scheduler name on the calling thread, where the unknown-
     // name contract failure is attributable to the caller.
@@ -105,21 +95,10 @@ ExperimentPoint run_experiment(const FatTree& tree,
       FT_REQUIRE(scheduler.ok());
       RepetitionShard& shard = shards[k];
       scheduler.value()->set_probe(config.probe ? &shard.probe : nullptr);
-      obs::ProfileSession* shard_profiler = nullptr;
-      if (config.profiler) {
-        // Private per-worker session, opened ON this worker: perf fds count
-        // the opening thread's events only.
-        shard.profiler.set_request(config.profiler->request());
-        shard.profiler.open();
-        shard_profiler = &shard.profiler;
-        scheduler.value()->set_profiler(shard_profiler);
-      }
       LinkState state(tree);
       run_repetitions(tree, config, *scheduler.value(), state, chunk.begin,
                       chunk.end, config.telemetry ? &shard.telemetry : nullptr,
-                      shard_profiler, ratios, shard.total_requests,
-                      shard.total_granted);
-      if (shard_profiler) shard_profiler->close();
+                      ratios, shard.total_requests, shard.total_granted);
     });
     // Deterministic reduce: chunk order == repetition order, so the merged
     // probe/telemetry equal the sequential run's field for field.
@@ -128,7 +107,6 @@ ExperimentPoint run_experiment(const FatTree& tree,
       point.total_granted += shard.total_granted;
       if (config.probe) config.probe->merge_from(shard.probe);
       if (config.telemetry) config.telemetry->merge_shard(shard.telemetry);
-      if (config.profiler) config.profiler->merge_from(shard.profiler);
     }
   }
 

@@ -14,7 +14,6 @@
 #include "core/registry.hpp"
 #include "core/verifier.hpp"
 #include "obs/link_telemetry.hpp"
-#include "obs/profiler.hpp"
 #include "obs/sched_probe.hpp"
 #include "obs/trace.hpp"
 #include "stats/summary.hpp"
@@ -56,16 +55,6 @@ struct ExperimentConfig {
   /// batch-boundary snapshot per batch), so the series shows how full each
   /// level ends up across the experiment. Null = no sampling, one branch.
   obs::LinkTelemetry* telemetry = nullptr;
-  /// Optional cost profiler, same lifetime rule. The runner open()s it (the
-  /// session keeps whatever backend request it carries), attaches it to the
-  /// scheduler, and brackets every repetition's schedule() call with a
-  /// begin/end_batch accounting window. Parallel runs give each worker a
-  /// private session — opened on that worker, perf fds are per-thread — and
-  /// merge them back in chunk order, so merged totals are the sum of the
-  /// same windows the sequential run would account. Profiling observes,
-  /// never steers: results stay bit-identical to an unprofiled run at any
-  /// thread count.
-  obs::ProfileSession* profiler = nullptr;
 };
 
 struct ExperimentPoint {

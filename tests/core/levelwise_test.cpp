@@ -7,23 +7,10 @@
 #include <vector>
 
 #include "core/verifier.hpp"
-#include "obs/profiler.hpp"
 #include "workload/patterns.hpp"
 
 namespace ftsched {
 namespace {
-
-void expect_same_outcomes(const ScheduleResult& a, const ScheduleResult& b) {
-  ASSERT_EQ(a.outcomes.size(), b.outcomes.size());
-  for (std::size_t i = 0; i < a.outcomes.size(); ++i) {
-    const RequestOutcome& oa = a.outcomes[i];
-    const RequestOutcome& ob = b.outcomes[i];
-    EXPECT_EQ(oa.granted, ob.granted) << "request " << i;
-    EXPECT_EQ(oa.reason, ob.reason) << "request " << i;
-    EXPECT_EQ(oa.fail_level, ob.fail_level) << "request " << i;
-    EXPECT_EQ(oa.path, ob.path) << "request " << i;
-  }
-}
 
 TEST(Levelwise, PaperFigure8WorkedTrace) {
   // Paper §4: FT(4,4), request node 3 -> node 95. Source switch (0,"000"),
@@ -270,47 +257,6 @@ TEST(Levelwise, EmptyBatch) {
   const ScheduleResult result = scheduler.schedule(tree, {}, state);
   EXPECT_TRUE(result.outcomes.empty());
   EXPECT_EQ(result.schedulability_ratio(), 1.0);
-}
-
-TEST(LevelwiseProfiled, AttachedRunReconcilesAndStaysBitIdentical) {
-  // Attaching a ProfileSession must neither perturb the schedule nor break
-  // the attribution invariant (total == Σ slots.self + unattributed).
-  const FatTree tree = FatTree::symmetric(3, 4);
-  Xoshiro256ss rng(21);
-  const auto batch = random_permutation(tree.node_count(), rng);
-
-  LevelwiseScheduler detached;
-  LinkState detached_state(tree);
-  const ScheduleResult baseline =
-      detached.schedule(tree, batch, detached_state);
-
-  obs::ProfileSession session(obs::PerfCounters::Request::kTimer);
-  session.open();
-  LevelwiseScheduler profiled;
-  profiled.set_profiler(&session);
-  LinkState profiled_state(tree);
-  session.begin_batch();
-  const ScheduleResult attached =
-      profiled.schedule(tree, batch, profiled_state);
-  session.end_batch(attached.outcomes.size());
-
-  expect_same_outcomes(baseline, attached);
-  EXPECT_TRUE(detached_state == profiled_state);
-
-  // Unprobed picks fuse AND and select, so their cost lands in kPortPick.
-  obs::PerfSample attributed;
-  bool saw_pick = false;
-  for (std::size_t p = 0; p < obs::kProfilePhaseCount; ++p) {
-    const auto phase = static_cast<obs::ProfilePhase>(p);
-    for (const obs::ProfileSlot& slot : session.slots(phase)) {
-      attributed += slot.self;
-      if (slot.entries > 0 && phase == obs::ProfilePhase::kPortPick) {
-        saw_pick = true;
-      }
-    }
-  }
-  EXPECT_EQ(session.total(), attributed + session.unattributed());
-  EXPECT_TRUE(saw_pick);
 }
 
 TEST(LevelwiseWordEdges, BalancedPoliciesVerifyOnFaultedFabric) {

@@ -213,6 +213,13 @@ TEST(ChaosSoak, ParseDiagnosesMalformedScripts) {
                "line 2: key 't'");
   expect_error("tree levels=3 m=4 w=4\nop t=+1 kind=open count=2 draw=3\n",
                "line 2: key 't'");
+  // Every key must be one the keyword (or the op kind) consumes, and none
+  // may repeat: a typo or a second value must not be silently dropped or win.
+  expect_error("tree levels=2 m=4 w=4 bogus=7\n", "line 1: unknown key 'bogus'");
+  expect_error("tree levels=2 m=4 w=4 m=8\n", "line 1: repeated key 'm'");
+  expect_error(
+      "tree levels=2 m=4 w=4\nop t=1 kind=open count=2 draw=3 port=1\n",
+      "line 2: unknown key 'port'");
   // Op times must be non-decreasing — the DES cannot schedule into the past.
   expect_error(
       "tree levels=3 m=4 w=4\n"

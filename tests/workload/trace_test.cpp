@@ -83,6 +83,29 @@ TEST(Trace, OutOfRangeEndpointRejected) {
   EXPECT_NE(loaded.message().find("out of range"), std::string::npos);
 }
 
+// istream extraction into an unsigned field negates a leading '-', so these
+// three would otherwise load as 2^64 - k.
+TEST(Trace, SignedNodeCountRejected) {
+  std::istringstream is("# ftsched-trace v1\n# nodes -1\n");
+  const auto loaded = read_trace(is);
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_NE(loaded.message().find("line 2"), std::string::npos);
+}
+
+TEST(Trace, SignedSourceRejected) {
+  std::istringstream is("# ftsched-trace v1\n# nodes 8\n1 2\n-3 0\n");
+  const auto loaded = read_trace(is);
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_NE(loaded.message().find("line 4"), std::string::npos);
+}
+
+TEST(Trace, SignedDestinationRejected) {
+  std::istringstream is("# ftsched-trace v1\n# nodes 8\n0 +3\n");
+  const auto loaded = read_trace(is);
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_NE(loaded.message().find("line 3"), std::string::npos);
+}
+
 TEST(Trace, MissingNodeHeaderRejected) {
   std::istringstream is("# ftsched-trace v1\n");
   EXPECT_FALSE(read_trace(is).ok());

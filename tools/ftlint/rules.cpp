@@ -384,10 +384,10 @@ void rule_flight_event_guard(const SourceFile& src,
 
 // --- Timing authority -------------------------------------------------------
 
-/// All timing — wall-clock stopwatches and hardware counters alike — flows
-/// through src/obs (obs::Stopwatch, obs::PerfCounters) so every bench and
-/// tool shares one calibrated, fallback-aware measurement path. src/des owns
-/// virtual time and is the other legitimate clock authority.
+/// All wall-clock timing flows through src/obs (obs::Stopwatch) so every
+/// bench and tool shares one measurement path, and hardware-counter syscalls
+/// stay out of drivers altogether. src/des owns virtual time and is the
+/// other legitimate clock authority.
 void rule_raw_timing(const SourceFile& src, std::vector<Finding>& out) {
   if (module_in(src.module, {"src/obs", "src/des"})) return;
   constexpr std::array<std::string_view, 6> kTimingCalls = {
@@ -404,8 +404,7 @@ void rule_raw_timing(const SourceFile& src, std::vector<Finding>& out) {
       add(out, src, tok.line, "no-raw-timing",
           "raw timing source " + tok.text +
               "() outside src/obs and src/des; take wall time through "
-              "obs::Stopwatch and hardware counters through "
-              "obs::PerfCounters");
+              "obs::Stopwatch");
       continue;
     }
     if (tok.ident("now") && i >= 2 && code[i - 1].punct("::") &&
@@ -524,8 +523,8 @@ const std::vector<RuleInfo>& rule_catalog() {
        "ftlint:allow / order-insensitive annotations must suppress something "
        "(and parse)"},
       {"no-raw-timing",
-       "timing flows through obs/ (Stopwatch, PerfCounters); raw clocks and "
-       "counter syscalls live only in src/obs and src/des"},
+       "timing flows through obs/ (Stopwatch); raw clocks and counter "
+       "syscalls live only in src/obs and src/des"},
   };
   return kCatalog;
 }

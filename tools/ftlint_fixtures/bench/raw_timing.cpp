@@ -1,6 +1,6 @@
 // Fixture: raw timing sources outside src/obs and src/des must trip
-// no-raw-timing — benches and tools take wall time through obs::Stopwatch
-// and hardware counters through obs::PerfCounters. (This file is never
+// no-raw-timing — benches and tools take wall time through obs::Stopwatch,
+// and counter syscalls stay out of drivers altogether. (This file is never
 // compiled; it only feeds ftlint.)
 #include <chrono>
 #include <ctime>

@@ -7,13 +7,11 @@
 //
 //   ftreport report [--metrics FILE.jsonl] [--telemetry FILE.jsonl]
 //                   [--trace FILE.json] [--bench BENCH_*.json]
-//                   [--flight FILE.jsonl] [--profile FILE]
+//                   [--flight FILE.jsonl]
 //                   [--out report.md] [--csv report.csv]
 //
-//   * --bench      fig9-schema schedulability table per sweep point; when
-//                  the file embeds a "profile" block (bench --profile runs)
-//                  the hot-path profile section renders too. Chaos-soak
-//                  artifacts ({"bench":"chaos_soak"}, from `ftsched soak
+//   * --bench      fig9-schema schedulability table per sweep point.
+//                  Chaos-soak artifacts ({"bench":"chaos_soak"}, from `ftsched soak
 //                  --json=FILE`) render a soak summary instead — and a
 //                  recorded violation fails the report run with exit 2, so
 //                  a CI soak job goes red off the artifact alone
@@ -27,11 +25,6 @@
 //                  ledger stitched by request id — admission-latency and
 //                  revocation-to-recovery p50/p99, worst-offender circuit
 //                  timelines, recovery burn-down over simulated time
-//   * --profile    hot-path profile (docs/PERFORMANCE.md): either the JSONL
-//                  artifact (ftsched --profile-out, PROFILE_*.jsonl) or any
-//                  BENCH_*.json with an embedded "profile" block — derived
-//                  per-request costs and the per-(phase, level) self-cost
-//                  attribution per point
 //
 // Regression mode: diff two benchmark JSON files and exit nonzero when the
 // candidate got worse — the CI bench gate:
@@ -50,16 +43,6 @@
 // `items_per_second` when present, else `real_time`. A benchmark present in
 // the baseline but missing from the candidate is a failure; new candidate
 // entries are reported but pass.
-//
-// Profile gate: when the baseline is a profile JSONL artifact (auto-detected
-// off its header line), or under --perf when both documents embed "profile"
-// blocks, every baseline point gates on derived.instructions_per_request
-// (lower is better — the machine-portable cost metric; wall clock and cache
-// misses are too noisy to gate on). The gate only fires from perf_event
-// data: timer-backend artifacts warn and pass, so CI degrades gracefully on
-// PMU-less runners. Mismatched env fingerprints (cpu/cores/compiler/build/
-// governor) warn but still compare — instructions retired barely move
-// across same-ISA boxes.
 //
 // Anchor mode: pin the degradation engine's fault-free baseline to the
 // one-shot fig9 bench — the two must agree bit for bit (same seeds, same
@@ -411,112 +394,6 @@ std::string_view shade(double fraction) {
   return ".    ";
 }
 
-// --- Profile artifacts -----------------------------------------------------
-
-/// Normalized view of a hot-path profile, whichever container it came in:
-/// the JSONL artifact (--profile-out / PROFILE_*.jsonl, one header line plus
-/// one {"type":"point"} line per point) or the "profile" block a bench run
-/// with --profile embeds in its BENCH_*.json.
-struct ProfileDoc {
-  std::string bench;
-  std::string backend;
-  JsonValue env;                  ///< kObject when the producer recorded one
-  std::vector<JsonValue> points;  ///< point objects: label/total/phases/derived
-};
-
-bool extract_profile_block(const JsonValue& doc, ProfileDoc& out) {
-  const JsonValue* block = doc.find("profile");
-  if (!block || block->type != JsonValue::Type::kObject) return false;
-  const JsonValue* backend = block->find("backend");
-  if (backend && backend->type == JsonValue::Type::kString) {
-    out.backend = backend->str;
-  }
-  const JsonValue* bench = doc.find("bench");
-  if (bench && bench->type == JsonValue::Type::kString) out.bench = bench->str;
-  if (const JsonValue* env = block->find("env")) out.env = *env;
-  const JsonValue* points = block->find("points");
-  if (points && points->type == JsonValue::Type::kArray) {
-    out.points = points->array;
-  }
-  return true;
-}
-
-/// True when the file's first non-empty line is a profile JSONL header —
-/// the cheap sniff that routes --baseline/--profile paths to the right
-/// parser without noisy double-parse errors.
-bool looks_like_profile_jsonl(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) return false;
-  std::string line;
-  while (std::getline(in, line)) {
-    if (line.empty()) continue;
-    JsonValue value;
-    std::string error;
-    if (!JsonParser(line).parse(value, error)) return false;
-    const JsonValue* type = value.find("type");
-    return type && type->type == JsonValue::Type::kString &&
-           type->str == "profile";
-  }
-  return false;
-}
-
-bool load_profile_jsonl(const std::string& path, ProfileDoc& out) {
-  std::vector<JsonValue> lines;
-  if (!parse_jsonl_file(path, lines)) return false;
-  bool saw_header = false;
-  for (const JsonValue& line : lines) {
-    const JsonValue* type = line.find("type");
-    if (!type || type->type != JsonValue::Type::kString) continue;
-    if (type->str == "profile") {
-      saw_header = true;
-      const JsonValue* backend = line.find("backend");
-      if (backend && backend->type == JsonValue::Type::kString) {
-        out.backend = backend->str;
-      }
-      const JsonValue* bench = line.find("bench");
-      if (bench && bench->type == JsonValue::Type::kString) {
-        out.bench = bench->str;
-      }
-      if (const JsonValue* env = line.find("env")) out.env = *env;
-    } else if (type->str == "point") {
-      if (const JsonValue* point = line.find("point")) {
-        out.points.push_back(*point);
-      }
-    }
-  }
-  if (!saw_header) {
-    std::cerr << "ftreport: " << path << ": no profile header line\n";
-    return false;
-  }
-  return true;
-}
-
-/// Loads a profile from either container format.
-bool load_profile_any(const std::string& path, ProfileDoc& out) {
-  if (looks_like_profile_jsonl(path)) return load_profile_jsonl(path, out);
-  JsonValue doc;
-  if (!parse_file(path, doc)) return false;
-  if (!extract_profile_block(doc, out)) {
-    std::cerr << "ftreport: " << path << ": no \"profile\" block (was the"
-                 " bench run with --profile?)\n";
-    return false;
-  }
-  return true;
-}
-
-std::string env_summary(const JsonValue& env) {
-  if (env.type != JsonValue::Type::kObject) return "not recorded";
-  const auto str = [&](const char* key) {
-    const JsonValue* v = env.find(key);
-    return v && v->type == JsonValue::Type::kString ? v->str
-                                                    : std::string("?");
-  };
-  const JsonValue* cores = env.find("cores");
-  return str("cpu") + ", " + fmt(cores ? cores->num_or(0) : 0, 0) +
-         " cores, compiler " + str("compiler") + ", " + str("build") +
-         " build, governor " + str("governor");
-}
-
 /// Field-by-field diff of two env fingerprints. Empty when either side did
 /// not record one (old artifacts) — absence is not a mismatch, and neither
 /// is a key only one side carries.
@@ -556,12 +433,19 @@ struct Args {
   std::vector<std::string> positional;
 };
 
-/// Accepts --flag=value, --flag value, and bare --flag (stored as "1").
+/// Accepts --flag=value, --flag value, and bare --perf (stored as "1").
+/// Any other flag name is a usage error, so a removed option fails loudly
+/// instead of being read as something else.
 bool parse_args(const std::vector<std::string>& argv,
                 const std::vector<std::string>& value_flags, Args& out) {
   const auto takes_value = [&](const std::string& name) {
     return std::find(value_flags.begin(), value_flags.end(), name) !=
            value_flags.end();
+  };
+  const auto known = [&](const std::string& name) {
+    if (takes_value(name) || name == "perf") return true;
+    std::cerr << "ftreport: unknown option --" << name << "\n";
+    return false;
   };
   for (std::size_t i = 0; i < argv.size(); ++i) {
     const std::string& arg = argv[i];
@@ -571,10 +455,13 @@ bool parse_args(const std::vector<std::string>& argv,
     }
     const auto eq = arg.find('=');
     if (eq != std::string::npos) {
-      out.flags[arg.substr(2, eq - 2)] = arg.substr(eq + 1);
+      const std::string name = arg.substr(2, eq - 2);
+      if (!known(name)) return false;
+      out.flags[name] = arg.substr(eq + 1);
       continue;
     }
     const std::string name = arg.substr(2);
+    if (!known(name)) return false;
     if (takes_value(name)) {
       if (i + 1 >= argv.size()) {
         std::cerr << "ftreport: --" << name << " needs a value\n";
@@ -592,12 +479,10 @@ void usage(std::ostream& os) {
   os << "usage:\n"
      << "  ftreport report [--metrics FILE.jsonl] [--telemetry FILE.jsonl]\n"
      << "                  [--trace FILE.json] [--bench BENCH.json]\n"
-     << "                  [--flight FILE.jsonl] [--profile FILE]\n"
+     << "                  [--flight FILE.jsonl]\n"
      << "                  [--out report.md] [--csv report.csv]\n"
      << "  ftreport --baseline OLD.json --candidate NEW.json\n"
      << "           [--threshold PCT[%]] [--perf]\n"
-     << "           (profile JSONL baselines gate instructions/request;\n"
-     << "            --perf also gates embedded \"profile\" blocks)\n"
      << "  ftreport anchor --degradation BENCH_degradation.json\n"
      << "           --fig9 BENCH_fig9*.json [--scheduler levelwise]\n"
      << "  ftreport quality --bench BENCH_degradation.json\n"
@@ -833,55 +718,6 @@ bool compare_gbench(const JsonValue& base, const JsonValue& cand,
   return true;
 }
 
-/// Profile gate: instructions retired per scheduled request, per point
-/// label. Returns false when the gate was skipped because either side lacks
-/// perf_event data — the caller treats "skipped" as pass, never as the
-/// empty-baseline usage error.
-bool compare_profile(const ProfileDoc& base, const ProfileDoc& cand,
-                     std::vector<Comparison>& out) {
-  warn_env_mismatches(base.env, cand.env);
-  if (base.backend != "perf_event" || cand.backend != "perf_event") {
-    std::cout << "warning: instructions-per-request gate skipped — needs the"
-                 " perf_event backend on both sides (baseline: "
-              << (base.backend.empty() ? "none" : base.backend)
-              << ", candidate: "
-              << (cand.backend.empty() ? "none" : cand.backend) << ")\n";
-    return false;
-  }
-  for (const JsonValue& bp : base.points) {
-    const JsonValue* blabel = bp.find("label");
-    if (!blabel || blabel->type != JsonValue::Type::kString) continue;
-    const JsonValue* bderived = bp.find("derived");
-    const JsonValue* bv =
-        bderived ? bderived->find("instructions_per_request") : nullptr;
-    if (!bv || bv->type != JsonValue::Type::kNumber) continue;
-    Comparison c;
-    c.name = blabel->str;
-    c.metric = "instructions_per_request";
-    c.higher_is_better = false;
-    c.baseline = bv->number;
-    const JsonValue* cp = nullptr;
-    for (const JsonValue& candidate_point : cand.points) {
-      const JsonValue* clabel = candidate_point.find("label");
-      if (clabel && clabel->type == JsonValue::Type::kString &&
-          clabel->str == blabel->str) {
-        cp = &candidate_point;
-        break;
-      }
-    }
-    const JsonValue* cderived = cp ? cp->find("derived") : nullptr;
-    const JsonValue* cv =
-        cderived ? cderived->find("instructions_per_request") : nullptr;
-    if (!cv || cv->type != JsonValue::Type::kNumber) {
-      c.missing = true;
-    } else {
-      c.candidate = cv->number;
-    }
-    out.push_back(std::move(c));
-  }
-  return true;
-}
-
 int run_regression(const Args& args) {
   const auto base_it = args.flags.find("baseline");
   const auto cand_it = args.flags.find("candidate");
@@ -902,55 +738,29 @@ int run_regression(const Args& args) {
   }
   const bool perf = args.flags.count("perf") > 0;
 
-  std::vector<Comparison> comparisons;
-  bool profile_skipped = false;
-  if (looks_like_profile_jsonl(base_it->second)) {
-    // Profile-vs-profile: the instructions gate is the whole comparison.
-    ProfileDoc base_prof, cand_prof;
-    if (!load_profile_jsonl(base_it->second, base_prof)) return 2;
-    if (!load_profile_any(cand_it->second, cand_prof)) return 2;
-    profile_skipped = !compare_profile(base_prof, cand_prof, comparisons);
-  } else {
-    JsonValue base, cand;
-    if (!parse_file(base_it->second, base) ||
-        !parse_file(cand_it->second, cand)) {
-      return 2;
-    }
-    const JsonValue* base_env = base.find("env");
-    const JsonValue* cand_env = cand.find("env");
-    if (base_env && cand_env) warn_env_mismatches(*base_env, *cand_env);
+  JsonValue base, cand;
+  if (!parse_file(base_it->second, base) ||
+      !parse_file(cand_it->second, cand)) {
+    return 2;
+  }
+  const JsonValue* base_env = base.find("env");
+  const JsonValue* cand_env = cand.find("env");
+  if (base_env && cand_env) warn_env_mismatches(*base_env, *cand_env);
 
-    if (points_have_fault_rate(base)) {
-      if (!compare_degradation(base, cand, comparisons)) return 2;
-    } else if (base.find("points")) {
-      if (!compare_fig9(base, cand, perf, comparisons)) return 2;
-    } else if (base.find("benchmarks")) {
-      if (!compare_gbench(base, cand, comparisons)) return 2;
-    } else {
-      std::cerr << "ftreport: " << base_it->second
-                << ": neither fig9 (\"points\") nor google-benchmark"
-                   " (\"benchmarks\") schema\n";
-      return 2;
-    }
-    // --perf: also gate any embedded profile block the baseline carries.
-    ProfileDoc base_prof;
-    if (perf && extract_profile_block(base, base_prof)) {
-      ProfileDoc cand_prof;
-      if (!extract_profile_block(cand, cand_prof)) {
-        // Candidate bench ran without --profile. Pretend it has perf_event
-        // data and no points: a perf_event baseline then reports every
-        // point MISSING (fail), while a timer baseline skips as usual.
-        cand_prof.backend = "perf_event";
-      }
-      profile_skipped = !compare_profile(base_prof, cand_prof, comparisons);
-    }
+  std::vector<Comparison> comparisons;
+  if (points_have_fault_rate(base)) {
+    if (!compare_degradation(base, cand, comparisons)) return 2;
+  } else if (base.find("points")) {
+    if (!compare_fig9(base, cand, perf, comparisons)) return 2;
+  } else if (base.find("benchmarks")) {
+    if (!compare_gbench(base, cand, comparisons)) return 2;
+  } else {
+    std::cerr << "ftreport: " << base_it->second
+              << ": neither fig9 (\"points\") nor google-benchmark"
+                 " (\"benchmarks\") schema\n";
+    return 2;
   }
   if (comparisons.empty()) {
-    if (profile_skipped) {
-      std::cout << "PASS (instructions-per-request gate skipped:"
-                   " no perf_event data)\n";
-      return 0;
-    }
     std::cerr << "ftreport: baseline contains no comparable benchmarks\n";
     return 2;
   }
@@ -996,94 +806,6 @@ struct CsvSink {
     rows << section << "," << key << "," << fmt(value, 6) << "\n";
   }
 };
-
-/// Hot-path profile section: derived per-request costs per point, then each
-/// point's per-(phase, level) self-cost attribution as a share of the
-/// session total (self times sum exactly to the total minus the
-/// unattributed tail — the profiler's reconciliation invariant).
-void report_profile(const ProfileDoc& prof, std::ostream& md, CsvSink& csv) {
-  md << "## Hot-path profile\n\n";
-  md << "backend `" << (prof.backend.empty() ? "?" : prof.backend) << "`";
-  if (!prof.bench.empty()) md << ", bench `" << prof.bench << "`";
-  md << "; env: " << env_summary(prof.env) << "\n\n";
-  if (prof.backend != "perf_event") {
-    md << "_timer backend: hardware counters unavailable, instruction and"
-          " cycle columns are zero._\n\n";
-  }
-  if (prof.points.empty()) {
-    md << "_no profile points_\n\n";
-    return;
-  }
-  const auto derived_of = [](const JsonValue& point, const char* key) {
-    const JsonValue* derived = point.find("derived");
-    const JsonValue* v = derived ? derived->find(key) : nullptr;
-    return v ? v->num_or(0.0) : 0.0;
-  };
-  const auto sample_field = [](const JsonValue* sample, const char* key) {
-    const JsonValue* v = sample ? sample->find(key) : nullptr;
-    return v ? v->num_or(0.0) : 0.0;
-  };
-  md << "| point | requests | wall ns/req | instr/req | IPC |"
-        " L1d miss/req | unattributed |\n"
-     << "|---|---:|---:|---:|---:|---:|---:|\n";
-  for (const JsonValue& point : prof.points) {
-    const JsonValue* label = point.find("label");
-    const std::string name =
-        label && label->type == JsonValue::Type::kString ? label->str : "?";
-    const JsonValue* requests = point.find("requests");
-    const double total_wall = sample_field(point.find("total"), "wall_ns");
-    const double unattributed_wall =
-        sample_field(point.find("unattributed"), "wall_ns");
-    md << "| " << name << " | " << fmt(requests ? requests->num_or(0) : 0, 0)
-       << " | " << fmt(derived_of(point, "wall_ns_per_request"), 1) << " | "
-       << fmt(derived_of(point, "instructions_per_request"), 1) << " | "
-       << fmt(derived_of(point, "ipc"), 2) << " | "
-       << fmt(derived_of(point, "l1d_misses_per_request"), 2) << " | "
-       << (total_wall > 0 ? fmt_pct(unattributed_wall / total_wall)
-                          : std::string("-"))
-       << " |\n";
-    csv.add("profile", name + ".wall_ns_per_request",
-            derived_of(point, "wall_ns_per_request"));
-    csv.add("profile", name + ".instructions_per_request",
-            derived_of(point, "instructions_per_request"));
-    csv.add("profile", name + ".ipc", derived_of(point, "ipc"));
-  }
-  md << "\n";
-  for (const JsonValue& point : prof.points) {
-    const JsonValue* label = point.find("label");
-    const std::string name =
-        label && label->type == JsonValue::Type::kString ? label->str : "?";
-    const JsonValue* phases = point.find("phases");
-    if (!phases || phases->type != JsonValue::Type::kArray ||
-        phases->array.empty()) {
-      continue;
-    }
-    const double total_wall = sample_field(point.find("total"), "wall_ns");
-    md << "### " << name << " — cost by phase and level\n\n"
-       << "| phase | level | entries | wall (us) | share |\n"
-       << "|---|---:|---:|---:|---:|\n";
-    for (const JsonValue& slot : phases->array) {
-      const JsonValue* phase = slot.find("phase");
-      const std::string phase_name =
-          phase && phase->type == JsonValue::Type::kString ? phase->str : "?";
-      const double level = slot.find("level")
-                               ? slot.find("level")->num_or(0)
-                               : 0;
-      const double entries = slot.find("entries")
-                                 ? slot.find("entries")->num_or(0)
-                                 : 0;
-      const double wall = sample_field(slot.find("self"), "wall_ns");
-      md << "| " << phase_name << " | " << fmt(level, 0) << " | "
-         << fmt(entries, 0) << " | " << fmt(wall / 1000.0, 1) << " | "
-         << (total_wall > 0 ? fmt_pct(wall / total_wall) : std::string("-"))
-         << " |\n";
-      csv.add("profile", name + "." + phase_name + ".level" + fmt(level, 0) +
-                             ".wall_ns",
-              wall);
-    }
-    md << "\n";
-  }
-}
 
 void report_bench(const JsonValue& bench, std::ostream& md, CsvSink& csv) {
   md << "## Schedulability (bench sweep)\n\n";
@@ -1881,9 +1603,8 @@ int run_report(const Args& args) {
   const std::string trace_path = flag("trace");
   const std::string bench_path = flag("bench");
   const std::string flight_path = flag("flight");
-  const std::string profile_path = flag("profile");
   if (metrics_path.empty() && telemetry_path.empty() && trace_path.empty() &&
-      bench_path.empty() && flight_path.empty() && profile_path.empty()) {
+      bench_path.empty() && flight_path.empty()) {
     std::cerr << "ftreport: report needs at least one input\n";
     usage(std::cerr);
     return 2;
@@ -1909,14 +1630,6 @@ int run_report(const Args& args) {
     } else {
       report_bench(bench, md, csv);
     }
-    // Benches run with --profile embed their attribution; render it too.
-    ProfileDoc prof;
-    if (extract_profile_block(bench, prof)) report_profile(prof, md, csv);
-  }
-  if (!profile_path.empty()) {
-    ProfileDoc prof;
-    if (!load_profile_any(profile_path, prof)) return 2;
-    report_profile(prof, md, csv);
   }
   if (!metrics_path.empty()) {
     std::vector<JsonValue> lines;
@@ -2297,7 +2010,7 @@ int main(int argc, char** argv) {
       "baseline", "candidate",   "threshold", "metrics",
       "telemetry", "trace",      "bench",     "out",
       "csv",       "degradation", "fig9",     "scheduler",
-      "flight",    "profile",
+      "flight",
       "baseline-scheduler", "candidate-scheduler", "max-sched-drop"};
   if (raw[0] == "report") {
     Args args;

@@ -32,14 +32,6 @@
 //   --telemetry-out=FILE   sample per-link fabric occupancy at every batch
 //                          boundary and write the time-series JSONL
 //                          (ftreport ingests it; see docs/OBSERVABILITY.md)
-//   --profile-out=FILE     schedule and degrade: attach a cost profiler to
-//                          the scheduler hot path and write the profile
-//                          JSONL (format v1; ftreport --profile=FILE). Uses
-//                          hardware counters via perf_event_open when the
-//                          kernel/PMU allows, wall-clock timing otherwise —
-//                          the artifact's "backend" field says which.
-//   --profile-backend=B    auto (default) or timer: force the wall-clock
-//                          fallback backend even where perf_event works
 //
 // Execution flags (schedule, degrade, and sweep commands):
 //   --threads=N            fan repetitions over N worker threads (0 = all
@@ -83,6 +75,10 @@
 //   --no-shrink            report the violation without shrinking
 //   --flight-dump=FILE     also valid for soak: lifecycle ledger of the
 //                          primary run
+//
+// Any other `--` flag, a surplus positional argument, or a count, seed or
+// --horizon that is not a plain unsigned integer is a usage error (exit 2),
+// never a silently different experiment.
 #include <algorithm>
 #include <cstdlib>
 #include <fstream>
@@ -107,12 +103,12 @@
 #include "obs/flight_recorder.hpp"
 #include "obs/link_telemetry.hpp"
 #include "obs/metrics.hpp"
-#include "obs/profiler.hpp"
 #include "obs/sched_probe.hpp"
 #include "obs/trace.hpp"
 #include "stats/runner.hpp"
 #include "topology/dot.hpp"
 #include "topology/validate.hpp"
+#include "util/parse.hpp"
 #include "util/table.hpp"
 
 using namespace ftsched;
@@ -141,7 +137,6 @@ int usage() {
                "  schedule <levels> <m[:w]> <scheduler> <pattern> <reps>"
                " [seed]\n"
                "           [--probe] [--metrics-out=FILE] [--trace-out=FILE]\n"
-               "           [--profile-out=FILE] [--profile-backend=auto|timer]\n"
                "           [--threads=N] [--port-policy=P]\n"
                "  degrade <levels> <m[:w]> <scheduler> <pattern> <reps>"
                " [seed]\n"
@@ -159,15 +154,46 @@ int usage() {
   return 2;
 }
 
+/// Reads a count, seed or horizon: a plain unsigned integer, never a sign,
+/// a flag or trailing text read as 0 or wrapped.
+bool read_unsigned(const char* what, const char* text, std::uint64_t& out) {
+  const std::optional<std::uint64_t> value = parse_unsigned(text);
+  if (!value) {
+    std::cerr << "bad " << what << " '" << text
+              << "' (expected an unsigned integer)\n";
+    return false;
+  }
+  out = *value;
+  return true;
+}
+
+/// Repetition counts must also be at least 1.
+bool read_reps(const char* text, std::size_t& out) {
+  std::uint64_t reps = 0;
+  if (!read_unsigned("reps", text, reps)) return false;
+  if (reps == 0) {
+    std::cerr << "reps must be at least 1\n";
+    return false;
+  }
+  out = static_cast<std::size_t>(reps);
+  return true;
+}
+
+/// The most argv entries (program and command included) each command takes;
+/// anything past that is a usage error rather than silently ignored.
+int max_argc(const std::string& command) {
+  if (command == "info" || command == "dot") return 5;
+  if (command == "schedule" || command == "degrade") return 8;
+  if (command == "sweep" || command == "hw") return 4;
+  if (command == "soak") return 6;
+  return 2;  // schedulers, patterns, and unknown commands
+}
+
 /// Non-positional options, extracted from argv before positional parsing.
 struct ObsFlags {
   std::string metrics_out;
   std::string trace_out;
   std::string telemetry_out;
-  std::string profile_out;
-  /// kTimer forces the wall-clock fallback (--profile-backend=timer).
-  obs::PerfCounters::Request profile_request =
-      obs::PerfCounters::Request::kAuto;
   bool probe = false;
   /// Worker threads for the repetition fan-out (schedule/sweep commands).
   /// 0 = use every hardware thread. Results are bit-identical at any value;
@@ -328,21 +354,20 @@ int cmd_schedule(int argc, char** argv, const ObsFlags& flags) {
     return 1;
   }
   config.pattern = pattern->second;
-  config.repetitions = static_cast<std::size_t>(std::atoi(argv[6]));
-  config.seed = argc > 7 ? static_cast<std::uint64_t>(std::atoll(argv[7]))
-                         : 2006;
+  if (!read_reps(argv[6], config.repetitions)) return usage();
+  if (argc > 7 && !read_unsigned("seed", argv[7], config.seed)) {
+    return usage();
+  }
   config.allow_residual = config.scheduler == "local-hold";
   config.threads = flags.threads;
 
   obs::SchedulerProbe probe;
   obs::TraceWriter tracer;
   obs::LinkTelemetry telemetry;
-  obs::ProfileSession profiler(flags.profile_request);
   const bool probing = flags.probe || !flags.metrics_out.empty();
   if (probing) config.probe = &probe;
   if (!flags.trace_out.empty()) config.tracer = &tracer;
   if (!flags.telemetry_out.empty()) config.telemetry = &telemetry;
-  if (!flags.profile_out.empty()) config.profiler = &profiler;
 
   const ExperimentPoint point = run_experiment(tree_or.value(), config);
   std::cout << config.scheduler << " on " << to_string(pattern->second)
@@ -370,22 +395,8 @@ int cmd_schedule(int argc, char** argv, const ObsFlags& flags) {
     obs::MetricsRegistry registry;
     probe.export_metrics(registry, reject_reason_name);
     if (!flags.telemetry_out.empty()) telemetry.export_metrics(registry);
-    if (!flags.profile_out.empty()) profiler.export_metrics(registry);
     registry.write_jsonl(out);
     std::cout << "  metrics -> " << flags.metrics_out << "\n";
-  }
-  if (!flags.profile_out.empty()) {
-    std::ofstream out(flags.profile_out);
-    if (!out) {
-      std::cerr << "cannot open " << flags.profile_out << "\n";
-      return 1;
-    }
-    obs::ProfileSession::write_jsonl_header(out, "ftsched_schedule",
-                                            profiler.backend());
-    profiler.write_jsonl_point(out, config.scheduler);
-    std::cout << "  profile -> " << flags.profile_out << " (backend "
-              << obs::to_string(profiler.backend()) << ", "
-              << profiler.requests() << " requests)\n";
   }
   if (!flags.telemetry_out.empty()) {
     std::ofstream out(flags.telemetry_out);
@@ -449,9 +460,10 @@ int cmd_degrade(int argc, char** argv, const ObsFlags& flags) {
     return 1;
   }
   config.pattern = pattern->second;
-  config.repetitions = static_cast<std::size_t>(std::atoi(argv[6]));
-  config.seed = argc > 7 ? static_cast<std::uint64_t>(std::atoll(argv[7]))
-                         : 2006;
+  if (!read_reps(argv[6], config.repetitions)) return usage();
+  if (argc > 7 && !read_unsigned("seed", argv[7], config.seed)) {
+    return usage();
+  }
   config.threads = flags.threads;
   config.fault_rate = flags.fault_rate;
   config.mtbf = flags.fault_mtbf;
@@ -469,9 +481,6 @@ int cmd_degrade(int argc, char** argv, const ObsFlags& flags) {
     config.flight = &*recorder;
     obs::arm_flight_dump_on_contract_failure(*recorder, flags.flight_dump);
   }
-
-  obs::ProfileSession profiler(flags.profile_request);
-  if (!flags.profile_out.empty()) config.profiler = &profiler;
 
   const DegradationPoint point = run_degradation(tree, config);
   std::cout << config.scheduler << " on " << to_string(pattern->second)
@@ -511,20 +520,6 @@ int cmd_degrade(int argc, char** argv, const ObsFlags& flags) {
   };
   print_latency("recovery lat.  ", point.recovery_latency);
   print_latency("retry lat.     ", point.retry_latency);
-
-  if (!flags.profile_out.empty()) {
-    std::ofstream out(flags.profile_out);
-    if (!out) {
-      std::cerr << "cannot open " << flags.profile_out << "\n";
-      return 1;
-    }
-    obs::ProfileSession::write_jsonl_header(out, "ftsched_degrade",
-                                            profiler.backend());
-    profiler.write_jsonl_point(out, config.scheduler);
-    std::cout << "  profile -> " << flags.profile_out << " (backend "
-              << obs::to_string(profiler.backend()) << ", "
-              << profiler.requests() << " requests)\n";
-  }
 
   if (recorder) {
     obs::disarm_flight_dump_on_contract_failure();
@@ -623,8 +618,8 @@ int cmd_sweep(int argc, char** argv, const ObsFlags& flags) {
     std::cerr << make_scheduler(scheduler).message() << "\n";
     return 1;
   }
-  const std::size_t reps =
-      argc > 3 ? static_cast<std::size_t>(std::atoi(argv[3])) : 100;
+  std::size_t reps = 100;
+  if (argc > 3 && !read_reps(argv[3], reps)) return usage();
   TextTable table({"levels", "arity", "nodes", "mean", "min", "max",
                    "stddev"});
   struct Family {
@@ -781,8 +776,9 @@ int cmd_soak(int argc, char** argv, const ObsFlags& flags) {
     std::cerr << make_scheduler(config.scheduler).message() << "\n";
     return 1;
   }
-  config.seed = argc > 5 ? static_cast<std::uint64_t>(std::atoll(argv[5]))
-                         : 2006;
+  if (argc > 5 && !read_unsigned("seed", argv[5], config.seed)) {
+    return usage();
+  }
   config.ops = flags.soak_ops;
   config.epoch_ops = flags.soak_epoch;
   config.max_pending = flags.soak_max_pending;
@@ -917,17 +913,6 @@ int main(int argc, char** argv) {
       flags.trace_out = arg.substr(12);
     } else if (arg.rfind("--telemetry-out=", 0) == 0) {
       flags.telemetry_out = arg.substr(16);
-    } else if (arg.rfind("--profile-out=", 0) == 0) {
-      flags.profile_out = arg.substr(14);
-    } else if (arg.rfind("--profile-backend=", 0) == 0) {
-      const std::string backend = arg.substr(18);
-      if (backend == "timer") {
-        flags.profile_request = obs::PerfCounters::Request::kTimer;
-      } else if (backend != "auto") {
-        std::cerr << "unknown --profile-backend '" << backend
-                  << "' (auto|timer)\n";
-        return 2;
-      }
     } else if (arg.rfind("--threads=", 0) == 0) {
       const long n = std::atol(arg.c_str() + 10);
       flags.threads = n <= 0 ? exec::hardware_threads()
@@ -962,7 +947,14 @@ int main(int argc, char** argv) {
     } else if (arg.rfind("--flight-dump=", 0) == 0) {
       flags.flight_dump = arg.substr(14);
     } else if (arg.rfind("--horizon=", 0) == 0) {
-      flags.horizon = static_cast<SimTime>(std::atoll(arg.c_str() + 10));
+      std::uint64_t horizon = 0;
+      if (!read_unsigned("--horizon", arg.c_str() + 10, horizon)) {
+        return usage();
+      }
+      flags.horizon = static_cast<SimTime>(horizon);
+    } else if (arg.rfind("--", 0) == 0) {
+      std::cerr << "unknown option " << arg << "\n";
+      return usage();
     } else {
       argv[kept++] = argv[i];
     }
@@ -970,6 +962,10 @@ int main(int argc, char** argv) {
   argc = kept;
   if (argc < 2) return usage();
   const std::string command = argv[1];
+  if (argc > max_argc(command)) {
+    std::cerr << "too many arguments for '" << command << "'\n";
+    return usage();
+  }
   if (command == "info") return cmd_info(argc, argv);
   if (command == "dot") return cmd_dot(argc, argv);
   if (command == "schedule") return cmd_schedule(argc, argv, flags);
