@@ -44,72 +44,83 @@ LevelwiseScheduler::LevelwiseScheduler(LevelwiseOptions options)
   }
 }
 
-std::optional<std::uint32_t> LevelwiseScheduler::pick_port(
-    const LinkState& state, std::uint32_t level, std::uint64_t src_sw,
-    std::uint64_t dst_sw, std::vector<std::uint32_t>& rr_hint) {
+std::uint32_t LevelwiseScheduler::pick_port(
+    const LinkState& state, const LinkState::LevelView& rows,
+    std::uint64_t src_sw, std::uint64_t dst_sw,
+    std::vector<std::uint32_t>& rr_hint) {
   if (probe_) [[unlikely]] {
-    return pick_port_impl<true>(state, level, src_sw, dst_sw, rr_hint);
+    return pick_port_impl<true>(state, rows, src_sw, dst_sw, rr_hint);
   }
-  return pick_port_impl<false>(state, level, src_sw, dst_sw, rr_hint);
+  return pick_port_impl<false>(state, rows, src_sw, dst_sw, rr_hint);
 }
 
 template <bool kProbed>
-std::optional<std::uint32_t> LevelwiseScheduler::pick_port_impl(
-    const LinkState& state, std::uint32_t level, std::uint64_t src_sw,
-    std::uint64_t dst_sw, std::vector<std::uint32_t>& rr_hint) {
+std::uint32_t LevelwiseScheduler::pick_port_impl(
+    const LinkState& state, const LinkState::LevelView& rows,
+    std::uint64_t src_sw, std::uint64_t dst_sw,
+    std::vector<std::uint32_t>& rr_hint) {
+  constexpr std::uint32_t kNoPort = LinkState::kNoPort;
+  const std::uint32_t level = rows.level();
   if constexpr (kProbed) {
     probe_->on_and_popcount(
         level, state.available_port_count(level, src_sw, dst_sw));
   }
-  const auto picked = [&](std::optional<std::uint32_t> port) {
+  const auto picked = [&](std::uint32_t port) {
     if constexpr (kProbed) {
-      if (port) probe_->on_port_pick(level, *port);
+      if (port != kNoPort) probe_->on_port_pick(level, port);
     }
     return port;
   };
   switch (options_.policy) {
     case PortPolicy::kFirstFit:
-      return picked(state.first_available_port(level, src_sw, dst_sw));
+      return picked(rows.first_available_port(src_sw, dst_sw));
     case PortPolicy::kRandom: {
       const std::uint32_t count =
           state.available_port_count(level, src_sw, dst_sw);
-      if (count == 0) return std::nullopt;
-      return picked(state.nth_available_port(
-          level, src_sw, dst_sw,
-          static_cast<std::uint32_t>(rng_.below(count))));
+      if (count == 0) return kNoPort;
+      return picked(state
+                        .nth_available_port(
+                            level, src_sw, dst_sw,
+                            static_cast<std::uint32_t>(rng_.below(count)))
+                        .value_or(kNoPort));
     }
     case PortPolicy::kRoundRobin: {
       const std::uint32_t w = state.ports_per_switch();
       std::uint32_t& hint = rr_hint[src_sw];
-      auto port = state.next_available_port(level, src_sw, dst_sw, hint);
-      if (!port) {  // wrap around
-        port = state.first_available_port(level, src_sw, dst_sw);
+      std::uint32_t port = rows.next_available_port(src_sw, dst_sw, hint);
+      if (port == kNoPort) {  // wrap around
+        port = rows.first_available_port(src_sw, dst_sw);
       }
       // The round-robin hint rule: after a successful pick the row's hint
       // becomes (port + 1) mod w; a failed pick leaves it untouched. The
       // RoundRobinPin regression test pins the resulting pick sequence.
-      if (port) hint = (*port + 1) % w;
+      if (port != kNoPort) hint = (port + 1) % w;
       return picked(port);
     }
     case PortPolicy::kBalanced:
-      return picked(state.balanced_port(level, src_sw, dst_sw));
+      return picked(
+          state.balanced_port(level, src_sw, dst_sw).value_or(kNoPort));
     case PortPolicy::kBalancedRR: {
       const std::uint32_t w = state.ports_per_switch();
       std::uint32_t& hint = rr_hint[src_sw];
       // Same hint rule as round-robin, applied WITHIN the max-weight tie
       // set (balanced_port_from wraps to the lowest max-weight port when no
       // candidate sits at or after the hint).
-      const auto port = state.balanced_port_from(level, src_sw, dst_sw, hint);
-      if (port) hint = (*port + 1) % w;
+      const std::uint32_t port =
+          state.balanced_port_from(level, src_sw, dst_sw, hint)
+              .value_or(kNoPort);
+      if (port != kNoPort) hint = (port + 1) % w;
       return picked(port);
     }
     case PortPolicy::kBalancedRandom: {
       const std::uint32_t count =
           state.balanced_port_count(level, src_sw, dst_sw);
-      if (count == 0) return std::nullopt;
-      return picked(state.nth_balanced_port(
-          level, src_sw, dst_sw,
-          static_cast<std::uint32_t>(rng_.below(count))));
+      if (count == 0) return kNoPort;
+      return picked(state
+                        .nth_balanced_port(
+                            level, src_sw, dst_sw,
+                            static_cast<std::uint32_t>(rng_.below(count)))
+                        .value_or(kNoPort));
     }
   }
   FT_UNREACHABLE();
@@ -130,12 +141,11 @@ ScheduleResult LevelwiseScheduler::schedule_level_major(
   obs::ScopedSpan batch_span(tracer_, name_, "sched.batch");
   ScheduleResult result;
   result.outcomes.resize(requests.size());
-  LeafTracker leaves(tree.node_count());
+  const auto batch = admission_.begin(tree, requests);
 
-  const std::uint64_t m = tree.child_arity();
   const std::uint64_t w = tree.parent_arity();
   const auto wpow = parent_arity_powers(tree);
-  const ChildDivider divm(m);
+  const ChildDivider& divm = admission_.divm();
 
   // Batch precomputation: decompose every request's labels ONCE — σ_0/δ_0,
   // the remainder quotients, and the meet level — into flat per-request
@@ -154,28 +164,15 @@ ScheduleResult LevelwiseScheduler::schedule_level_major(
   {
     obs::ScopedSpan admission_span(tracer_, "admission", "sched.phase");
     for (std::size_t i = 0; i < requests.size(); ++i) {
-      const Request& r = requests[i];
-      RequestOutcome& out = result.outcomes[i];
-      out.path = Path{r.src, r.dst, 0, {}};
-      if (!leaves.try_claim(r.src, r.dst)) {
-        out.reason = RejectReason::kLeafBusy;
-        continue;
-      }
-      const std::uint64_t src_leaf = tree.leaf_switch(r.src).index;
-      const std::uint64_t dst_leaf = tree.leaf_switch(r.dst).index;
-      const std::uint32_t H = divm.meet(src_leaf, dst_leaf);
-      if (H == 0) {
-        out.granted = true;  // circuit lives inside one leaf crossbar
-        continue;
-      }
-      sigma_[i] = src_leaf;
-      delta_[i] = dst_leaf;
+      const auto admitted = admission_.admit(requests[i], result.outcomes[i]);
+      if (!admitted) continue;
+      sigma_[i] = admitted->src_leaf;
+      delta_[i] = admitted->dst_leaf;
       pval_[i] = 0;
-      src_rest_[i] = src_leaf;
-      dst_rest_[i] = dst_leaf;
-      ancestor_[i] = H;
+      src_rest_[i] = admitted->src_leaf;
+      dst_rest_[i] = admitted->dst_leaf;
+      ancestor_[i] = admitted->ancestor;
       live_.push_back(i);
-      out.path.ancestor_level = H;
     }
   }
 
@@ -190,6 +187,9 @@ ScheduleResult LevelwiseScheduler::schedule_level_major(
     if (policy_uses_hint(options_.policy)) {
       rr_hint_.assign(state.rows_at(h), 0);
     }
+    // The level's rows are fetched once; every pick below is an AND of two
+    // of them (docs/PERFORMANCE.md §4).
+    const LinkState::LevelView rows = state.level_view(h);
     const std::uint64_t wnext = wpow[h + 1];
     const std::size_t n_live = live_.size();
     std::size_t kept = 0;
@@ -198,8 +198,9 @@ ScheduleResult LevelwiseScheduler::schedule_level_major(
     for (std::size_t j = 0; j < n_live; ++j) {
       const std::size_t i = live_[j];
       RequestOutcome& out = result.outcomes[i];
-      const auto port = pick_port(state, h, sigma_[i], delta_[i], rr_hint_);
-      if (!port) {
+      const std::uint32_t port =
+          pick_port(state, rows, sigma_[i], delta_[i], rr_hint_);
+      if (port == LinkState::kNoPort) {
         out.reason = RejectReason::kNoCommonPort;
         out.fail_level = h;
         continue;  // dropped from the live list
@@ -209,12 +210,12 @@ ScheduleResult LevelwiseScheduler::schedule_level_major(
       // reconstructed in the cleanup sweep by replaying the digit shift
       // from the leaves, so the hot path records nothing beyond the path
       // it already builds.
-      state.occupy_ulink(h, sigma_[i], *port);
-      state.occupy_dlink(h, delta_[i], *port);
-      out.path.ports.push_back(*port);
+      state.occupy_ulink(h, sigma_[i], port);
+      state.occupy_dlink(h, delta_[i], port);
+      out.path.ports.push_back(port);
       // Theorem-1 digit shift, incrementally: new port digit in front, one
       // source digit consumed on each side.
-      pval_[i] = *port + w * pval_[i];
+      pval_[i] = port + w * pval_[i];
       src_rest_[i] = divm(src_rest_[i]);
       dst_rest_[i] = divm(dst_rest_[i]);
       if (out.path.ports.size() == ancestor_[i]) {
@@ -242,14 +243,11 @@ ScheduleResult LevelwiseScheduler::schedule_level_major(
   for (std::size_t i = 0; i < requests.size(); ++i) {
     RequestOutcome& out = result.outcomes[i];
     if (out.granted) continue;
-    if (out.reason != RejectReason::kLeafBusy) {
-      leaves.release(requests[i].src, requests[i].dst);
-    }
     if (options_.release_rejected) {
       if (probe_) probe_->on_rollback(2 * out.path.ports.size());
       if (!out.path.ports.empty()) {
-        std::uint64_t sigma = tree.leaf_switch(requests[i].src).index;
-        std::uint64_t delta = tree.leaf_switch(requests[i].dst).index;
+        std::uint64_t sigma = divm(requests[i].src);
+        std::uint64_t delta = divm(requests[i].dst);
         std::uint64_t pval = 0;
         std::uint64_t src_rest = sigma;
         std::uint64_t dst_rest = delta;
@@ -268,8 +266,9 @@ ScheduleResult LevelwiseScheduler::schedule_level_major(
     }
     // hardware-fidelity mode (!release_rejected): partial allocation
     // persists — the channels stay occupied, nothing to undo.
-    out.path.ports.clear();
-    out.path.ancestor_level = 0;
+    if (out.reason != RejectReason::kLeafBusy) {
+      admission_.release(requests[i], out);
+    }
   }
   if (probe_) record_outcomes(result);
   return result;
@@ -280,13 +279,12 @@ ScheduleResult LevelwiseScheduler::schedule_request_major(
   if (probe_) probe_->on_batch_begin(requests.size());
   obs::ScopedSpan batch_span(tracer_, name_, "sched.batch");
   ScheduleResult result;
-  result.outcomes.reserve(requests.size());
-  LeafTracker leaves(tree.node_count());
+  result.outcomes.resize(requests.size());
+  const auto batch = admission_.begin(tree, requests);
 
-  const std::uint64_t m = tree.child_arity();
   const std::uint64_t w = tree.parent_arity();
   const auto wpow = parent_arity_powers(tree);
-  const ChildDivider divm(m);
+  const ChildDivider& divm = admission_.divm();
 
   const std::uint32_t link_levels = tree.levels() - 1;
   rr_hint_by_level_.resize(link_levels);
@@ -299,72 +297,56 @@ ScheduleResult LevelwiseScheduler::schedule_request_major(
       rr_hint_by_level_[h].assign(1, 0);
     }
   }
+  std::array<LinkState::LevelView, kMaxTreeLevels> rows{};
+  for (std::uint32_t h = 0; h < link_levels; ++h) {
+    rows[h] = state.level_view(h);
+  }
 
-  for (const Request& r : requests) {
-    RequestOutcome out;
-    out.path = Path{r.src, r.dst, 0, {}};
-    std::uint64_t src_leaf = 0;
-    std::uint64_t dst_leaf = 0;
-    std::uint32_t H = 0;
-    bool resolved = false;
-    if (!leaves.try_claim(r.src, r.dst)) {
-      out.reason = RejectReason::kLeafBusy;
-      resolved = true;
-    } else {
-      src_leaf = tree.leaf_switch(r.src).index;
-      dst_leaf = tree.leaf_switch(r.dst).index;
-      H = divm.meet(src_leaf, dst_leaf);
-      if (H == 0) {
-        out.granted = true;  // circuit lives inside one leaf crossbar
-        resolved = true;
-      }
-    }
-    if (resolved) {
-      result.outcomes.push_back(out);
-      continue;
-    }
-    out.path.ancestor_level = H;
+  for (std::size_t i = 0; i < requests.size(); ++i) {
+    const Request& r = requests[i];
+    RequestOutcome& out = result.outcomes[i];
+    const auto admitted = admission_.admit(r, out);
+    if (!admitted) continue;
+    const std::uint32_t H = admitted->ancestor;
 
-    Transaction tx(state);
-    std::uint64_t sigma = src_leaf;
-    std::uint64_t delta = dst_leaf;
+    tx_.rebind(state);
+    std::uint64_t sigma = admitted->src_leaf;
+    std::uint64_t delta = admitted->dst_leaf;
     std::uint64_t pval = 0;
-    std::uint64_t src_rest = src_leaf;
-    std::uint64_t dst_rest = dst_leaf;
+    std::uint64_t src_rest = sigma;
+    std::uint64_t dst_rest = delta;
     bool rejected = false;
     for (std::uint32_t h = 0; h < H; ++h) {
-      const auto port = pick_port(state, h, sigma, delta, rr_hint_by_level_[h]);
-      if (!port) {
+      const std::uint32_t port =
+          pick_port(state, rows[h], sigma, delta, rr_hint_by_level_[h]);
+      if (port == LinkState::kNoPort) {
         out.reason = RejectReason::kNoCommonPort;
         out.fail_level = h;
         rejected = true;
         break;
       }
-      tx.occupy(h, sigma, delta, *port);
-      out.path.ports.push_back(*port);
+      tx_.occupy(h, sigma, delta, port);
+      out.path.ports.push_back(port);
       // Theorem-1 digit shift, incrementally (see schedule_level_major).
-      pval = *port + w * pval;
+      pval = port + w * pval;
       src_rest = divm(src_rest);
       dst_rest = divm(dst_rest);
       sigma = pval + wpow[h + 1] * src_rest;
       delta = pval + wpow[h + 1] * dst_rest;
     }
     if (rejected) {
-      out.path.ports.clear();
-      out.path.ancestor_level = 0;
-      leaves.release(r.src, r.dst);
+      admission_.release(r, out);
       if (options_.release_rejected) {
-        if (probe_) probe_->on_rollback(tx.size());
-        tx.rollback();
+        if (probe_) probe_->on_rollback(tx_.size());
+        tx_.rollback();
       } else {
-        tx.commit();  // hardware-fidelity mode: partial allocation persists
+        tx_.commit();  // hardware-fidelity mode: partial allocation persists
       }
     } else {
       FT_ASSERT(sigma == delta);
       out.granted = true;
-      tx.commit();
+      tx_.commit();
     }
-    result.outcomes.push_back(out);
   }
   if (probe_) record_outcomes(result);
   return result;

@@ -22,6 +22,7 @@
 #pragma once
 
 #include "core/scheduler.hpp"
+#include "linkstate/transaction.hpp"
 
 namespace ftsched {
 
@@ -61,12 +62,14 @@ class LevelwiseScheduler final : public Scheduler {
                                         std::span<const Request> requests,
                                         LinkState& state);
 
-  /// Applies the port policy to the AND row; nullopt when the row is zero.
-  std::optional<std::uint32_t> pick_port(const LinkState& state,
-                                         std::uint32_t level,
-                                         std::uint64_t src_sw,
-                                         std::uint64_t dst_sw,
-                                         std::vector<std::uint32_t>& rr_hint);
+  /// Applies the port policy to the AND row of `rows` (the current level's
+  /// view of `state`); LinkState::kNoPort when the row is zero. Inlined
+  /// into both loops, so the first-fit pick is the view's AND + ctz in
+  /// place.
+  [[gnu::always_inline]] inline std::uint32_t pick_port(
+      const LinkState& state, const LinkState::LevelView& rows,
+      std::uint64_t src_sw, std::uint64_t dst_sw,
+      std::vector<std::uint32_t>& rr_hint);
 
   /// kProbed=false compiles to exactly the uninstrumented pick (direct
   /// returns, no popcount) so an unattached probe costs a branch in
@@ -74,9 +77,10 @@ class LevelwiseScheduler final : public Scheduler {
   /// recording. The round-robin hint update follows docs/PERFORMANCE.md
   /// "Round-robin hint rule".
   template <bool kProbed>
-  std::optional<std::uint32_t> pick_port_impl(
-      const LinkState& state, std::uint32_t level, std::uint64_t src_sw,
-      std::uint64_t dst_sw, std::vector<std::uint32_t>& rr_hint);
+  [[gnu::always_inline]] inline std::uint32_t pick_port_impl(
+      const LinkState& state, const LinkState::LevelView& rows,
+      std::uint64_t src_sw, std::uint64_t dst_sw,
+      std::vector<std::uint32_t>& rr_hint);
 
   LevelwiseOptions options_;
   Xoshiro256ss rng_;
@@ -107,6 +111,8 @@ class LevelwiseScheduler final : public Scheduler {
   std::vector<std::size_t> live_;
   std::vector<std::uint32_t> rr_hint_;   ///< level-major: current level's rows
   std::vector<std::vector<std::uint32_t>> rr_hint_by_level_;  ///< req-major
+  BatchAdmission admission_;  ///< batch front end and its leaf tracker
+  Transaction tx_;            ///< request-major: rebound for every request
 };
 
 }  // namespace ftsched

@@ -15,6 +15,7 @@
 #pragma once
 
 #include "core/scheduler.hpp"
+#include "linkstate/transaction.hpp"
 
 namespace ftsched {
 
@@ -40,17 +41,18 @@ class LocalAdaptiveScheduler final : public Scheduler {
   const LocalOptions& options() const { return options_; }
 
  private:
-  std::optional<std::uint32_t> pick_local_port(
-      const LinkState& state, std::uint32_t level, std::uint64_t src_sw,
-      std::vector<std::uint32_t>& rr_hint);
+  /// Inlined into the ascent loop, like LevelwiseScheduler::pick_port.
+  [[gnu::always_inline]] inline std::uint32_t pick_local_port(
+      const LinkState& state, const LinkState::LevelView& rows,
+      std::uint64_t src_sw, std::vector<std::uint32_t>& rr_hint);
 
   /// kProbed=false compiles to exactly the uninstrumented pick, so an
   /// unattached probe costs a branch in pick_local_port(), not a slower
   /// codepath.
   template <bool kProbed>
-  std::optional<std::uint32_t> pick_local_port_impl(
-      const LinkState& state, std::uint32_t level, std::uint64_t src_sw,
-      std::vector<std::uint32_t>& rr_hint);
+  [[gnu::always_inline]] inline std::uint32_t pick_local_port_impl(
+      const LinkState& state, const LinkState::LevelView& rows,
+      std::uint64_t src_sw, std::vector<std::uint32_t>& rr_hint);
 
   LocalOptions options_;
   Xoshiro256ss rng_;
@@ -59,6 +61,8 @@ class LocalAdaptiveScheduler final : public Scheduler {
   /// Per-batch round-robin cursors (one row per switch at each level),
   /// hoisted out of schedule() so steady-state batches allocate nothing.
   std::vector<std::vector<std::uint32_t>> rr_hint_by_level_;
+  BatchAdmission admission_;  ///< batch front end and its leaf tracker
+  Transaction tx_;            ///< rebound for every request
 };
 
 }  // namespace ftsched

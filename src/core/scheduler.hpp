@@ -15,11 +15,13 @@
 #include <string_view>
 #include <vector>
 
+#include "core/label_math.hpp"
 #include "core/request.hpp"
 #include "linkstate/link_state.hpp"
 #include "obs/sched_probe.hpp"
 #include "obs/trace.hpp"
 #include "topology/fat_tree.hpp"
+#include "util/bitvec.hpp"
 #include "util/contracts.hpp"
 #include "util/rng.hpp"
 
@@ -57,35 +59,140 @@ constexpr bool policy_uses_hint(PortPolicy policy) {
 /// or many-to-one workloads the ejection channel serializes access to a PE.
 class LeafTracker {
  public:
+  LeafTracker() = default;
   explicit LeafTracker(std::uint64_t node_count)
-      : injection_(node_count, false), ejection_(node_count, false) {}
+      : injection_(node_count), ejection_(node_count) {}
+
+  std::uint64_t node_count() const { return injection_.size(); }
 
   bool try_claim(NodeId src, NodeId dst) {
-    if (injection_[src] || ejection_[dst]) return false;
-    injection_[src] = true;
-    ejection_[dst] = true;
+    if (!can_claim(src, dst)) return false;
+    injection_.set(src);
+    ejection_.set(dst);
     return true;
   }
 
   /// Whether try_claim(src, dst) would succeed, without claiming.
   bool can_claim(NodeId src, NodeId dst) const {
-    return !injection_[src] && !ejection_[dst];
+    FT_REQUIRE(src < injection_.size() && dst < ejection_.size());
+    return !injection_.test(src) && !ejection_.test(dst);
   }
 
   void release(NodeId src, NodeId dst) {
-    FT_REQUIRE(injection_[src] && ejection_[dst]);
-    injection_[src] = false;
-    ejection_[dst] = false;
+    FT_REQUIRE(src < injection_.size() && dst < ejection_.size());
+    FT_REQUIRE(injection_.test(src) && ejection_.test(dst));
+    injection_.reset(src);
+    ejection_.reset(dst);
   }
 
+  /// Releases every claim: O(node_count).
   void reset() {
-    injection_.assign(injection_.size(), false);
-    ejection_.assign(ejection_.size(), false);
+    injection_.reset_all();
+    ejection_.reset_all();
+  }
+
+  /// Releases the listed claims, held or not: O(claims). Listing every
+  /// claim made since the tracker was last empty empties it again.
+  void reset(std::span<const Request> claims) {
+    for (const Request& r : claims) {
+      injection_.reset(r.src);
+      ejection_.reset(r.dst);
+    }
   }
 
  private:
-  std::vector<bool> injection_;
-  std::vector<bool> ejection_;
+  BitVec injection_;
+  BitVec ejection_;
+};
+
+/// A request that needs inter-switch channels: its leaf switches and meet
+/// level H >= 1.
+struct Admitted {
+  std::uint64_t src_leaf = 0;
+  std::uint64_t dst_leaf = 0;
+  std::uint32_t ancestor = 0;
+};
+
+/// The batch front end every per-request scheduler shares, with the scratch
+/// it owns. For each request it stubs the outcome's path, claims the leaf
+/// channels and resolves what needs no inter-switch channel: a busy leaf
+/// (kLeafBusy) and a circuit inside one leaf crossbar (H == 0, granted).
+class BatchAdmission {
+ public:
+  /// One batch in flight. When it goes out of scope every leaf claim of
+  /// the batch is released through the batch's own requests, or by
+  /// clearing the tracker's bit words when there are no more words than
+  /// requests, so a batch costs O(batch) however large the fabric.
+  class [[nodiscard]] Batch {
+   public:
+    Batch(const Batch&) = delete;
+    Batch& operator=(const Batch&) = delete;
+    ~Batch() { owner_->end(requests_); }
+
+   private:
+    friend class BatchAdmission;
+    Batch(BatchAdmission* owner, std::span<const Request> requests)
+        : owner_(owner), requests_(requests) {}
+
+    BatchAdmission* owner_;
+    std::span<const Request> requests_;
+  };
+
+  /// Arms the front end for `requests` on `tree`; the leaf tracker is
+  /// re-sized only when the fabric's PE count changed.
+  Batch begin(const FatTree& tree, std::span<const Request> requests) {
+    if (leaves_.node_count() != tree.node_count()) {
+      leaves_ = LeafTracker(tree.node_count());
+    }
+    divm_ = ChildDivider(tree.child_arity());
+    return Batch(this, requests);
+  }
+
+  /// Returns the request's leaf switches and meet level, or nullopt when
+  /// `out` is already final. An admitted request's outcome carries
+  /// ancestor_level = H; a scheduler that rejects it later calls release().
+  [[gnu::always_inline]] std::optional<Admitted> admit(const Request& r,
+                                                       RequestOutcome& out) {
+    out.path.src = r.src;
+    out.path.dst = r.dst;
+    if (!leaves_.try_claim(r.src, r.dst)) {
+      out.reason = RejectReason::kLeafBusy;
+      return std::nullopt;
+    }
+    const std::uint64_t src_leaf = divm_(r.src);
+    const std::uint64_t dst_leaf = divm_(r.dst);
+    const std::uint32_t H = divm_.meet(src_leaf, dst_leaf);
+    if (H == 0) {
+      out.granted = true;  // circuit lives inside one leaf crossbar
+      return std::nullopt;
+    }
+    out.path.ancestor_level = H;
+    return Admitted{src_leaf, dst_leaf, H};
+  }
+
+  /// Undoes admit() for a request rejected later: returns its leaf claims
+  /// and drops its path. The caller records the reason and fail_level.
+  void release(const Request& r, RequestOutcome& out) {
+    leaves_.release(r.src, r.dst);
+    out.path.ports.clear();
+    out.path.ancestor_level = 0;
+  }
+
+  /// Division by the tree's child arity m: the leaf index of a PE, and the
+  /// per-level label shift.
+  const ChildDivider& divm() const { return divm_; }
+
+ private:
+  void end(std::span<const Request> requests) {
+    if (requests.size() < BitVec::word_count(leaves_.node_count())) {
+      leaves_.reset(requests);
+    } else {
+      leaves_.reset();
+    }
+  }
+
+  LeafTracker leaves_;
+  ChildDivider divm_{1};
 };
 
 class Scheduler {

@@ -29,41 +29,31 @@ ScheduleResult StaticDestinationScheduler::schedule(
   if (probe_) probe_->on_batch_begin(requests.size());
   obs::ScopedSpan batch_span(tracer_, name(), "sched.batch");
   ScheduleResult result;
-  result.outcomes.reserve(requests.size());
-  LeafTracker leaves(tree.node_count());
+  result.outcomes.resize(requests.size());
+  const auto batch = admission_.begin(tree, requests);
 
-  const std::uint64_t m = tree.child_arity();
   const std::uint64_t w = tree.parent_arity();
   const auto wpow = parent_arity_powers(tree);
+  const ChildDivider& divm = admission_.divm();
 
-  for (const Request& r : requests) {
-    RequestOutcome out;
-    out.path = Path{r.src, r.dst, 0, {}};
-    if (!leaves.try_claim(r.src, r.dst)) {
-      out.reason = RejectReason::kLeafBusy;
-      result.outcomes.push_back(out);
-      continue;
-    }
-    const std::uint64_t src_leaf = tree.leaf_switch(r.src).index;
-    const std::uint64_t dst_leaf = tree.leaf_switch(r.dst).index;
-    const std::uint32_t H = meet_level(src_leaf, dst_leaf, m);
-    if (H == 0) {
-      out.granted = true;
-      result.outcomes.push_back(out);
-      continue;
-    }
+  for (std::size_t i = 0; i < requests.size(); ++i) {
+    const Request& r = requests[i];
+    RequestOutcome& out = result.outcomes[i];
+    const auto admitted = admission_.admit(r, out);
+    if (!admitted) continue;
+    const std::uint32_t H = admitted->ancestor;
     const DigitVec ports = static_ports(tree, r.dst, H);
 
     // The whole path is forced; only the up side can be contended (see
     // header: a down collision implies an identical destination PE).
     // δ_h = Pval_h + w^h·⌊dst/m^h⌋ is recorded during the ascent so the
     // descent never recomposes labels (same trick as the local scheduler).
-    Transaction tx(state);
+    tx_.rebind(state);
     bool rejected = false;
-    std::uint64_t sigma = src_leaf;
+    std::uint64_t sigma = admitted->src_leaf;
     std::uint64_t pval = 0;
-    std::uint64_t src_rest = src_leaf;
-    std::uint64_t dst_rest = dst_leaf;
+    std::uint64_t src_rest = admitted->src_leaf;
+    std::uint64_t dst_rest = admitted->dst_leaf;
     std::array<std::uint64_t, kMaxTreeLevels> delta_at{};
     for (std::uint32_t h = 0; h < H; ++h) {
       delta_at[h] = pval + wpow[h] * dst_rest;
@@ -73,11 +63,11 @@ ScheduleResult StaticDestinationScheduler::schedule(
         rejected = true;
         break;
       }
-      tx.occupy_up(h, sigma, ports[h]);
+      tx_.occupy_up(h, sigma, ports[h]);
       if (probe_) probe_->on_port_pick(h, ports[h]);
       pval = ports[h] + w * pval;
-      src_rest /= m;
-      dst_rest /= m;
+      src_rest = divm(src_rest);
+      dst_rest = divm(dst_rest);
       sigma = pval + wpow[h + 1] * src_rest;
     }
     if (!rejected) {
@@ -92,21 +82,19 @@ ScheduleResult StaticDestinationScheduler::schedule(
           rejected = true;
           break;
         }
-        tx.occupy_down(h, delta, ports[h]);
+        tx_.occupy_down(h, delta, ports[h]);
       }
     }
 
     if (rejected) {
-      leaves.release(r.src, r.dst);
-      if (probe_) probe_->on_rollback(tx.size());
-      // tx rolls back on destruction
+      admission_.release(r, out);
+      if (probe_) probe_->on_rollback(tx_.size());
+      tx_.rollback();
     } else {
       out.granted = true;
-      out.path.ancestor_level = H;
       out.path.ports = ports;
-      tx.commit();
+      tx_.commit();
     }
-    result.outcomes.push_back(out);
   }
   if (probe_) record_outcomes(result);
   return result;

@@ -19,6 +19,7 @@
 #pragma once
 
 #include "core/scheduler.hpp"
+#include "linkstate/transaction.hpp"
 
 namespace ftsched {
 
@@ -36,6 +37,10 @@ class StaticDestinationScheduler final : public Scheduler {
   /// The forced port string for a destination PE: P_h = (dst / m^h) mod m.
   static DigitVec static_ports(const FatTree& tree, NodeId dst,
                                std::uint32_t ancestor);
+
+ private:
+  BatchAdmission admission_;  ///< batch front end and its leaf tracker
+  Transaction tx_;            ///< rebound for every request
 };
 
 }  // namespace ftsched

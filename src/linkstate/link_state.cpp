@@ -170,31 +170,6 @@ void LinkState::set_dlink(std::uint32_t level, std::uint64_t sw,
       available ? 1 : std::uint64_t(-1);
 }
 
-std::optional<std::uint32_t> LinkState::first_available_port(
-    std::uint32_t level, std::uint64_t src_sw, std::uint64_t dst_sw) const {
-  return next_available_port(level, src_sw, dst_sw, 0);
-}
-
-std::optional<std::uint32_t> LinkState::next_available_port(
-    std::uint32_t level, std::uint64_t src_sw, std::uint64_t dst_sw,
-    std::uint32_t from) const {
-  FT_REQUIRE(level < link_levels_);
-  FT_REQUIRE(src_sw < rows_[level]);
-  FT_REQUIRE(dst_sw < rows_[level]);
-  if (from >= w_) return std::nullopt;
-  const std::uint64_t* su = &u_[level][src_sw * row_words_];
-  const std::uint64_t* dd = &d_[level][dst_sw * row_words_];
-  std::uint64_t wd = from / 64;
-  std::uint64_t word = (su[wd] & dd[wd]) & ~bits::low_mask(from % 64);
-  while (true) {
-    if (word != 0) {
-      return static_cast<std::uint32_t>(wd * 64 + bits::find_first_word(word));
-    }
-    if (++wd >= row_words_) return std::nullopt;
-    word = su[wd] & dd[wd];
-  }
-}
-
 std::uint32_t LinkState::available_port_count(std::uint32_t level,
                                               std::uint64_t src_sw,
                                               std::uint64_t dst_sw) const {
@@ -475,56 +450,6 @@ std::optional<std::uint32_t> LinkState::nth_balanced_local_ulink(
         if (index == 0) return p;
         --index;
       }
-      word &= word - 1;
-    }
-  }
-  return std::nullopt;
-}
-
-std::uint32_t LinkState::local_ulink_count(std::uint32_t level,
-                                           std::uint64_t src_sw) const {
-  FT_REQUIRE(level < link_levels_);
-  FT_REQUIRE(src_sw < rows_[level]);
-  const std::uint64_t* su = &u_[level][src_sw * row_words_];
-  std::uint32_t count = 0;
-  for (std::uint64_t wd = 0; wd < row_words_; ++wd) {
-    count += static_cast<std::uint32_t>(bits::popcount(su[wd]));
-  }
-  return count;
-}
-
-std::optional<std::uint32_t> LinkState::first_local_ulink(
-    std::uint32_t level, std::uint64_t src_sw) const {
-  return next_local_ulink(level, src_sw, 0);
-}
-
-std::optional<std::uint32_t> LinkState::next_local_ulink(
-    std::uint32_t level, std::uint64_t src_sw, std::uint32_t from) const {
-  FT_REQUIRE(level < link_levels_);
-  FT_REQUIRE(src_sw < rows_[level]);
-  if (from >= w_) return std::nullopt;
-  const std::uint64_t* su = &u_[level][src_sw * row_words_];
-  std::uint64_t wd = from / 64;
-  std::uint64_t word = su[wd] & ~bits::low_mask(from % 64);
-  while (true) {
-    if (word != 0) {
-      return static_cast<std::uint32_t>(wd * 64 + bits::find_first_word(word));
-    }
-    if (++wd >= row_words_) return std::nullopt;
-    word = su[wd];
-  }
-}
-
-std::optional<std::uint32_t> LinkState::nth_local_ulink(
-    std::uint32_t level, std::uint64_t src_sw, std::uint32_t index) const {
-  FT_REQUIRE(level < link_levels_);
-  const std::uint64_t* su = &u_[level][src_sw * row_words_];
-  for (std::uint64_t wd = 0; wd < row_words_; ++wd) {
-    std::uint64_t word = su[wd];
-    while (word != 0) {
-      const std::size_t bit = bits::find_first_word(word);
-      if (index == 0) return static_cast<std::uint32_t>(wd * 64 + bit);
-      --index;
       word &= word - 1;
     }
   }

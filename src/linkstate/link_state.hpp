@@ -18,6 +18,7 @@
 
 #include "topology/fat_tree.hpp"
 #include "topology/path.hpp"
+#include "util/bitvec.hpp"
 #include "util/contracts.hpp"
 #include "util/result.hpp"
 
@@ -54,19 +55,149 @@ class LinkState {
 
   // --- The scheduler's fused row operation ----------------------------------
 
+  /// What a LevelView pick returns when no port qualifies.
+  static constexpr std::uint32_t kNoPort = ~std::uint32_t{0};
+
+  /// One level's packed rows, resolved once per level sweep. A scheduler's
+  /// hot loop fetches the view when it enters level h and then picks
+  /// through it: the pick is the paper's priority selector, a single-word
+  /// AND of Ulink(h, σ) with Dlink(h, δ) and a count-trailing-zeros, with no
+  /// per-pick reload of the level's matrices. Rows wider than 64 ports take
+  /// the multi-word loop inside the same functions. The picks return a plain
+  /// port or kNoPort, not an optional: merged across a policy switch, GCC
+  /// spills an optional<uint32_t> to the stack as two narrow stores and
+  /// reloads it as one wide load, which stalls store forwarding on every
+  /// pick. A view is invalidated by whatever invalidates ulink_row/dlink_row;
+  /// it sees every occupy and release made after it was taken.
+  class LevelView {
+   public:
+    std::uint32_t level() const { return level_; }
+
+    /// First port at or after `from` free on BOTH Ulink(σ = src_sw) and
+    /// Dlink(δ = dst_sw), or kNoPort if none is.
+    std::uint32_t next_available_port(std::uint64_t src_sw,
+                                      std::uint64_t dst_sw,
+                                      std::uint32_t from) const {
+      FT_REQUIRE(src_sw < rows_);
+      FT_REQUIRE(dst_sw < rows_);
+      if (from >= w_) return kNoPort;
+      if (words_ == 1) [[likely]] {
+        return first_set(u_[src_sw] & d_[dst_sw] &
+                         (~std::uint64_t{0} << from));
+      }
+      return next_set(u_ + src_sw * words_, d_ + dst_sw * words_, from);
+    }
+
+    std::uint32_t first_available_port(std::uint64_t src_sw,
+                                       std::uint64_t dst_sw) const {
+      return next_available_port(src_sw, dst_sw, 0);
+    }
+
+    /// First port at or after `from` free on the source side alone
+    /// (Ulink(σ = src_sw)) — the local scheduler's pick — or kNoPort.
+    std::uint32_t next_local_ulink(std::uint64_t src_sw,
+                                   std::uint32_t from) const {
+      FT_REQUIRE(src_sw < rows_);
+      if (from >= w_) return kNoPort;
+      if (words_ == 1) [[likely]] {
+        return first_set(u_[src_sw] & (~std::uint64_t{0} << from));
+      }
+      const std::uint64_t* su = u_ + src_sw * words_;
+      return next_set(su, su, from);
+    }
+
+    std::uint32_t first_local_ulink(std::uint64_t src_sw) const {
+      return next_local_ulink(src_sw, 0);
+    }
+
+    /// Ports free on the source side (popcount of Ulink(σ = src_sw)).
+    std::uint32_t local_ulink_count(std::uint64_t src_sw) const {
+      FT_REQUIRE(src_sw < rows_);
+      const std::uint64_t* su = u_ + src_sw * words_;
+      std::uint32_t count = 0;
+      for (std::uint64_t wd = 0; wd < words_; ++wd) {
+        count += static_cast<std::uint32_t>(bits::popcount(su[wd]));
+      }
+      return count;
+    }
+
+    /// The `index`-th (0-based) source-side free port, or kNoPort if fewer
+    /// are free.
+    std::uint32_t nth_local_ulink(std::uint64_t src_sw,
+                                  std::uint32_t index) const {
+      FT_REQUIRE(src_sw < rows_);
+      const std::uint64_t* su = u_ + src_sw * words_;
+      for (std::uint64_t wd = 0; wd < words_; ++wd) {
+        std::uint64_t word = su[wd];
+        while (word != 0) {
+          const std::size_t bit = bits::find_first_word(word);
+          if (index == 0) return static_cast<std::uint32_t>(wd * 64 + bit);
+          --index;
+          word &= word - 1;
+        }
+      }
+      return kNoPort;
+    }
+
+   private:
+    friend class LinkState;
+
+    static std::uint32_t first_set(std::uint64_t word) {
+      if (word == 0) return kNoPort;
+      return static_cast<std::uint32_t>(bits::find_first_word(word));
+    }
+
+    /// Multi-word rows: first set bit at or after `from` (< w) of a & b.
+    std::uint32_t next_set(const std::uint64_t* a, const std::uint64_t* b,
+                           std::uint32_t from) const {
+      std::uint64_t wd = from / 64;
+      std::uint64_t word = a[wd] & b[wd] & ~bits::low_mask(from % 64);
+      while (word == 0) {
+        if (++wd >= words_) return kNoPort;
+        word = a[wd] & b[wd];
+      }
+      return static_cast<std::uint32_t>(wd * 64 + bits::find_first_word(word));
+    }
+
+    const std::uint64_t* u_ = nullptr;
+    const std::uint64_t* d_ = nullptr;
+    std::uint64_t rows_ = 0;
+    std::uint64_t words_ = 0;
+    std::uint32_t w_ = 0;
+    std::uint32_t level_ = 0;
+  };
+
+  LevelView level_view(std::uint32_t level) const {
+    FT_REQUIRE(level < link_levels_);
+    LevelView view;
+    view.u_ = u_[level].data();
+    view.d_ = d_[level].data();
+    view.rows_ = rows_[level];
+    view.words_ = row_words_;
+    view.w_ = w_;
+    view.level_ = level;
+    return view;
+  }
+
   /// First port i with Ulink(level, src_sw)[i] AND Dlink(level, dst_sw)[i]
   /// (the paper's priority-selector semantics), or nullopt if the AND is all
   /// zero — the request is unschedulable at this level.
   std::optional<std::uint32_t> first_available_port(std::uint32_t level,
                                                     std::uint64_t src_sw,
-                                                    std::uint64_t dst_sw) const;
+                                                    std::uint64_t dst_sw) const {
+    return port_or_nullopt(
+        level_view(level).first_available_port(src_sw, dst_sw));
+  }
 
   /// Like first_available_port but skips ports below `from` — used by the
   /// round-robin policy ablation.
   std::optional<std::uint32_t> next_available_port(std::uint32_t level,
                                                    std::uint64_t src_sw,
                                                    std::uint64_t dst_sw,
-                                                   std::uint32_t from) const;
+                                                   std::uint32_t from) const {
+    return port_or_nullopt(
+        level_view(level).next_available_port(src_sw, dst_sw, from));
+  }
 
   /// Number of ports available on BOTH sides (popcount of the AND).
   std::uint32_t available_port_count(std::uint32_t level, std::uint64_t src_sw,
@@ -147,15 +278,23 @@ class LinkState {
   /// Ports free on the SOURCE side only (local information — what the
   /// conventional adaptive scheduler sees).
   std::uint32_t local_ulink_count(std::uint32_t level,
-                                  std::uint64_t src_sw) const;
+                                  std::uint64_t src_sw) const {
+    return level_view(level).local_ulink_count(src_sw);
+  }
   std::optional<std::uint32_t> first_local_ulink(std::uint32_t level,
-                                                 std::uint64_t src_sw) const;
+                                                 std::uint64_t src_sw) const {
+    return port_or_nullopt(level_view(level).first_local_ulink(src_sw));
+  }
   std::optional<std::uint32_t> next_local_ulink(std::uint32_t level,
                                                 std::uint64_t src_sw,
-                                                std::uint32_t from) const;
+                                                std::uint32_t from) const {
+    return port_or_nullopt(level_view(level).next_local_ulink(src_sw, from));
+  }
   std::optional<std::uint32_t> nth_local_ulink(std::uint32_t level,
                                                std::uint64_t src_sw,
-                                               std::uint32_t index) const;
+                                               std::uint32_t index) const {
+    return port_or_nullopt(level_view(level).nth_local_ulink(src_sw, index));
+  }
 
   // --- Raw-row access -------------------------------------------------------
   //
@@ -270,6 +409,11 @@ class LinkState {
 
  private:
   using Matrix = std::vector<std::uint64_t>;  // one per level, rows flattened
+
+  static std::optional<std::uint32_t> port_or_nullopt(std::uint32_t port) {
+    if (port == kNoPort) return std::nullopt;
+    return port;
+  }
 
   bool test(const std::vector<Matrix>& mats, std::uint32_t level,
             std::uint64_t sw, std::uint32_t port) const {

@@ -20,7 +20,12 @@ namespace ftsched {
 
 class Transaction {
  public:
-  explicit Transaction(LinkState& state) : state_(&state) {}
+  explicit Transaction(LinkState& state)
+      : state_(&state), committed_(false) {}
+
+  /// An unbound, settled transaction: scheduler-owned scratch that rebind()
+  /// arms for each request.
+  Transaction() = default;
 
   Transaction(const Transaction&) = delete;
   Transaction& operator=(const Transaction&) = delete;
@@ -30,10 +35,11 @@ class Transaction {
   }
 
   /// Re-arms a settled (committed or rolled-back) transaction against
-  /// `state`, keeping the entry buffer's capacity. The schedulers hold their
-  /// transactions as per-batch scratch and rebind instead of reconstructing,
-  /// so the steady-state hot path does one heap allocation per scratch slot
-  /// EVER, not one per request per batch.
+  /// `state`, keeping the entry buffer's capacity. The per-request
+  /// schedulers (request-major levelwise, local, dmodk) each own one
+  /// transaction and rebind it for every request instead of constructing
+  /// one, so once the buffer has grown to a circuit's 2·H entries the hot
+  /// path allocates nothing.
   void rebind(LinkState& state) {
     FT_REQUIRE(committed_ || entries_.empty());
     state_ = &state;
@@ -103,9 +109,9 @@ class Transaction {
     Direction direction;
   };
 
-  LinkState* state_;
+  LinkState* state_ = nullptr;
   std::vector<Entry> entries_;
-  bool committed_ = false;
+  bool committed_ = true;  // settled until bound
 };
 
 }  // namespace ftsched

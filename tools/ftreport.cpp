@@ -80,11 +80,13 @@
 // anchor mismatch, or quality-gate failure, 2 = usage or parse error.
 #include <algorithm>
 #include <cctype>
+#include <cmath>
 #include <cstdint>
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
 #include <map>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <string_view>
@@ -94,9 +96,11 @@ namespace {
 
 // --- Minimal JSON ----------------------------------------------------------
 // Recursive-descent parser for the subset of RFC 8259 the repo's writers
-// emit (they never produce exotic numbers, and escapes beyond \uXXXX basic
-// plane are absent). Objects keep insertion order so report tables follow
-// the producer's ordering.
+// emit (escapes beyond the \uXXXX basic plane are absent). Numbers follow
+// the RFC grammar exactly — no leading zeros, no bare '.', no '+' sign —
+// and must be finite doubles: 1e999 is an error, not infinity. Errors name
+// the line and column they were found at. Objects keep insertion order so
+// report tables follow the producer's ordering.
 
 struct JsonValue {
   enum class Type : std::uint8_t { kNull, kBool, kNumber, kString, kArray, kObject };
@@ -121,21 +125,22 @@ struct JsonValue {
 
 class JsonParser {
  public:
-  explicit JsonParser(std::string_view text) : text_(text) {}
+  /// `first_line` numbers the text's first line in error locations (a
+  /// JSON-lines reader passes the file line it parses).
+  explicit JsonParser(std::string_view text, std::size_t first_line = 1)
+      : text_(text), first_line_(first_line) {}
 
   bool parse(JsonValue& out, std::string& error) {
     skip_ws();
     if (!parse_value(out, error)) return false;
     skip_ws();
-    if (pos_ != text_.size()) {
-      error = "trailing content at offset " + std::to_string(pos_);
-      return false;
-    }
+    if (pos_ != text_.size()) return fail(error, "trailing content");
     return true;
   }
 
  private:
   std::string_view text_;
+  std::size_t first_line_;
   std::size_t pos_ = 0;
 
   void skip_ws() {
@@ -145,8 +150,19 @@ class JsonParser {
       ++pos_;
     }
   }
+  /// Records `what` at the current position as "line L, column C: what"
+  /// (1-based; columns count bytes).
   bool fail(std::string& error, const std::string& what) {
-    error = what + " at offset " + std::to_string(pos_);
+    const std::size_t at = std::min(pos_, text_.size());
+    const std::string_view before = text_.substr(0, at);
+    const std::size_t line_start = before.rfind('\n');
+    const std::size_t line =
+        first_line_ + static_cast<std::size_t>(
+                          std::count(before.begin(), before.end(), '\n'));
+    const std::size_t column =
+        line_start == std::string_view::npos ? at + 1 : at - line_start;
+    error = "line " + std::to_string(line) + ", column " +
+            std::to_string(column) + ": " + what;
     return false;
   }
 
@@ -301,27 +317,72 @@ class JsonParser {
     return fail(error, "unterminated string");
   }
 
+  bool at_digit() const {
+    return pos_ < text_.size() &&
+           std::isdigit(static_cast<unsigned char>(text_[pos_]));
+  }
+  bool at(char c) const { return pos_ < text_.size() && text_[pos_] == c; }
+  /// Consumes a run of digits; false when there is none.
+  bool digits() {
+    if (!at_digit()) return false;
+    while (at_digit()) ++pos_;
+    return true;
+  }
+
+  /// number = [ "-" ] ( "0" / 1-9 *DIGIT ) [ "." 1*DIGIT ]
+  ///          [ ( "e" / "E" ) [ "+" / "-" ] 1*DIGIT ]
   bool parse_number(JsonValue& out, std::string& error) {
     const std::size_t start = pos_;
-    if (pos_ < text_.size() && text_[pos_] == '-') ++pos_;
-    while (pos_ < text_.size() &&
-           (std::isdigit(static_cast<unsigned char>(text_[pos_])) ||
-            text_[pos_] == '.' || text_[pos_] == 'e' || text_[pos_] == 'E' ||
-            text_[pos_] == '+' || text_[pos_] == '-')) {
-      ++pos_;
-    }
-    if (pos_ == start) return fail(error, "expected value");
-    const std::string token(text_.substr(start, pos_ - start));
-    char* end = nullptr;
-    out.number = std::strtod(token.c_str(), &end);
-    if (end != token.c_str() + token.size()) {
+    if (at('-')) ++pos_;
+    if (!at_digit()) {
       pos_ = start;
-      return fail(error, "bad number");
+      return fail(error, "expected value");
+    }
+    // Every error below is located at the number's first character.
+    const auto bad = [&](const std::string& what) {
+      pos_ = start;
+      return fail(error, what);
+    };
+    if (at('0')) {
+      ++pos_;
+      if (at_digit()) return bad("leading zero in number");
+    } else {
+      digits();
+    }
+    if (at('.')) {
+      ++pos_;
+      if (!digits()) return bad("expected digit after '.' in number");
+    }
+    if (at('e') || at('E')) {
+      ++pos_;
+      if (at('+') || at('-')) ++pos_;
+      if (!digits()) return bad("expected exponent digits in number");
+    }
+    const std::string token(text_.substr(start, pos_ - start));
+    out.number = std::strtod(token.c_str(), nullptr);
+    if (!std::isfinite(out.number)) {
+      return bad("number " + token + " out of range");
     }
     out.type = JsonValue::Type::kNumber;
     return true;
   }
 };
+
+/// A flag value that must be a finite, non-negative decimal number and
+/// nothing else: no sign, blanks, hex, trailing text, "inf" or "nan".
+std::optional<double> parse_non_negative(const std::string& text) {
+  if (text.empty() || text.find_first_not_of("0123456789.eE+-") !=
+                          std::string::npos ||
+      !(std::isdigit(static_cast<unsigned char>(text[0])) || text[0] == '.')) {
+    return std::nullopt;
+  }
+  char* end = nullptr;
+  const double value = std::strtod(text.c_str(), &end);
+  if (end != text.c_str() + text.size() || !std::isfinite(value)) {
+    return std::nullopt;
+  }
+  return value;
+}
 
 bool parse_file(const std::string& path, JsonValue& out) {
   std::ifstream in(path);
@@ -354,9 +415,8 @@ bool parse_jsonl_file(const std::string& path, std::vector<JsonValue>& out) {
     if (line.empty()) continue;
     JsonValue value;
     std::string error;
-    if (!JsonParser(line).parse(value, error)) {
-      std::cerr << "ftreport: " << path << ":" << lineno << ": " << error
-                << "\n";
+    if (!JsonParser(line, lineno).parse(value, error)) {
+      std::cerr << "ftreport: " << path << ": " << error << "\n";
       return false;
     }
     out.push_back(std::move(value));
@@ -729,12 +789,12 @@ int run_regression(const Args& args) {
   if (const auto it = args.flags.find("threshold"); it != args.flags.end()) {
     std::string t = it->second;
     if (!t.empty() && t.back() == '%') t.pop_back();
-    char* end = nullptr;
-    threshold = std::strtod(t.c_str(), &end);
-    if (t.empty() || end != t.c_str() + t.size() || threshold < 0.0) {
+    const std::optional<double> parsed = parse_non_negative(t);
+    if (!parsed) {
       std::cerr << "ftreport: bad --threshold '" << it->second << "'\n";
       return 2;
     }
+    threshold = *parsed;
   }
   const bool perf = args.flags.count("perf") > 0;
 
@@ -1887,11 +1947,13 @@ int run_quality(const Args& args) {
   }
   if (const auto it = args.flags.find("max-sched-drop");
       it != args.flags.end()) {
-    max_sched_drop = std::atof(it->second.c_str());
-    if (max_sched_drop < 0.0) {
-      std::cerr << "ftreport: --max-sched-drop must be >= 0\n";
+    const std::optional<double> parsed = parse_non_negative(it->second);
+    if (!parsed) {
+      std::cerr << "ftreport: --max-sched-drop must be a number >= 0, not '"
+                << it->second << "'\n";
       return 2;
     }
+    max_sched_drop = *parsed;
   }
   JsonValue doc;
   if (!parse_file(bench_it->second, doc)) return 2;
