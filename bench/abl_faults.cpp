@@ -23,6 +23,7 @@
 #include "linkstate/imbalance.hpp"
 #include "obs/env.hpp"
 #include "stats/summary.hpp"
+#include "util/json.hpp"
 #include "util/table.hpp"
 #include "workload/patterns.hpp"
 
@@ -58,7 +59,7 @@ void write_json(const std::string& path, std::size_t reps,
     const AblationPoint& p = points[i];
     if (i) os << ',';
     os << "\n{\"levels\":3,\"arity\":8,\"fault_rate\":" << p.rate
-       << ",\"scheduler\":\"" << obs::json_escape(p.scheduler) << "\",";
+       << ",\"scheduler\":\"" << json_escape(p.scheduler) << "\",";
     write_summary(os, "schedulability", p.schedulability);
     os << ',';
     write_summary(os, "imbalance_max_over_mean", p.imbalance_max_over_mean);

@@ -38,7 +38,7 @@ int main(int argc, char** argv) {
          TextTable::pct(global_ff.schedulability.mean),
          TextTable::pct(global_rm.schedulability.mean),
          TextTable::pct(local.schedulability.mean),
-         (gap >= 0 ? "+" : "") + TextTable::pct(gap)});
+         std::string(gap >= 0 ? "+" : "").append(TextTable::pct(gap))});
   }
   table.print(std::cout);
   std::cout

@@ -21,9 +21,9 @@
 
 #include "exec/thread_pool.hpp"
 #include "obs/env.hpp"
-#include "obs/metrics.hpp"
 #include "obs/stopwatch.hpp"
 #include "stats/runner.hpp"
+#include "util/json.hpp"
 #include "util/parse.hpp"
 #include "util/table.hpp"
 
@@ -155,7 +155,7 @@ inline void write_bench_json(const std::string& path,
     std::cerr << "cannot open " << path << "\n";
     return;
   }
-  os << "{\"bench\":\"" << obs::json_escape(bench) << "\",\"reps\":" << reps
+  os << "{\"bench\":\"" << json_escape(bench) << "\",\"reps\":" << reps
      << ",\"threads\":" << threads << ",\"env\":";
   obs::write_env_json(os, obs::collect_env());
   os << ",\"points\":[";

@@ -39,6 +39,7 @@
 #include "obs/metrics.hpp"
 #include "obs/stopwatch.hpp"
 #include "stats/summary.hpp"
+#include "util/json.hpp"
 #include "util/parse.hpp"
 #include "util/table.hpp"
 
@@ -176,7 +177,7 @@ void write_json(const std::string& path, const Args& args,
   }
   os << "{\"bench\":\"degradation\",\"reps\":" << args.reps
      << ",\"threads\":" << args.threads << ",\"horizon\":" << args.horizon
-     << ",\"retry\":\"" << obs::json_escape(args.retry) << "\",\"env\":";
+     << ",\"retry\":\"" << json_escape(args.retry) << "\",\"env\":";
   obs::write_env_json(os, obs::collect_env());
   os << ",\"points\":[";
   for (std::size_t i = 0; i < rows.size(); ++i) {
@@ -185,7 +186,7 @@ void write_json(const std::string& path, const Args& args,
     if (i) os << ',';
     os << "\n{\"levels\":" << row.spec.levels << ",\"arity\":" << row.spec.arity
        << ",\"nodes\":" << row.nodes << ",\"fault_rate\":" << row.fault_rate
-       << ",\"scheduler\":\"" << obs::json_escape(row.scheduler) << "\",";
+       << ",\"scheduler\":\"" << json_escape(row.scheduler) << "\",";
     write_summary(os, "schedulability", p.schedulability);
     os << ',';
     write_summary(os, "open_ratio", p.open_ratio);

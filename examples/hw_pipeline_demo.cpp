@@ -50,7 +50,8 @@ int main(int argc, char** argv) {
   for (std::uint32_t b = 0; b < pipeline.stage_count(); ++b) {
     const PBlock& block = pipeline.block(b);
     blocks.add_row(
-        {"P" + std::to_string(b), std::to_string(block.level()),
+        {std::string("P").append(std::to_string(b)),
+         std::to_string(block.level()),
          std::to_string(block.busy_cycles()),
          std::to_string(block.ulink_memory().read_count() +
                         block.dlink_memory().read_count()),

@@ -94,7 +94,10 @@ std::string RetryPolicy::spec() const {
     case Kind::kBackoff: {
       std::string out = "backoff:" + std::to_string(base_delay) + ":" +
                         std::to_string(max_retries);
-      if (jitter > 0.0) out += ":" + std::to_string(jitter);
+      if (jitter > 0.0) {
+        out += ':';
+        out += std::to_string(jitter);
+      }
       return out;
     }
   }

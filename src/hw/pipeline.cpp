@@ -123,7 +123,7 @@ PipelineReport LevelwisePipeline::schedule(std::span<const Request> requests) {
   if (tracer_) {
     busy_before.resize(stages);
     for (std::size_t k = 0; k < stages; ++k) {
-      block_names.push_back("P" + std::to_string(k));
+      block_names.push_back(std::string("P").append(std::to_string(k)));
       tracer_->set_thread_name(obs::kPidHw, static_cast<std::uint32_t>(k),
                                "stage " + block_names.back());
     }

@@ -4,7 +4,7 @@
 #include <ostream>
 #include <string>
 
-#include "obs/metrics.hpp"
+#include "util/json.hpp"
 
 #if defined(__unix__) || defined(__APPLE__)
 #include <unistd.h>

@@ -4,42 +4,16 @@
 #include <initializer_list>
 #include <istream>
 #include <limits>
+#include <optional>
 #include <string>
+
+#include "util/json.hpp"
 
 namespace ftsched::obs {
 
 namespace {
 
-/// Outcome of looking up one unsigned field.
-enum class Field : std::uint8_t { kOk, kMissing, kOverflow };
-
-/// Finds `"key":` in a flat one-line JSON object and parses the unsigned
-/// integer that follows. The dump writer emits exactly this shape (no
-/// spaces, no nesting), so plain string scanning is both sufficient and
-/// byte-for-byte deterministic. A value that does not fit 64 bits is
-/// kOverflow, never wrapped.
-Field find_u64(const std::string& line, std::string_view key,
-               std::uint64_t& out) {
-  const std::string needle = "\"" + std::string(key) + "\":";
-  const std::size_t at = line.find(needle);
-  if (at == std::string::npos) return Field::kMissing;
-  std::size_t i = at + needle.size();
-  if (i >= line.size() || line[i] < '0' || line[i] > '9') {
-    return Field::kMissing;
-  }
-  constexpr std::uint64_t kMax = std::numeric_limits<std::uint64_t>::max();
-  std::uint64_t value = 0;
-  while (i < line.size() && line[i] >= '0' && line[i] <= '9') {
-    const auto digit = static_cast<std::uint64_t>(line[i] - '0');
-    if (value > (kMax - digit) / 10) return Field::kOverflow;
-    value = value * 10 + digit;
-    ++i;
-  }
-  out = value;
-  return Field::kOk;
-}
-
-/// One unsigned field to read, and the largest value the field it is
+/// One unsigned field of a dump line, and the largest value the field it is
 /// stored in can hold.
 struct U64Field {
   std::string_view key;
@@ -47,43 +21,42 @@ struct U64Field {
   std::uint64_t max = std::numeric_limits<std::uint64_t>::max();
 };
 
-/// Reads each field of `line` into its slot. Returns the empty string on
-/// success, else what is wrong with the first bad field: missing, longer
-/// than 64 bits, or above its `max`.
-std::string read_fields(const std::string& line,
-                        std::initializer_list<U64Field> fields) {
-  for (const U64Field& f : fields) {
-    switch (find_u64(line, f.key, *f.out)) {
-      case Field::kMissing:
-        return "missing field '" + std::string(f.key) + "'";
-      case Field::kOverflow:
-        return "field '" + std::string(f.key) + "' overflows 64 bits";
-      case Field::kOk:
-        break;
-    }
-    if (*f.out > f.max) {
-      return "field '" + std::string(f.key) + "' = " +
-             std::to_string(*f.out) + " exceeds " + std::to_string(f.max);
+/// Reads one parsed dump line into its slots. The line must be an object
+/// holding exactly the format-v1 members: every field in `fields`, each a
+/// plain unsigned integer no larger than its `max`, and the string member
+/// `text_key`. Returns the empty string on success, else what is wrong.
+std::string read_members(const Json& line,
+                         std::initializer_list<U64Field> fields,
+                         std::string_view text_key, std::string& text) {
+  if (line.type != Json::Type::kObject) return "line is not a JSON object";
+  for (const auto& member : line.object) {
+    const std::string& key = member.first;
+    if (key != text_key &&
+        std::none_of(fields.begin(), fields.end(),
+                     [&](const U64Field& f) { return f.key == key; })) {
+      return "unknown key '" + json_escape(key) + "'";
     }
   }
+  for (const U64Field& f : fields) {
+    const Json* value = line.find(f.key);
+    if (value == nullptr) return "missing field '" + std::string(f.key) + "'";
+    const std::optional<std::uint64_t> number = value->as_u64();
+    if (!number) {
+      return "field '" + std::string(f.key) +
+             "' is not an unsigned 64-bit integer";
+    }
+    if (*number > f.max) {
+      return "field '" + std::string(f.key) + "' = " +
+             std::to_string(*number) + " exceeds " + std::to_string(f.max);
+    }
+    *f.out = *number;
+  }
+  const Json* value = line.find(text_key);
+  if (value == nullptr || value->type != Json::Type::kString) {
+    return "missing field '" + std::string(text_key) + "'";
+  }
+  text = value->str;
   return {};
-}
-
-/// Same, for a quoted string value.
-bool find_string(const std::string& line, std::string_view key,
-                 std::string& out) {
-  const std::string needle = "\"" + std::string(key) + "\":\"";
-  const std::size_t at = line.find(needle);
-  if (at == std::string::npos) return false;
-  const std::size_t begin = at + needle.size();
-  const std::size_t end = line.find('"', begin);
-  if (end == std::string::npos) return false;
-  out = line.substr(begin, end - begin);
-  return true;
-}
-
-bool blank(const std::string& line) {
-  return line.find_first_not_of(" \t\r\n") == std::string::npos;
 }
 
 }  // namespace
@@ -100,25 +73,34 @@ Result<FlightDump> read_flight_jsonl(std::istream& is) {
   };
   while (std::getline(is, line)) {
     ++line_no;
-    if (blank(line)) continue;
+    if (line.find_first_not_of(" \t\r\n") == std::string::npos) continue;
+    const Result<Json> parsed = parse_json(line, line_no);
+    if (!parsed.ok()) {
+      return Result<FlightDump>::error("flight dump: malformed JSON at " +
+                                       parsed.message());
+    }
+    const Json& json = parsed.value();
     if (!have_header) {
-      std::string type;
-      if (!find_string(line, "type", type) || type != "flight_recorder") {
-        return Result<FlightDump>::error(
-            "flight dump: first line is not a flight_recorder header");
+      const Json* type = json.find("type");
+      if (type == nullptr || type->type != Json::Type::kString ||
+          type->str != "flight_recorder") {
+        return at_line("first line is not a flight_recorder header");
       }
       std::uint64_t version = 0;
       std::uint64_t rings = 0;
-      const std::string bad = read_fields(
-          line, {{"version", &version, kU32Max},
-                 {"rings", &rings, kU32Max},
-                 {"capacity", &dump.capacity},
-                 {"recorded", &dump.recorded},
-                 {"dropped", &dump.dropped}});
+      std::string type_name;
+      const std::string bad = read_members(
+          json,
+          {{"version", &version, kU32Max},
+           {"rings", &rings, kU32Max},
+           {"capacity", &dump.capacity},
+           {"recorded", &dump.recorded},
+           {"dropped", &dump.dropped}},
+          "type", type_name);
       if (!bad.empty()) return at_line("header " + bad);
       if (version != 1) {
-        return Result<FlightDump>::error(
-            "flight dump: unsupported format version");
+        return at_line("unsupported format version " +
+                       std::to_string(version));
       }
       dump.version = static_cast<std::uint32_t>(version);
       dump.rings = static_cast<std::uint32_t>(rings);
@@ -131,26 +113,23 @@ Result<FlightDump> read_flight_jsonl(std::istream& is) {
     std::uint64_t b = 0;
     std::uint64_t c = 0;
     std::string kind;
-    const std::string bad = read_fields(
-        line, {{"ring", &ring, kU32Max},
-               {"req", &record.event.req},
-               {"t", &record.event.t},
-               {"a", &a, std::numeric_limits<std::uint8_t>::max()},
-               {"b", &b, std::numeric_limits<std::uint16_t>::max()},
-               {"c", &c, kU32Max}});
+    const std::string bad = read_members(
+        json,
+        {{"ring", &ring, kU32Max},
+         {"req", &record.event.req},
+         {"t", &record.event.t},
+         {"a", &a, std::numeric_limits<std::uint8_t>::max()},
+         {"b", &b, std::numeric_limits<std::uint16_t>::max()},
+         {"c", &c, kU32Max}},
+        "kind", kind);
     if (!bad.empty()) return at_line("malformed event: " + bad);
-    if (!find_string(line, "kind", kind)) {
-      return at_line("malformed event: missing field 'kind'");
-    }
     if (ring >= dump.rings) {
       return at_line("event ring " + std::to_string(ring) +
                      " is not below the header's rings = " +
                      std::to_string(dump.rings));
     }
     if (!flight_kind_from_string(kind, record.event.kind)) {
-      return Result<FlightDump>::error("flight dump: unknown event kind '" +
-                                       kind + "' at line " +
-                                       std::to_string(line_no));
+      return at_line("unknown event kind '" + json_escape(kind) + "'");
     }
     record.ring = static_cast<std::uint32_t>(ring);
     record.event.a = static_cast<std::uint8_t>(a);
@@ -197,31 +176,34 @@ std::vector<CircuitTimeline> stitch_timelines(const FlightRecorder& recorder) {
   return stitch_timelines(records);
 }
 
+std::optional<std::uint64_t> admission_latency(
+    const CircuitTimeline& timeline) {
+  std::optional<std::uint64_t> requested_at;
+  for (const FlightEvent& event : timeline.events) {
+    if (event.kind == FlightEventKind::kRequested && !requested_at) {
+      requested_at = event.t;
+    } else if (event.kind == FlightEventKind::kGranted) {
+      if (!requested_at) return std::nullopt;
+      return event.t - *requested_at;
+    }
+  }
+  return std::nullopt;
+}
+
 SloSummary summarize_slo(const std::vector<CircuitTimeline>& timelines) {
   SloSummary slo;
   for (const CircuitTimeline& timeline : timelines) {
     ++slo.circuits;
-    bool saw_requested = false;
     bool saw_granted = false;
-    std::uint64_t requested_at = 0;
-    std::uint64_t first_granted_at = 0;
     bool revocation_pending = false;
     std::uint64_t revoked_at = 0;
     std::uint64_t retries = 0;
     for (const FlightEvent& event : timeline.events) {
       switch (event.kind) {
-        case FlightEventKind::kRequested:
-          if (!saw_requested) {
-            saw_requested = true;
-            requested_at = event.t;
-          }
-          break;
         case FlightEventKind::kGranted:
-          if (!saw_granted) {
-            saw_granted = true;
-            first_granted_at = event.t;
-          }
+          saw_granted = true;
           break;
+        case FlightEventKind::kRequested:
         case FlightEventKind::kRejected:
           break;
         case FlightEventKind::kRevoked:
@@ -251,9 +233,8 @@ SloSummary summarize_slo(const std::vector<CircuitTimeline>& timelines) {
     }
     if (saw_granted) {
       ++slo.granted;
-      if (saw_requested) {
-        slo.admission_latency.push_back(
-            static_cast<double>(first_granted_at - requested_at));
+      if (const auto latency = admission_latency(timeline)) {
+        slo.admission_latency.push_back(static_cast<double>(*latency));
       }
     } else {
       ++slo.never_granted;

@@ -13,6 +13,7 @@
 
 #include <cstdint>
 #include <iosfwd>
+#include <optional>
 #include <vector>
 
 #include "obs/flight_recorder.hpp"
@@ -42,12 +43,14 @@ struct FlightDump {
   std::vector<FlightRecord> records;
 };
 
-/// Parses a format-v1 dump. Fails (never aborts) on a missing/foreign
-/// header, an unsupported version, an unknown event kind, a malformed
-/// line, a value that does not fit its field (never narrowed or wrapped),
-/// or an event ring not below the header's `rings` — dumps are post-mortem
-/// artifacts and may be truncated or hand-edited. Errors past the header
-/// check name the line.
+/// Parses a format-v1 dump. Each non-blank line must be one JSON object
+/// that parse_json (util/json.hpp) accepts, holding exactly the v1 members.
+/// Fails (never aborts) on a missing/foreign header, an unsupported
+/// version, an unknown event kind, a line that is not valid JSON, a missing,
+/// repeated or unknown key, a field that is not a plain unsigned integer or
+/// does not fit its slot (never narrowed or wrapped), or an event ring not
+/// below the header's `rings` — dumps are post-mortem artifacts and may be
+/// truncated or hand-edited. Errors past the header check name the line.
 Result<FlightDump> read_flight_jsonl(std::istream& is);
 
 /// Every event of one tracked request, in emission order.
@@ -69,6 +72,10 @@ std::vector<CircuitTimeline> stitch_timelines(
 
 /// Stitches straight from a live recorder (no dump round-trip).
 std::vector<CircuitTimeline> stitch_timelines(const FlightRecorder& recorder);
+
+/// First REQUESTED → first GRANTED ticks of one circuit; nullopt when it
+/// was never granted or no REQUESTED event precedes its first grant.
+std::optional<std::uint64_t> admission_latency(const CircuitTimeline& timeline);
 
 /// Per-circuit SLO aggregates derived from stitched timelines.
 struct SloSummary {

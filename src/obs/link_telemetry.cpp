@@ -216,7 +216,8 @@ void LinkTelemetry::export_metrics(MetricsRegistry& registry) const {
   for (std::uint32_t h = 0; h < levels_.size(); ++h) {
     const std::string level = "level" + std::to_string(h);
     for (const ChannelDir dir : {ChannelDir::kUp, ChannelDir::kDown}) {
-      const std::string suffix = "." + std::string(to_string(dir));
+      std::string suffix(".");
+      suffix += to_string(dir);
       registry.gauge("fabric.util." + level + suffix)
           .set(utilization(h, dir));
       const PerLevel& lvl = levels_[h];

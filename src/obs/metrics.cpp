@@ -3,41 +3,9 @@
 #include <array>
 #include <ostream>
 
-namespace ftsched::obs {
+#include "util/json.hpp"
 
-std::string json_escape(std::string_view text) {
-  std::string out;
-  out.reserve(text.size());
-  for (const char c : text) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\r':
-        out += "\\r";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          static constexpr char kHex[] = "0123456789abcdef";
-          out += "\\u00";
-          out += kHex[(static_cast<unsigned char>(c) >> 4) & 0xf];
-          out += kHex[static_cast<unsigned char>(c) & 0xf];
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
+namespace ftsched::obs {
 
 double Histogram::percentile(double q) const {
   FT_REQUIRE(q >= 0.0 && q <= 1.0);

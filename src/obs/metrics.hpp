@@ -25,10 +25,6 @@
 
 namespace ftsched::obs {
 
-/// Escapes `text` for inclusion inside a JSON string literal (quotes,
-/// backslashes, and control characters; everything else passes through).
-std::string json_escape(std::string_view text);
-
 /// Monotonically increasing event count. Wraps modulo 2^64 on overflow —
 /// unsigned arithmetic, never undefined behavior; at one increment per
 /// nanosecond the first wrap is ~584 years out, so exporters do not carry

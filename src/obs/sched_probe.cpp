@@ -3,6 +3,8 @@
 #include <ostream>
 #include <string>
 
+#include "util/json.hpp"
+
 namespace ftsched::obs {
 
 void SchedulerProbe::reset() {

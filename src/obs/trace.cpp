@@ -3,7 +3,7 @@
 #include <chrono>
 #include <ostream>
 
-#include "obs/metrics.hpp"
+#include "util/json.hpp"
 
 namespace ftsched::obs {
 

@@ -18,13 +18,17 @@ namespace {
 std::size_t g_allocations = 0;
 }  // namespace
 
-void* operator new(std::size_t size) {
+// Not inlined: GCC's -O3 would otherwise pair the inlined std::free with
+// an allocation it still sees as operator new and warn (mismatched-new-delete).
+[[gnu::noinline]] void* operator new(std::size_t size) {
   ++g_allocations;
   if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
   throw std::bad_alloc();
 }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept {
+  std::free(p);
+}
 
 namespace ftsched {
 namespace {

@@ -8,7 +8,7 @@
 #include <string>
 #include <vector>
 
-#include "../obs/json_check.hpp"
+#include "util/json.hpp"
 
 namespace ftlint {
 namespace {
@@ -28,21 +28,21 @@ TEST(Output, TextOneLinePerFinding) {
 }
 
 TEST(Output, JsonEscaping) {
-  EXPECT_EQ(json_escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
-  EXPECT_EQ(json_escape(std::string_view("\x01", 1)), "\\u0001");
+  EXPECT_EQ(ftsched::json_escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
+  EXPECT_EQ(ftsched::json_escape(std::string_view("\x01", 1)), "\\u0001");
 }
 
 TEST(Output, JsonIsValidAndComplete) {
   const std::string doc = to_json(sample_findings());
-  EXPECT_TRUE(ftsched::test::json_valid(doc)) << doc;
+  EXPECT_EQ(ftsched::parse_json(doc).message(), "") << doc;
   EXPECT_NE(doc.find("\"count\": 2"), std::string::npos);
   EXPECT_NE(doc.find("\"rule\": \"layering\""), std::string::npos);
-  EXPECT_TRUE(ftsched::test::json_valid(to_json({})));
+  EXPECT_EQ(ftsched::parse_json(to_json({})).message(), "");
 }
 
 TEST(Output, SarifIsValidJsonWithRequiredFields) {
   const std::string doc = to_sarif(sample_findings());
-  EXPECT_TRUE(ftsched::test::json_valid(doc)) << doc;
+  EXPECT_EQ(ftsched::parse_json(doc).message(), "") << doc;
   EXPECT_NE(doc.find("\"version\": \"2.1.0\""), std::string::npos);
   EXPECT_NE(doc.find("\"ruleId\": \"no-raw-io\""), std::string::npos);
   EXPECT_NE(doc.find("\"startLine\": 12"), std::string::npos);
@@ -57,7 +57,7 @@ TEST(Output, SarifIsValidJsonWithRequiredFields) {
 
 TEST(Output, SarifEmptyRunIsStillValid) {
   const std::string doc = to_sarif({});
-  EXPECT_TRUE(ftsched::test::json_valid(doc)) << doc;
+  EXPECT_EQ(ftsched::parse_json(doc).message(), "") << doc;
   EXPECT_NE(doc.find("\"results\": []"), std::string::npos);
 }
 

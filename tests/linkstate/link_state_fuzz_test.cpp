@@ -159,8 +159,10 @@ INSTANTIATE_TEST_SUITE_P(
                     std::tuple{4u, 3u}),
     [](const testing::TestParamInfo<std::tuple<std::uint32_t, std::uint32_t>>&
            param_info) {
-      return "l" + std::to_string(std::get<0>(param_info.param)) + "w" +
-             std::to_string(std::get<1>(param_info.param));
+      return std::string("l")
+          .append(std::to_string(std::get<0>(param_info.param)))
+          .append("w")
+          .append(std::to_string(std::get<1>(param_info.param)));
     });
 
 }  // namespace

@@ -8,12 +8,11 @@
 
 #include <sstream>
 #include <string>
-#include <string_view>
 #include <vector>
 
-#include "json_check.hpp"
 #include "obs/flight_decoder.hpp"
 #include "obs/metrics.hpp"
+#include "util/json.hpp"
 
 namespace ftsched::obs {
 namespace {
@@ -118,17 +117,10 @@ TEST(FlightDump, EveryLineIsStrictJson) {
   std::ostringstream os;
   recorder.write_jsonl(os);
   const std::string text = os.str();
+  std::istringstream in(text);
   std::size_t lines = 0;
-  std::size_t start = 0;
-  while (start < text.size()) {
-    std::size_t end = text.find('\n', start);
-    if (end == std::string::npos) end = text.size();
-    const std::string_view line(text.data() + start, end - start);
-    if (!line.empty()) {
-      EXPECT_TRUE(ftsched::test::json_valid(line)) << "line: " << line;
-      ++lines;
-    }
-    start = end + 1;
+  for (std::string line; std::getline(in, line); ++lines) {
+    EXPECT_EQ(parse_json(line).message(), "") << "line: " << line;
   }
   EXPECT_EQ(lines, 5u);  // header + four events
   EXPECT_EQ(text.rfind("{\"type\":\"flight_recorder\",\"version\":1", 0), 0u);
@@ -227,6 +219,31 @@ TEST(FlightDump, DecoderRejectsMalformedInput) {
   EXPECT_TRUE(parse(header + event("0", "18446744073709551615", "255",
                                    "65535", "4294967295"))
                   .ok());
+
+  // Each line is strict JSON holding exactly the v1 members: no trailing
+  // text, no repeated or unknown key, and integers written as integers.
+  const std::string closed =
+      "{\"ring\":0,\"req\":12,\"t\":0,\"kind\":\"CLOSED\",\"a\":0,"
+      "\"b\":0,\"c\":0}";
+  const auto with = [&](const std::string& from, const std::string& to) {
+    std::string line = closed;
+    line.replace(line.find(from), from.size(), to);
+    return header + line + "\n";
+  };
+  rejects_at_line(header + closed + "x\n", 2);
+  rejects_at_line(with("\"req\":12", "\"req\":12,\"req\":12"), 2);
+  rejects_at_line(with("\"req\":12", "\"req\":12x"), 2);
+  rejects_at_line(with("\"req\":12", "\"req\":1.5"), 2);
+  rejects_at_line(with("\"c\":0", "\"c\":0,\"d\":0"), 2);
+  // Whitespace JSON allows is not an error.
+  const auto spaced = parse(
+      header +
+      "{\"ring\": 0, \"req\": 12, \"t\": 3, \"kind\": \"CLOSED\", "
+      "\"a\": 0, \"b\": 0, \"c\": 0}\n");
+  ASSERT_TRUE(spaced.ok()) << spaced.message();
+  ASSERT_EQ(spaced.value().records.size(), 1u);
+  EXPECT_EQ(spaced.value().records[0].event.req, 12u);
+  EXPECT_EQ(spaced.value().records[0].event.t, 3u);
 }
 
 TEST(FlightStitch, SortsByRequestAndKeepsPerRequestOrder) {

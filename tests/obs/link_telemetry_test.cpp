@@ -7,8 +7,8 @@
 #include <string>
 #include <vector>
 
-#include "json_check.hpp"
 #include "linkstate/telemetry.hpp"
+#include "util/json.hpp"
 
 namespace ftsched::obs {
 namespace {
@@ -200,17 +200,10 @@ TEST(LinkTelemetry, SeriesJsonlEveryLineParses) {
   std::ostringstream os;
   t.write_series_jsonl(os);
   const std::string text = os.str();
+  std::istringstream in(text);
   std::size_t lines = 0;
-  std::size_t start = 0;
-  while (start < text.size()) {
-    std::size_t end = text.find('\n', start);
-    if (end == std::string::npos) end = text.size();
-    const std::string_view line(text.data() + start, end - start);
-    if (!line.empty()) {
-      EXPECT_TRUE(ftsched::test::json_valid(line)) << "line: " << line;
-      ++lines;
-    }
-    start = end + 1;
+  for (std::string line; std::getline(in, line); ++lines) {
+    EXPECT_EQ(parse_json(line).message(), "") << "line: " << line;
   }
   // Header + 3 samples + utilization + 4 saturation lines + top_contended.
   EXPECT_EQ(lines, 10u);

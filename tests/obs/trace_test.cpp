@@ -6,7 +6,7 @@
 #include <sstream>
 #include <string>
 
-#include "json_check.hpp"
+#include "util/json.hpp"
 
 namespace ftsched::obs {
 namespace {
@@ -15,7 +15,7 @@ TEST(TraceWriter, EmptyTraceIsValidJson) {
   TraceWriter w;
   std::ostringstream os;
   w.write(os);
-  EXPECT_TRUE(ftsched::test::json_valid(os.str())) << os.str();
+  EXPECT_EQ(parse_json(os.str()).message(), "") << os.str();
   EXPECT_NE(os.str().find("\"traceEvents\""), std::string::npos);
 }
 
@@ -41,9 +41,9 @@ TEST(TraceWriter, MixedEventStreamRendersValidJson) {
   std::ostringstream os;
   w.write(os);
   const std::string text = os.str();
-  EXPECT_TRUE(ftsched::test::json_valid(text)) << text;
+  EXPECT_EQ(parse_json(text).message(), "") << text;
   // Escaping really happened (a raw quote inside a name would break parse,
-  // which json_valid above would catch — also check the escapes directly).
+  // which parse_json above would catch — also check the escapes directly).
   EXPECT_NE(text.find("span \\\"quoted\\\""), std::string::npos);
   EXPECT_NE(text.find("cat\\\\slash"), std::string::npos);
 }
@@ -63,7 +63,7 @@ TEST(TraceWriter, WrittenFileParsesFromDisk) {
   ASSERT_TRUE(in.is_open());
   std::stringstream buffer;
   buffer << in.rdbuf();
-  EXPECT_TRUE(ftsched::test::json_valid(buffer.str()));
+  EXPECT_EQ(parse_json(buffer.str()).message(), "");
 }
 
 TEST(TraceWriter, ClearDropsBufferedEvents) {
@@ -147,7 +147,7 @@ TEST(TraceMetadata, RendersMetadataEventsAheadOfStream) {
   std::ostringstream os;
   w.write(os);
   const std::string text = os.str();
-  EXPECT_TRUE(ftsched::test::json_valid(text)) << text;
+  EXPECT_EQ(parse_json(text).message(), "") << text;
   const auto meta_pos = text.find("\"ph\":\"M\"");
   const auto span_pos = text.find("\"ph\":\"X\"");
   ASSERT_NE(meta_pos, std::string::npos);

@@ -23,7 +23,4 @@ std::string to_json(const std::vector<Finding>& findings);
 /// tool.driver.rules, one result per finding.
 std::string to_sarif(const std::vector<Finding>& findings);
 
-/// JSON string escaping (exposed for tests).
-std::string json_escape(std::string_view text);
-
 }  // namespace ftlint

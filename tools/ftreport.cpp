@@ -92,281 +92,15 @@
 #include <string_view>
 #include <vector>
 
+#include "obs/flight_decoder.hpp"
+#include "util/json.hpp"
+
 namespace {
 
-// --- Minimal JSON ----------------------------------------------------------
-// Recursive-descent parser for the subset of RFC 8259 the repo's writers
-// emit (escapes beyond the \uXXXX basic plane are absent). Numbers follow
-// the RFC grammar exactly — no leading zeros, no bare '.', no '+' sign —
-// and must be finite doubles: 1e999 is an error, not infinity. Errors name
-// the line and column they were found at. Objects keep insertion order so
-// report tables follow the producer's ordering.
-
-struct JsonValue {
-  enum class Type : std::uint8_t { kNull, kBool, kNumber, kString, kArray, kObject };
-  Type type = Type::kNull;
-  bool boolean = false;
-  double number = 0.0;
-  std::string str;
-  std::vector<JsonValue> array;
-  std::vector<std::pair<std::string, JsonValue>> object;
-
-  const JsonValue* find(std::string_view key) const {
-    if (type != Type::kObject) return nullptr;
-    for (const auto& [k, v] : object) {
-      if (k == key) return &v;
-    }
-    return nullptr;
-  }
-  double num_or(double fallback) const {
-    return type == Type::kNumber ? number : fallback;
-  }
-};
-
-class JsonParser {
- public:
-  /// `first_line` numbers the text's first line in error locations (a
-  /// JSON-lines reader passes the file line it parses).
-  explicit JsonParser(std::string_view text, std::size_t first_line = 1)
-      : text_(text), first_line_(first_line) {}
-
-  bool parse(JsonValue& out, std::string& error) {
-    skip_ws();
-    if (!parse_value(out, error)) return false;
-    skip_ws();
-    if (pos_ != text_.size()) return fail(error, "trailing content");
-    return true;
-  }
-
- private:
-  std::string_view text_;
-  std::size_t first_line_;
-  std::size_t pos_ = 0;
-
-  void skip_ws() {
-    while (pos_ < text_.size()) {
-      const char c = text_[pos_];
-      if (c != ' ' && c != '\t' && c != '\n' && c != '\r') break;
-      ++pos_;
-    }
-  }
-  /// Records `what` at the current position as "line L, column C: what"
-  /// (1-based; columns count bytes).
-  bool fail(std::string& error, const std::string& what) {
-    const std::size_t at = std::min(pos_, text_.size());
-    const std::string_view before = text_.substr(0, at);
-    const std::size_t line_start = before.rfind('\n');
-    const std::size_t line =
-        first_line_ + static_cast<std::size_t>(
-                          std::count(before.begin(), before.end(), '\n'));
-    const std::size_t column =
-        line_start == std::string_view::npos ? at + 1 : at - line_start;
-    error = "line " + std::to_string(line) + ", column " +
-            std::to_string(column) + ": " + what;
-    return false;
-  }
-
-  bool parse_value(JsonValue& out, std::string& error) {
-    if (pos_ >= text_.size()) return fail(error, "unexpected end of input");
-    const char c = text_[pos_];
-    switch (c) {
-      case '{':
-        return parse_object(out, error);
-      case '[':
-        return parse_array(out, error);
-      case '"':
-        out.type = JsonValue::Type::kString;
-        return parse_string(out.str, error);
-      case 't':
-        if (text_.compare(pos_, 4, "true") != 0) return fail(error, "bad literal");
-        pos_ += 4;
-        out.type = JsonValue::Type::kBool;
-        out.boolean = true;
-        return true;
-      case 'f':
-        if (text_.compare(pos_, 5, "false") != 0) return fail(error, "bad literal");
-        pos_ += 5;
-        out.type = JsonValue::Type::kBool;
-        out.boolean = false;
-        return true;
-      case 'n':
-        if (text_.compare(pos_, 4, "null") != 0) return fail(error, "bad literal");
-        pos_ += 4;
-        out.type = JsonValue::Type::kNull;
-        return true;
-      default:
-        return parse_number(out, error);
-    }
-  }
-
-  bool parse_object(JsonValue& out, std::string& error) {
-    out.type = JsonValue::Type::kObject;
-    ++pos_;  // '{'
-    skip_ws();
-    if (pos_ < text_.size() && text_[pos_] == '}') {
-      ++pos_;
-      return true;
-    }
-    while (true) {
-      skip_ws();
-      if (pos_ >= text_.size() || text_[pos_] != '"') {
-        return fail(error, "expected object key");
-      }
-      std::string key;
-      if (!parse_string(key, error)) return false;
-      skip_ws();
-      if (pos_ >= text_.size() || text_[pos_] != ':') {
-        return fail(error, "expected ':'");
-      }
-      ++pos_;
-      skip_ws();
-      JsonValue value;
-      if (!parse_value(value, error)) return false;
-      out.object.emplace_back(std::move(key), std::move(value));
-      skip_ws();
-      if (pos_ >= text_.size()) return fail(error, "unterminated object");
-      if (text_[pos_] == ',') {
-        ++pos_;
-        continue;
-      }
-      if (text_[pos_] == '}') {
-        ++pos_;
-        return true;
-      }
-      return fail(error, "expected ',' or '}'");
-    }
-  }
-
-  bool parse_array(JsonValue& out, std::string& error) {
-    out.type = JsonValue::Type::kArray;
-    ++pos_;  // '['
-    skip_ws();
-    if (pos_ < text_.size() && text_[pos_] == ']') {
-      ++pos_;
-      return true;
-    }
-    while (true) {
-      skip_ws();
-      JsonValue value;
-      if (!parse_value(value, error)) return false;
-      out.array.push_back(std::move(value));
-      skip_ws();
-      if (pos_ >= text_.size()) return fail(error, "unterminated array");
-      if (text_[pos_] == ',') {
-        ++pos_;
-        continue;
-      }
-      if (text_[pos_] == ']') {
-        ++pos_;
-        return true;
-      }
-      return fail(error, "expected ',' or ']'");
-    }
-  }
-
-  bool parse_string(std::string& out, std::string& error) {
-    ++pos_;  // opening '"'
-    out.clear();
-    while (pos_ < text_.size()) {
-      const char c = text_[pos_++];
-      if (c == '"') return true;
-      if (c != '\\') {
-        out += c;
-        continue;
-      }
-      if (pos_ >= text_.size()) break;
-      const char esc = text_[pos_++];
-      switch (esc) {
-        case '"': out += '"'; break;
-        case '\\': out += '\\'; break;
-        case '/': out += '/'; break;
-        case 'b': out += '\b'; break;
-        case 'f': out += '\f'; break;
-        case 'n': out += '\n'; break;
-        case 'r': out += '\r'; break;
-        case 't': out += '\t'; break;
-        case 'u': {
-          if (pos_ + 4 > text_.size()) return fail(error, "bad \\u escape");
-          unsigned code = 0;
-          for (int i = 0; i < 4; ++i) {
-            const char h = text_[pos_++];
-            code <<= 4;
-            if (h >= '0' && h <= '9') code |= static_cast<unsigned>(h - '0');
-            else if (h >= 'a' && h <= 'f') code |= static_cast<unsigned>(h - 'a' + 10);
-            else if (h >= 'A' && h <= 'F') code |= static_cast<unsigned>(h - 'A' + 10);
-            else return fail(error, "bad \\u escape");
-          }
-          // UTF-8 encode the basic-plane code point (the repo's writers
-          // only escape control characters, all below U+0800).
-          if (code < 0x80) {
-            out += static_cast<char>(code);
-          } else if (code < 0x800) {
-            out += static_cast<char>(0xC0 | (code >> 6));
-            out += static_cast<char>(0x80 | (code & 0x3F));
-          } else {
-            out += static_cast<char>(0xE0 | (code >> 12));
-            out += static_cast<char>(0x80 | ((code >> 6) & 0x3F));
-            out += static_cast<char>(0x80 | (code & 0x3F));
-          }
-          break;
-        }
-        default:
-          return fail(error, "bad escape");
-      }
-    }
-    return fail(error, "unterminated string");
-  }
-
-  bool at_digit() const {
-    return pos_ < text_.size() &&
-           std::isdigit(static_cast<unsigned char>(text_[pos_]));
-  }
-  bool at(char c) const { return pos_ < text_.size() && text_[pos_] == c; }
-  /// Consumes a run of digits; false when there is none.
-  bool digits() {
-    if (!at_digit()) return false;
-    while (at_digit()) ++pos_;
-    return true;
-  }
-
-  /// number = [ "-" ] ( "0" / 1-9 *DIGIT ) [ "." 1*DIGIT ]
-  ///          [ ( "e" / "E" ) [ "+" / "-" ] 1*DIGIT ]
-  bool parse_number(JsonValue& out, std::string& error) {
-    const std::size_t start = pos_;
-    if (at('-')) ++pos_;
-    if (!at_digit()) {
-      pos_ = start;
-      return fail(error, "expected value");
-    }
-    // Every error below is located at the number's first character.
-    const auto bad = [&](const std::string& what) {
-      pos_ = start;
-      return fail(error, what);
-    };
-    if (at('0')) {
-      ++pos_;
-      if (at_digit()) return bad("leading zero in number");
-    } else {
-      digits();
-    }
-    if (at('.')) {
-      ++pos_;
-      if (!digits()) return bad("expected digit after '.' in number");
-    }
-    if (at('e') || at('E')) {
-      ++pos_;
-      if (at('+') || at('-')) ++pos_;
-      if (!digits()) return bad("expected exponent digits in number");
-    }
-    const std::string token(text_.substr(start, pos_ - start));
-    out.number = std::strtod(token.c_str(), nullptr);
-    if (!std::isfinite(out.number)) {
-      return bad("number " + token + " out of range");
-    }
-    out.type = JsonValue::Type::kNumber;
-    return true;
-  }
-};
+using ftsched::Json;
+using ftsched::parse_json;
+using ftsched::Result;
+namespace obs = ftsched::obs;
 
 /// A flag value that must be a finite, non-negative decimal number and
 /// nothing else: no sign, blanks, hex, trailing text, "inf" or "nan".
@@ -384,7 +118,7 @@ std::optional<double> parse_non_negative(const std::string& text) {
   return value;
 }
 
-bool parse_file(const std::string& path, JsonValue& out) {
+bool parse_file(const std::string& path, Json& out) {
   std::ifstream in(path);
   if (!in) {
     std::cerr << "ftreport: cannot open " << path << "\n";
@@ -392,17 +126,17 @@ bool parse_file(const std::string& path, JsonValue& out) {
   }
   std::ostringstream buf;
   buf << in.rdbuf();
-  const std::string text = buf.str();
-  std::string error;
-  if (!JsonParser(text).parse(out, error)) {
-    std::cerr << "ftreport: " << path << ": " << error << "\n";
+  Result<Json> parsed = parse_json(buf.str());
+  if (!parsed.ok()) {
+    std::cerr << "ftreport: " << path << ": " << parsed.message() << "\n";
     return false;
   }
+  out = std::move(parsed).value();
   return true;
 }
 
-/// Parses a JSON-lines file: one JsonValue per non-empty line.
-bool parse_jsonl_file(const std::string& path, std::vector<JsonValue>& out) {
+/// Parses a JSON-lines file: one value per non-empty line.
+bool parse_jsonl_file(const std::string& path, std::vector<Json>& out) {
   std::ifstream in(path);
   if (!in) {
     std::cerr << "ftreport: cannot open " << path << "\n";
@@ -413,13 +147,12 @@ bool parse_jsonl_file(const std::string& path, std::vector<JsonValue>& out) {
   while (std::getline(in, line)) {
     ++lineno;
     if (line.empty()) continue;
-    JsonValue value;
-    std::string error;
-    if (!JsonParser(line, lineno).parse(value, error)) {
-      std::cerr << "ftreport: " << path << ": " << error << "\n";
+    Result<Json> parsed = parse_json(line, lineno);
+    if (!parsed.ok()) {
+      std::cerr << "ftreport: " << path << ": " << parsed.message() << "\n";
       return false;
     }
-    out.push_back(std::move(value));
+    out.push_back(std::move(parsed).value());
   }
   return true;
 }
@@ -457,21 +190,21 @@ std::string_view shade(double fraction) {
 /// Field-by-field diff of two env fingerprints. Empty when either side did
 /// not record one (old artifacts) — absence is not a mismatch, and neither
 /// is a key only one side carries.
-std::vector<std::string> env_mismatches(const JsonValue& base,
-                                        const JsonValue& cand) {
+std::vector<std::string> env_mismatches(const Json& base,
+                                        const Json& cand) {
   std::vector<std::string> diffs;
-  if (base.type != JsonValue::Type::kObject ||
-      cand.type != JsonValue::Type::kObject) {
+  if (base.type != Json::Type::kObject ||
+      cand.type != Json::Type::kObject) {
     return diffs;
   }
   for (const char* key : {"cpu", "cores", "compiler", "build", "governor"}) {
-    const JsonValue* b = base.find(key);
-    const JsonValue* c = cand.find(key);
+    const Json* b = base.find(key);
+    const Json* c = cand.find(key);
     if (!b || !c) continue;
     const std::string bs =
-        b->type == JsonValue::Type::kString ? b->str : fmt(b->num_or(0), 0);
+        b->type == Json::Type::kString ? b->str : fmt(b->num_or(0), 0);
     const std::string cs =
-        c->type == JsonValue::Type::kString ? c->str : fmt(c->num_or(0), 0);
+        c->type == Json::Type::kString ? c->str : fmt(c->num_or(0), 0);
     if (bs != cs) {
       diffs.push_back(std::string(key) + ": '" + bs + "' vs '" + cs + "'");
     }
@@ -479,7 +212,7 @@ std::vector<std::string> env_mismatches(const JsonValue& base,
   return diffs;
 }
 
-void warn_env_mismatches(const JsonValue& base, const JsonValue& cand) {
+void warn_env_mismatches(const Json& base, const Json& cand) {
   for (const std::string& diff : env_mismatches(base, cand)) {
     std::cout << "warning: baseline and candidate env differ — " << diff
               << " (comparing anyway; prefer same-box artifacts)\n";
@@ -583,46 +316,46 @@ double delta_pct(const Comparison& c) {
 
 /// fig9 schema: gate every (point, scheduler) pair on the schedulability
 /// mean; with `perf` also on requests_per_sec.
-bool compare_fig9(const JsonValue& base, const JsonValue& cand, bool perf,
+bool compare_fig9(const Json& base, const Json& cand, bool perf,
                   std::vector<Comparison>& out) {
-  const JsonValue* base_points = base.find("points");
-  const JsonValue* cand_points = cand.find("points");
-  if (!base_points || base_points->type != JsonValue::Type::kArray ||
-      !cand_points || cand_points->type != JsonValue::Type::kArray) {
+  const Json* base_points = base.find("points");
+  const Json* cand_points = cand.find("points");
+  if (!base_points || base_points->type != Json::Type::kArray ||
+      !cand_points || cand_points->type != Json::Type::kArray) {
     std::cerr << "ftreport: fig9 schema: missing \"points\" array\n";
     return false;
   }
-  const auto point_key = [](const JsonValue& point) {
-    const JsonValue* levels = point.find("levels");
-    const JsonValue* arity = point.find("arity");
+  const auto point_key = [](const Json& point) {
+    const Json* levels = point.find("levels");
+    const Json* arity = point.find("arity");
     return "levels=" + fmt(levels ? levels->num_or(0) : 0, 0) +
            " arity=" + fmt(arity ? arity->num_or(0) : 0, 0);
   };
-  for (const JsonValue& bp : base_points->array) {
+  for (const Json& bp : base_points->array) {
     const std::string key = point_key(bp);
-    const JsonValue* cp = nullptr;
-    for (const JsonValue& candidate_point : cand_points->array) {
+    const Json* cp = nullptr;
+    for (const Json& candidate_point : cand_points->array) {
       if (point_key(candidate_point) == key) {
         cp = &candidate_point;
         break;
       }
     }
-    const JsonValue* base_scheds = bp.find("schedulers");
-    if (!base_scheds || base_scheds->type != JsonValue::Type::kObject) continue;
-    const JsonValue* cand_scheds = cp ? cp->find("schedulers") : nullptr;
+    const Json* base_scheds = bp.find("schedulers");
+    if (!base_scheds || base_scheds->type != Json::Type::kObject) continue;
+    const Json* cand_scheds = cp ? cp->find("schedulers") : nullptr;
     for (const auto& [sched, base_stats] : base_scheds->object) {
-      const JsonValue* cand_stats =
+      const Json* cand_stats =
           cand_scheds ? cand_scheds->find(sched) : nullptr;
       const auto emit = [&](const char* field, bool higher_better) {
-        const JsonValue* bv = base_stats.find(field);
-        if (!bv || bv->type != JsonValue::Type::kNumber) return;
+        const Json* bv = base_stats.find(field);
+        if (!bv || bv->type != Json::Type::kNumber) return;
         Comparison c;
         c.name = key + " " + sched;
         c.metric = field;
         c.baseline = bv->number;
         c.higher_is_better = higher_better;
-        const JsonValue* cv = cand_stats ? cand_stats->find(field) : nullptr;
-        if (!cv || cv->type != JsonValue::Type::kNumber) {
+        const Json* cv = cand_stats ? cand_stats->find(field) : nullptr;
+        if (!cv || cv->type != Json::Type::kNumber) {
           c.missing = true;
         } else {
           c.candidate = cv->number;
@@ -636,9 +369,9 @@ bool compare_fig9(const JsonValue& base, const JsonValue& cand, bool perf,
   return true;
 }
 
-bool points_have_fault_rate(const JsonValue& doc) {
-  const JsonValue* points = doc.find("points");
-  if (!points || points->type != JsonValue::Type::kArray ||
+bool points_have_fault_rate(const Json& doc) {
+  const Json* points = doc.find("points");
+  if (!points || points->type != Json::Type::kArray ||
       points->array.empty()) {
     return false;
   }
@@ -648,51 +381,51 @@ bool points_have_fault_rate(const JsonValue& doc) {
 /// Degradation schema: every (levels, arity, fault_rate) point gates on the
 /// three service-level means and the recovery success ratio. All four are
 /// deterministic per seed, so the default threshold is safe cross-machine.
-bool compare_degradation(const JsonValue& base, const JsonValue& cand,
+bool compare_degradation(const Json& base, const Json& cand,
                          std::vector<Comparison>& out) {
-  const JsonValue* base_points = base.find("points");
-  const JsonValue* cand_points = cand.find("points");
-  if (!base_points || base_points->type != JsonValue::Type::kArray ||
-      !cand_points || cand_points->type != JsonValue::Type::kArray) {
+  const Json* base_points = base.find("points");
+  const Json* cand_points = cand.find("points");
+  if (!base_points || base_points->type != Json::Type::kArray ||
+      !cand_points || cand_points->type != Json::Type::kArray) {
     std::cerr << "ftreport: degradation schema: missing \"points\" array\n";
     return false;
   }
-  const auto point_key = [](const JsonValue& point) {
-    const JsonValue* levels = point.find("levels");
-    const JsonValue* arity = point.find("arity");
-    const JsonValue* rate = point.find("fault_rate");
+  const auto point_key = [](const Json& point) {
+    const Json* levels = point.find("levels");
+    const Json* arity = point.find("arity");
+    const Json* rate = point.find("fault_rate");
     std::string key = "levels=" + fmt(levels ? levels->num_or(0) : 0, 0) +
                       " arity=" + fmt(arity ? arity->num_or(0) : 0, 0) +
                       " rate=" + fmt(rate ? rate->num_or(0) : 0, 2);
     // Multi-scheduler sweeps key the scheduler too; single-scheduler files
     // (no "scheduler" field) keep the legacy key, so old baselines compare.
-    const JsonValue* sched = point.find("scheduler");
-    if (sched && sched->type == JsonValue::Type::kString) {
+    const Json* sched = point.find("scheduler");
+    if (sched && sched->type == Json::Type::kString) {
       key += " scheduler=" + sched->str;
     }
     return key;
   };
-  for (const JsonValue& bp : base_points->array) {
+  for (const Json& bp : base_points->array) {
     const std::string key = point_key(bp);
-    const JsonValue* cp = nullptr;
-    for (const JsonValue& candidate_point : cand_points->array) {
+    const Json* cp = nullptr;
+    for (const Json& candidate_point : cand_points->array) {
       if (point_key(candidate_point) == key) {
         cp = &candidate_point;
         break;
       }
     }
     const auto emit_mean = [&](const char* section, bool higher_is_better) {
-      const JsonValue* bs = bp.find(section);
-      const JsonValue* bv = bs ? bs->find("mean") : nullptr;
-      if (!bv || bv->type != JsonValue::Type::kNumber) return;
+      const Json* bs = bp.find(section);
+      const Json* bv = bs ? bs->find("mean") : nullptr;
+      if (!bv || bv->type != Json::Type::kNumber) return;
       Comparison c;
       c.name = key;
       c.metric = std::string(section) + ".mean";
       c.baseline = bv->number;
       c.higher_is_better = higher_is_better;
-      const JsonValue* cs = cp ? cp->find(section) : nullptr;
-      const JsonValue* cv = cs ? cs->find("mean") : nullptr;
-      if (!cv || cv->type != JsonValue::Type::kNumber) {
+      const Json* cs = cp ? cp->find(section) : nullptr;
+      const Json* cv = cs ? cs->find("mean") : nullptr;
+      if (!cv || cv->type != Json::Type::kNumber) {
         c.missing = true;
       } else {
         c.candidate = cv->number;
@@ -706,14 +439,14 @@ bool compare_degradation(const JsonValue& base, const JsonValue& cand,
     // same service ratios but piles its circuits onto fewer planes regresses.
     emit_mean("imbalance_max_over_mean", false);
     emit_mean("imbalance_hotspot", false);
-    const JsonValue* bv = bp.find("recovery_success_ratio");
-    if (bv && bv->type == JsonValue::Type::kNumber) {
+    const Json* bv = bp.find("recovery_success_ratio");
+    if (bv && bv->type == Json::Type::kNumber) {
       Comparison c;
       c.name = key;
       c.metric = "recovery_success_ratio";
       c.baseline = bv->number;
-      const JsonValue* cv = cp ? cp->find("recovery_success_ratio") : nullptr;
-      if (!cv || cv->type != JsonValue::Type::kNumber) {
+      const Json* cv = cp ? cp->find("recovery_success_ratio") : nullptr;
+      if (!cv || cv->type != Json::Type::kNumber) {
         c.missing = true;
       } else {
         c.candidate = cv->number;
@@ -726,24 +459,24 @@ bool compare_degradation(const JsonValue& base, const JsonValue& cand,
 
 /// google-benchmark schema: gate on items_per_second when both sides have
 /// it, otherwise real_time.
-bool compare_gbench(const JsonValue& base, const JsonValue& cand,
+bool compare_gbench(const Json& base, const Json& cand,
                     std::vector<Comparison>& out) {
-  const JsonValue* base_benches = base.find("benchmarks");
-  const JsonValue* cand_benches = cand.find("benchmarks");
-  if (!base_benches || base_benches->type != JsonValue::Type::kArray ||
-      !cand_benches || cand_benches->type != JsonValue::Type::kArray) {
+  const Json* base_benches = base.find("benchmarks");
+  const Json* cand_benches = cand.find("benchmarks");
+  if (!base_benches || base_benches->type != Json::Type::kArray ||
+      !cand_benches || cand_benches->type != Json::Type::kArray) {
     std::cerr << "ftreport: google-benchmark schema: missing \"benchmarks\"\n";
     return false;
   }
-  for (const JsonValue& bb : base_benches->array) {
-    const JsonValue* bname = bb.find("name");
-    if (!bname || bname->type != JsonValue::Type::kString) continue;
+  for (const Json& bb : base_benches->array) {
+    const Json* bname = bb.find("name");
+    if (!bname || bname->type != Json::Type::kString) continue;
     // Aggregate rows (mean/median/stddev repetitions) carry run_type
     // "aggregate"; plain runs compare directly.
-    const JsonValue* cb = nullptr;
-    for (const JsonValue& candidate_bench : cand_benches->array) {
-      const JsonValue* cname = candidate_bench.find("name");
-      if (cname && cname->type == JsonValue::Type::kString &&
+    const Json* cb = nullptr;
+    for (const Json& candidate_bench : cand_benches->array) {
+      const Json* cname = candidate_bench.find("name");
+      if (cname && cname->type == Json::Type::kString &&
           cname->str == bname->str) {
         cb = &candidate_bench;
         break;
@@ -751,23 +484,23 @@ bool compare_gbench(const JsonValue& base, const JsonValue& cand,
     }
     Comparison c;
     c.name = bname->str;
-    const JsonValue* base_items = bb.find("items_per_second");
-    const JsonValue* cand_items = cb ? cb->find("items_per_second") : nullptr;
-    if (base_items && base_items->type == JsonValue::Type::kNumber &&
-        (!cb || (cand_items && cand_items->type == JsonValue::Type::kNumber))) {
+    const Json* base_items = bb.find("items_per_second");
+    const Json* cand_items = cb ? cb->find("items_per_second") : nullptr;
+    if (base_items && base_items->type == Json::Type::kNumber &&
+        (!cb || (cand_items && cand_items->type == Json::Type::kNumber))) {
       c.metric = "items_per_second";
       c.higher_is_better = true;
       c.baseline = base_items->number;
       if (cand_items) c.candidate = cand_items->number;
       c.missing = cb == nullptr;
     } else {
-      const JsonValue* base_time = bb.find("real_time");
-      if (!base_time || base_time->type != JsonValue::Type::kNumber) continue;
+      const Json* base_time = bb.find("real_time");
+      if (!base_time || base_time->type != Json::Type::kNumber) continue;
       c.metric = "real_time";
       c.higher_is_better = false;
       c.baseline = base_time->number;
-      const JsonValue* cand_time = cb ? cb->find("real_time") : nullptr;
-      if (cand_time && cand_time->type == JsonValue::Type::kNumber) {
+      const Json* cand_time = cb ? cb->find("real_time") : nullptr;
+      if (cand_time && cand_time->type == Json::Type::kNumber) {
         c.candidate = cand_time->number;
       } else {
         c.missing = true;
@@ -798,13 +531,13 @@ int run_regression(const Args& args) {
   }
   const bool perf = args.flags.count("perf") > 0;
 
-  JsonValue base, cand;
+  Json base, cand;
   if (!parse_file(base_it->second, base) ||
       !parse_file(cand_it->second, cand)) {
     return 2;
   }
-  const JsonValue* base_env = base.find("env");
-  const JsonValue* cand_env = cand.find("env");
+  const Json* base_env = base.find("env");
+  const Json* cand_env = cand.find("env");
   if (base_env && cand_env) warn_env_mismatches(*base_env, *cand_env);
 
   std::vector<Comparison> comparisons;
@@ -867,25 +600,25 @@ struct CsvSink {
   }
 };
 
-void report_bench(const JsonValue& bench, std::ostream& md, CsvSink& csv) {
+void report_bench(const Json& bench, std::ostream& md, CsvSink& csv) {
   md << "## Schedulability (bench sweep)\n\n";
-  const JsonValue* name = bench.find("bench");
-  const JsonValue* reps = bench.find("reps");
-  if (name && name->type == JsonValue::Type::kString) {
+  const Json* name = bench.find("bench");
+  const Json* reps = bench.find("reps");
+  if (name && name->type == Json::Type::kString) {
     md << "bench `" << name->str << "`";
     if (reps) md << ", " << fmt(reps->num_or(0), 0) << " repetitions";
     md << "\n\n";
   }
-  const JsonValue* points = bench.find("points");
-  if (!points || points->type != JsonValue::Type::kArray ||
+  const Json* points = bench.find("points");
+  if (!points || points->type != Json::Type::kArray ||
       points->array.empty()) {
     md << "_no sweep points_\n\n";
     return;
   }
   // Column set = union of scheduler names across points, in first-seen order.
   std::vector<std::string> scheds;
-  for (const JsonValue& point : points->array) {
-    if (const JsonValue* s = point.find("schedulers")) {
+  for (const Json& point : points->array) {
+    if (const Json* s = point.find("schedulers")) {
       for (const auto& [sched_name, stats] : s->object) {
         (void)stats;
         if (std::find(scheds.begin(), scheds.end(), sched_name) ==
@@ -900,17 +633,17 @@ void report_bench(const JsonValue& bench, std::ostream& md, CsvSink& csv) {
   md << "\n|---:|---:|---:|";
   for (std::size_t i = 0; i < scheds.size(); ++i) md << "---:|";
   md << "\n";
-  for (const JsonValue& point : points->array) {
+  for (const Json& point : points->array) {
     const double nodes = point.find("nodes") ? point.find("nodes")->num_or(0) : 0;
     const double levels = point.find("levels") ? point.find("levels")->num_or(0) : 0;
     const double arity = point.find("arity") ? point.find("arity")->num_or(0) : 0;
     md << "| " << fmt(nodes, 0) << " | " << fmt(levels, 0) << " | "
        << fmt(arity, 0) << " |";
-    const JsonValue* s = point.find("schedulers");
+    const Json* s = point.find("schedulers");
     for (const std::string& sched : scheds) {
-      const JsonValue* stats = s ? s->find(sched) : nullptr;
-      const JsonValue* mean = stats ? stats->find("mean") : nullptr;
-      if (mean && mean->type == JsonValue::Type::kNumber) {
+      const Json* stats = s ? s->find(sched) : nullptr;
+      const Json* mean = stats ? stats->find("mean") : nullptr;
+      if (mean && mean->type == Json::Type::kNumber) {
         md << " " << fmt(mean->number) << " |";
         csv.add("bench", "levels" + fmt(levels, 0) + ".arity" + fmt(arity, 0) +
                              "." + sched + ".mean",
@@ -926,42 +659,42 @@ void report_bench(const JsonValue& bench, std::ostream& md, CsvSink& csv) {
 
 /// Degradation sweep: one row per (topology, fault rate) with the three
 /// service levels, recovery counters, and retry-latency percentiles.
-void report_degradation(const JsonValue& bench, std::ostream& md,
+void report_degradation(const Json& bench, std::ostream& md,
                         CsvSink& csv) {
   md << "## Fault degradation sweep\n\n";
-  const JsonValue* reps = bench.find("reps");
-  const JsonValue* horizon = bench.find("horizon");
-  const JsonValue* retry = bench.find("retry");
+  const Json* reps = bench.find("reps");
+  const Json* horizon = bench.find("horizon");
+  const Json* retry = bench.find("retry");
   md << "bench `degradation`";
   if (reps) md << ", " << fmt(reps->num_or(0), 0) << " repetitions";
   if (horizon) md << ", horizon " << fmt(horizon->num_or(0), 0);
-  if (retry && retry->type == JsonValue::Type::kString) {
+  if (retry && retry->type == Json::Type::kString) {
     md << ", retry `" << retry->str << "`";
   }
   md << "\n\n";
-  const JsonValue* points = bench.find("points");
-  if (!points || points->type != JsonValue::Type::kArray ||
+  const Json* points = bench.find("points");
+  if (!points || points->type != Json::Type::kArray ||
       points->array.empty()) {
     md << "_no sweep points_\n\n";
     return;
   }
-  const auto scheduler_of = [](const JsonValue& point) {
-    const JsonValue* s = point.find("scheduler");
-    return s && s->type == JsonValue::Type::kString ? s->str
+  const auto scheduler_of = [](const Json& point) {
+    const Json* s = point.find("scheduler");
+    return s && s->type == Json::Type::kString ? s->str
                                                     : std::string("levelwise");
   };
   md << "| nodes | scheduler | rate | first-attempt | open | ever granted |"
         " victims | recovered | recovery | retry p50/p90/p99 |\n"
         "|---:|---|---:|---:|---:|---:|---:|---:|---:|---:|\n";
   bool have_imbalance = false;
-  for (const JsonValue& point : points->array) {
+  for (const Json& point : points->array) {
     const auto num = [&](const char* key) {
-      const JsonValue* v = point.find(key);
+      const Json* v = point.find(key);
       return v ? v->num_or(0.0) : 0.0;
     };
     const auto mean_of = [&](const char* section) {
-      const JsonValue* s = point.find(section);
-      const JsonValue* m = s ? s->find("mean") : nullptr;
+      const Json* s = point.find(section);
+      const Json* m = s ? s->find("mean") : nullptr;
       return m ? m->num_or(0.0) : 0.0;
     };
     if (point.find("imbalance_hotspot")) have_imbalance = true;
@@ -976,8 +709,8 @@ void report_degradation(const JsonValue& bench, std::ostream& md,
        << fmt_pct(mean_of("ever_granted")) << " | " << fmt(num("victims"), 0)
        << " | " << fmt(num("recovered"), 0) << " | "
        << fmt_pct(num("recovery_success_ratio")) << " | ";
-    const JsonValue* lat = point.find("retry_latency");
-    const JsonValue* lat_count = lat ? lat->find("count") : nullptr;
+    const Json* lat = point.find("retry_latency");
+    const Json* lat_count = lat ? lat->find("count") : nullptr;
     if (lat && lat_count && lat_count->num_or(0) > 0) {
       md << fmt(lat->find("p50") ? lat->find("p50")->num_or(0) : 0, 1) << "/"
          << fmt(lat->find("p90") ? lat->find("p90")->num_or(0) : 0, 1) << "/"
@@ -1007,14 +740,14 @@ void report_degradation(const JsonValue& bench, std::ostream& md,
           " statistics of the worst level and direction.\n\n"
           "| nodes | scheduler | rate | max/mean | CoV | hotspot |\n"
           "|---:|---|---:|---:|---:|---:|\n";
-    for (const JsonValue& point : points->array) {
+    for (const Json& point : points->array) {
       const auto num = [&](const char* key) {
-        const JsonValue* v = point.find(key);
+        const Json* v = point.find(key);
         return v ? v->num_or(0.0) : 0.0;
       };
       const auto mean_of = [&](const char* section) {
-        const JsonValue* s = point.find(section);
-        const JsonValue* m = s ? s->find("mean") : nullptr;
+        const Json* s = point.find(section);
+        const Json* m = s ? s->find("mean") : nullptr;
         return m ? m->num_or(0.0) : 0.0;
       };
       const double rate = num("fault_rate");
@@ -1040,19 +773,19 @@ void report_degradation(const JsonValue& bench, std::ostream& md,
 /// Chaos soak summary ({"bench":"chaos_soak"}). Returns false when the
 /// artifact records an invariant violation — the caller exits 2 so a CI
 /// soak job fails even if the report itself rendered fine.
-bool report_chaos_soak(const JsonValue& bench, std::ostream& md,
+bool report_chaos_soak(const Json& bench, std::ostream& md,
                        CsvSink& csv) {
   md << "## Chaos soak\n\n";
   const auto num = [&](const char* key) {
-    const JsonValue* v = bench.find(key);
+    const Json* v = bench.find(key);
     return v ? v->num_or(0.0) : 0.0;
   };
   const auto str = [&](const char* key) {
-    const JsonValue* v = bench.find(key);
-    return v && v->type == JsonValue::Type::kString ? v->str : std::string();
+    const Json* v = bench.find(key);
+    return v && v->type == Json::Type::kString ? v->str : std::string();
   };
-  const JsonValue* ok_value = bench.find("ok");
-  const bool ok = ok_value && ok_value->type == JsonValue::Type::kBool &&
+  const Json* ok_value = bench.find("ok");
+  const bool ok = ok_value && ok_value->type == Json::Type::kBool &&
                   ok_value->boolean;
   md << "scheduler `" << str("scheduler") << "` on FT(" << fmt(num("levels"), 0)
      << "," << fmt(num("m"), 0) << "," << fmt(num("w"), 0) << "), seed "
@@ -1093,13 +826,13 @@ bool report_chaos_soak(const JsonValue& bench, std::ostream& md,
   return ok;
 }
 
-void report_metrics(const std::vector<JsonValue>& lines, std::ostream& md,
+void report_metrics(const std::vector<Json>& lines, std::ostream& md,
                     CsvSink& csv) {
   md << "## Scheduler metrics\n\n";
-  const auto value_of = [&](std::string_view metric) -> const JsonValue* {
-    for (const JsonValue& line : lines) {
-      const JsonValue* name = line.find("metric");
-      if (name && name->type == JsonValue::Type::kString &&
+  const auto value_of = [&](std::string_view metric) -> const Json* {
+    for (const Json& line : lines) {
+      const Json* name = line.find("metric");
+      if (name && name->type == Json::Type::kString &&
           name->str == metric) {
         return line.find("value");
       }
@@ -1107,7 +840,7 @@ void report_metrics(const std::vector<JsonValue>& lines, std::ostream& md,
     return nullptr;
   };
   const auto counter = [&](std::string_view metric) {
-    const JsonValue* v = value_of(metric);
+    const Json* v = value_of(metric);
     return v ? v->num_or(0.0) : 0.0;
   };
 
@@ -1133,15 +866,15 @@ void report_metrics(const std::vector<JsonValue>& lines, std::ostream& md,
                              const std::string& title,
                              const std::string& csv_prefix) {
     std::vector<std::pair<std::string, double>> items;
-    for (const JsonValue& line : lines) {
-      const JsonValue* name = line.find("metric");
-      if (!name || name->type != JsonValue::Type::kString) continue;
+    for (const Json& line : lines) {
+      const Json* name = line.find("metric");
+      if (!name || name->type != Json::Type::kString) continue;
       if (name->str.rfind(prefix, 0) != 0) continue;
       const std::string label = name->str.substr(prefix.size());
       // Keep flat children only — "sched.reject.level0" yes,
       // "sched.reject.reason.x" is a different prefix's child.
       if (label.find('.') != std::string::npos) continue;
-      const JsonValue* v = line.find("value");
+      const Json* v = line.find("value");
       items.emplace_back(label, v ? v->num_or(0.0) : 0.0);
     }
     if (items.empty()) return;
@@ -1196,11 +929,11 @@ void report_metrics(const std::vector<JsonValue>& lines, std::ostream& md,
 
   // Fabric utilization gauges exported by LinkTelemetry, if present.
   std::vector<std::pair<std::string, double>> fabric;
-  for (const JsonValue& line : lines) {
-    const JsonValue* name = line.find("metric");
-    if (!name || name->type != JsonValue::Type::kString) continue;
+  for (const Json& line : lines) {
+    const Json* name = line.find("metric");
+    if (!name || name->type != Json::Type::kString) continue;
     if (name->str.rfind("fabric.util.", 0) != 0) continue;
-    const JsonValue* v = line.find("value");
+    const Json* v = line.find("value");
     fabric.emplace_back(name->str.substr(12), v ? v->num_or(0.0) : 0.0);
   }
   if (!fabric.empty()) {
@@ -1214,17 +947,17 @@ void report_metrics(const std::vector<JsonValue>& lines, std::ostream& md,
   }
 }
 
-void report_telemetry(const std::vector<JsonValue>& lines, std::ostream& md,
+void report_telemetry(const std::vector<Json>& lines, std::ostream& md,
                       CsvSink& csv) {
   md << "## Fabric link telemetry\n\n";
-  const JsonValue* header = nullptr;
-  std::vector<const JsonValue*> samples;
-  const JsonValue* utilization = nullptr;
-  std::vector<const JsonValue*> saturations;
-  const JsonValue* top = nullptr;
-  for (const JsonValue& line : lines) {
-    const JsonValue* type = line.find("type");
-    if (!type || type->type != JsonValue::Type::kString) continue;
+  const Json* header = nullptr;
+  std::vector<const Json*> samples;
+  const Json* utilization = nullptr;
+  std::vector<const Json*> saturations;
+  const Json* top = nullptr;
+  for (const Json& line : lines) {
+    const Json* type = line.find("type");
+    if (!type || type->type != Json::Type::kString) continue;
     if (type->str == "link_telemetry") header = &line;
     else if (type->str == "sample") samples.push_back(&line);
     else if (type->str == "utilization") utilization = &line;
@@ -1235,28 +968,28 @@ void report_telemetry(const std::vector<JsonValue>& lines, std::ostream& md,
     md << "_no link_telemetry header line_\n\n";
     return;
   }
-  const JsonValue* levels = header->find("levels");
+  const Json* levels = header->find("levels");
   const std::size_t level_count =
-      levels && levels->type == JsonValue::Type::kArray ? levels->array.size()
+      levels && levels->type == Json::Type::kArray ? levels->array.size()
                                                         : 0;
-  const JsonValue* total = header->find("samples");
+  const Json* total = header->find("samples");
   md << fmt(total ? total->num_or(0) : 0, 0) << " samples, " << level_count
      << " link levels\n\n";
 
   // Channel capacity per level (rows * ports) normalizes occupied counts.
   std::vector<double> capacity(level_count, 0.0);
   for (std::size_t h = 0; h < level_count; ++h) {
-    const JsonValue& shape = levels->array[h];
-    const JsonValue* rows = shape.find("rows");
-    const JsonValue* ports = shape.find("ports");
+    const Json& shape = levels->array[h];
+    const Json* rows = shape.find("rows");
+    const Json* ports = shape.find("ports");
     capacity[h] = (rows ? rows->num_or(0) : 0) * (ports ? ports->num_or(0) : 0);
   }
 
   if (utilization) {
     md << "### Utilization by level\n\n"
        << "| level | up | down |\n|---:|---:|---:|\n";
-    const JsonValue* up = utilization->find("u");
-    const JsonValue* down = utilization->find("d");
+    const Json* up = utilization->find("u");
+    const Json* down = utilization->find("d");
     for (std::size_t h = 0; h < level_count; ++h) {
       const double u = up && h < up->array.size() ? up->array[h].num_or(0) : 0;
       const double d =
@@ -1278,8 +1011,8 @@ void report_telemetry(const std::vector<JsonValue>& lines, std::ostream& md,
     for (std::size_t i = 0; i < samples.size(); ++i) {
       const std::size_t stage = i * stages / samples.size();
       ++stage_n[stage];
-      const JsonValue* up = samples[i]->find("u");
-      const JsonValue* down = samples[i]->find("d");
+      const Json* up = samples[i]->find("u");
+      const Json* down = samples[i]->find("d");
       for (std::size_t h = 0; h < level_count; ++h) {
         double occupied = 0.0, cap = 0.0;
         if (up && h < up->array.size()) {
@@ -1317,14 +1050,14 @@ void report_telemetry(const std::vector<JsonValue>& lines, std::ostream& md,
   if (!saturations.empty()) {
     md << "### Saturation histograms (occupied channels per row sample)\n\n"
        << "| level | dir | bins (occ0..occN) |\n|---:|---|---|\n";
-    for (const JsonValue* s : saturations) {
-      const JsonValue* level = s->find("level");
-      const JsonValue* dir = s->find("dir");
-      const JsonValue* bins = s->find("bins");
+    for (const Json* s : saturations) {
+      const Json* level = s->find("level");
+      const Json* dir = s->find("dir");
+      const Json* bins = s->find("bins");
       md << "| " << fmt(level ? level->num_or(0) : 0, 0) << " | "
-         << (dir && dir->type == JsonValue::Type::kString ? dir->str : "?")
+         << (dir && dir->type == Json::Type::kString ? dir->str : "?")
          << " | ";
-      if (bins && bins->type == JsonValue::Type::kArray) {
+      if (bins && bins->type == Json::Type::kArray) {
         for (std::size_t i = 0; i < bins->array.size(); ++i) {
           if (i) md << " ";
           md << fmt(bins->array[i].num_or(0), 0);
@@ -1336,19 +1069,19 @@ void report_telemetry(const std::vector<JsonValue>& lines, std::ostream& md,
   }
 
   if (top) {
-    const JsonValue* links = top->find("links");
-    if (links && links->type == JsonValue::Type::kArray &&
+    const Json* links = top->find("links");
+    if (links && links->type == Json::Type::kArray &&
         !links->array.empty()) {
       md << "### Most contended links\n\n"
          << "| level | row | port | dir | busy samples |\n"
          << "|---:|---:|---:|---|---:|\n";
-      for (const JsonValue& link : links->array) {
+      for (const Json& link : links->array) {
         md << "| " << fmt(link.find("level") ? link.find("level")->num_or(0) : 0, 0)
            << " | " << fmt(link.find("row") ? link.find("row")->num_or(0) : 0, 0)
            << " | " << fmt(link.find("port") ? link.find("port")->num_or(0) : 0, 0)
            << " | "
            << (link.find("dir") &&
-                       link.find("dir")->type == JsonValue::Type::kString
+                       link.find("dir")->type == Json::Type::kString
                    ? link.find("dir")->str
                    : "?")
            << " | " << fmt(link.find("busy") ? link.find("busy")->num_or(0) : 0, 0)
@@ -1359,10 +1092,10 @@ void report_telemetry(const std::vector<JsonValue>& lines, std::ostream& md,
   }
 }
 
-void report_trace(const JsonValue& trace, std::ostream& md, CsvSink& csv) {
+void report_trace(const Json& trace, std::ostream& md, CsvSink& csv) {
   md << "## Trace span rollups\n\n";
-  const JsonValue* events = trace.find("traceEvents");
-  if (!events || events->type != JsonValue::Type::kArray) {
+  const Json* events = trace.find("traceEvents");
+  if (!events || events->type != Json::Type::kArray) {
     md << "_no traceEvents array_\n\n";
     return;
   }
@@ -1373,9 +1106,9 @@ void report_trace(const JsonValue& trace, std::ostream& md, CsvSink& csv) {
   };
   std::map<std::string, Rollup> spans;
   std::size_t instants = 0, counters = 0;
-  for (const JsonValue& event : events->array) {
-    const JsonValue* ph = event.find("ph");
-    if (!ph || ph->type != JsonValue::Type::kString) continue;
+  for (const Json& event : events->array) {
+    const Json* ph = event.find("ph");
+    if (!ph || ph->type != Json::Type::kString) continue;
     if (ph->str == "i" || ph->str == "I") {
       ++instants;
       continue;
@@ -1385,9 +1118,9 @@ void report_trace(const JsonValue& trace, std::ostream& md, CsvSink& csv) {
       continue;
     }
     if (ph->str != "X") continue;
-    const JsonValue* name = event.find("name");
-    const JsonValue* dur = event.find("dur");
-    if (!name || name->type != JsonValue::Type::kString) continue;
+    const Json* name = event.find("name");
+    const Json* dur = event.find("dur");
+    if (!name || name->type != Json::Type::kString) continue;
     Rollup& r = spans[name->str];
     ++r.count;
     const double d = dur ? dur->num_or(0.0) : 0.0;
@@ -1419,140 +1152,28 @@ void report_trace(const JsonValue& trace, std::ostream& md, CsvSink& csv) {
      << " counter samples\n\n";
 }
 
-/// Circuit lifecycle / SLO section from a FlightRecorder dump (format v1).
-/// The ledger is stitched by request id — ids are rep-namespaced, so one
-/// circuit's events always come from one ring, and dump order within a ring
-/// is chronological.
-void report_flight(const std::vector<JsonValue>& lines, std::ostream& md,
+/// Circuit lifecycle / SLO section from a FlightRecorder dump (format v1),
+/// read, stitched by request id and summarized by obs/flight_decoder.
+void report_flight(const obs::FlightDump& dump, std::ostream& md,
                    CsvSink& csv) {
   md << "## Circuit lifecycle / SLO (flight recorder)\n\n";
-  const JsonValue* header = nullptr;
-  struct FlightLine {
-    double req = 0.0;
-    double t = 0.0;
-    std::string kind;
-    double a = 0.0;
-    double b = 0.0;
-    double c = 0.0;
-  };
-  std::vector<FlightLine> events;
-  for (const JsonValue& line : lines) {
-    const JsonValue* type = line.find("type");
-    if (type && type->type == JsonValue::Type::kString &&
-        type->str == "flight_recorder") {
-      header = &line;
-      continue;
-    }
-    const JsonValue* req = line.find("req");
-    const JsonValue* t = line.find("t");
-    const JsonValue* kind = line.find("kind");
-    if (!req || !t || !kind || kind->type != JsonValue::Type::kString) {
-      continue;
-    }
-    FlightLine e;
-    e.req = req->num_or(0);
-    e.t = t->num_or(0);
-    e.kind = kind->str;
-    e.a = line.find("a") ? line.find("a")->num_or(0) : 0;
-    e.b = line.find("b") ? line.find("b")->num_or(0) : 0;
-    e.c = line.find("c") ? line.find("c")->num_or(0) : 0;
-    events.push_back(std::move(e));
-  }
-  if (!header) {
-    md << "_no flight_recorder header line_\n\n";
-    return;
-  }
-  const auto hnum = [&](const char* key) {
-    const JsonValue* v = header->find(key);
-    return v ? v->num_or(0) : 0;
-  };
-  md << fmt(hnum("recorded"), 0) << " events recorded over "
-     << fmt(hnum("rings"), 0) << " ring(s) of capacity "
-     << fmt(hnum("capacity"), 0) << ", " << fmt(hnum("dropped"), 0)
+  md << dump.recorded << " events recorded over " << dump.rings
+     << " ring(s) of capacity " << dump.capacity << ", " << dump.dropped
      << " dropped\n\n";
-  csv.add("flight", "recorded", hnum("recorded"));
-  csv.add("flight", "dropped", hnum("dropped"));
+  csv.add("flight", "recorded", static_cast<double>(dump.recorded));
+  csv.add("flight", "dropped", static_cast<double>(dump.dropped));
 
-  // Stitch per-circuit timelines: stable sort by request id keeps each
-  // circuit's dump order (chronological within its one ring).
-  std::stable_sort(events.begin(), events.end(),
-                   [](const FlightLine& lhs, const FlightLine& rhs) {
-                     return lhs.req < rhs.req;
-                   });
-  struct Circuit {
-    double req = 0.0;
-    double admission = -1.0;  ///< first REQUESTED -> first GRANTED, ticks
-    std::size_t retries = 0;
-    std::size_t event_count = 0;
-    std::string timeline;  ///< "REQUESTED@0 GRANTED@0 ..." for worst-K rows
-  };
-  std::vector<Circuit> circuits;
-  std::vector<double> admission, recovery, retries_per_circuit;
-  std::size_t granted = 0, never_granted = 0, closed = 0, shed = 0;
-  std::vector<std::pair<double, int>> burn;  ///< (t, +1 revoke / -1 recover)
-  {
-    std::size_t i = 0;
-    while (i < events.size()) {
-      std::size_t j = i;
-      while (j < events.size() && events[j].req == events[i].req) ++j;
-      Circuit circuit;
-      circuit.req = events[i].req;
-      circuit.event_count = j - i;
-      bool saw_requested = false, saw_granted = false, revoked = false;
-      double requested_at = 0, granted_at = 0, revoked_at = 0;
-      for (std::size_t k = i; k < j; ++k) {
-        const FlightLine& e = events[k];
-        if (!circuit.timeline.empty()) circuit.timeline += " ";
-        circuit.timeline += e.kind + "@" + fmt(e.t, 0);
-        if (e.kind == "REQUESTED") {
-          if (!saw_requested) {
-            saw_requested = true;
-            requested_at = e.t;
-          }
-        } else if (e.kind == "GRANTED") {
-          if (!saw_granted) {
-            saw_granted = true;
-            granted_at = e.t;
-          }
-        } else if (e.kind == "REVOKED") {
-          revoked = true;
-          revoked_at = e.t;
-          burn.emplace_back(e.t, 1);
-        } else if (e.kind == "RECOVERED") {
-          if (revoked) {
-            recovery.push_back(e.t - revoked_at);
-            revoked = false;
-          }
-          burn.emplace_back(e.t, -1);
-        } else if (e.kind == "RETRY_ENQUEUED") {
-          ++circuit.retries;
-        } else if (e.kind == "RETRY_SHED") {
-          ++shed;
-        } else if (e.kind == "CLOSED") {
-          ++closed;
-        }
-      }
-      if (saw_granted) {
-        ++granted;
-        if (saw_requested) {
-          circuit.admission = granted_at - requested_at;
-          admission.push_back(circuit.admission);
-        }
-      } else {
-        ++never_granted;
-      }
-      retries_per_circuit.push_back(static_cast<double>(circuit.retries));
-      circuits.push_back(std::move(circuit));
-      i = j;
-    }
-  }
+  const std::vector<obs::CircuitTimeline> timelines =
+      obs::stitch_timelines(dump.records);
+  const obs::SloSummary slo = obs::summarize_slo(timelines);
   md << "| circuits | granted | never granted | closed | retries shed |\n"
      << "|---:|---:|---:|---:|---:|\n"
-     << "| " << circuits.size() << " | " << granted << " | " << never_granted
-     << " | " << closed << " | " << shed << " |\n\n";
-  csv.add("flight", "circuits", static_cast<double>(circuits.size()));
-  csv.add("flight", "granted", static_cast<double>(granted));
-  csv.add("flight", "never_granted", static_cast<double>(never_granted));
+     << "| " << slo.circuits << " | " << slo.granted << " | "
+     << slo.never_granted << " | " << slo.closed << " | " << slo.shed
+     << " |\n\n";
+  csv.add("flight", "circuits", static_cast<double>(slo.circuits));
+  csv.add("flight", "granted", static_cast<double>(slo.granted));
+  csv.add("flight", "never_granted", static_cast<double>(slo.never_granted));
 
   // Order statistics with linear interpolation, matching the repo's
   // Summary/Histogram convention.
@@ -1579,18 +1200,29 @@ void report_flight(const std::vector<JsonValue>& lines, std::ostream& md,
     csv.add("flight", std::string(key) + ".p50", p50);
     csv.add("flight", std::string(key) + ".p99", p99);
   };
-  slo_row("admission latency (ticks)", "admission_latency", admission);
-  slo_row("revocation -> recovery (ticks)", "recovery_time", recovery);
-  slo_row("retries per circuit", "retries_per_circuit", retries_per_circuit);
+  slo_row("admission latency (ticks)", "admission_latency",
+          slo.admission_latency);
+  slo_row("revocation -> recovery (ticks)", "recovery_time",
+          slo.recovery_time);
+  slo_row("retries per circuit", "retries_per_circuit", slo.retry_count);
   md << "\n";
 
-  // Worst offenders: slowest admissions first, then busiest ledgers.
-  std::vector<const Circuit*> worst;
-  for (const Circuit& c : circuits) worst.push_back(&c);
-  std::sort(worst.begin(), worst.end(), [](const Circuit* a, const Circuit* b) {
-    if (a->admission != b->admission) return a->admission > b->admission;
-    if (a->event_count != b->event_count) return a->event_count > b->event_count;
-    return a->req < b->req;
+  // Worst offenders: slowest admissions first, then busiest ledgers. A
+  // circuit with no admission sample sorts as -1, after every real one.
+  std::vector<double> admission(timelines.size(), -1.0);
+  std::vector<std::size_t> worst(timelines.size());
+  for (std::size_t i = 0; i < timelines.size(); ++i) {
+    if (const auto ticks = obs::admission_latency(timelines[i])) {
+      admission[i] = static_cast<double>(*ticks);
+    }
+    worst[i] = i;
+  }
+  std::sort(worst.begin(), worst.end(), [&](std::size_t a, std::size_t b) {
+    if (admission[a] != admission[b]) return admission[a] > admission[b];
+    const std::size_t a_events = timelines[a].events.size();
+    const std::size_t b_events = timelines[b].events.size();
+    if (a_events != b_events) return a_events > b_events;
+    return timelines[a].req < timelines[b].req;
   });
   const std::size_t k_worst = std::min<std::size_t>(5, worst.size());
   if (k_worst > 0) {
@@ -1598,22 +1230,38 @@ void report_flight(const std::vector<JsonValue>& lines, std::ostream& md,
        << "| request | admission | retries | timeline |\n"
        << "|---:|---:|---:|---|\n";
     for (std::size_t i = 0; i < k_worst; ++i) {
-      const Circuit& c = *worst[i];
-      std::string timeline = c.timeline;
+      const obs::CircuitTimeline& c = timelines[worst[i]];
+      std::string timeline;
+      for (const obs::FlightEvent& e : c.events) {
+        if (!timeline.empty()) timeline += " ";
+        timeline += std::string(obs::to_string(e.kind)) + "@" +
+                    std::to_string(e.t);
+      }
       constexpr std::size_t kMaxTimeline = 120;
       if (timeline.size() > kMaxTimeline) {
         timeline.resize(kMaxTimeline);
         timeline += "...";
       }
-      md << "| " << fmt(c.req, 0) << " | "
-         << (c.admission < 0 ? std::string("-") : fmt(c.admission, 0))
-         << " | " << c.retries << " | `" << timeline << "` |\n";
+      const double ticks = admission[worst[i]];
+      md << "| " << c.req << " | "
+         << (ticks < 0 ? std::string("-") : fmt(ticks, 0)) << " | "
+         << static_cast<std::uint64_t>(slo.retry_count[worst[i]]) << " | `"
+         << timeline << "` |\n";
     }
     md << "\n";
   }
 
   // Recovery burn-down: victims still out of service over simulated time,
   // in tenths of the observed window.
+  std::vector<std::pair<double, int>> burn;  ///< (t, +1 revoke / -1 recover)
+  for (const obs::FlightRecord& record : dump.records) {
+    const obs::FlightEvent& e = record.event;
+    if (e.kind == obs::FlightEventKind::kRevoked) {
+      burn.emplace_back(static_cast<double>(e.t), 1);
+    } else if (e.kind == obs::FlightEventKind::kRecovered) {
+      burn.emplace_back(static_cast<double>(e.t), -1);
+    }
+  }
   if (!burn.empty()) {
     std::sort(burn.begin(), burn.end());
     const double t_max = burn.back().first;
@@ -1677,10 +1325,10 @@ int run_report(const Args& args) {
 
   int exit_code = 0;
   if (!bench_path.empty()) {
-    JsonValue bench;
+    Json bench;
     if (!parse_file(bench_path, bench)) return 2;
-    const JsonValue* bench_name = bench.find("bench");
-    if (bench_name && bench_name->type == JsonValue::Type::kString &&
+    const Json* bench_name = bench.find("bench");
+    if (bench_name && bench_name->type == Json::Type::kString &&
         bench_name->str == "chaos_soak") {
       // A violation in the artifact fails the report run itself (exit 2):
       // the CI soak job must go red even though the report rendered fine.
@@ -1692,24 +1340,33 @@ int run_report(const Args& args) {
     }
   }
   if (!metrics_path.empty()) {
-    std::vector<JsonValue> lines;
+    std::vector<Json> lines;
     if (!parse_jsonl_file(metrics_path, lines)) return 2;
     report_metrics(lines, md, csv);
   }
   if (!telemetry_path.empty()) {
-    std::vector<JsonValue> lines;
+    std::vector<Json> lines;
     if (!parse_jsonl_file(telemetry_path, lines)) return 2;
     report_telemetry(lines, md, csv);
   }
   if (!trace_path.empty()) {
-    JsonValue trace;
+    Json trace;
     if (!parse_file(trace_path, trace)) return 2;
     report_trace(trace, md, csv);
   }
   if (!flight_path.empty()) {
-    std::vector<JsonValue> lines;
-    if (!parse_jsonl_file(flight_path, lines)) return 2;
-    report_flight(lines, md, csv);
+    std::ifstream in(flight_path);
+    if (!in) {
+      std::cerr << "ftreport: cannot open " << flight_path << "\n";
+      return 2;
+    }
+    const Result<obs::FlightDump> dump = obs::read_flight_jsonl(in);
+    if (!dump.ok()) {
+      std::cerr << "ftreport: " << flight_path << ": " << dump.message()
+                << "\n";
+      return 2;
+    }
+    report_flight(dump.value(), md, csv);
   }
 
   const std::string out_path = flag("out");
@@ -1758,18 +1415,18 @@ int run_anchor(const Args& args) {
   if (const auto it = args.flags.find("scheduler"); it != args.flags.end()) {
     scheduler = it->second;
   }
-  JsonValue deg, fig9;
+  Json deg, fig9;
   if (!parse_file(deg_it->second, deg) || !parse_file(fig9_it->second, fig9)) {
     return 2;
   }
-  const JsonValue* deg_points = deg.find("points");
+  const Json* deg_points = deg.find("points");
   if (!points_have_fault_rate(deg)) {
     std::cerr << "ftreport: " << deg_it->second
               << ": not a degradation sweep (no \"fault_rate\" points)\n";
     return 2;
   }
-  const JsonValue* fig9_points = fig9.find("points");
-  if (!fig9_points || fig9_points->type != JsonValue::Type::kArray) {
+  const Json* fig9_points = fig9.find("points");
+  if (!fig9_points || fig9_points->type != Json::Type::kArray) {
     std::cerr << "ftreport: " << fig9_it->second
               << ": not a fig9 sweep (no \"points\")\n";
     return 2;
@@ -1782,9 +1439,9 @@ int run_anchor(const Args& args) {
     ++failures;
   };
 
-  for (const JsonValue& point : deg_points->array) {
+  for (const Json& point : deg_points->array) {
     const auto num = [&](const char* key) {
-      const JsonValue* v = point.find(key);
+      const Json* v = point.find(key);
       return v ? v->num_or(0.0) : 0.0;
     };
     const double levels = num("levels");
@@ -1793,8 +1450,8 @@ int run_anchor(const Args& args) {
     // Multi-scheduler sweeps tag each point; --scheduler covers legacy
     // single-scheduler files.
     std::string point_scheduler = scheduler;
-    if (const JsonValue* s = point.find("scheduler");
-        s && s->type == JsonValue::Type::kString) {
+    if (const Json* s = point.find("scheduler");
+        s && s->type == Json::Type::kString) {
       point_scheduler = s->str;
     }
     const std::string where = "levels=" + fmt(levels, 0) +
@@ -1805,13 +1462,13 @@ int run_anchor(const Args& args) {
     // exceed the victim count, percentiles must be ordered.
     for (const char* section : {"schedulability", "open_ratio",
                                 "ever_granted"}) {
-      const JsonValue* s = point.find(section);
+      const Json* s = point.find(section);
       if (!s) {
         fail(where, std::string("missing \"") + section + "\" summary");
         continue;
       }
       for (const char* stat : {"mean", "min", "max"}) {
-        const JsonValue* v = s->find(stat);
+        const Json* v = s->find(stat);
         const double x = v ? v->num_or(-1.0) : -1.0;
         if (x < 0.0 || x > 1.0) {
           fail(where, std::string(section) + "." + stat + " = " + fmt(x) +
@@ -1832,26 +1489,26 @@ int run_anchor(const Args& args) {
     // idle) and the CoV is non-negative. Absent in pre-imbalance files.
     for (const char* section : {"imbalance_max_over_mean",
                                 "imbalance_hotspot"}) {
-      const JsonValue* s = point.find(section);
-      const JsonValue* m = s ? s->find("mean") : nullptr;
+      const Json* s = point.find(section);
+      const Json* m = s ? s->find("mean") : nullptr;
       if (s && (!m || m->num_or(0.0) < 1.0 - 1e-9)) {
         fail(where, std::string(section) + ".mean = " +
                         (m ? fmt(m->num_or(0.0), 6) : std::string("missing")) +
                         " below 1");
       }
     }
-    if (const JsonValue* s = point.find("imbalance_cov")) {
-      const JsonValue* m = s->find("mean");
+    if (const Json* s = point.find("imbalance_cov")) {
+      const Json* m = s->find("mean");
       if (!m || m->num_or(-1.0) < 0.0) {
         fail(where, "imbalance_cov.mean negative or missing");
       }
     }
     for (const char* lat_key : {"recovery_latency", "retry_latency"}) {
-      const JsonValue* lat = point.find(lat_key);
-      const JsonValue* count = lat ? lat->find("count") : nullptr;
+      const Json* lat = point.find(lat_key);
+      const Json* count = lat ? lat->find("count") : nullptr;
       if (!lat || !count || count->num_or(0) <= 0) continue;
       const auto pct = [&](const char* p) {
-        const JsonValue* v = lat->find(p);
+        const Json* v = lat->find(p);
         return v ? v->num_or(0.0) : 0.0;
       };
       if (!(pct("p50") <= pct("p90") && pct("p90") <= pct("p99"))) {
@@ -1863,12 +1520,12 @@ int run_anchor(const Args& args) {
 
     // Fault-free anchor: bit-identical to the fig9 sweep's scheduler column.
     if (rate != 0.0) continue;
-    const JsonValue* anchor = nullptr;
-    for (const JsonValue& fp : fig9_points->array) {
-      const JsonValue* fl = fp.find("levels");
-      const JsonValue* fa = fp.find("arity");
+    const Json* anchor = nullptr;
+    for (const Json& fp : fig9_points->array) {
+      const Json* fl = fp.find("levels");
+      const Json* fa = fp.find("arity");
       if (fl && fa && fl->num_or(-1) == levels && fa->num_or(-1) == arity) {
-        const JsonValue* scheds = fp.find("schedulers");
+        const Json* scheds = fp.find("schedulers");
         anchor = scheds ? scheds->find(point_scheduler) : nullptr;
         break;
       }
@@ -1877,10 +1534,10 @@ int run_anchor(const Args& args) {
     // policies without a fig9 column are consistency-checked only).
     if (!anchor) continue;
     ++anchored;
-    const JsonValue* sched_summary = point.find("schedulability");
+    const Json* sched_summary = point.find("schedulability");
     for (const char* stat : {"mean", "min", "max", "stddev"}) {
-      const JsonValue* expect = anchor->find(stat);
-      const JsonValue* got = sched_summary ? sched_summary->find(stat)
+      const Json* expect = anchor->find(stat);
+      const Json* got = sched_summary ? sched_summary->find(stat)
                                            : nullptr;
       if (!expect || !got || expect->number != got->number) {
         fail(where, std::string("rate-0 schedulability.") + stat + " = " +
@@ -1892,9 +1549,9 @@ int run_anchor(const Args& args) {
     }
     // At rate 0 nothing is ever revoked, so all three service levels agree.
     for (const char* section : {"open_ratio", "ever_granted"}) {
-      const JsonValue* s = point.find(section);
-      const JsonValue* mean = s ? s->find("mean") : nullptr;
-      const JsonValue* base = sched_summary ? sched_summary->find("mean")
+      const Json* s = point.find(section);
+      const Json* mean = s ? s->find("mean") : nullptr;
+      const Json* base = sched_summary ? sched_summary->find("mean")
                                             : nullptr;
       if (!mean || !base || mean->number != base->number) {
         fail(where, std::string("rate-0 ") + section +
@@ -1955,41 +1612,41 @@ int run_quality(const Args& args) {
     }
     max_sched_drop = *parsed;
   }
-  JsonValue doc;
+  Json doc;
   if (!parse_file(bench_it->second, doc)) return 2;
   if (!points_have_fault_rate(doc)) {
     std::cerr << "ftreport: " << bench_it->second
               << ": not a degradation sweep (no \"fault_rate\" points)\n";
     return 2;
   }
-  const JsonValue* points = doc.find("points");
+  const Json* points = doc.find("points");
 
-  const auto scheduler_of = [](const JsonValue& point) {
-    const JsonValue* s = point.find("scheduler");
-    return s && s->type == JsonValue::Type::kString ? s->str : std::string();
+  const auto scheduler_of = [](const Json& point) {
+    const Json* s = point.find("scheduler");
+    return s && s->type == Json::Type::kString ? s->str : std::string();
   };
-  const auto mean_of = [](const JsonValue& point, const char* section) {
-    const JsonValue* s = point.find(section);
-    const JsonValue* m = s ? s->find("mean") : nullptr;
+  const auto mean_of = [](const Json& point, const char* section) {
+    const Json* s = point.find(section);
+    const Json* m = s ? s->find("mean") : nullptr;
     return m ? m->num_or(-1.0) : -1.0;
   };
 
   std::size_t failures = 0;
   std::size_t gated = 0;
-  for (const JsonValue& bp : points->array) {
+  for (const Json& bp : points->array) {
     if (scheduler_of(bp) != baseline) continue;
     const auto num = [&](const char* key) {
-      const JsonValue* v = bp.find(key);
+      const Json* v = bp.find(key);
       return v ? v->num_or(0.0) : 0.0;
     };
     const double levels = num("levels");
     const double arity = num("arity");
     const double rate = num("fault_rate");
-    const JsonValue* cp = nullptr;
-    for (const JsonValue& candidate_point : points->array) {
+    const Json* cp = nullptr;
+    for (const Json& candidate_point : points->array) {
       if (scheduler_of(candidate_point) != candidate) continue;
       const auto cnum = [&](const char* key) {
-        const JsonValue* v = candidate_point.find(key);
+        const Json* v = candidate_point.find(key);
         return v ? v->num_or(-1.0) : -1.0;
       };
       if (cnum("levels") == levels && cnum("arity") == arity &&

@@ -108,6 +108,7 @@
 #include "stats/runner.hpp"
 #include "topology/dot.hpp"
 #include "topology/validate.hpp"
+#include "util/json.hpp"
 #include "util/parse.hpp"
 #include "util/table.hpp"
 
@@ -292,7 +293,7 @@ int cmd_info(int argc, char** argv) {
       if (i) radices += "x";
       radices += std::to_string(sys.radix(sys.digit_count() - 1 - i));
     }
-    if (radices.empty()) radices = "-";
+    if (radices.empty()) radices.push_back('-');
     table.add_row({std::to_string(h), std::to_string(tree.switches_at(h)),
                    h + 1 < tree.levels() ? std::to_string(tree.cables_at(h))
                                          : "-",
@@ -660,12 +661,12 @@ int write_soak_json(const std::string& path, const FatTreeParams& tree,
     return 1;
   }
   os << "{\"bench\":\"chaos_soak\",\"scheduler\":\""
-     << obs::json_escape(config.scheduler) << "\",\"levels\":" << tree.levels
+     << json_escape(config.scheduler) << "\",\"levels\":" << tree.levels
      << ",\"m\":" << tree.child_arity << ",\"w\":" << tree.parent_arity
      << ",\"seed\":" << config.seed << ",\"ops\":" << config.ops
      << ",\"epoch\":" << config.epoch_ops
      << ",\"ok\":" << (report.ok ? "true" : "false") << ",\"violation\":\""
-     << obs::json_escape(report.violation)
+     << json_escape(report.violation)
      << "\",\"violation_op\":" << report.violation_op
      << ",\"reproducer_ops\":" << report.reproducer.size()
      << ",\"shrink_runs\":" << report.shrink_runs
