@@ -102,9 +102,10 @@ BatchOpenResult ConnectionManager::open_batch(
   // Pre-filter endpoints already held by open circuits: the scheduler's own
   // per-batch LeafTracker starts empty, so standing claims must be enforced
   // here. Intra-batch endpoint conflicts stay the scheduler's business.
+  // The ledger records each request's outcome as it is decided: the
+  // pre-filtered ones here, the scheduled ones in batch order below.
   std::vector<Request> batch;
   std::vector<std::size_t> batch_index;
-  std::vector<std::uint64_t> batch_flight_ids;
   for (std::size_t i = 0; i < requests.size(); ++i) {
     const Request& r = requests[i];
     FT_REQUIRE(r.src < tree_.node_count());
@@ -113,9 +114,6 @@ BatchOpenResult ConnectionManager::open_batch(
       out.schedule.outcomes[i].granted = false;
       out.schedule.outcomes[i].reason = RejectReason::kLeafBusy;
       if (tracked) {
-        // Pre-filtered requests never reach the scheduler (and thus the
-        // probe), so their rejection is recorded here: admission-time
-        // failure, level 0.
         FT_FLIGHT_EVENT(
             flight_,
             obs::FlightEvent::rejected(
@@ -126,33 +124,33 @@ BatchOpenResult ConnectionManager::open_batch(
     }
     batch.push_back(r);
     batch_index.push_back(i);
-    if (tracked) batch_flight_ids.push_back(request_ids[i]);
   }
 
-  // Arm the probe for exactly this batch: record_outcomes walks outcomes in
-  // input order, so the id at the batch cursor is the id of the request
-  // being reported — GRANTED/REJECTED events come out of the existing probe
-  // seam without touching any scheduler.
-  obs::SchedulerProbe* probe = scheduler.probe();
-  const bool armed = tracked && probe != nullptr;
-  if (armed) {
-    probe->begin_flight_batch(batch_flight_ids.data(),
-                              batch_flight_ids.size(), flight_now_);
-  }
   ScheduleResult batch_result = scheduler.schedule(tree_, batch, state_);
-  if (armed) probe->end_flight_batch();
   FT_REQUIRE(batch_result.outcomes.size() == batch.size());
   for (std::size_t b = 0; b < batch.size(); ++b) {
     const std::size_t i = batch_index[b];
-    out.schedule.outcomes[i] = std::move(batch_result.outcomes[b]);
-    if (!out.schedule.outcomes[i].granted) continue;
+    RequestOutcome& outcome = out.schedule.outcomes[i];
+    outcome = std::move(batch_result.outcomes[b]);
+    if (tracked) {
+      FT_FLIGHT_EVENT(
+          flight_,
+          outcome.granted
+              ? obs::FlightEvent::granted(
+                    request_ids[i], flight_now_,
+                    static_cast<std::uint16_t>(outcome.path.ancestor_level))
+              : obs::FlightEvent::rejected(
+                    request_ids[i], flight_now_,
+                    static_cast<std::uint8_t>(outcome.reason),
+                    static_cast<std::uint16_t>(outcome.fail_level)));
+    }
+    if (!outcome.granted) continue;
     const bool claimed = leaves_.try_claim(batch[b].src, batch[b].dst);
     FT_ASSERT(claimed);  // pre-filter + scheduler tracker guarantee this
     (void)claimed;
     const ConnectionId id = next_id_++;
-    insert(id, out.schedule.outcomes[i].path, tracked,
-           tracked ? request_ids[i] : 0);
-    if (!owners_.empty()) set_owner(out.schedule.outcomes[i].path, id);
+    insert(id, outcome.path, tracked, tracked ? request_ids[i] : 0);
+    if (!owners_.empty()) set_owner(outcome.path, id);
     out.ids[i] = id;
   }
   return out;

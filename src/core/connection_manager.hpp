@@ -63,11 +63,12 @@ class ConnectionManager {
   /// registered as open connections.
   /// `request_ids` optionally carries one stable flight-recorder id per
   /// request (parallel to `requests`). When a flight ring is attached and
-  /// the ids are present, the batch is ledger-tracked: pre-filtered
-  /// kLeafBusy rejections are recorded here, per-outcome GRANTED/REJECTED
-  /// events flow through the scheduler's probe (armed for exactly this
-  /// batch), and grants remember their id so close()/fail_cable() can emit
-  /// CLOSED/REVOKED later. An empty span leaves the batch untracked.
+  /// the ids are present, the batch is ledger-tracked: every request gets
+  /// one GRANTED (ancestor level) or REJECTED (reason, fail level) event —
+  /// the pre-filtered kLeafBusy rejections first, then the scheduled
+  /// requests in batch order — and grants remember their id so
+  /// close()/fail_cable() can emit CLOSED/REVOKED later. The scheduler's
+  /// probe, if any, only counts. An empty span leaves the batch untracked.
   BatchOpenResult open_batch(const std::vector<Request>& requests,
                              Scheduler& scheduler,
                              std::span<const std::uint64_t> request_ids = {});

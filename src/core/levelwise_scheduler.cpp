@@ -126,9 +126,8 @@ std::uint32_t LevelwiseScheduler::pick_port_impl(
   FT_UNREACHABLE();
 }
 
-ScheduleResult LevelwiseScheduler::schedule(const FatTree& tree,
-                                            std::span<const Request> requests,
-                                            LinkState& state) {
+ScheduleResult LevelwiseScheduler::schedule_batch(
+    const FatTree& tree, std::span<const Request> requests, LinkState& state) {
   if (options_.order == LevelwiseOptions::Order::kLevelMajor) {
     return schedule_level_major(tree, requests, state);
   }
@@ -137,8 +136,6 @@ ScheduleResult LevelwiseScheduler::schedule(const FatTree& tree,
 
 ScheduleResult LevelwiseScheduler::schedule_level_major(
     const FatTree& tree, std::span<const Request> requests, LinkState& state) {
-  if (probe_) probe_->on_batch_begin(requests.size());
-  obs::ScopedSpan batch_span(tracer_, name_, "sched.batch");
   ScheduleResult result;
   result.outcomes.resize(requests.size());
   const auto batch = admission_.begin(tree, requests);
@@ -270,14 +267,11 @@ ScheduleResult LevelwiseScheduler::schedule_level_major(
       admission_.release(requests[i], out);
     }
   }
-  if (probe_) record_outcomes(result);
   return result;
 }
 
 ScheduleResult LevelwiseScheduler::schedule_request_major(
     const FatTree& tree, std::span<const Request> requests, LinkState& state) {
-  if (probe_) probe_->on_batch_begin(requests.size());
-  obs::ScopedSpan batch_span(tracer_, name_, "sched.batch");
   ScheduleResult result;
   result.outcomes.resize(requests.size());
   const auto batch = admission_.begin(tree, requests);
@@ -348,7 +342,6 @@ ScheduleResult LevelwiseScheduler::schedule_request_major(
       tx_.commit();
     }
   }
-  if (probe_) record_outcomes(result);
   return result;
 }
 

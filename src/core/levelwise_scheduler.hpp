@@ -47,14 +47,15 @@ class LevelwiseScheduler final : public Scheduler {
 
   std::string_view name() const override { return name_; }
 
-  ScheduleResult schedule(const FatTree& tree, std::span<const Request> requests,
-                          LinkState& state) override;
-
   void reseed(std::uint64_t seed) override { rng_ = Xoshiro256ss(seed); }
 
   const LevelwiseOptions& options() const { return options_; }
 
  private:
+  ScheduleResult schedule_batch(const FatTree& tree,
+                                std::span<const Request> requests,
+                                LinkState& state) override;
+
   ScheduleResult schedule_level_major(const FatTree& tree,
                                       std::span<const Request> requests,
                                       LinkState& state);

@@ -83,10 +83,8 @@ std::uint32_t LocalAdaptiveScheduler::pick_local_port_impl(
   FT_UNREACHABLE();
 }
 
-ScheduleResult LocalAdaptiveScheduler::schedule(
+ScheduleResult LocalAdaptiveScheduler::schedule_batch(
     const FatTree& tree, std::span<const Request> requests, LinkState& state) {
-  if (probe_) probe_->on_batch_begin(requests.size());
-  obs::ScopedSpan batch_span(tracer_, name_, "sched.batch");
   ScheduleResult result;
   result.outcomes.resize(requests.size());
   const auto batch = admission_.begin(tree, requests);
@@ -178,7 +176,6 @@ ScheduleResult LocalAdaptiveScheduler::schedule(
       tx_.commit();
     }
   }
-  if (probe_) record_outcomes(result);
   return result;
 }
 

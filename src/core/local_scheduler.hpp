@@ -33,14 +33,15 @@ class LocalAdaptiveScheduler final : public Scheduler {
 
   std::string_view name() const override { return name_; }
 
-  ScheduleResult schedule(const FatTree& tree, std::span<const Request> requests,
-                          LinkState& state) override;
-
   void reseed(std::uint64_t seed) override { rng_ = Xoshiro256ss(seed); }
 
   const LocalOptions& options() const { return options_; }
 
  private:
+  ScheduleResult schedule_batch(const FatTree& tree,
+                                std::span<const Request> requests,
+                                LinkState& state) override;
+
   /// Inlined into the ascent loop, like LevelwiseScheduler::pick_port.
   [[gnu::always_inline]] inline std::uint32_t pick_local_port(
       const LinkState& state, const LinkState::LevelView& rows,

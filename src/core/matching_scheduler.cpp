@@ -214,12 +214,9 @@ void color_greedy(const FatTree& tree, const LinkState& state, Transaction& tx,
 
 }  // namespace
 
-ScheduleResult MatchingScheduler::schedule(const FatTree& tree,
-                                           std::span<const Request> requests,
-                                           LinkState& state) {
+ScheduleResult MatchingScheduler::schedule_batch(
+    const FatTree& tree, std::span<const Request> requests, LinkState& state) {
   FT_REQUIRE(tree.levels() == 2);
-  if (probe_) probe_->on_batch_begin(requests.size());
-  obs::ScopedSpan batch_span(tracer_, name(), "sched.batch");
   ScheduleResult result;
   result.outcomes.resize(requests.size());
   LeafTracker leaves(tree.node_count());
@@ -248,10 +245,7 @@ ScheduleResult MatchingScheduler::schedule(const FatTree& tree,
     ++deg_right[b];
     pending.push_back(i);
   }
-  if (pending.empty()) {
-    if (probe_) record_outcomes(result);
-    return result;
-  }
+  if (pending.empty()) return result;
 
   // Exact König edge coloring applies when no involved channel is occupied
   // and the degree bound holds; otherwise fall back to the greedy heuristic.
@@ -278,7 +272,6 @@ ScheduleResult MatchingScheduler::schedule(const FatTree& tree,
         probe_->on_port_pick(0, out.path.ports[0]);
       }
     }
-    record_outcomes(result);
   }
   return result;
 }

@@ -28,11 +28,12 @@ class MatchingScheduler final : public Scheduler {
 
   std::string_view name() const override { return "matching2"; }
 
-  ScheduleResult schedule(const FatTree& tree, std::span<const Request> requests,
-                          LinkState& state) override;
-
   void reseed(std::uint64_t) override {}  // deterministic
 
+ private:
+  ScheduleResult schedule_batch(const FatTree& tree,
+                                std::span<const Request> requests,
+                                LinkState& state) override;
 };
 
 }  // namespace ftsched

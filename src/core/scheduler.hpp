@@ -205,9 +205,22 @@ class Scheduler {
   /// `state`; rejected requests leave no residual occupancy (any partial
   /// allocation is rolled back before returning unless a scheduler option
   /// explicitly says otherwise).
-  virtual ScheduleResult schedule(const FatTree& tree,
-                                  std::span<const Request> requests,
-                                  LinkState& state) = 0;
+  ///
+  /// The batch bookkeeping lives here, once, around each scheduler's own
+  /// schedule_batch(): the probe counts the batch, a `sched.batch` span
+  /// wraps it, and every outcome then reports to the probe exactly once —
+  /// grants by ancestor level, rejections by first-failure level and
+  /// reason (admission failures land on level 0), leaf-channel claim
+  /// failures additionally on their own counter.
+  ScheduleResult schedule(const FatTree& tree,
+                          std::span<const Request> requests,
+                          LinkState& state) {
+    if (probe_) probe_->on_batch_begin(requests.size());
+    obs::ScopedSpan batch_span(tracer_, name(), "sched.batch");
+    ScheduleResult result = schedule_batch(tree, requests, state);
+    if (probe_) record_outcomes(result);
+    return result;
+  }
 
   /// Re-seeds any internal randomness (port policies, tie breaking).
   virtual void reseed(std::uint64_t seed) = 0;
@@ -216,18 +229,23 @@ class Scheduler {
   /// every schedule() call made while attached. Probes observe, never steer:
   /// an attached probe does not change any scheduling decision.
   void set_probe(obs::SchedulerProbe* probe) { probe_ = probe; }
-  obs::SchedulerProbe* probe() const { return probe_; }
 
   /// Attaches a trace-span sink (null detaches); same lifetime rule.
   void set_tracer(obs::TraceWriter* tracer) { tracer_ = tracer; }
-  obs::TraceWriter* tracer() const { return tracer_; }
 
  protected:
-  /// Uniform end-of-batch accounting: every outcome reports to the probe
-  /// exactly once — grants by ancestor level, rejections by first-failure
-  /// level and reason (admission failures land on level 0), leaf-channel
-  /// claim failures additionally on their own counter. Callers guard with
-  /// `if (probe_)`.
+  /// The scheduler's own batch: one outcome per request, in input order.
+  /// It reports its in-batch work (picks, popcounts, rollbacks) to `probe_`
+  /// and its phase spans to `tracer_`; the outcomes are reported by
+  /// schedule().
+  virtual ScheduleResult schedule_batch(const FatTree& tree,
+                                        std::span<const Request> requests,
+                                        LinkState& state) = 0;
+
+  obs::SchedulerProbe* probe_ = nullptr;
+  obs::TraceWriter* tracer_ = nullptr;
+
+ private:
   void record_outcomes(const ScheduleResult& result) {
     for (const RequestOutcome& out : result.outcomes) {
       if (out.granted) {
@@ -241,9 +259,6 @@ class Scheduler {
       }
     }
   }
-
-  obs::SchedulerProbe* probe_ = nullptr;
-  obs::TraceWriter* tracer_ = nullptr;
 };
 
 }  // namespace ftsched

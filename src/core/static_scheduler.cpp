@@ -23,11 +23,9 @@ DigitVec StaticDestinationScheduler::static_ports(const FatTree& tree,
   return ports;
 }
 
-ScheduleResult StaticDestinationScheduler::schedule(
+ScheduleResult StaticDestinationScheduler::schedule_batch(
     const FatTree& tree, std::span<const Request> requests, LinkState& state) {
   FT_REQUIRE(tree.parent_arity() >= tree.child_arity());
-  if (probe_) probe_->on_batch_begin(requests.size());
-  obs::ScopedSpan batch_span(tracer_, name(), "sched.batch");
   ScheduleResult result;
   result.outcomes.resize(requests.size());
   const auto batch = admission_.begin(tree, requests);
@@ -96,7 +94,6 @@ ScheduleResult StaticDestinationScheduler::schedule(
       tx_.commit();
     }
   }
-  if (probe_) record_outcomes(result);
   return result;
 }
 

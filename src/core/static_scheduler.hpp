@@ -29,9 +29,6 @@ class StaticDestinationScheduler final : public Scheduler {
 
   std::string_view name() const override { return "dmodk"; }
 
-  ScheduleResult schedule(const FatTree& tree, std::span<const Request> requests,
-                          LinkState& state) override;
-
   void reseed(std::uint64_t) override {}  // fully deterministic
 
   /// The forced port string for a destination PE: P_h = (dst / m^h) mod m.
@@ -39,6 +36,10 @@ class StaticDestinationScheduler final : public Scheduler {
                                std::uint32_t ancestor);
 
  private:
+  ScheduleResult schedule_batch(const FatTree& tree,
+                                std::span<const Request> requests,
+                                LinkState& state) override;
+
   BatchAdmission admission_;  ///< batch front end and its leaf tracker
   Transaction tx_;            ///< rebound for every request
 };

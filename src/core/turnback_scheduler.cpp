@@ -174,11 +174,8 @@ class TurnbackSearch {
 
 }  // namespace
 
-ScheduleResult TurnbackScheduler::schedule(const FatTree& tree,
-                                           std::span<const Request> requests,
-                                           LinkState& state) {
-  if (probe_) probe_->on_batch_begin(requests.size());
-  obs::ScopedSpan batch_span(tracer_, name_, "sched.batch");
+ScheduleResult TurnbackScheduler::schedule_batch(
+    const FatTree& tree, std::span<const Request> requests, LinkState& state) {
   ScheduleResult result;
   result.outcomes.reserve(requests.size());
   LeafTracker leaves(tree.node_count());
@@ -215,7 +212,6 @@ ScheduleResult TurnbackScheduler::schedule(const FatTree& tree,
     }
     result.outcomes.push_back(out);
   }
-  if (probe_) record_outcomes(result);
   return result;
 }
 

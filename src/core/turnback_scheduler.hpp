@@ -34,14 +34,15 @@ class TurnbackScheduler final : public Scheduler {
 
   std::string_view name() const override { return name_; }
 
-  ScheduleResult schedule(const FatTree& tree, std::span<const Request> requests,
-                          LinkState& state) override;
-
   void reseed(std::uint64_t seed) override { rng_ = Xoshiro256ss(seed); }
 
   const TurnbackOptions& options() const { return options_; }
 
  private:
+  ScheduleResult schedule_batch(const FatTree& tree,
+                                std::span<const Request> requests,
+                                LinkState& state) override;
+
   TurnbackOptions options_;
   Xoshiro256ss rng_;
   std::string name_;

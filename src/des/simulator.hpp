@@ -63,7 +63,6 @@ class Simulator {
   /// calls. Events land on the kPidDes track with ts = simulated time, so
   /// the trace viewer shows the simulation's own clock, not wall time.
   void set_tracer(obs::TraceWriter* tracer) { tracer_ = tracer; }
-  obs::TraceWriter* tracer() const { return tracer_; }
 
   /// Opt-in per-timestamp hook: `hook(t)` fires once for every distinct
   /// simulated time the kernel advances to, before that time's first event

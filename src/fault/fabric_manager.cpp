@@ -31,8 +31,6 @@ FabricManager::FabricManager(const FatTree& tree, Simulator& sim,
   if (options_.flight != nullptr) {
     manager_.set_flight(options_.flight);
     queue_.set_flight(options_.flight, options_.flight_base);
-    flight_probe_.set_flight(options_.flight);
-    scheduler_->set_probe(&flight_probe_);
   }
 }
 

@@ -32,7 +32,6 @@
 #include "fault/retry_queue.hpp"
 #include "obs/flight_recorder.hpp"
 #include "obs/metrics.hpp"
-#include "obs/sched_probe.hpp"
 #include "obs/trace.hpp"
 #include "util/contracts.hpp"
 
@@ -51,9 +50,9 @@ struct FabricOptions {
   bool deep_verify = false;
   obs::TraceWriter* tracer = nullptr;  ///< fault spans on the DES track
   /// Lifecycle ledger ring (null = recorder detached, zero-cost path). The
-  /// manager threads it through ConnectionManager, RetryQueue, and the
-  /// scheduler probe; every tracked request gets the stable id
-  /// `flight_base + seq` so dumps from different repetitions never collide.
+  /// manager threads it through ConnectionManager and RetryQueue; every
+  /// tracked request gets the stable id `flight_base + seq` so dumps from
+  /// different repetitions never collide.
   obs::FlightRing* flight = nullptr;
   std::uint64_t flight_base = 0;
 };
@@ -168,10 +167,6 @@ class FabricManager {
   FabricOptions options_;
   ConnectionManager manager_;
   std::unique_ptr<Scheduler> scheduler_;
-  // Carries per-outcome GRANTED/REJECTED emission through the scheduler's
-  // probe seam; attached only when options_.flight is set, so an untracked
-  // manager keeps the bare null-probe fast path.
-  obs::SchedulerProbe flight_probe_;
   RetryQueue queue_;
   Xoshiro256ss jitter_rng_;
   FabricStats stats_;

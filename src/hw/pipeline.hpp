@@ -106,7 +106,6 @@ class LevelwisePipeline {
   /// (ts = block-cycle number, tid = pipeline stage), so the viewer shows
   /// the fill/drain pattern of the pipeline.
   void set_tracer(obs::TraceWriter* tracer) { tracer_ = tracer; }
-  obs::TraceWriter* tracer() const { return tracer_; }
 
  private:
   const FatTree& tree_;

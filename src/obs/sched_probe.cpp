@@ -20,7 +20,6 @@ void SchedulerProbe::reset() {
   reject_by_reason_.clear();
   popcount_by_level_.clear();
   pick_by_level_.clear();
-  end_flight_batch();  // the ring attachment survives, the armed batch not
 }
 
 namespace {

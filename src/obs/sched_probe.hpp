@@ -7,7 +7,8 @@
 // indices the policies actually choose, Transaction rollback volume, and
 // LeafTracker claim failures. Attach one via Scheduler::set_probe (or
 // ExperimentConfig::probe) and it accumulates across every schedule() call
-// until reset().
+// until reset(). The probe counts; it keeps no per-request record (the
+// lifecycle ledger's GRANTED/REJECTED events are ConnectionManager's).
 //
 // Hook methods are inline unconditional increments; the null check lives at
 // the call site (`if (probe_) probe_->on_...`), so an unattached scheduler
@@ -23,7 +24,6 @@
 #include <string_view>
 #include <vector>
 
-#include "obs/flight_recorder.hpp"
 #include "obs/metrics.hpp"
 #include "util/contracts.hpp"
 
@@ -44,12 +44,6 @@ class SchedulerProbe {
   void on_grant(std::uint32_t ancestor_level) {
     ++grants_;
     bump(grant_by_ancestor_, ancestor_level);
-    if (flight_ids_ != nullptr && flight_next_ < flight_count_) {
-      flight_->record(FlightEvent::granted(
-          flight_ids_[flight_next_], flight_now_,
-          static_cast<std::uint16_t>(ancestor_level)));
-    }
-    ++flight_next_;
   }
 
   /// Every rejection reports exactly once, at the level of first failure
@@ -59,12 +53,6 @@ class SchedulerProbe {
     ++rejects_;
     bump(reject_by_level_, level);
     bump(reject_by_reason_, reason_code);
-    if (flight_ids_ != nullptr && flight_next_ < flight_count_) {
-      flight_->record(FlightEvent::rejected(
-          flight_ids_[flight_next_], flight_now_, reason_code,
-          static_cast<std::uint16_t>(level)));
-    }
-    ++flight_next_;
   }
 
   void on_leaf_claim_fail() { ++leaf_claim_failures_; }
@@ -114,36 +102,6 @@ class SchedulerProbe {
     return pick_by_level_;
   }
 
-  // --- Flight-recorder seam -------------------------------------------------
-  // The per-outcome grant/reject decisions already flow through this probe
-  // (Scheduler::record_outcomes walks outcomes in input order), so the
-  // lifecycle ledger taps the same seam instead of editing every scheduler:
-  // the batch driver attaches a ring once and arms each batch with the
-  // request ids parallel to the scheduler's input. on_grant/on_reject then
-  // emit GRANTED/REJECTED keyed by the id at the batch cursor. Detached
-  // (no ring or no armed batch) the hooks cost one extra predicted branch.
-
-  /// Attaches the flight ring (null detaches). Must outlive attached use.
-  void set_flight(FlightRing* ring) { flight_ = ring; }
-  FlightRing* flight() const { return flight_; }
-
-  /// Arms the next schedule() call: `ids[i]` is the stable request id of
-  /// the i-th request in the batch about to be scheduled, `now` the DES
-  /// tick to stamp. `ids` must stay alive until end_flight_batch().
-  void begin_flight_batch(const std::uint64_t* ids, std::size_t count,
-                          std::uint64_t now) {
-    flight_ids_ = flight_ != nullptr ? ids : nullptr;
-    flight_count_ = count;
-    flight_next_ = 0;
-    flight_now_ = now;
-  }
-
-  void end_flight_batch() {
-    flight_ids_ = nullptr;
-    flight_count_ = 0;
-    flight_next_ = 0;
-  }
-
   void reset();
 
   /// Adds `other`'s counts into this probe, slot by slot (vectors grow to
@@ -186,12 +144,6 @@ class SchedulerProbe {
   std::vector<std::uint64_t> reject_by_reason_;
   std::vector<std::vector<std::uint64_t>> popcount_by_level_;
   std::vector<std::vector<std::uint64_t>> pick_by_level_;
-
-  FlightRing* flight_ = nullptr;
-  const std::uint64_t* flight_ids_ = nullptr;  // armed batch; not owned
-  std::size_t flight_count_ = 0;
-  std::size_t flight_next_ = 0;   // batch cursor, one step per outcome
-  std::uint64_t flight_now_ = 0;  // DES tick stamped on emitted events
 };
 
 }  // namespace ftsched::obs

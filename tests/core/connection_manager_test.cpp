@@ -4,6 +4,7 @@
 
 #include "core/registry.hpp"
 #include "core/verifier.hpp"
+#include "obs/flight_recorder.hpp"
 #include "workload/patterns.hpp"
 
 namespace ftsched {
@@ -250,6 +251,57 @@ TEST(ConnectionManagerFault, RepairBeforeCloseKeepsHeldChannelsOccupied) {
   EXPECT_FALSE(manager.state().ulink(0, 0, port));
   EXPECT_TRUE(manager.close(*id).ok());
   EXPECT_EQ(manager.state(), LinkState(tree));
+}
+
+// The lifecycle ledger belongs to the connection layer: a ring attached to
+// the manager alone records one GRANTED or REJECTED per request of a tracked
+// batch, pre-filtered requests first, and a probe on the scheduler changes
+// nothing in it.
+TEST(ConnectionManagerFlight, RingAloneRecordsEveryOutcome) {
+  const FatTree tree = FatTree::symmetric(3, 4);
+  // First-fit prefill: Ulink(1, 0) holds ports {0, 1} and Dlink(1, 8) holds
+  // {2, 3}, so a pod 0 -> pod 2 circuit that climbs port 0 of leaf 2 finds no
+  // common port at level 1.
+  const std::vector<Request> prefill = {{0, 16},  {4, 20},  {17, 49},
+                                        {21, 53}, {25, 33}, {29, 37}};
+  const std::vector<Request> batch = {
+      {8, 40},   // rejected at level 1
+      {9, 41},   // granted at H = 2 through port 1 of leaf 2
+      {0, 50},   // source held by the prefill: pre-filtered
+      {9, 44},   // source claimed earlier in the batch: leaf busy
+      {12, 13},  // inside one leaf crossbar: granted at H = 0
+      {2, 5}};   // granted at H = 1
+  const std::vector<std::uint64_t> ids = {100, 101, 102, 103, 104, 105};
+  constexpr std::uint64_t kNow = 7;
+  const auto leaf_busy = static_cast<std::uint8_t>(RejectReason::kLeafBusy);
+  const auto no_port = static_cast<std::uint8_t>(RejectReason::kNoCommonPort);
+  const std::vector<obs::FlightEvent> expected = {
+      obs::FlightEvent::rejected(102, kNow, leaf_busy, 0),
+      obs::FlightEvent::rejected(100, kNow, no_port, 1),
+      obs::FlightEvent::granted(101, kNow, 2),
+      obs::FlightEvent::rejected(103, kNow, leaf_busy, 0),
+      obs::FlightEvent::granted(104, kNow, 0),
+      obs::FlightEvent::granted(105, kNow, 1)};
+
+  auto ledger = [&](obs::SchedulerProbe* probe) {
+    ConnectionManager manager(tree);
+    for (const Request& r : prefill) EXPECT_TRUE(manager.open(r).has_value());
+    obs::FlightRing ring(64);
+    manager.set_flight(&ring);
+    manager.set_flight_now(kNow);
+    const std::unique_ptr<Scheduler> scheduler =
+        make_scheduler("levelwise", 1).value();
+    scheduler->set_probe(probe);
+    EXPECT_EQ(manager.open_batch(batch, *scheduler, ids).granted_count(), 3u);
+    return ring.snapshot();
+  };
+
+  const std::vector<obs::FlightEvent> bare = ledger(nullptr);
+  EXPECT_EQ(bare, expected);
+  obs::SchedulerProbe probe;
+  EXPECT_EQ(ledger(&probe), bare);
+  EXPECT_EQ(probe.grants(), 3u);
+  EXPECT_EQ(probe.rejects(), 2u);  // the pre-filtered request never reaches it
 }
 
 }  // namespace

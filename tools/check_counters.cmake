@@ -6,22 +6,29 @@
 #
 #   cmake -DFTSCHED=<ftsched> -DRUN=<name> -DTHREADS=<n> -DBASELINE=<dir>
 #         -DOUT=<dir> "-DARGS=schedule 3 16 levelwise random 8"
-#         -P check_counters.cmake
+#         [-DFLAG=--flight-dump] -P check_counters.cmake
 #
-# ftsched writes <OUT>/<RUN>.jsonl (schedule) or <OUT>/<RUN>.rep<k>.jsonl
-# (degrade); every <RUN>.jsonl / <RUN>.rep*.jsonl under BASELINE must match.
+# FLAG names the ftsched option that writes the compared artifact
+# (default --metrics-out; --flight-dump gates the lifecycle ledger the same
+# way). ftsched writes <OUT>/<RUN>.jsonl (schedule) or
+# <OUT>/<RUN>.rep<k>.jsonl (degrade metrics); every <RUN>.jsonl /
+# <RUN>.rep*.jsonl under BASELINE must match.
 foreach(var FTSCHED RUN THREADS BASELINE OUT ARGS)
   if(NOT DEFINED ${var})
     message(FATAL_ERROR "check_counters: -D${var}=... is required")
   endif()
 endforeach()
 
+if(NOT DEFINED FLAG)
+  set(FLAG --metrics-out)
+endif()
+
 separate_arguments(ARGS UNIX_COMMAND "${ARGS}")
 file(REMOVE_RECURSE ${OUT})
 file(MAKE_DIRECTORY ${OUT})
 execute_process(
   COMMAND ${FTSCHED} ${ARGS} --threads=${THREADS}
-          --metrics-out=${OUT}/${RUN}.jsonl
+          ${FLAG}=${OUT}/${RUN}.jsonl
   RESULT_VARIABLE rc
   OUTPUT_QUIET)
 if(NOT rc EQUAL 0)
