@@ -3,17 +3,18 @@
 // the workload the paper's introduction motivates. This example runs an
 // open/close churn process at several offered loads and compares blocking
 // probability for:
-//   * plain level-wise admission (ConnectionManager),
-//   * admission with bounded circuit rearrangement
-//     (RearrangingConnectionManager, an extension of this repository).
+//   * plain level-wise admission (ConnectionManager::open, no moves),
+//   * admission with bounded circuit rearrangement (up to four moves per
+//     open, an extension of this repository).
 //
 //   ./dynamic_traffic [levels] [arity] [events] [seed]   (defaults: 3 8 20000 1)
 #include <cstdlib>
 #include <iostream>
+#include <optional>
 #include <vector>
 
 #include "core/connection_manager.hpp"
-#include "core/rearranging_manager.hpp"
+#include "util/parse.hpp"
 #include "util/table.hpp"
 
 using namespace ftsched;
@@ -34,10 +35,9 @@ struct ChurnResult {
 /// `arrival_bias` a request between a FREE injector and a FREE ejector
 /// arrives (so every blocked attempt is a FABRIC rejection, the quantity
 /// rearrangement can influence), otherwise a random open circuit departs.
-template <typename Manager>
-ChurnResult churn(Manager& manager, std::uint64_t node_count,
-                  std::uint64_t events, double arrival_bias,
-                  std::uint64_t seed) {
+ChurnResult churn(ConnectionManager& manager, std::uint32_t max_moves,
+                  std::uint64_t node_count, std::uint64_t events,
+                  double arrival_bias, std::uint64_t seed) {
   Xoshiro256ss rng(seed);
   struct OpenCircuit {
     ConnectionId id;
@@ -65,7 +65,7 @@ ChurnResult churn(Manager& manager, std::uint64_t node_count,
       }
       if (!found) continue;
       ++result.attempts;
-      if (const auto id = manager.open(request)) {
+      if (const auto id = manager.open(request, max_moves)) {
         open.push_back(OpenCircuit{*id, request});
         src_busy[request.src] = true;
         dst_busy[request.dst] = true;
@@ -90,16 +90,32 @@ ChurnResult churn(Manager& manager, std::uint64_t node_count,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const std::uint32_t levels =
-      argc > 1 ? static_cast<std::uint32_t>(std::atoi(argv[1])) : 3;
-  const std::uint32_t arity =
-      argc > 2 ? static_cast<std::uint32_t>(std::atoi(argv[2])) : 8;
-  const std::uint64_t events =
-      argc > 3 ? static_cast<std::uint64_t>(std::atoll(argv[3])) : 20000;
-  const std::uint64_t seed =
-      argc > 4 ? static_cast<std::uint64_t>(std::atoll(argv[4])) : 1;
-
-  const FatTree tree = FatTree::symmetric(levels, arity);
+  // levels, arity, events, seed: each a plain unsigned integer, the first
+  // two 32-bit.
+  std::uint64_t args[] = {3, 8, 20000, 1};
+  if (argc > 5) {
+    std::cerr << "usage: dynamic_traffic [levels] [arity] [events] [seed]\n";
+    return 2;
+  }
+  for (int i = 1; i < argc; ++i) {
+    const std::optional<std::uint64_t> value = parse_unsigned(argv[i]);
+    if (!value || (i <= 2 && *value > UINT32_MAX)) {
+      std::cerr << "bad argument '" << argv[i]
+                << "' (expected an unsigned integer)\n";
+      return 2;
+    }
+    args[i - 1] = *value;
+  }
+  const auto levels = static_cast<std::uint32_t>(args[0]);
+  const auto arity = static_cast<std::uint32_t>(args[1]);
+  const std::uint64_t events = args[2];
+  const std::uint64_t seed = args[3];
+  auto tree_or = FatTree::create(FatTreeParams::symmetric(levels, arity));
+  if (!tree_or.ok()) {
+    std::cerr << tree_or.message() << "\n";
+    return 2;
+  }
+  const FatTree& tree = tree_or.value();
   std::cout << "Dynamic circuit churn on FT(" << levels << "," << arity
             << "), " << tree.node_count() << " PEs, " << events
             << " events per cell\n\n";
@@ -109,11 +125,11 @@ int main(int argc, char** argv) {
   for (const double bias : {0.55, 0.65, 0.75, 0.85}) {
     ConnectionManager plain(tree);
     const ChurnResult p =
-        churn(plain, tree.node_count(), events, bias, seed);
+        churn(plain, 0, tree.node_count(), events, bias, seed);
 
-    RearrangingConnectionManager rearranging(tree);
+    ConnectionManager rearranging(tree);
     const ChurnResult r =
-        churn(rearranging, tree.node_count(), events, bias, seed);
+        churn(rearranging, 4, tree.node_count(), events, bias, seed);
 
     table.add_row({TextTable::num(bias, 2), TextTable::pct(p.blocking()),
                    TextTable::pct(r.blocking()),

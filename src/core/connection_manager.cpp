@@ -5,18 +5,12 @@
 #include <string>
 #include <utility>
 
-#include "linkstate/transaction.hpp"
 #include "topology/path.hpp"
 
 namespace ftsched {
 
-ConnectionManager::ConnectionManager(const FatTree& tree, PortPolicy policy,
-                                     std::uint64_t seed)
-    : tree_(tree),
-      policy_(policy),
-      rng_(seed),
-      state_(tree),
-      leaves_(tree.node_count()) {
+ConnectionManager::ConnectionManager(const FatTree& tree)
+    : tree_(tree), state_(tree), leaves_(tree.node_count()) {
   slots_.reserve(tree.node_count());
   free_.reserve(tree.node_count());
   std::size_t buckets = 1;
@@ -31,63 +25,101 @@ ConnectionManager::ConnectionManager(const FatTree& tree, PortPolicy policy,
   owner_offset_.push_back(cables);  // total, sizes the index
 }
 
-std::optional<ConnectionId> ConnectionManager::open(const Request& request) {
-  FT_REQUIRE(request.src < tree_.node_count());
-  FT_REQUIRE(request.dst < tree_.node_count());
-  if (!leaves_.try_claim(request.src, request.dst)) return std::nullopt;
-
-  const std::uint64_t src_leaf = tree_.leaf_switch(request.src).index;
-  const std::uint64_t dst_leaf = tree_.leaf_switch(request.dst).index;
-  const std::uint32_t H = tree_.common_ancestor_level(src_leaf, dst_leaf);
-
-  Path path{request.src, request.dst, H, {}};
-  Transaction tx(state_);
-  std::uint64_t sigma = src_leaf;
-  std::uint64_t delta = dst_leaf;
-  for (std::uint32_t h = 0; h < H; ++h) {
-    std::optional<std::uint32_t> port;
-    switch (policy_) {
-      case PortPolicy::kFirstFit:
-      case PortPolicy::kRoundRobin:  // no persistent pointer in dynamic mode
-        port = state_.first_available_port(h, sigma, delta);
-        break;
-      case PortPolicy::kRandom: {
-        const std::uint32_t count =
-            state_.available_port_count(h, sigma, delta);
-        if (count > 0) {
-          port = state_.nth_available_port(
-              h, sigma, delta, static_cast<std::uint32_t>(rng_.below(count)));
-        }
-        break;
-      }
-      case PortPolicy::kBalanced:
-      case PortPolicy::kBalancedRR:  // no persistent pointer in dynamic mode
-        port = state_.balanced_port(h, sigma, delta);
-        break;
-      case PortPolicy::kBalancedRandom: {
-        const std::uint32_t count = state_.balanced_port_count(h, sigma, delta);
-        if (count > 0) {
-          port = state_.nth_balanced_port(
-              h, sigma, delta, static_cast<std::uint32_t>(rng_.below(count)));
-        }
-        break;
-      }
-    }
+bool ConnectionManager::walk(Path& path, Block& block) const {
+  path.ports.clear();
+  std::uint64_t sigma = tree_.leaf_switch(path.src).index;
+  std::uint64_t delta = tree_.leaf_switch(path.dst).index;
+  for (std::uint32_t h = 0; h < path.ancestor_level; ++h) {
+    const std::optional<std::uint32_t> port =
+        state_.first_available_port(h, sigma, delta);
     if (!port) {
-      leaves_.release(request.src, request.dst);
-      return std::nullopt;  // tx rolls back the partial allocation
+      block = Block{h, sigma, delta};
+      return false;
     }
-    tx.occupy(h, sigma, delta, *port);
     path.ports.push_back(*port);
     sigma = tree_.ascend(h, sigma, *port);
     delta = tree_.ascend(h, delta, *port);
   }
   FT_ASSERT(sigma == delta);
-  tx.commit();
+  return true;
+}
+
+std::optional<ConnectionId> ConnectionManager::open(const Request& request,
+                                                    std::uint32_t max_moves) {
+  FT_REQUIRE(request.src < tree_.node_count());
+  FT_REQUIRE(request.dst < tree_.node_count());
+  if (!leaves_.try_claim(request.src, request.dst)) return std::nullopt;
+
+  Path path{request.src, request.dst,
+            tree_.common_ancestor_level(tree_.leaf_switch(request.src).index,
+                                        tree_.leaf_switch(request.dst).index),
+            {}};
+  std::uint32_t moves = 0;
+  Block block;
+  while (!walk(path, block)) {
+    if (moves == max_moves || !rearrange(block)) {
+      leaves_.release(request.src, request.dst);
+      return std::nullopt;
+    }
+    ++moves;
+  }
+  state_.occupy_path(tree_, path);
   const ConnectionId id = next_id_++;
   insert(id, path, false, 0);
   if (!owners_.empty()) set_owner(path, id);
+  if (moves > 0) ++stats_.rearranged_grants;
   return id;
+}
+
+bool ConnectionManager::rearrange(const Block& block) {
+  if (owners_.empty()) build_owners();
+  for (std::uint32_t p = 0; p < tree_.parent_arity(); ++p) {
+    const bool u_free = state_.ulink(block.level, block.sigma, p);
+    const bool d_free = state_.dlink(block.level, block.delta, p);
+    FT_ASSERT(!(u_free && d_free));  // walk() would have taken it
+    if (u_free == d_free) continue;  // both sides blocked: two moves, skip
+    const ChannelId contended =
+        u_free ? ChannelId{CableId{block.level, block.delta, p},
+                           Direction::kDown}
+               : ChannelId{CableId{block.level, block.sigma, p},
+                           Direction::kUp};
+    if (move_off(contended)) return true;
+  }
+  return false;
+}
+
+bool ConnectionManager::move_off(const ChannelId& contended) {
+  // A faulted channel has no owner (fail_cable revoked it), and neither does
+  // a free one: neither can be moved.
+  const ConnectionId id = owners_[owner_slot(contended)];
+  if (id == 0) return false;
+  Circuit& circuit = slots_[index_[bucket_of(id)].slot];
+  set_owner(circuit.path, 0);
+  state_.release_path(tree_, circuit.path);
+
+  // Mask the contended channel so the re-walk cannot pick it again.
+  const CableId& cable = contended.cable;
+  const auto mask = [&](bool available) {
+    if (contended.direction == Direction::kUp) {
+      state_.set_ulink(cable.level, cable.lower_index, cable.port, available);
+    } else {
+      state_.set_dlink(cable.level, cable.lower_index, cable.port, available);
+    }
+  };
+  mask(false);
+  Path moved = circuit.path;
+  Block block;
+  const bool found = walk(moved, block);
+  mask(true);
+
+  // Re-home in place, or restore the old ports: same id, slot and flight id.
+  if (found) {
+    circuit.path = moved;
+    ++stats_.moves;
+  }
+  state_.occupy_path(tree_, circuit.path);
+  set_owner(circuit.path, id);
+  return found;
 }
 
 BatchOpenResult ConnectionManager::open_batch(

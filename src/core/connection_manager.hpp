@@ -7,6 +7,19 @@
 // can manage an evolving set of circuits instead of one-shot batches —
 // this is what a centralized fabric manager built on the paper's hardware
 // would expose.
+//
+// Beyond the paper, open() can also rearrange. A fat tree is rearrangeably
+// non-blocking, so a request the level-wise rule cannot place against the
+// current allocation may still fit once an open circuit moves to another of
+// its port strings. Given a move budget, a blocked open:
+//   1. reads the blocking row pair off the failed walk: the level h, Ulink
+//      row σ_h and Dlink row δ_h whose AND was empty,
+//   2. looks for a port of that pair held on exactly ONE side, by an open
+//      circuit (the other side free),
+//   3. moves that circuit: releases it, masks the contended channel, re-walks
+//      it first-fit, unmasks; with no other placement it goes back on its
+//      old ports (always possible: they were just freed),
+//   4. retries, spending at most `max_moves` moves.
 #pragma once
 
 #include <cstdint>
@@ -44,15 +57,23 @@ struct BatchOpenResult {
 class ConnectionManager {
  public:
   /// The tree must outlive the manager.
-  explicit ConnectionManager(const FatTree& tree,
-                             PortPolicy policy = PortPolicy::kFirstFit,
-                             std::uint64_t seed = 0xc0117ULL);
+  explicit ConnectionManager(const FatTree& tree);
 
-  /// Tries to establish a circuit; on success returns its id and the state
-  /// holds its channels until close(). Fails (nullopt) when no conflict-free
-  /// port string exists under the level-wise rule, or an endpoint channel is
-  /// already in use by an open connection.
-  std::optional<ConnectionId> open(const Request& request);
+  /// Tries to establish a circuit by the first-fit level-wise walk; on
+  /// success returns its id and the state holds its channels until close().
+  /// Fails (nullopt) when an endpoint is already in use by an open
+  /// connection, or when no conflict-free port string exists even after
+  /// moving up to `max_moves` open circuits (0: no moves; see the file
+  /// comment). A leaf-busy request is never rearranged.
+  std::optional<ConnectionId> open(const Request& request,
+                                   std::uint32_t max_moves = 0);
+
+  /// What rearranging opens did; the rest follows from open()'s results.
+  struct Stats {
+    std::uint64_t moves = 0;              ///< circuits relocated
+    std::uint64_t rearranged_grants = 0;  ///< admitted after >= 1 move
+  };
+  const Stats& stats() const { return stats_; }
 
   /// Opens a whole batch through `scheduler` (any registry scheduler that
   /// allocates on top of the live state — all of them do). Requests whose
@@ -101,9 +122,11 @@ class ConnectionManager {
   const FatTree& tree() const { return tree_; }
 
   /// The established path of an open connection, or null. The pointer stays
-  /// valid, and the path unchanged, until that connection closes (close,
-  /// clear, or revocation by fail_cable): other circuits' opens and closes
-  /// never move it, because the slot table never reallocates.
+  /// valid until that connection closes (close, clear, or revocation by
+  /// fail_cable): other circuits' opens and closes never move it, because
+  /// the slot table never reallocates. The path stays unchanged too, unless
+  /// a rearranging open moves the circuit: it then keeps its id, its slot,
+  /// its flight id and this pointer, which reads the new ports.
   const Path* find(ConnectionId id) const;
 
   /// Fraction of inter-switch up-channels occupied at `level`.
@@ -112,7 +135,8 @@ class ConnectionManager {
   /// Residue check of the channel owner index: once it is built, every
   /// channel of every open circuit must name that circuit, and no other
   /// channel may name any — i.e. the index equals one re-derived from the
-  /// open paths. Before the first fail_cable there is no index to check.
+  /// open paths. Before the first fail_cable or rearranging attempt there
+  /// is no index to check.
   Status audit_owners() const;
 
   // --- Flight recorder ------------------------------------------------------
@@ -127,9 +151,24 @@ class ConnectionManager {
   void set_flight_now(std::uint64_t now) { flight_now_ = now; }
 
  private:
+  // The row pair whose AND was empty when a walk failed.
+  struct Block {
+    std::uint32_t level = 0;
+    std::uint64_t sigma = 0;
+    std::uint64_t delta = 0;
+  };
+  /// First-fit level-wise walk over the live state, without occupying: fills
+  /// path.ports for path.src -> path.dst up to path.ancestor_level, or
+  /// returns false with `block` set. A circuit takes one channel per matrix
+  /// per level, so its lower levels never change a higher level's rows and
+  /// the ports can be occupied after the walk.
+  bool walk(Path& path, Block& block) const;
+  /// Moves one open circuit off a port of `block` held on exactly one side;
+  /// false (state unchanged) when no such circuit has another placement.
+  bool rearrange(const Block& block);
+  bool move_off(const ChannelId& contended);
+
   const FatTree& tree_;
-  PortPolicy policy_;
-  Xoshiro256ss rng_;
   LinkState state_;
   LeafTracker leaves_;
   // Circuit table. Each open circuit lives in a stable slot of slots_
@@ -163,16 +202,18 @@ class ConnectionManager {
 
   // Channel owner index: the open circuit holding each directed channel,
   // 0 = free, at slot (owner_offset_[h] + lower_index·w + port)·2 +
-  // direction. Empty until the first fail_cable builds it, so a manager
-  // that never sees a fault (circuit churn) pays one branch per open or
-  // close; once built, open/open_batch/close/clear and fail_cable's own
-  // revocations keep it current, and a failure never rescans.
+  // direction. Empty until the first fail_cable or rearranging attempt
+  // builds it, so a manager that never sees either (circuit churn) pays one
+  // branch per open or close; once built, open/open_batch/close/clear, moves
+  // and fail_cable's own revocations keep it current, and a failure never
+  // rescans.
   std::size_t owner_slot(const ChannelId& channel) const;
   void set_owner(const Path& path, ConnectionId owner);
   void build_owners();
   std::vector<std::uint64_t> owner_offset_;  // per level, in cables
   std::vector<ConnectionId> owners_;
 
+  Stats stats_;
   obs::FlightRing* flight_ = nullptr;
   std::uint64_t flight_now_ = 0;
 };

@@ -1,11 +1,12 @@
 // ConnectionManager::fail_cable reads its victims from the channel owner
 // index. This differential property test drives seeded random interleavings
-// of open / open_batch / close / fail / repair and checks every fail_cable
-// against the brute-force answer: a path_crosses_cable scan over find() of
-// every open circuit, in ascending id order. The interleavings cover the
-// index's whole life: the first fail builds it, then opens, batches,
-// closes, clears and revocations keep it current, and every later fail
-// reads it after some of those updates.
+// of open (with a move budget of 0..4) / open_batch / close / fail / repair
+// and checks every fail_cable against the brute-force answer: a
+// path_crosses_cable scan over find() of every open circuit, in ascending id
+// order. The interleavings cover the index's whole life: the first fail or
+// rearranging open builds it, then opens, moves, batches, closes, clears and
+// revocations keep it current, and every later fail reads it after some of
+// those updates.
 #include <gtest/gtest.h>
 
 #include <iterator>
@@ -35,8 +36,6 @@ const Shape kShapes[] = {
     {"FT(2,65)", FatTreeParams::symmetric(2, 65)},
 };
 
-const PortPolicy kPolicies[] = {PortPolicy::kFirstFit, PortPolicy::kRandom,
-                                PortPolicy::kBalanced};
 const char* const kBatchSchedulers[] = {"levelwise", "levelwise-random",
                                         "levelwise-balanced"};
 
@@ -60,7 +59,7 @@ class Interleaving {
  public:
   Interleaving(const FatTree& tree, std::uint64_t seed)
       : tree_(tree),
-        manager_(tree, kPolicies[seed % 3], seed),
+        manager_(tree),
         scheduler_(make_scheduler(kBatchSchedulers[seed % 3], seed).value()),
         rng_(seed) {
     for (std::uint32_t h = 0; h + 1 < tree.levels(); ++h) {
@@ -105,7 +104,10 @@ class Interleaving {
 
   void open_one() {
     updated_ = true;
-    if (const auto id = manager_.open(random_request())) open_.insert(*id);
+    const auto max_moves = static_cast<std::uint32_t>(rng_.below(5));
+    if (const auto id = manager_.open(random_request(), max_moves)) {
+      open_.insert(*id);
+    }
   }
 
   void open_batch() {
@@ -198,6 +200,7 @@ TEST(ConnectionManagerFault, OwnerIndexVictimsMatchCrossingScan) {
     std::uint64_t victims = 0;
     std::uint64_t multi = 0;
     std::uint64_t after_updates = 0;
+    std::uint64_t moves = 0;
     for (std::uint64_t seed = 1; seed <= 3; ++seed) {
       SCOPED_TRACE(std::string(shape.name) + " seed " + std::to_string(seed));
       Interleaving run(tree, seed);
@@ -209,12 +212,18 @@ TEST(ConnectionManagerFault, OwnerIndexVictimsMatchCrossingScan) {
       victims += run.victims();
       multi += run.multi_victim_fails();
       after_updates += run.fails_after_updates();
+      moves += run.manager().stats().moves;
     }
     // The interleavings must actually exercise the index: victims, cables
-    // with both channels held, and fails read after open/close updates.
+    // with both channels held, fails read after open/close updates, and
+    // moved circuits.
     EXPECT_GT(victims, 100u) << shape.name;
     EXPECT_GT(multi, 5u) << shape.name;
     EXPECT_GT(after_updates, 20u) << shape.name;
+    // Only the small shapes fill up enough to block a request.
+    if (tree.node_count() <= 256) {
+      EXPECT_GT(moves, 5u) << shape.name;
+    }
   }
 }
 

@@ -1,13 +1,15 @@
 // ConnectionManager keeps its open circuits in a flat table: stable slots
 // plus an open-addressed id index (home bucket id & mask, linear probing,
 // backward-shift deletion). This differential property test drives seeded
-// random interleavings of open / open_batch (tracked and untracked) / close /
-// clear / fail_cable / repair_cable and checks the table against a std::map
-// reference model after every operation: the open count, consecutive ids,
-// find() of every id ever issued (its Path while open, null once closed),
-// the owner index audit, the CLOSED/REVOKED flight events of tracked
-// circuits, and that a find() pointer neither moves nor changes while other
-// circuits open and close. FT(2,4) has 16 PEs and so a 32-bucket index:
+// random interleavings of open (with a move budget of 0..4) / open_batch
+// (tracked and untracked) / close / clear / fail_cable / repair_cable and
+// checks the table against a std::map reference model after every
+// operation: the open count, consecutive ids, find() of every id ever issued
+// (its Path while open, null once closed), the owner index audit, the
+// CLOSED/REVOKED flight events of tracked circuits, and that a find()
+// pointer neither moves nor changes while other circuits open and close. A
+// circuit a rearranging open moves keeps its id, endpoints, flight id and
+// find() pointer; the model takes its new ports from find(). FT(2,4) has 16 PEs and so a 32-bucket index:
 // live ids share home buckets and probe runs wrap past the table's end.
 #include <gtest/gtest.h>
 
@@ -39,8 +41,6 @@ const Shape kShapes[] = {
     {"slimmed FT(3,6,5)", FatTreeParams{3, 6, 5}},
 };
 
-const PortPolicy kPolicies[] = {PortPolicy::kFirstFit, PortPolicy::kRandom,
-                                PortPolicy::kBalanced};
 const char* const kBatchSchedulers[] = {"levelwise", "levelwise-random",
                                         "levelwise-balanced"};
 
@@ -55,7 +55,7 @@ class Interleaving {
  public:
   Interleaving(const FatTree& tree, std::uint64_t seed)
       : tree_(tree),
-        manager_(tree, kPolicies[seed % 3], seed),
+        manager_(tree),
         scheduler_(make_scheduler(kBatchSchedulers[seed % 3], seed).value()),
         rng_(seed),
         ring_(1 << 12),
@@ -97,6 +97,7 @@ class Interleaving {
   std::uint64_t pin_survivals() const { return pin_survivals_; }
   std::uint64_t tracked_closes() const { return tracked_closes_; }
   std::uint64_t tracked_revocations() const { return tracked_revocations_; }
+  std::uint64_t moved_circuits() const { return moved_circuits_; }
   const ConnectionManager& manager() const { return manager_; }
 
  private:
@@ -133,7 +134,29 @@ class Interleaving {
 
   void open_one() {
     const Request request = random_request();
-    if (const auto id = manager_.open(request)) {
+    const auto max_moves = static_cast<std::uint32_t>(rng_.below(5));
+    const std::uint64_t moves = manager_.stats().moves;
+    const std::uint64_t events = ring_.total();
+    const auto id = manager_.open(request, max_moves);
+    EXPECT_EQ(ring_.total(), events);  // opens and moves write no events
+    ASSERT_LE(manager_.stats().moves, moves + max_moves);
+    // Moved circuits: same endpoints and level, new legal ports.
+    std::uint64_t moved = 0;
+    for (const auto& [open_id, flight] : open_) {
+      const Path* path = manager_.find(open_id);
+      ASSERT_NE(path, nullptr) << "open id " << open_id;
+      Path& model = issued_[open_id - 1];
+      if (*path == model) continue;
+      ASSERT_EQ(path->src, model.src);
+      ASSERT_EQ(path->dst, model.dst);
+      ASSERT_EQ(path->ancestor_level, model.ancestor_level);
+      ASSERT_TRUE(check_path_legal(tree_, *path).ok());
+      model = *path;
+      ++moved;
+    }
+    ASSERT_LE(moved, manager_.stats().moves - moves);
+    moved_circuits_ += moved;
+    if (id) {
       const Path* path = manager_.find(*id);
       ASSERT_NE(path, nullptr);
       EXPECT_EQ(path->src, request.src);
@@ -330,6 +353,7 @@ class Interleaving {
   std::uint64_t pin_survivals_ = 0;
   std::uint64_t tracked_closes_ = 0;
   std::uint64_t tracked_revocations_ = 0;
+  std::uint64_t moved_circuits_ = 0;
 };
 
 TEST(ConnectionManagerTable, MatchesMapModel) {
@@ -340,6 +364,7 @@ TEST(ConnectionManagerTable, MatchesMapModel) {
     std::uint64_t survivals = 0;
     std::uint64_t closes = 0;
     std::uint64_t revocations = 0;
+    std::uint64_t moved = 0;
     for (std::uint64_t seed = 1; seed <= 3; ++seed) {
       SCOPED_TRACE(std::string(shape.name) + " seed " + std::to_string(seed));
       Interleaving run(tree, seed);
@@ -353,12 +378,14 @@ TEST(ConnectionManagerTable, MatchesMapModel) {
       survivals += run.pin_survivals();
       closes += run.tracked_closes();
       revocations += run.tracked_revocations();
+      moved += run.moved_circuits();
     }
     // The interleavings must reach the cases the table exists for; only the
     // two small shapes issue enough ids per live circuit to share buckets.
     EXPECT_GT(survivals, 1000u) << shape.name;
     EXPECT_GT(closes, 50u) << shape.name;
     EXPECT_GT(revocations, 50u) << shape.name;
+    EXPECT_GT(moved, 10u) << shape.name;
     if (tree.node_count() <= 64) {
       EXPECT_GT(shared, 100u) << shape.name;
       EXPECT_GT(wrapped, 10u) << shape.name;

@@ -803,12 +803,14 @@ bool report_chaos_soak(const Json& bench, std::ostream& md,
      << fmt(num("repair_events"), 0) << " |\n"
      << "| victims / recovered | " << fmt(num("victims"), 0) << " / "
      << fmt(num("recovered"), 0) << " |\n"
-     << "| retries / shed | " << fmt(num("retries"), 0) << " / "
-     << fmt(num("shed"), 0) << " |\n\n";
+     << "| retries / shed / permanent rejects / abandoned | "
+     << fmt(num("retries"), 0) << " / " << fmt(num("shed"), 0) << " / "
+     << fmt(num("permanent_rejects"), 0) << " / " << fmt(num("abandoned"), 0)
+     << " |\n\n";
   for (const char* key :
        {"executed", "skipped", "epochs", "submitted", "grants", "closed",
         "open_at_end", "fail_events", "repair_events", "victims", "recovered",
-        "retries", "shed"}) {
+        "retries", "shed", "permanent_rejects", "abandoned"}) {
     csv.add("soak", key, num(key));
   }
   csv.add("soak", "ok", ok ? 1.0 : 0.0);

@@ -76,9 +76,10 @@
 //   --flight-dump=FILE     also valid for soak: lifecycle ledger of the
 //                          primary run
 //
-// Any other `--` flag, a surplus positional argument, or a count, seed or
-// --horizon that is not a plain unsigned integer is a usage error (exit 2),
-// never a silently different experiment.
+// Any other `--` flag, a surplus positional argument, or a tree dimension,
+// count, seed, --horizon, --ops, --epoch or --max-pending that is not a plain
+// unsigned integer is a usage error (exit 2), never a silently different
+// experiment.
 #include <algorithm>
 #include <cstdlib>
 #include <fstream>
@@ -88,6 +89,7 @@
 #include <span>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/registry.hpp"
@@ -157,7 +159,8 @@ int usage() {
 
 /// Reads a count, seed or horizon: a plain unsigned integer, never a sign,
 /// a flag or trailing text read as 0 or wrapped.
-bool read_unsigned(const char* what, const char* text, std::uint64_t& out) {
+bool read_unsigned(const char* what, std::string_view text,
+                   std::uint64_t& out) {
   const std::optional<std::uint64_t> value = parse_unsigned(text);
   if (!value) {
     std::cerr << "bad " << what << " '" << text
@@ -166,6 +169,45 @@ bool read_unsigned(const char* what, const char* text, std::uint64_t& out) {
   }
   out = *value;
   return true;
+}
+
+/// Builds the tree from its arguments: `levels` and `m`, then w after a
+/// colon in `m` where `colon_w` allows it (`m:w`), else from the separate
+/// argument `w` when given, else w = m. An argument that is not a plain
+/// unsigned 32-bit integer is a usage error (2), a shape FatTree::create
+/// rejects an error (1): either sets `exit_code` and returns nullopt.
+std::optional<FatTree> tree_from_args(const char* levels, std::string_view m,
+                                      const char* w, bool colon_w,
+                                      int& exit_code) {
+  std::optional<std::string_view> w_text;
+  if (w != nullptr) w_text = w;
+  const std::size_t colon = colon_w ? m.find(':') : std::string_view::npos;
+  if (colon != std::string_view::npos) {
+    w_text = m.substr(colon + 1);
+    m = m.substr(0, colon);
+  }
+  std::uint64_t dims[3] = {0, 0, 0};
+  if (!read_unsigned("levels", levels, dims[0]) ||
+      !read_unsigned("m", m, dims[1]) ||
+      (w_text && !read_unsigned("w", *w_text, dims[2]))) {
+    exit_code = usage();
+    return std::nullopt;
+  }
+  if (!w_text) dims[2] = dims[1];
+  if (std::max({dims[0], dims[1], dims[2]}) > UINT32_MAX) {
+    std::cerr << "tree dimension does not fit in 32 bits\n";
+    exit_code = usage();
+    return std::nullopt;
+  }
+  auto tree_or = FatTree::create(FatTreeParams{
+      static_cast<std::uint32_t>(dims[0]), static_cast<std::uint32_t>(dims[1]),
+      static_cast<std::uint32_t>(dims[2])});
+  if (!tree_or.ok()) {
+    std::cerr << tree_or.message() << "\n";
+    exit_code = 1;
+    return std::nullopt;
+  }
+  return std::move(tree_or).value();
 }
 
 /// Repetition counts must also be at least 1.
@@ -211,8 +253,8 @@ struct ObsFlags {
   std::string port_policy;  ///< level-wise port policy override, by name
   // Soak flags (soak command).
   std::uint64_t soak_ops = 4096;
-  std::size_t soak_epoch = 64;
-  std::size_t soak_max_pending = 256;
+  std::uint64_t soak_epoch = 64;
+  std::uint64_t soak_max_pending = 256;
   std::string soak_out = "chaos_repro.txt";
   std::string soak_json;  ///< machine-readable soak summary for ftreport
   std::string soak_replay;
@@ -264,23 +306,14 @@ std::string rep_path(const std::string& base, std::size_t rep) {
   return base.substr(0, dot) + suffix + base.substr(dot);
 }
 
-Result<FatTree> tree_from_args(int argc, char** argv, int base) {
-  const auto levels = static_cast<std::uint32_t>(std::atoi(argv[base]));
-  const auto m = static_cast<std::uint32_t>(std::atoi(argv[base + 1]));
-  const auto w = argc > base + 2
-                     ? static_cast<std::uint32_t>(std::atoi(argv[base + 2]))
-                     : m;
-  return FatTree::create(FatTreeParams{levels, m, w});
-}
-
 int cmd_info(int argc, char** argv) {
   if (argc < 4) return usage();
-  auto tree_or = tree_from_args(argc, argv, 2);
-  if (!tree_or.ok()) {
-    std::cerr << tree_or.message() << "\n";
-    return 1;
-  }
-  const FatTree& tree = tree_or.value();
+  int tree_exit = 0;
+  const std::optional<FatTree> tree_arg =
+      tree_from_args(argv[2], argv[3], argc > 4 ? argv[4] : nullptr,
+                     /*colon_w=*/false, tree_exit);
+  if (!tree_arg) return tree_exit;
+  const FatTree& tree = *tree_arg;
   std::cout << "FT(l=" << tree.levels() << ", m=" << tree.child_arity()
             << ", w=" << tree.parent_arity() << ")\n";
   std::cout << "  processing elements : " << tree.node_count() << "\n";
@@ -308,16 +341,16 @@ int cmd_info(int argc, char** argv) {
 
 int cmd_dot(int argc, char** argv) {
   if (argc < 4) return usage();
-  auto tree_or = tree_from_args(argc, argv, 2);
-  if (!tree_or.ok()) {
-    std::cerr << tree_or.message() << "\n";
-    return 1;
-  }
-  if (tree_or.value().total_switches() > 512) {
+  int tree_exit = 0;
+  const std::optional<FatTree> tree =
+      tree_from_args(argv[2], argv[3], argc > 4 ? argv[4] : nullptr,
+                     /*colon_w=*/false, tree_exit);
+  if (!tree) return tree_exit;
+  if (tree->total_switches() > 512) {
     std::cerr << "tree too large to draw usefully (>512 switches)\n";
     return 1;
   }
-  export_dot(tree_or.value(), std::cout);
+  export_dot(*tree, std::cout);
   return 0;
 }
 
@@ -325,19 +358,10 @@ int cmd_schedule(int argc, char** argv, const ObsFlags& flags) {
   if (argc < 7) return usage();
   // Arity is `m` (symmetric, w = m) or `m:w` (asymmetric, e.g. FT(3,4,2)
   // via `schedule 3 4:2 ...`).
-  const std::string arity = argv[3];
-  const std::size_t colon = arity.find(':');
-  const auto levels = static_cast<std::uint32_t>(std::atoi(argv[2]));
-  const auto m = static_cast<std::uint32_t>(std::atoi(arity.c_str()));
-  const auto w =
-      colon == std::string::npos
-          ? m
-          : static_cast<std::uint32_t>(std::atoi(arity.c_str() + colon + 1));
-  auto tree_or = FatTree::create(FatTreeParams{levels, m, w});
-  if (!tree_or.ok()) {
-    std::cerr << tree_or.message() << "\n";
-    return 1;
-  }
+  int tree_exit = 0;
+  const std::optional<FatTree> tree =
+      tree_from_args(argv[2], argv[3], nullptr, /*colon_w=*/true, tree_exit);
+  if (!tree) return tree_exit;
   const auto pattern = pattern_names().find(argv[5]);
   if (pattern == pattern_names().end()) {
     std::cerr << "unknown pattern '" << argv[5] << "'\n";
@@ -370,7 +394,7 @@ int cmd_schedule(int argc, char** argv, const ObsFlags& flags) {
   if (!flags.trace_out.empty()) config.tracer = &tracer;
   if (!flags.telemetry_out.empty()) config.telemetry = &telemetry;
 
-  const ExperimentPoint point = run_experiment(tree_or.value(), config);
+  const ExperimentPoint point = run_experiment(*tree, config);
   std::cout << config.scheduler << " on " << to_string(pattern->second)
             << ", " << config.repetitions << " reps:\n";
   std::cout << "  schedulability " << point.schedulability.ratio_string()
@@ -424,20 +448,11 @@ int cmd_schedule(int argc, char** argv, const ObsFlags& flags) {
 
 int cmd_degrade(int argc, char** argv, const ObsFlags& flags) {
   if (argc < 7) return usage();
-  const std::string arity = argv[3];
-  const std::size_t colon = arity.find(':');
-  const auto levels = static_cast<std::uint32_t>(std::atoi(argv[2]));
-  const auto m = static_cast<std::uint32_t>(std::atoi(arity.c_str()));
-  const auto w =
-      colon == std::string::npos
-          ? m
-          : static_cast<std::uint32_t>(std::atoi(arity.c_str() + colon + 1));
-  auto tree_or = FatTree::create(FatTreeParams{levels, m, w});
-  if (!tree_or.ok()) {
-    std::cerr << tree_or.message() << "\n";
-    return 1;
-  }
-  const FatTree& tree = tree_or.value();
+  int tree_exit = 0;
+  const std::optional<FatTree> tree_arg =
+      tree_from_args(argv[2], argv[3], nullptr, /*colon_w=*/true, tree_exit);
+  if (!tree_arg) return tree_exit;
+  const FatTree& tree = *tree_arg;
   const auto pattern = pattern_names().find(argv[5]);
   if (pattern == pattern_names().end()) {
     std::cerr << "unknown pattern '" << argv[5] << "'\n";
@@ -681,7 +696,9 @@ int write_soak_json(const std::string& path, const FatTreeParams& tree,
      << ",\"victims\":" << report.stats.victims
      << ",\"recovered\":" << report.stats.recovered
      << ",\"retries\":" << report.stats.retries
-     << ",\"shed\":" << report.stats.shed << ",\"env\":";
+     << ",\"shed\":" << report.stats.shed
+     << ",\"permanent_rejects\":" << report.stats.permanent_rejects
+     << ",\"abandoned\":" << report.stats.abandoned << ",\"env\":";
   obs::write_env_json(os, obs::collect_env());
   os << "}\n";
   std::cout << "  json    -> " << path << "\n";
@@ -698,7 +715,9 @@ void print_soak_report(const SoakReport& report) {
             << report.stats.repair_events << " repairs, "
             << report.stats.victims << " victims (" << report.stats.recovered
             << " recovered), " << report.stats.retries << " retries, "
-            << report.stats.shed << " shed\n";
+            << report.stats.shed << " shed, " << report.stats.permanent_rejects
+            << " permanent rejects, " << report.stats.abandoned
+            << " abandoned\n";
 }
 
 int cmd_soak(int argc, char** argv, const ObsFlags& flags) {
@@ -750,20 +769,11 @@ int cmd_soak(int argc, char** argv, const ObsFlags& flags) {
   }
 
   if (argc < 4) return usage();
-  const std::string arity = argv[3];
-  const std::size_t colon = arity.find(':');
-  const auto levels = static_cast<std::uint32_t>(std::atoi(argv[2]));
-  const auto m = static_cast<std::uint32_t>(std::atoi(arity.c_str()));
-  const auto w =
-      colon == std::string::npos
-          ? m
-          : static_cast<std::uint32_t>(std::atoi(arity.c_str() + colon + 1));
-  auto tree_or = FatTree::create(FatTreeParams{levels, m, w});
-  if (!tree_or.ok()) {
-    std::cerr << tree_or.message() << "\n";
-    return 1;
-  }
-  const FatTree& tree = tree_or.value();
+  int tree_exit = 0;
+  const std::optional<FatTree> tree_arg =
+      tree_from_args(argv[2], argv[3], nullptr, /*colon_w=*/true, tree_exit);
+  if (!tree_arg) return tree_exit;
+  const FatTree& tree = *tree_arg;
 
   SoakConfig config;
   auto scheduler_or = apply_port_policy(
@@ -802,8 +812,9 @@ int cmd_soak(int argc, char** argv, const ObsFlags& flags) {
     obs::arm_flight_dump_on_contract_failure(*recorder, flags.flight_dump);
   }
 
-  std::cout << "chaos soak: " << config.scheduler << " on FT(" << levels
-            << "," << m << "," << w << "), " << config.ops
+  std::cout << "chaos soak: " << config.scheduler << " on FT("
+            << tree.levels() << "," << tree.child_arity() << ","
+            << tree.parent_arity() << "), " << config.ops
             << " ops, seed " << config.seed << ", epoch "
             << config.epoch_ops << ", retry " << config.retry.spec() << "\n";
   ChaosSoak soak(tree, config);
@@ -853,14 +864,11 @@ int cmd_soak(int argc, char** argv, const ObsFlags& flags) {
 
 int cmd_hw(int argc, char** argv) {
   if (argc < 4) return usage();
-  auto tree_or = FatTree::create(FatTreeParams::symmetric(
-      static_cast<std::uint32_t>(std::atoi(argv[2])),
-      static_cast<std::uint32_t>(std::atoi(argv[3]))));
-  if (!tree_or.ok()) {
-    std::cerr << tree_or.message() << "\n";
-    return 1;
-  }
-  const FatTree& tree = tree_or.value();
+  int tree_exit = 0;
+  const std::optional<FatTree> tree_arg =
+      tree_from_args(argv[2], argv[3], nullptr, /*colon_w=*/false, tree_exit);
+  if (!tree_arg) return tree_exit;
+  const FatTree& tree = *tree_arg;
   if (tree.levels() < 2 || tree.parent_arity() > 64) {
     std::cerr << "hardware model needs 2+ levels and w <= 64\n";
     return 1;
@@ -928,13 +936,18 @@ int main(int argc, char** argv) {
       flags.retry_policy = arg.substr(15);
       flags.retry_policy_set = true;
     } else if (arg.rfind("--ops=", 0) == 0) {
-      flags.soak_ops = static_cast<std::uint64_t>(std::atoll(arg.c_str() + 6));
+      if (!read_unsigned("--ops", arg.c_str() + 6, flags.soak_ops)) {
+        return usage();
+      }
     } else if (arg.rfind("--epoch=", 0) == 0) {
-      flags.soak_epoch =
-          static_cast<std::size_t>(std::atoll(arg.c_str() + 8));
+      if (!read_unsigned("--epoch", arg.c_str() + 8, flags.soak_epoch)) {
+        return usage();
+      }
     } else if (arg.rfind("--max-pending=", 0) == 0) {
-      flags.soak_max_pending =
-          static_cast<std::size_t>(std::atoll(arg.c_str() + 14));
+      if (!read_unsigned("--max-pending", arg.c_str() + 14,
+                         flags.soak_max_pending)) {
+        return usage();
+      }
     } else if (arg.rfind("--soak-out=", 0) == 0) {
       flags.soak_out = arg.substr(11);
     } else if (arg.rfind("--json=", 0) == 0) {
