@@ -13,11 +13,11 @@
 // the schedulability summary and the post-batch residual-fabric imbalance
 // summaries (imbalance_max_over_mean / imbalance_cov / imbalance_hotspot),
 // the same summary shapes the degradation sweep emits.
-#include <cstdlib>
 #include <fstream>
 #include <iostream>
 #include <string>
 
+#include "bench_args.hpp"
 #include "core/registry.hpp"
 #include "linkstate/faults.hpp"
 #include "linkstate/imbalance.hpp"
@@ -77,6 +77,7 @@ void write_json(const std::string& path, std::size_t reps,
 
 int main(int argc, char** argv) {
   std::size_t reps = 40;
+  bool reps_seen = false;
   bool json = false;
   std::string json_path = "BENCH_abl_faults.json";
   for (int i = 1; i < argc; ++i) {
@@ -86,11 +87,11 @@ int main(int argc, char** argv) {
     } else if (arg.rfind("--json=", 0) == 0) {
       json = true;
       json_path = arg.substr(7);
-    } else {
-      reps = static_cast<std::size_t>(std::atoi(arg.c_str()));
+    } else if (!bench::read_reps_arg(arg, reps_seen, reps)) {
+      std::cerr << "usage: abl_faults [reps] [--json[=FILE]]\n";
+      return 2;
     }
   }
-  if (reps == 0) reps = 40;
 
   const FatTree tree = FatTree::symmetric(3, 8);
   std::cout << "Ablation: schedulability vs cable failure rate "

@@ -1,17 +1,16 @@
 // Ablation: offered load. Partial permutations at load factors 0.1 - 1.0 —
 // where does the local baseline start losing circuits, and how far does the
 // level-wise scheduler push the knee?
-#include <cstdlib>
 #include <iostream>
 
+#include "bench_args.hpp"
 #include "stats/runner.hpp"
 #include "util/table.hpp"
 
 using namespace ftsched;
 
 int main(int argc, char** argv) {
-  const std::size_t reps =
-      argc > 1 ? static_cast<std::size_t>(std::atoi(argv[1])) : 50;
+  const std::size_t reps = bench::count_arg(argc, argv, 50);
 
   std::cout << "Ablation: schedulability vs offered load "
                "(FT(3,8), 512 nodes, partial permutations, " << reps

@@ -2,9 +2,9 @@
 // request per block-cycle; banking the availability RAMs row-interleaved
 // lets K requests enter per cycle at the cost of bank-conflict stalls.
 // Sweep K and report speedup and the conflict tax on random permutations.
-#include <cstdlib>
 #include <iostream>
 
+#include "bench_args.hpp"
 #include "hw/multilane.hpp"
 #include "stats/summary.hpp"
 #include "util/table.hpp"
@@ -13,8 +13,7 @@
 using namespace ftsched;
 
 int main(int argc, char** argv) {
-  const std::size_t reps =
-      argc > 1 ? static_cast<std::size_t>(std::atoi(argv[1])) : 20;
+  const std::size_t reps = bench::count_arg(argc, argv, 20);
 
   std::cout << "Ablation: multi-lane scheduler pipeline "
                "(random permutations, " << reps << " reps)\n\n";

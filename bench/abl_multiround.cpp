@@ -3,9 +3,9 @@
 // transmit and release, and the rejects retry next slot. Fewer slots =
 // higher delivered bandwidth; this turns the schedulability ratio into the
 // execution-time penalty the paper's introduction warns about.
-#include <cstdlib>
 #include <iostream>
 
+#include "bench_args.hpp"
 #include "core/registry.hpp"
 #include "stats/summary.hpp"
 #include "util/table.hpp"
@@ -36,8 +36,7 @@ std::uint64_t rounds_to_drain(const FatTree& tree, Scheduler& scheduler,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const std::size_t reps =
-      argc > 1 ? static_cast<std::size_t>(std::atoi(argv[1])) : 30;
+  const std::size_t reps = bench::count_arg(argc, argv, 30);
 
   std::cout << "Ablation: time slots needed to deliver one full permutation "
                "(" << reps << " reps)\n\n";

@@ -3,17 +3,16 @@
 // that choice costs or buys against random and round-robin selection, for
 // both the level-wise scheduler and the local baseline, plus the
 // near-optimal matching reference on two-level trees.
-#include <cstdlib>
 #include <iostream>
 
+#include "bench_args.hpp"
 #include "stats/runner.hpp"
 #include "util/table.hpp"
 
 using namespace ftsched;
 
 int main(int argc, char** argv) {
-  const std::size_t reps =
-      argc > 1 ? static_cast<std::size_t>(std::atoi(argv[1])) : 50;
+  const std::size_t reps = bench::count_arg(argc, argv, 50);
 
   std::cout << "Ablation: port-selection policy "
                "(random permutations, " << reps << " reps)\n\n";

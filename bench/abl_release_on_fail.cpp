@@ -5,9 +5,9 @@
 //   * level-wise: release rejected requests' lower-level channels vs keep
 //     them (the pipelined hardware has no rollback path) — measured by the
 //     residual occupancy a following batch inherits.
-#include <cstdlib>
 #include <iostream>
 
+#include "bench_args.hpp"
 #include "core/levelwise_scheduler.hpp"
 #include "stats/runner.hpp"
 #include "util/table.hpp"
@@ -16,8 +16,7 @@
 using namespace ftsched;
 
 int main(int argc, char** argv) {
-  const std::size_t reps =
-      argc > 1 ? static_cast<std::size_t>(std::atoi(argv[1])) : 50;
+  const std::size_t reps = bench::count_arg(argc, argv, 50);
 
   std::cout << "Ablation: release-on-fail (" << reps << " reps)\n\n";
 

@@ -4,9 +4,9 @@
 // descending common-ancestor level (tallest circuits first — the classic
 // "hardest first" heuristic).
 #include <algorithm>
-#include <cstdlib>
 #include <iostream>
 
+#include "bench_args.hpp"
 #include "core/levelwise_scheduler.hpp"
 #include "stats/summary.hpp"
 #include "util/table.hpp"
@@ -56,8 +56,7 @@ const char* order_name(BatchOrder order) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const std::size_t reps =
-      argc > 1 ? static_cast<std::size_t>(std::atoi(argv[1])) : 50;
+  const std::size_t reps = bench::count_arg(argc, argv, 50);
 
   std::cout << "Ablation: processing order, level-wise scheduler "
             << "(" << reps << " random permutations per cell)\n\n";

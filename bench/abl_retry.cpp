@@ -3,9 +3,9 @@
 // the teardown settles. How many attempts until the distributed protocol
 // approaches the centralized level-wise scheduler's one-shot ratio — and
 // what does that cost in setup cycles?
-#include <cstdlib>
 #include <iostream>
 
+#include "bench_args.hpp"
 #include "core/registry.hpp"
 #include "simnet/setup_sim.hpp"
 #include "stats/summary.hpp"
@@ -15,8 +15,7 @@
 using namespace ftsched;
 
 int main(int argc, char** argv) {
-  const std::size_t reps =
-      argc > 1 ? static_cast<std::size_t>(std::atoi(argv[1])) : 30;
+  const std::size_t reps = bench::count_arg(argc, argv, 30);
 
   const FatTree tree = FatTree::symmetric(3, 8);
   std::cout << "Ablation: distributed setup with retries "

@@ -3,17 +3,16 @@
 // fabric a cost-conscious cluster builds — and fattened trees (w > m) add
 // headroom. Sweep the w:m ratio at fixed node count and watch the
 // level-wise/local gap.
-#include <cstdlib>
 #include <iostream>
 
+#include "bench_args.hpp"
 #include "stats/runner.hpp"
 #include "util/table.hpp"
 
 using namespace ftsched;
 
 int main(int argc, char** argv) {
-  const std::size_t reps =
-      argc > 1 ? static_cast<std::size_t>(std::atoi(argv[1])) : 50;
+  const std::size_t reps = bench::count_arg(argc, argv, 50);
 
   std::cout << "Ablation: slimmed / fattened fat trees "
                "(three levels, m = 4 -> 64 nodes, " << reps << " reps)\n\n";

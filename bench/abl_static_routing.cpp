@@ -3,17 +3,16 @@
 // routing (OpenSM-style d-mod-k, which provably never down-conflicts across
 // distinct destination leaves) on random permutations and on the adversarial
 // patterns where static routing's up-side hashing degenerates.
-#include <cstdlib>
 #include <iostream>
 
+#include "bench_args.hpp"
 #include "stats/runner.hpp"
 #include "util/table.hpp"
 
 using namespace ftsched;
 
 int main(int argc, char** argv) {
-  const std::size_t reps =
-      argc > 1 ? static_cast<std::size_t>(std::atoi(argv[1])) : 50;
+  const std::size_t reps = bench::count_arg(argc, argv, 50);
 
   std::cout << "Ablation: level-wise vs static destination routing (d-mod-k) "
                "vs local\n(" << reps << " reps per cell)\n\n";

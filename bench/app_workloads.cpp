@@ -3,9 +3,9 @@
 // family: mean schedulability across the phase sequence and the total time
 // slots to drain every phase (each phase must complete before the next —
 // bulk-synchronous semantics).
-#include <cstdlib>
 #include <iostream>
 
+#include "bench_args.hpp"
 #include "core/registry.hpp"
 #include "util/table.hpp"
 #include "workload/applications.hpp"
@@ -51,8 +51,7 @@ PhaseFamilyResult run_family(const FatTree& tree, Scheduler& scheduler,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const std::uint64_t a2a_rounds =
-      argc > 1 ? static_cast<std::uint64_t>(std::atoll(argv[1])) : 32;
+  const std::uint64_t a2a_rounds = bench::count_arg(argc, argv, 32);
 
   const FatTree tree = FatTree::symmetric(3, 8);
   Xoshiro256ss rng(2006);

@@ -12,13 +12,13 @@
 // printed for completeness since the paper mentions "greedy or random".
 #pragma once
 
-#include <cstdlib>
 #include <fstream>
 #include <iostream>
 #include <optional>
 #include <string>
 #include <vector>
 
+#include "bench_args.hpp"
 #include "exec/thread_pool.hpp"
 #include "obs/env.hpp"
 #include "obs/stopwatch.hpp"
@@ -188,27 +188,16 @@ struct Fig9Args {
   std::size_t threads = 1;
 };
 
-/// Reads the one positional argument, the repetition count. An unknown
-/// `--` flag, a second positional, or anything but a positive plain integer
-/// is a usage error: a mistyped or removed option must never turn into a
-/// different repetition count.
-inline bool read_reps_arg(const std::string& arg, bool& seen,
-                          std::size_t& reps) {
-  if (arg.rfind("--", 0) == 0) {
-    std::cerr << "unknown option " << arg << "\n";
+/// Reads --threads=N: a plain unsigned integer, 0 meaning all hardware
+/// threads.
+inline bool read_threads_arg(const std::string& text, std::size_t& threads) {
+  const std::optional<std::uint64_t> n = parse_unsigned(text);
+  if (!n) {
+    std::cerr << "bad --threads '" << text
+              << "' (expected an unsigned integer)\n";
     return false;
   }
-  if (seen) {
-    std::cerr << "unexpected argument '" << arg << "'\n";
-    return false;
-  }
-  const std::optional<std::uint64_t> value = parse_unsigned(arg);
-  if (!value || *value == 0) {
-    std::cerr << "bad reps '" << arg << "' (expected a positive integer)\n";
-    return false;
-  }
-  reps = static_cast<std::size_t>(*value);
-  seen = true;
+  threads = *n == 0 ? exec::hardware_threads() : static_cast<std::size_t>(*n);
   return true;
 }
 
@@ -226,9 +215,7 @@ inline std::optional<Fig9Args> parse_fig9_args(int argc, char** argv) {
       args.json = true;
       args.json_path = arg.substr(7);
     } else if (arg.rfind("--threads=", 0) == 0) {
-      const long n = std::atol(arg.c_str() + 10);
-      args.threads = n <= 0 ? exec::hardware_threads()
-                            : static_cast<std::size_t>(n);
+      if (!read_threads_arg(arg.substr(10), args.threads)) return std::nullopt;
     } else if (!read_reps_arg(arg, reps_seen, args.reps)) {
       return std::nullopt;
     }

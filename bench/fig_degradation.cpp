@@ -24,7 +24,6 @@
 // per-point namespace on top of the per-repetition one, so one file holds
 // the whole sweep's ledger. The hook is also armed as the crash black box.
 #include <algorithm>
-#include <cstdlib>
 #include <fstream>
 #include <iostream>
 #include <optional>
@@ -64,18 +63,19 @@ struct Args {
   std::string flight_path;
 };
 
-std::vector<double> parse_rates(const std::string& spec) {
-  std::vector<double> rates;
+/// The non-empty items of a comma-separated list.
+std::vector<std::string> split_list(const std::string& spec) {
+  std::vector<std::string> items;
   std::size_t pos = 0;
   while (pos <= spec.size()) {
     const std::size_t comma = spec.find(',', pos);
     const std::string item =
         spec.substr(pos, comma == std::string::npos ? comma : comma - pos);
-    if (!item.empty()) rates.push_back(std::atof(item.c_str()));
+    if (!item.empty()) items.push_back(item);
     if (comma == std::string::npos) break;
     pos = comma + 1;
   }
-  return rates;
+  return items;
 }
 
 /// Nullopt (after a message on stderr) on a usage error; main exits 2.
@@ -92,9 +92,7 @@ std::optional<Args> parse_args(int argc, char** argv) {
       args.json = true;
       args.json_path = arg.substr(7);
     } else if (arg.rfind("--threads=", 0) == 0) {
-      const long n = std::atol(arg.c_str() + 10);
-      args.threads = n <= 0 ? exec::hardware_threads()
-                            : static_cast<std::size_t>(n);
+      if (!read_threads_arg(arg.substr(10), args.threads)) return std::nullopt;
     } else if (arg.rfind("--retry=", 0) == 0) {
       args.retry = arg.substr(8);
     } else if (arg.rfind("--horizon=", 0) == 0) {
@@ -107,19 +105,18 @@ std::optional<Args> parse_args(int argc, char** argv) {
       }
       args.horizon = static_cast<SimTime>(*horizon);
     } else if (arg.rfind("--rates=", 0) == 0) {
-      args.rates = parse_rates(arg.substr(8));
-    } else if (arg.rfind("--schedulers=", 0) == 0) {
-      args.schedulers.clear();
-      const std::string spec = arg.substr(13);
-      std::size_t pos = 0;
-      while (pos <= spec.size()) {
-        const std::size_t comma = spec.find(',', pos);
-        const std::string item = spec.substr(
-            pos, comma == std::string::npos ? comma : comma - pos);
-        if (!item.empty()) args.schedulers.push_back(item);
-        if (comma == std::string::npos) break;
-        pos = comma + 1;
+      args.rates.clear();
+      for (const std::string& item : split_list(arg.substr(8))) {
+        const std::optional<double> rate = parse_non_negative(item);
+        if (!rate) {
+          std::cerr << "bad --rates item '" << item
+                    << "' (expected a non-negative number)\n";
+          return std::nullopt;
+        }
+        args.rates.push_back(*rate);
       }
+    } else if (arg.rfind("--schedulers=", 0) == 0) {
+      args.schedulers = split_list(arg.substr(13));
     } else if (arg.rfind("--flight=", 0) == 0) {
       args.flight_path = arg.substr(9);
     } else if (!read_reps_arg(arg, reps_seen, args.reps)) {

@@ -3,17 +3,16 @@
 // routing. This is the regime the paper's circuit scheduling escapes for
 // long-lived connections — once a circuit is granted, its "latency" is one
 // traversal with zero queueing, at the price of the setup pass (Table 1).
-#include <cstdlib>
 #include <iostream>
 
+#include "bench_args.hpp"
 #include "simnet/packet_sim.hpp"
 #include "util/table.hpp"
 
 using namespace ftsched;
 
 int main(int argc, char** argv) {
-  const std::uint64_t measure =
-      argc > 1 ? static_cast<std::uint64_t>(std::atoll(argv[1])) : 3000;
+  const std::uint64_t measure = bench::count_arg(argc, argv, 3000);
 
   const FatTree tree = FatTree::symmetric(3, 8);
   std::cout << "Packet switching on FT(3,8), 512 PEs, uniform traffic "

@@ -4,19 +4,24 @@
 // streaming a full permutation; the nanosecond scaling comes from the
 // Table-1-calibrated TimingModel (base 5.5 ns + 1 ns per priority-selector
 // level). Paper values printed alongside for comparison.
-#include <cstdlib>
 #include <iostream>
+#include <optional>
 
 #include "hw/pipeline.hpp"
 #include "hw/timing_model.hpp"
+#include "util/parse.hpp"
 #include "util/table.hpp"
 #include "workload/patterns.hpp"
 
 using namespace ftsched;
 
 int main(int argc, char** argv) {
-  const std::uint64_t seed =
-      argc > 1 ? static_cast<std::uint64_t>(std::atoll(argv[1])) : 2006;
+  const std::optional<std::uint64_t> seed =
+      argc > 1 ? parse_unsigned(argv[1]) : std::uint64_t{2006};
+  if (argc > 2 || !seed) {
+    std::cerr << "usage: table1_hw_timing [seed]   (default 2006)\n";
+    return 2;
+  }
 
   std::cout << "Table 1: hardware scheduler performance "
                "(three-level fat tree, one full permutation)\n\n";
@@ -36,7 +41,7 @@ int main(int argc, char** argv) {
   for (const PaperRow& row : paper_rows) {
     const FatTree tree = FatTree::symmetric(3, row.w);
     LevelwisePipeline pipeline(tree);
-    Xoshiro256ss rng(seed);
+    Xoshiro256ss rng(*seed);
     const auto batch = random_permutation(tree.node_count(), rng);
     const PipelineReport report = pipeline.schedule(batch);
 

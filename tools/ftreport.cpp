@@ -30,19 +30,18 @@
 // candidate got worse — the CI bench gate:
 //
 //   ftreport --baseline old.json --candidate new.json [--threshold 5%]
-//            [--perf]
 //
-// Three schemas are auto-detected. The repo's fig9 schema ({"bench","reps",
-// "points":[...]}) gates on the schedulability `mean` (deterministic for a
-// fixed seed, so tight thresholds are safe across machines); --perf
-// additionally gates on `requests_per_sec` (machine-dependent — only
-// meaningful when both files come from the same box). The degradation
-// schema (points carry "fault_rate") gates each (point, rate) on the
-// schedulability / open_ratio / ever_granted means and the recovery success
-// ratio. google-benchmark JSON ({"benchmarks":[...]}) gates on
-// `items_per_second` when present, else `real_time`. A benchmark present in
-// the baseline but missing from the candidate is a failure; new candidate
-// entries are reported but pass.
+// Both schemas gate deterministic quantities only (fixed seeds, so tight
+// thresholds are safe across machines); wall time is not gated here. The
+// repo's fig9 schema ({"bench","reps","points":[...]}) gates each (point,
+// scheduler) on the schedulability `mean`. The degradation schema (points
+// carry "fault_rate") gates each (point, rate) on the schedulability /
+// open_ratio / ever_granted and load-imbalance means and the recovery
+// success ratio. A point present in the baseline but missing from the
+// candidate is a failure; new candidate points are ignored. A point without
+// numeric "levels"/"arity" (and "fault_rate" in a degradation file), or a
+// fig9 point without "schedulers", is a parse error naming the file and the
+// point index.
 //
 // Anchor mode: pin the degradation engine's fault-free baseline to the
 // one-shot fig9 bench — the two must agree bit for bit (same seeds, same
@@ -79,10 +78,8 @@
 // Exit codes: 0 = ok / no regression, 1 = regression, missing benchmark,
 // anchor mismatch, or quality-gate failure, 2 = usage or parse error.
 #include <algorithm>
-#include <cctype>
 #include <cmath>
 #include <cstdint>
-#include <cstdlib>
 #include <fstream>
 #include <iostream>
 #include <map>
@@ -94,29 +91,15 @@
 
 #include "obs/flight_decoder.hpp"
 #include "util/json.hpp"
+#include "util/parse.hpp"
 
 namespace {
 
 using ftsched::Json;
 using ftsched::parse_json;
+using ftsched::parse_non_negative;
 using ftsched::Result;
 namespace obs = ftsched::obs;
-
-/// A flag value that must be a finite, non-negative decimal number and
-/// nothing else: no sign, blanks, hex, trailing text, "inf" or "nan".
-std::optional<double> parse_non_negative(const std::string& text) {
-  if (text.empty() || text.find_first_not_of("0123456789.eE+-") !=
-                          std::string::npos ||
-      !(std::isdigit(static_cast<unsigned char>(text[0])) || text[0] == '.')) {
-    return std::nullopt;
-  }
-  char* end = nullptr;
-  const double value = std::strtod(text.c_str(), &end);
-  if (end != text.c_str() + text.size() || !std::isfinite(value)) {
-    return std::nullopt;
-  }
-  return value;
-}
 
 bool parse_file(const std::string& path, Json& out) {
   std::ifstream in(path);
@@ -226,20 +209,11 @@ struct Args {
   std::vector<std::string> positional;
 };
 
-/// Accepts --flag=value, --flag value, and bare --perf (stored as "1").
-/// Any other flag name is a usage error, so a removed option fails loudly
+/// Accepts --flag=value and --flag value for the names in `flags`. Any
+/// other flag name is a usage error, so a removed option fails loudly
 /// instead of being read as something else.
 bool parse_args(const std::vector<std::string>& argv,
-                const std::vector<std::string>& value_flags, Args& out) {
-  const auto takes_value = [&](const std::string& name) {
-    return std::find(value_flags.begin(), value_flags.end(), name) !=
-           value_flags.end();
-  };
-  const auto known = [&](const std::string& name) {
-    if (takes_value(name) || name == "perf") return true;
-    std::cerr << "ftreport: unknown option --" << name << "\n";
-    return false;
-  };
+                const std::vector<std::string>& flags, Args& out) {
   for (std::size_t i = 0; i < argv.size(); ++i) {
     const std::string& arg = argv[i];
     if (arg.rfind("--", 0) != 0) {
@@ -247,22 +221,19 @@ bool parse_args(const std::vector<std::string>& argv,
       continue;
     }
     const auto eq = arg.find('=');
-    if (eq != std::string::npos) {
-      const std::string name = arg.substr(2, eq - 2);
-      if (!known(name)) return false;
-      out.flags[name] = arg.substr(eq + 1);
-      continue;
+    const std::string name =
+        eq == std::string::npos ? arg.substr(2) : arg.substr(2, eq - 2);
+    if (std::find(flags.begin(), flags.end(), name) == flags.end()) {
+      std::cerr << "ftreport: unknown option --" << name << "\n";
+      return false;
     }
-    const std::string name = arg.substr(2);
-    if (!known(name)) return false;
-    if (takes_value(name)) {
-      if (i + 1 >= argv.size()) {
-        std::cerr << "ftreport: --" << name << " needs a value\n";
-        return false;
-      }
+    if (eq != std::string::npos) {
+      out.flags[name] = arg.substr(eq + 1);
+    } else if (i + 1 < argv.size()) {
       out.flags[name] = argv[++i];
     } else {
-      out.flags[name] = "1";
+      std::cerr << "ftreport: --" << name << " needs a value\n";
+      return false;
     }
   }
   return true;
@@ -275,7 +246,7 @@ void usage(std::ostream& os) {
      << "                  [--flight FILE.jsonl]\n"
      << "                  [--out report.md] [--csv report.csv]\n"
      << "  ftreport --baseline OLD.json --candidate NEW.json\n"
-     << "           [--threshold PCT[%]] [--perf]\n"
+     << "           [--threshold PCT[%]]\n"
      << "  ftreport anchor --degradation BENCH_degradation.json\n"
      << "           --fig9 BENCH_fig9*.json [--scheduler levelwise]\n"
      << "  ftreport quality --bench BENCH_degradation.json\n"
@@ -289,7 +260,7 @@ void usage(std::ostream& os) {
 // --- Regression gate -------------------------------------------------------
 
 struct Comparison {
-  std::string name;    ///< benchmark identity (point + scheduler, or gbench name)
+  std::string name;    ///< benchmark identity (point key, + scheduler in fig9)
   std::string metric;  ///< which field was compared
   double baseline = 0.0;
   double candidate = 0.0;
@@ -314,61 +285,6 @@ double delta_pct(const Comparison& c) {
   return (c.candidate - c.baseline) / c.baseline * 100.0;
 }
 
-/// fig9 schema: gate every (point, scheduler) pair on the schedulability
-/// mean; with `perf` also on requests_per_sec.
-bool compare_fig9(const Json& base, const Json& cand, bool perf,
-                  std::vector<Comparison>& out) {
-  const Json* base_points = base.find("points");
-  const Json* cand_points = cand.find("points");
-  if (!base_points || base_points->type != Json::Type::kArray ||
-      !cand_points || cand_points->type != Json::Type::kArray) {
-    std::cerr << "ftreport: fig9 schema: missing \"points\" array\n";
-    return false;
-  }
-  const auto point_key = [](const Json& point) {
-    const Json* levels = point.find("levels");
-    const Json* arity = point.find("arity");
-    return "levels=" + fmt(levels ? levels->num_or(0) : 0, 0) +
-           " arity=" + fmt(arity ? arity->num_or(0) : 0, 0);
-  };
-  for (const Json& bp : base_points->array) {
-    const std::string key = point_key(bp);
-    const Json* cp = nullptr;
-    for (const Json& candidate_point : cand_points->array) {
-      if (point_key(candidate_point) == key) {
-        cp = &candidate_point;
-        break;
-      }
-    }
-    const Json* base_scheds = bp.find("schedulers");
-    if (!base_scheds || base_scheds->type != Json::Type::kObject) continue;
-    const Json* cand_scheds = cp ? cp->find("schedulers") : nullptr;
-    for (const auto& [sched, base_stats] : base_scheds->object) {
-      const Json* cand_stats =
-          cand_scheds ? cand_scheds->find(sched) : nullptr;
-      const auto emit = [&](const char* field, bool higher_better) {
-        const Json* bv = base_stats.find(field);
-        if (!bv || bv->type != Json::Type::kNumber) return;
-        Comparison c;
-        c.name = key + " " + sched;
-        c.metric = field;
-        c.baseline = bv->number;
-        c.higher_is_better = higher_better;
-        const Json* cv = cand_stats ? cand_stats->find(field) : nullptr;
-        if (!cv || cv->type != Json::Type::kNumber) {
-          c.missing = true;
-        } else {
-          c.candidate = cv->number;
-        }
-        out.push_back(std::move(c));
-      };
-      emit("mean", true);
-      if (perf) emit("requests_per_sec", true);
-    }
-  }
-  return true;
-}
-
 bool points_have_fault_rate(const Json& doc) {
   const Json* points = doc.find("points");
   if (!points || points->type != Json::Type::kArray ||
@@ -378,137 +294,107 @@ bool points_have_fault_rate(const Json& doc) {
   return points->array.front().find("fault_rate") != nullptr;
 }
 
-/// Degradation schema: every (levels, arity, fault_rate) point gates on the
-/// three service-level means and the recovery success ratio. All four are
-/// deterministic per seed, so the default threshold is safe cross-machine.
-bool compare_degradation(const Json& base, const Json& cand,
-                         std::vector<Comparison>& out) {
-  const Json* base_points = base.find("points");
-  const Json* cand_points = cand.find("points");
-  if (!base_points || base_points->type != Json::Type::kArray ||
-      !cand_points || cand_points->type != Json::Type::kArray) {
-    std::cerr << "ftreport: degradation schema: missing \"points\" array\n";
-    return false;
-  }
-  const auto point_key = [](const Json& point) {
-    const Json* levels = point.find("levels");
-    const Json* arity = point.find("arity");
-    const Json* rate = point.find("fault_rate");
-    std::string key = "levels=" + fmt(levels ? levels->num_or(0) : 0, 0) +
-                      " arity=" + fmt(arity ? arity->num_or(0) : 0, 0) +
-                      " rate=" + fmt(rate ? rate->num_or(0) : 0, 2);
-    // Multi-scheduler sweeps key the scheduler too; single-scheduler files
-    // (no "scheduler" field) keep the legacy key, so old baselines compare.
-    const Json* sched = point.find("scheduler");
-    if (sched && sched->type == Json::Type::kString) {
-      key += " scheduler=" + sched->str;
-    }
-    return key;
-  };
-  for (const Json& bp : base_points->array) {
-    const std::string key = point_key(bp);
-    const Json* cp = nullptr;
-    for (const Json& candidate_point : cand_points->array) {
-      if (point_key(candidate_point) == key) {
-        cp = &candidate_point;
-        break;
-      }
-    }
-    const auto emit_mean = [&](const char* section, bool higher_is_better) {
-      const Json* bs = bp.find(section);
-      const Json* bv = bs ? bs->find("mean") : nullptr;
-      if (!bv || bv->type != Json::Type::kNumber) return;
-      Comparison c;
-      c.name = key;
-      c.metric = std::string(section) + ".mean";
-      c.baseline = bv->number;
-      c.higher_is_better = higher_is_better;
-      const Json* cs = cp ? cp->find(section) : nullptr;
-      const Json* cv = cs ? cs->find("mean") : nullptr;
-      if (!cv || cv->type != Json::Type::kNumber) {
-        c.missing = true;
-      } else {
-        c.candidate = cv->number;
-      }
-      out.push_back(std::move(c));
+/// The identity of every point in a regression file, in order: levels and
+/// arity, plus the fault rate (and the scheduler, when a multi-scheduler
+/// sweep names one) in a degradation file. A point without one of those
+/// numbers, or a fig9 point without its "schedulers" object, is a parse
+/// error naming the file and the point index: keying it as 0 or skipping it
+/// would silently narrow the gate.
+std::optional<std::vector<std::string>> point_keys(const Json& points,
+                                                   const std::string& path,
+                                                   bool degradation) {
+  std::vector<std::string> keys;
+  for (const Json& point : points.array) {
+    const auto bad = [&](const char* what) {
+      std::cerr << "ftreport: " << path << ": point " << keys.size() << ": "
+                << what << "\n";
+      return std::nullopt;
     };
-    emit_mean("schedulability", true);
-    emit_mean("open_ratio", true);
-    emit_mean("ever_granted", true);
-    // Load-quality means are lower-is-better: a candidate that keeps the
-    // same service ratios but piles its circuits onto fewer planes regresses.
-    emit_mean("imbalance_max_over_mean", false);
-    emit_mean("imbalance_hotspot", false);
-    const Json* bv = bp.find("recovery_success_ratio");
-    if (bv && bv->type == Json::Type::kNumber) {
-      Comparison c;
-      c.name = key;
-      c.metric = "recovery_success_ratio";
-      c.baseline = bv->number;
-      const Json* cv = cp ? cp->find("recovery_success_ratio") : nullptr;
-      if (!cv || cv->type != Json::Type::kNumber) {
-        c.missing = true;
-      } else {
-        c.candidate = cv->number;
-      }
-      out.push_back(std::move(c));
+    const auto number = [&](const char* field) -> const Json* {
+      const Json* value = point.find(field);
+      return value && value->type == Json::Type::kNumber ? value : nullptr;
+    };
+    const Json* levels = number("levels");
+    const Json* arity = number("arity");
+    if (!levels || !arity) {
+      return bad("\"levels\" and \"arity\" must be numbers");
     }
+    std::string key =
+        "levels=" + fmt(levels->number, 0) + " arity=" + fmt(arity->number, 0);
+    if (degradation) {
+      const Json* rate = number("fault_rate");
+      if (!rate) return bad("\"fault_rate\" must be a number");
+      key += " rate=" + fmt(rate->number, 2);
+      // Single-scheduler files (no "scheduler" field) keep the legacy key,
+      // so old baselines compare.
+      const Json* sched = point.find("scheduler");
+      if (sched && sched->type == Json::Type::kString) {
+        key += " scheduler=" + sched->str;
+      }
+    } else {
+      const Json* scheds = point.find("schedulers");
+      if (!scheds || scheds->type != Json::Type::kObject) {
+        return bad("missing \"schedulers\" object");
+      }
+    }
+    keys.push_back(std::move(key));
   }
-  return true;
+  return keys;
 }
 
-/// google-benchmark schema: gate on items_per_second when both sides have
-/// it, otherwise real_time.
-bool compare_gbench(const Json& base, const Json& cand,
-                    std::vector<Comparison>& out) {
-  const Json* base_benches = base.find("benchmarks");
-  const Json* cand_benches = cand.find("benchmarks");
-  if (!base_benches || base_benches->type != Json::Type::kArray ||
-      !cand_benches || cand_benches->type != Json::Type::kArray) {
-    std::cerr << "ftreport: google-benchmark schema: missing \"benchmarks\"\n";
-    return false;
+/// Appends one comparison of a baseline value against the candidate's value
+/// of the same field: nothing when the baseline does not carry the field as
+/// a number, MISSING when the candidate (or its point) does not.
+void emit(const std::string& name, const std::string& metric,
+          const Json* base, const Json* cand, bool higher_is_better,
+          std::vector<Comparison>& out) {
+  if (!base || base->type != Json::Type::kNumber) return;
+  Comparison c;
+  c.name = name;
+  c.metric = metric;
+  c.baseline = base->number;
+  c.higher_is_better = higher_is_better;
+  if (!cand || cand->type != Json::Type::kNumber) {
+    c.missing = true;
+  } else {
+    c.candidate = cand->number;
   }
-  for (const Json& bb : base_benches->array) {
-    const Json* bname = bb.find("name");
-    if (!bname || bname->type != Json::Type::kString) continue;
-    // Aggregate rows (mean/median/stddev repetitions) carry run_type
-    // "aggregate"; plain runs compare directly.
-    const Json* cb = nullptr;
-    for (const Json& candidate_bench : cand_benches->array) {
-      const Json* cname = candidate_bench.find("name");
-      if (cname && cname->type == Json::Type::kString &&
-          cname->str == bname->str) {
-        cb = &candidate_bench;
-        break;
-      }
-    }
-    Comparison c;
-    c.name = bname->str;
-    const Json* base_items = bb.find("items_per_second");
-    const Json* cand_items = cb ? cb->find("items_per_second") : nullptr;
-    if (base_items && base_items->type == Json::Type::kNumber &&
-        (!cb || (cand_items && cand_items->type == Json::Type::kNumber))) {
-      c.metric = "items_per_second";
-      c.higher_is_better = true;
-      c.baseline = base_items->number;
-      if (cand_items) c.candidate = cand_items->number;
-      c.missing = cb == nullptr;
-    } else {
-      const Json* base_time = bb.find("real_time");
-      if (!base_time || base_time->type != Json::Type::kNumber) continue;
-      c.metric = "real_time";
-      c.higher_is_better = false;
-      c.baseline = base_time->number;
-      const Json* cand_time = cb ? cb->find("real_time") : nullptr;
-      if (cand_time && cand_time->type == Json::Type::kNumber) {
-        c.candidate = cand_time->number;
-      } else {
-        c.missing = true;
-      }
-    }
-    out.push_back(std::move(c));
+  out.push_back(std::move(c));
+}
+
+/// fig9 schema: gate every scheduler of the point on its schedulability
+/// mean.
+void compare_fig9(const std::string& key, const Json& bp, const Json* cp,
+                  std::vector<Comparison>& out) {
+  const Json* cand_scheds = cp ? cp->find("schedulers") : nullptr;
+  for (const auto& [sched, base_stats] : bp.find("schedulers")->object) {
+    const Json* cand_stats = cand_scheds ? cand_scheds->find(sched) : nullptr;
+    emit(key + " " + sched, "mean", base_stats.find("mean"),
+         cand_stats ? cand_stats->find("mean") : nullptr, true, out);
   }
-  return true;
+}
+
+/// Degradation schema: every (levels, arity, fault_rate) point gates on the
+/// three service-level means, the two load-quality means and the recovery
+/// success ratio. All are deterministic per seed, so the default threshold
+/// is safe cross-machine.
+void compare_degradation(const std::string& key, const Json& bp,
+                         const Json* cp, std::vector<Comparison>& out) {
+  const auto emit_mean = [&](const char* section, bool higher_is_better) {
+    const Json* bs = bp.find(section);
+    const Json* cs = cp ? cp->find(section) : nullptr;
+    emit(key, std::string(section) + ".mean", bs ? bs->find("mean") : nullptr,
+         cs ? cs->find("mean") : nullptr, higher_is_better, out);
+  };
+  emit_mean("schedulability", true);
+  emit_mean("open_ratio", true);
+  emit_mean("ever_granted", true);
+  // Load-quality means are lower-is-better: a candidate that keeps the
+  // same service ratios but piles its circuits onto fewer planes regresses.
+  emit_mean("imbalance_max_over_mean", false);
+  emit_mean("imbalance_hotspot", false);
+  emit(key, "recovery_success_ratio", bp.find("recovery_success_ratio"),
+       cp ? cp->find("recovery_success_ratio") : nullptr, true, out);
 }
 
 int run_regression(const Args& args) {
@@ -529,7 +415,6 @@ int run_regression(const Args& args) {
     }
     threshold = *parsed;
   }
-  const bool perf = args.flags.count("perf") > 0;
 
   Json base, cand;
   if (!parse_file(base_it->second, base) ||
@@ -540,18 +425,41 @@ int run_regression(const Args& args) {
   const Json* cand_env = cand.find("env");
   if (base_env && cand_env) warn_env_mismatches(*base_env, *cand_env);
 
+  const auto points_of = [](const Json& doc,
+                            const std::string& path) -> const Json* {
+    const Json* points = doc.find("points");
+    if (points && points->type == Json::Type::kArray) return points;
+    std::cerr << "ftreport: " << path
+              << ": no \"points\" array (neither fig9 nor degradation"
+                 " schema)\n";
+    return nullptr;
+  };
+  const Json* base_points = points_of(base, base_it->second);
+  const Json* cand_points =
+      base_points ? points_of(cand, cand_it->second) : nullptr;
+  if (!cand_points) return 2;
+  const bool degradation = points_have_fault_rate(base);
+  const auto base_keys =
+      point_keys(*base_points, base_it->second, degradation);
+  if (!base_keys) return 2;
+  const auto cand_keys =
+      point_keys(*cand_points, cand_it->second, degradation);
+  if (!cand_keys) return 2;
+
   std::vector<Comparison> comparisons;
-  if (points_have_fault_rate(base)) {
-    if (!compare_degradation(base, cand, comparisons)) return 2;
-  } else if (base.find("points")) {
-    if (!compare_fig9(base, cand, perf, comparisons)) return 2;
-  } else if (base.find("benchmarks")) {
-    if (!compare_gbench(base, cand, comparisons)) return 2;
-  } else {
-    std::cerr << "ftreport: " << base_it->second
-              << ": neither fig9 (\"points\") nor google-benchmark"
-                 " (\"benchmarks\") schema\n";
-    return 2;
+  for (std::size_t i = 0; i < base_keys->size(); ++i) {
+    const std::string& key = (*base_keys)[i];
+    const auto match = std::find(cand_keys->begin(), cand_keys->end(), key);
+    const Json* cp =
+        match == cand_keys->end()
+            ? nullptr
+            : &cand_points->array[static_cast<std::size_t>(
+                  match - cand_keys->begin())];
+    if (degradation) {
+      compare_degradation(key, base_points->array[i], cp, comparisons);
+    } else {
+      compare_fig9(key, base_points->array[i], cp, comparisons);
+    }
   }
   if (comparisons.empty()) {
     std::cerr << "ftreport: baseline contains no comparable benchmarks\n";
@@ -1733,23 +1641,17 @@ int main(int argc, char** argv) {
       "csv",       "degradation", "fig9",     "scheduler",
       "flight",
       "baseline-scheduler", "candidate-scheduler", "max-sched-drop"};
-  if (raw[0] == "report") {
-    Args args;
-    if (!parse_args({raw.begin() + 1, raw.end()}, kValueFlags, args)) return 2;
-    return run_report(args);
-  }
-  if (raw[0] == "anchor") {
-    Args args;
-    if (!parse_args({raw.begin() + 1, raw.end()}, kValueFlags, args)) return 2;
-    return run_anchor(args);
-  }
-  if (raw[0] == "quality") {
-    Args args;
-    if (!parse_args({raw.begin() + 1, raw.end()}, kValueFlags, args)) return 2;
-    return run_quality(args);
-  }
+  const std::string& mode = raw[0];
+  const bool named_mode =
+      mode == "report" || mode == "anchor" || mode == "quality";
   Args args;
-  if (!parse_args(raw, kValueFlags, args)) return 2;
+  if (!parse_args({raw.begin() + (named_mode ? 1 : 0), raw.end()},
+                  kValueFlags, args)) {
+    return 2;
+  }
+  if (mode == "report") return run_report(args);
+  if (mode == "anchor") return run_anchor(args);
+  if (mode == "quality") return run_quality(args);
   if (!args.positional.empty()) {
     std::cerr << "ftreport: unknown command '" << args.positional.front()
               << "'\n";

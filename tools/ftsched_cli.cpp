@@ -76,12 +76,12 @@
 //   --flight-dump=FILE     also valid for soak: lifecycle ledger of the
 //                          primary run
 //
-// Any other `--` flag, a surplus positional argument, or a tree dimension,
-// count, seed, --horizon, --ops, --epoch or --max-pending that is not a plain
-// unsigned integer is a usage error (exit 2), never a silently different
-// experiment.
+// Any other `--` flag, a surplus positional argument, a tree dimension,
+// count, seed, --threads, --horizon, --ops, --epoch or --max-pending that is
+// not a plain unsigned integer, or a --fault-rate, --fault-mtbf or
+// --fault-mttr that is not a finite non-negative decimal number is a usage
+// error (exit 2), never a silently different experiment.
 #include <algorithm>
-#include <cstdlib>
 #include <fstream>
 #include <iostream>
 #include <map>
@@ -165,6 +165,19 @@ bool read_unsigned(const char* what, std::string_view text,
   if (!value) {
     std::cerr << "bad " << what << " '" << text
               << "' (expected an unsigned integer)\n";
+    return false;
+  }
+  out = *value;
+  return true;
+}
+
+/// Reads a fault rate or time: a finite, non-negative decimal number,
+/// never a sign, "inf" or trailing text read as something else.
+bool read_non_negative(const char* what, std::string_view text, double& out) {
+  const std::optional<double> value = parse_non_negative(text);
+  if (!value) {
+    std::cerr << "bad " << what << " '" << text
+              << "' (expected a non-negative number)\n";
     return false;
   }
   out = *value;
@@ -923,15 +936,25 @@ int main(int argc, char** argv) {
     } else if (arg.rfind("--telemetry-out=", 0) == 0) {
       flags.telemetry_out = arg.substr(16);
     } else if (arg.rfind("--threads=", 0) == 0) {
-      const long n = std::atol(arg.c_str() + 10);
-      flags.threads = n <= 0 ? exec::hardware_threads()
-                             : static_cast<std::size_t>(n);
+      std::uint64_t n = 0;
+      if (!read_unsigned("--threads", arg.c_str() + 10, n)) return usage();
+      flags.threads =
+          n == 0 ? exec::hardware_threads() : static_cast<std::size_t>(n);
     } else if (arg.rfind("--fault-rate=", 0) == 0) {
-      flags.fault_rate = std::atof(arg.c_str() + 13);
+      if (!read_non_negative("--fault-rate", arg.c_str() + 13,
+                             flags.fault_rate)) {
+        return usage();
+      }
     } else if (arg.rfind("--fault-mtbf=", 0) == 0) {
-      flags.fault_mtbf = std::atof(arg.c_str() + 13);
+      if (!read_non_negative("--fault-mtbf", arg.c_str() + 13,
+                             flags.fault_mtbf)) {
+        return usage();
+      }
     } else if (arg.rfind("--fault-mttr=", 0) == 0) {
-      flags.fault_mttr = std::atof(arg.c_str() + 13);
+      if (!read_non_negative("--fault-mttr", arg.c_str() + 13,
+                             flags.fault_mttr)) {
+        return usage();
+      }
     } else if (arg.rfind("--retry-policy=", 0) == 0) {
       flags.retry_policy = arg.substr(15);
       flags.retry_policy_set = true;
