@@ -36,6 +36,7 @@
 #include "obs/env.hpp"
 #include "obs/flight_recorder.hpp"
 #include "obs/metrics.hpp"
+#include "obs/sink.hpp"
 #include "obs/stopwatch.hpp"
 #include "stats/summary.hpp"
 #include "util/json.hpp"
@@ -266,9 +267,11 @@ int run(const Args& args) {
         config.fault_rate = rate;
         config.horizon = args.horizon;
         config.retry = retry.value();
+        obs::Sink sink;
         if (recorder) {
-          config.flight = &*recorder;
-          config.flight_base = (++point_counter) << 44U;
+          sink.flight = &*recorder;
+          sink.id_base = (++point_counter) << 44U;
+          config.sink = &sink;
         }
 
         const obs::Stopwatch watch;

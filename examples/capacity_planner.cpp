@@ -7,21 +7,36 @@
 // machines).
 //
 //   ./capacity_planner [min_nodes] [reps]     (defaults: 500 30)
-#include <cstdlib>
+#include <cstdint>
 #include <iostream>
+#include <optional>
 #include <vector>
 
 #include "hw/timing_model.hpp"
 #include "stats/runner.hpp"
+#include "util/parse.hpp"
 #include "util/table.hpp"
 
 using namespace ftsched;
 
 int main(int argc, char** argv) {
-  const std::uint64_t min_nodes =
-      argc > 1 ? static_cast<std::uint64_t>(std::atoll(argv[1])) : 500;
-  const std::size_t reps =
-      argc > 2 ? static_cast<std::size_t>(std::atoi(argv[2])) : 30;
+  // min_nodes and reps: each a plain unsigned integer, reps positive.
+  std::uint64_t args[] = {500, 30};
+  if (argc > 3) {
+    std::cerr << "usage: capacity_planner [min_nodes] [reps]\n";
+    return 2;
+  }
+  for (int i = 1; i < argc; ++i) {
+    const std::optional<std::uint64_t> value = parse_unsigned(argv[i]);
+    if (!value || (i == 2 && *value == 0)) {
+      std::cerr << "bad argument '" << argv[i]
+                << "' (expected an unsigned integer, reps > 0)\n";
+      return 2;
+    }
+    args[i - 1] = *value;
+  }
+  const std::uint64_t min_nodes = args[0];
+  const auto reps = static_cast<std::size_t>(args[1]);
 
   std::cout << "Fat-tree capacity plan for >= " << min_nodes
             << " processing elements\n"

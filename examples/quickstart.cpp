@@ -3,24 +3,39 @@
 // baseline, verify both, and print the schedulability ratios.
 //
 //   ./quickstart [levels] [arity] [seed]     (defaults: 3 8 2006)
-#include <cstdlib>
+#include <cstdint>
 #include <iostream>
+#include <optional>
 
 #include "core/registry.hpp"
 #include "core/verifier.hpp"
 #include "stats/summary.hpp"
+#include "util/parse.hpp"
 #include "util/table.hpp"
 #include "workload/patterns.hpp"
 
 using namespace ftsched;
 
 int main(int argc, char** argv) {
-  const std::uint32_t levels =
-      argc > 1 ? static_cast<std::uint32_t>(std::atoi(argv[1])) : 3;
-  const std::uint32_t arity =
-      argc > 2 ? static_cast<std::uint32_t>(std::atoi(argv[2])) : 8;
-  const std::uint64_t seed =
-      argc > 3 ? static_cast<std::uint64_t>(std::atoll(argv[3])) : 2006;
+  // levels, arity, seed: each a plain unsigned integer, the first two
+  // 32-bit.
+  std::uint64_t args[] = {3, 8, 2006};
+  if (argc > 4) {
+    std::cerr << "usage: quickstart [levels] [arity] [seed]\n";
+    return 2;
+  }
+  for (int i = 1; i < argc; ++i) {
+    const std::optional<std::uint64_t> value = parse_unsigned(argv[i]);
+    if (!value || (i <= 2 && *value > UINT32_MAX)) {
+      std::cerr << "bad argument '" << argv[i]
+                << "' (expected an unsigned integer)\n";
+      return 2;
+    }
+    args[i - 1] = *value;
+  }
+  const auto levels = static_cast<std::uint32_t>(args[0]);
+  const auto arity = static_cast<std::uint32_t>(args[1]);
+  const std::uint64_t seed = args[2];
 
   // 1. Build and validate the topology.
   auto tree_or = FatTree::create(FatTreeParams::symmetric(levels, arity));

@@ -13,17 +13,21 @@
 //
 // Patterns: random, reversal, rotation, transpose, complement, shift,
 // neighbor, hotspot. Schedulers: any registry name (see --help).
+#include <cstdint>
 #include <fstream>
 #include <functional>
 #include <iostream>
 #include <map>
+#include <optional>
 #include <string>
 
 #include "core/registry.hpp"
 #include "core/verifier.hpp"
 #include "obs/metrics.hpp"
 #include "obs/sched_probe.hpp"
+#include "obs/sink.hpp"
 #include "obs/trace.hpp"
+#include "util/parse.hpp"
 #include "workload/patterns.hpp"
 #include "workload/trace.hpp"
 
@@ -59,10 +63,15 @@ int usage() {
   return 2;
 }
 
-Result<FatTree> parse_tree(const char* levels, const char* arity) {
+/// The tree of two 32-bit dimensions; nullopt (a usage error) when either
+/// is not a plain unsigned integer.
+std::optional<Result<FatTree>> parse_tree(const char* levels,
+                                          const char* arity) {
+  const std::optional<std::uint64_t> l = parse_unsigned(levels);
+  const std::optional<std::uint64_t> a = parse_unsigned(arity);
+  if (!l || !a || *l > UINT32_MAX || *a > UINT32_MAX) return std::nullopt;
   return FatTree::create(FatTreeParams::symmetric(
-      static_cast<std::uint32_t>(std::atoi(levels)),
-      static_cast<std::uint32_t>(std::atoi(arity))));
+      static_cast<std::uint32_t>(*l), static_cast<std::uint32_t>(*a)));
 }
 
 bool write_file(const std::string& path,
@@ -84,17 +93,19 @@ int main(int argc, char** argv) {
   const std::string mode = argv[1];
 
   if (mode == "generate" && argc == 6) {
-    auto tree_or = parse_tree(argv[2], argv[3]);
-    if (!tree_or.ok()) {
-      std::cerr << tree_or.message() << "\n";
+    const auto tree_or = parse_tree(argv[2], argv[3]);
+    const std::optional<std::uint64_t> seed = parse_unsigned(argv[5]);
+    if (!tree_or || !seed) return usage();
+    if (!tree_or->ok()) {
+      std::cerr << tree_or->message() << "\n";
       return 1;
     }
     const auto it = pattern_names().find(argv[4]);
     if (it == pattern_names().end()) return usage();
-    Xoshiro256ss rng(static_cast<std::uint64_t>(std::atoll(argv[5])));
+    Xoshiro256ss rng(*seed);
     Trace trace;
-    trace.node_count = tree_or.value().node_count();
-    trace.requests = generate_pattern(tree_or.value(), it->second, rng);
+    trace.node_count = tree_or->value().node_count();
+    trace.requests = generate_pattern(tree_or->value(), it->second, rng);
     write_trace(std::cout, trace);
     return 0;
   }
@@ -113,12 +124,13 @@ int main(int argc, char** argv) {
         return usage();
       }
     }
-    auto tree_or = parse_tree(argv[2], argv[3]);
-    if (!tree_or.ok()) {
-      std::cerr << tree_or.message() << "\n";
+    const auto tree_or = parse_tree(argv[2], argv[3]);
+    if (!tree_or) return usage();
+    if (!tree_or->ok()) {
+      std::cerr << tree_or->message() << "\n";
       return 1;
     }
-    const FatTree& tree = tree_or.value();
+    const FatTree& tree = tree_or->value();
     auto scheduler_or = make_scheduler(argv[4]);
     if (!scheduler_or.ok()) {
       std::cerr << scheduler_or.message() << "\n";
@@ -135,18 +147,18 @@ int main(int argc, char** argv) {
       return 1;
     }
 
-    // The whole observability API in four steps: attach a probe and a trace
-    // writer to the scheduler, run, then export.
+    // The whole observability API in four steps: attach a sink holding a
+    // probe and a trace writer to the scheduler, run, then export.
     obs::SchedulerProbe probe;
     obs::TraceWriter tracer;
-    scheduler_or.value()->set_probe(&probe);
-    scheduler_or.value()->set_tracer(&tracer);
+    obs::Sink sink{.probe = &probe, .trace = &tracer};
+    scheduler_or.value()->set_sink(&sink);
 
     LinkState state(tree);
     ScheduleResult result;
     {
       // User code can add its own spans around scheduler calls; they land in
-      // the same trace as the scheduler's internal batch/level spans.
+      // the same trace as the scheduler's own batch spans.
       obs::ScopedSpan span(&tracer, "trace_scheduler.run", "example");
       result = scheduler_or.value()->schedule(
           tree, trace_or.value().requests, state);

@@ -128,8 +128,8 @@ BatchOpenResult ConnectionManager::open_batch(
   BatchOpenResult out;
   out.schedule.outcomes.resize(requests.size());
   out.ids.assign(requests.size(), std::nullopt);
-  const bool tracked =
-      flight_ != nullptr && request_ids.size() == requests.size();
+  const bool tracked = sink_ != nullptr && sink_->recording() &&
+                       request_ids.size() == requests.size();
 
   // Pre-filter endpoints already held by open circuits: the scheduler's own
   // per-batch LeafTracker starts empty, so standing claims must be enforced
@@ -146,11 +146,9 @@ BatchOpenResult ConnectionManager::open_batch(
       out.schedule.outcomes[i].granted = false;
       out.schedule.outcomes[i].reason = RejectReason::kLeafBusy;
       if (tracked) {
-        FT_FLIGHT_EVENT(
-            flight_,
-            obs::FlightEvent::rejected(
-                request_ids[i], flight_now_,
-                static_cast<std::uint8_t>(RejectReason::kLeafBusy), 0));
+        sink_->ledger(obs::FlightEvent::rejected(
+            request_ids[i], sink_->now,
+            static_cast<std::uint8_t>(RejectReason::kLeafBusy), 0));
       }
       continue;
     }
@@ -165,14 +163,13 @@ BatchOpenResult ConnectionManager::open_batch(
     RequestOutcome& outcome = out.schedule.outcomes[i];
     outcome = std::move(batch_result.outcomes[b]);
     if (tracked) {
-      FT_FLIGHT_EVENT(
-          flight_,
+      sink_->ledger(
           outcome.granted
               ? obs::FlightEvent::granted(
-                    request_ids[i], flight_now_,
+                    request_ids[i], sink_->now,
                     static_cast<std::uint16_t>(outcome.path.ancestor_level))
               : obs::FlightEvent::rejected(
-                    request_ids[i], flight_now_,
+                    request_ids[i], sink_->now,
                     static_cast<std::uint8_t>(outcome.reason),
                     static_cast<std::uint16_t>(outcome.fail_level)));
     }
@@ -240,9 +237,8 @@ Status ConnectionManager::close(ConnectionId id) {
   if (!owners_.empty()) set_owner(c.path, 0);
   state_.release_path(tree_, c.path);
   leaves_.release(c.path.src, c.path.dst);
-  if (c.tracked) {
-    FT_FLIGHT_EVENT(flight_,
-                    obs::FlightEvent::closed(c.flight_id, flight_now_));
+  if (c.tracked && sink_) {
+    sink_->ledger(obs::FlightEvent::closed(c.flight_id, sink_->now));
   }
   erase(b);
   return Status();
@@ -284,13 +280,11 @@ std::vector<Revocation> ConnectionManager::fail_cable(const CableId& cable) {
     set_owner(c.path, 0);
     state_.release_path(tree_, c.path);
     leaves_.release(c.path.src, c.path.dst);
-    if (c.tracked) {
-      FT_FLIGHT_EVENT(flight_,
-                      obs::FlightEvent::revoked(
-                          c.flight_id, flight_now_,
-                          static_cast<std::uint8_t>(cable.level),
-                          static_cast<std::uint16_t>(cable.port),
-                          static_cast<std::uint32_t>(cable.lower_index)));
+    if (c.tracked && sink_) {
+      sink_->ledger(obs::FlightEvent::revoked(
+          c.flight_id, sink_->now, static_cast<std::uint8_t>(cable.level),
+          static_cast<std::uint16_t>(cable.port),
+          static_cast<std::uint32_t>(cable.lower_index)));
     }
     erase(b);
   }

@@ -30,7 +30,7 @@
 #include "core/request.hpp"
 #include "core/scheduler.hpp"
 #include "linkstate/link_state.hpp"
-#include "obs/flight_recorder.hpp"
+#include "obs/sink.hpp"
 #include "topology/fat_tree.hpp"
 
 namespace ftsched {
@@ -83,13 +83,14 @@ class ConnectionManager {
   /// property the fault-rate-0 degradation baseline relies on. Grants are
   /// registered as open connections.
   /// `request_ids` optionally carries one stable flight-recorder id per
-  /// request (parallel to `requests`). When a flight ring is attached and
+  /// request (parallel to `requests`). When the sink records a ledger and
   /// the ids are present, the batch is ledger-tracked: every request gets
   /// one GRANTED (ancestor level) or REJECTED (reason, fail level) event —
   /// the pre-filtered kLeafBusy rejections first, then the scheduled
   /// requests in batch order — and grants remember their id so
-  /// close()/fail_cable() can emit CLOSED/REVOKED later. The scheduler's
-  /// probe, if any, only counts. An empty span leaves the batch untracked.
+  /// close()/fail_cable() can emit CLOSED/REVOKED later. Events carry the
+  /// sink's clock. The scheduler's own sink, if any, only counts. An empty
+  /// span leaves the batch untracked.
   BatchOpenResult open_batch(const std::vector<Request>& requests,
                              Scheduler& scheduler,
                              std::span<const std::uint64_t> request_ids = {});
@@ -139,16 +140,11 @@ class ConnectionManager {
   /// is no index to check.
   Status audit_owners() const;
 
-  // --- Flight recorder ------------------------------------------------------
-
-  /// Attaches the lifecycle ledger ring (null detaches). Detached, every
-  /// emission site costs one predicted branch (the null-probe discipline).
-  void set_flight(obs::FlightRing* ring) { flight_ = ring; }
-
-  /// DES tick stamped on subsequently emitted events — the driver sets this
-  /// before open_batch / close / fail_cable (the manager itself has no
-  /// clock, simulated or otherwise).
-  void set_flight_now(std::uint64_t now) { flight_now_ = now; }
+  /// Attaches the instrumentation sink (null detaches): the manager writes
+  /// the lifecycle ledger through it, stamped with its `now` (the manager
+  /// itself has no clock, so the caller sets it before open_batch / close /
+  /// fail_cable). Detached, every emission site costs one predicted branch.
+  void set_sink(obs::Sink* sink) { sink_ = sink; }
 
  private:
   // The row pair whose AND was empty when a walk failed.
@@ -214,8 +210,7 @@ class ConnectionManager {
   std::vector<ConnectionId> owners_;
 
   Stats stats_;
-  obs::FlightRing* flight_ = nullptr;
-  std::uint64_t flight_now_ = 0;
+  obs::Sink* sink_ = nullptr;
 };
 
 }  // namespace ftsched

@@ -48,26 +48,26 @@ std::uint32_t LevelwiseScheduler::pick_port(
     const LinkState& state, const LinkState::LevelView& rows,
     std::uint64_t src_sw, std::uint64_t dst_sw,
     std::vector<std::uint32_t>& rr_hint) {
-  if (probe_) [[unlikely]] {
+  if (sink_) [[unlikely]] {
     return pick_port_impl<true>(state, rows, src_sw, dst_sw, rr_hint);
   }
   return pick_port_impl<false>(state, rows, src_sw, dst_sw, rr_hint);
 }
 
-template <bool kProbed>
+template <bool kInstrumented>
 std::uint32_t LevelwiseScheduler::pick_port_impl(
     const LinkState& state, const LinkState::LevelView& rows,
     std::uint64_t src_sw, std::uint64_t dst_sw,
     std::vector<std::uint32_t>& rr_hint) {
   constexpr std::uint32_t kNoPort = LinkState::kNoPort;
   const std::uint32_t level = rows.level();
-  if constexpr (kProbed) {
-    probe_->on_and_popcount(
-        level, state.available_port_count(level, src_sw, dst_sw));
+  if constexpr (kInstrumented) {
+    sink_->and_popcount(level,
+                        state.available_port_count(level, src_sw, dst_sw));
   }
   const auto picked = [&](std::uint32_t port) {
-    if constexpr (kProbed) {
-      if (port != kNoPort) probe_->on_port_pick(level, port);
+    if constexpr (kInstrumented) {
+      if (port != kNoPort) sink_->pick(level, port);
     }
     return port;
   };
@@ -158,29 +158,22 @@ ScheduleResult LevelwiseScheduler::schedule_level_major(
 
   // Admission: claim leaf channels, resolve intra-switch (H == 0) requests,
   // and initialize σ_0 / δ_0 for the rest.
-  {
-    obs::ScopedSpan admission_span(tracer_, "admission", "sched.phase");
-    for (std::size_t i = 0; i < requests.size(); ++i) {
-      const auto admitted = admission_.admit(requests[i], result.outcomes[i]);
-      if (!admitted) continue;
-      sigma_[i] = admitted->src_leaf;
-      delta_[i] = admitted->dst_leaf;
-      pval_[i] = 0;
-      src_rest_[i] = admitted->src_leaf;
-      dst_rest_[i] = admitted->dst_leaf;
-      ancestor_[i] = admitted->ancestor;
-      live_.push_back(i);
-    }
+  for (std::size_t i = 0; i < requests.size(); ++i) {
+    const auto admitted = admission_.admit(requests[i], result.outcomes[i]);
+    if (!admitted) continue;
+    sigma_[i] = admitted->src_leaf;
+    delta_[i] = admitted->dst_leaf;
+    pval_[i] = 0;
+    src_rest_[i] = admitted->src_leaf;
+    dst_rest_[i] = admitted->dst_leaf;
+    ancestor_[i] = admitted->ancestor;
+    live_.push_back(i);
   }
 
   const std::uint32_t link_levels = tree.levels() - 1;
   for (std::uint32_t h = 0; h < link_levels; ++h) {
-    // With no request left in flight the remaining sweeps are no-ops; skip
-    // them unless a tracer expects every level's span.
-    if (live_.empty() && !tracer_) break;
-    std::string level_label;
-    if (tracer_) level_label = "level " + std::to_string(h);
-    obs::ScopedSpan level_span(tracer_, level_label, "sched.level");
+    // With no request left in flight the remaining sweeps are no-ops.
+    if (live_.empty()) break;
     if (policy_uses_hint(options_.policy)) {
       rr_hint_.assign(state.rows_at(h), 0);
     }
@@ -233,7 +226,7 @@ ScheduleResult LevelwiseScheduler::schedule_level_major(
   // directly, a granted request needs no commit step at all; a rejected one
   // replays the Theorem-1 digit shift over its recorded port
   // digits to rediscover each level's (σ_h, δ_h) and release the pair —
-  // exactly the entries a transaction journal would have held (the probe's
+  // exactly the entries a transaction journal would have held (the sink's
   // released-entry count is preserved: two channels per recorded port, and
   // the rollback event still fires, possibly with zero entries, for every
   // reject when release is enabled).
@@ -241,7 +234,7 @@ ScheduleResult LevelwiseScheduler::schedule_level_major(
     RequestOutcome& out = result.outcomes[i];
     if (out.granted) continue;
     if (options_.release_rejected) {
-      if (probe_) probe_->on_rollback(2 * out.path.ports.size());
+      if (sink_) sink_->rollback(2 * out.path.ports.size());
       if (!out.path.ports.empty()) {
         std::uint64_t sigma = divm(requests[i].src);
         std::uint64_t delta = divm(requests[i].dst);
@@ -331,7 +324,7 @@ ScheduleResult LevelwiseScheduler::schedule_request_major(
     if (rejected) {
       admission_.release(r, out);
       if (options_.release_rejected) {
-        if (probe_) probe_->on_rollback(tx_.size());
+        if (sink_) sink_->rollback(tx_.size());
         tx_.rollback();
       } else {
         tx_.commit();  // hardware-fidelity mode: partial allocation persists

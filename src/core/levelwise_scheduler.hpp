@@ -72,12 +72,12 @@ class LevelwiseScheduler final : public Scheduler {
       std::uint64_t src_sw, std::uint64_t dst_sw,
       std::vector<std::uint32_t>& rr_hint);
 
-  /// kProbed=false compiles to exactly the uninstrumented pick (direct
-  /// returns, no popcount) so an unattached probe costs a branch in
-  /// pick_port(), not a slower codepath. kProbed adds popcount/pick
-  /// recording. The round-robin hint update follows docs/PERFORMANCE.md
-  /// "Round-robin hint rule".
-  template <bool kProbed>
+  /// kInstrumented=false compiles to exactly the uninstrumented pick
+  /// (direct returns, no popcount) so a detached sink costs a branch in
+  /// pick_port(), not a slower codepath. kInstrumented adds the popcount
+  /// and pick events. The round-robin hint update follows
+  /// docs/PERFORMANCE.md "Round-robin hint rule".
+  template <bool kInstrumented>
   [[gnu::always_inline]] inline std::uint32_t pick_port_impl(
       const LinkState& state, const LinkState::LevelView& rows,
       std::uint64_t src_sw, std::uint64_t dst_sw,
@@ -107,7 +107,7 @@ class LevelwiseScheduler final : public Scheduler {
   std::vector<std::uint64_t> dst_rest_;  ///< ⌊dst_leaf / m^h⌋ per request
   std::vector<std::uint32_t> ancestor_;  ///< H per request
   /// In-flight request indices, compacted in place each level (stable order,
-  /// so pick order — and with it every RNG/probe stream — matches a sweep
+  /// so pick order — and with it every RNG/sink stream — matches a sweep
   /// over all requests in batch order exactly).
   std::vector<std::size_t> live_;
   std::vector<std::uint32_t> rr_hint_;   ///< level-major: current level's rows

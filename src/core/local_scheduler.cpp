@@ -16,24 +16,24 @@ LocalAdaptiveScheduler::LocalAdaptiveScheduler(LocalOptions options)
 std::uint32_t LocalAdaptiveScheduler::pick_local_port(
     const LinkState& state, const LinkState::LevelView& rows,
     std::uint64_t src_sw, std::vector<std::uint32_t>& rr_hint) {
-  if (probe_) [[unlikely]] {
+  if (sink_) [[unlikely]] {
     return pick_local_port_impl<true>(state, rows, src_sw, rr_hint);
   }
   return pick_local_port_impl<false>(state, rows, src_sw, rr_hint);
 }
 
-template <bool kProbed>
+template <bool kInstrumented>
 std::uint32_t LocalAdaptiveScheduler::pick_local_port_impl(
     const LinkState& state, const LinkState::LevelView& rows,
     std::uint64_t src_sw, std::vector<std::uint32_t>& rr_hint) {
   constexpr std::uint32_t kNoPort = LinkState::kNoPort;
   const std::uint32_t level = rows.level();
-  if constexpr (kProbed) {
-    probe_->on_and_popcount(level, rows.local_ulink_count(src_sw));
+  if constexpr (kInstrumented) {
+    sink_->and_popcount(level, rows.local_ulink_count(src_sw));
   }
   const auto picked = [&](std::uint32_t port) {
-    if constexpr (kProbed) {
-      if (port != kNoPort) probe_->on_port_pick(level, port);
+    if constexpr (kInstrumented) {
+      if (port != kNoPort) sink_->pick(level, port);
     }
     return port;
   };
@@ -166,7 +166,7 @@ ScheduleResult LocalAdaptiveScheduler::schedule_batch(
     if (rejected) {
       admission_.release(r, out);
       if (options_.release_on_fail) {
-        if (probe_) probe_->on_rollback(tx_.size());
+        if (sink_) sink_->rollback(tx_.size());
         tx_.rollback();
       } else {
         tx_.commit();

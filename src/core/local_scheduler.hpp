@@ -47,10 +47,10 @@ class LocalAdaptiveScheduler final : public Scheduler {
       const LinkState& state, const LinkState::LevelView& rows,
       std::uint64_t src_sw, std::vector<std::uint32_t>& rr_hint);
 
-  /// kProbed=false compiles to exactly the uninstrumented pick, so an
-  /// unattached probe costs a branch in pick_local_port(), not a slower
+  /// kInstrumented=false compiles to exactly the uninstrumented pick, so a
+  /// detached sink costs a branch in pick_local_port(), not a slower
   /// codepath.
-  template <bool kProbed>
+  template <bool kInstrumented>
   [[gnu::always_inline]] inline std::uint32_t pick_local_port_impl(
       const LinkState& state, const LinkState::LevelView& rows,
       std::uint64_t src_sw, std::vector<std::uint32_t>& rr_hint);

@@ -264,12 +264,12 @@ ScheduleResult MatchingScheduler::schedule_batch(
                  leaves);
   }
   tx.commit();
-  if (probe_) {
+  if (sink_) {
     // The matching runs whole-batch, so per-grant picks are recovered from
     // the outcomes (all circuits live on the single inter-switch level 0).
     for (const RequestOutcome& out : result.outcomes) {
       if (out.granted && !out.path.ports.empty()) {
-        probe_->on_port_pick(0, out.path.ports[0]);
+        sink_->pick(0, out.path.ports[0]);
       }
     }
   }

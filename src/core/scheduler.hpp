@@ -18,8 +18,7 @@
 #include "core/label_math.hpp"
 #include "core/request.hpp"
 #include "linkstate/link_state.hpp"
-#include "obs/sched_probe.hpp"
-#include "obs/trace.hpp"
+#include "obs/sink.hpp"
 #include "topology/fat_tree.hpp"
 #include "util/bitvec.hpp"
 #include "util/contracts.hpp"
@@ -207,58 +206,46 @@ class Scheduler {
   /// explicitly says otherwise).
   ///
   /// The batch bookkeeping lives here, once, around each scheduler's own
-  /// schedule_batch(): the probe counts the batch, a `sched.batch` span
-  /// wraps it, and every outcome then reports to the probe exactly once —
-  /// grants by ancestor level, rejections by first-failure level and
+  /// schedule_batch(): with a sink attached, the batch is counted, a
+  /// `sched.batch` span wraps it, and every outcome then reports exactly
+  /// once — grants by ancestor level, rejections by first-failure level and
   /// reason (admission failures land on level 0), leaf-channel claim
   /// failures additionally on their own counter.
   ScheduleResult schedule(const FatTree& tree,
                           std::span<const Request> requests,
                           LinkState& state) {
-    if (probe_) probe_->on_batch_begin(requests.size());
-    obs::ScopedSpan batch_span(tracer_, name(), "sched.batch");
+    if (!sink_) return schedule_batch(tree, requests, state);
+    sink_->batch(requests.size());
+    const obs::ScopedSpan batch_span = sink_->span(name(), "sched.batch");
     ScheduleResult result = schedule_batch(tree, requests, state);
-    if (probe_) record_outcomes(result);
+    for (const RequestOutcome& out : result.outcomes) {
+      if (out.granted) {
+        sink_->grant(out.path.ancestor_level);
+      } else {
+        sink_->reject(out.fail_level, static_cast<std::uint8_t>(out.reason),
+                      out.reason == RejectReason::kLeafBusy);
+      }
+    }
     return result;
   }
 
   /// Re-seeds any internal randomness (port policies, tie breaking).
   virtual void reseed(std::uint64_t seed) = 0;
 
-  /// Attaches an accounting probe (null detaches). The probe must outlive
-  /// every schedule() call made while attached. Probes observe, never steer:
-  /// an attached probe does not change any scheduling decision.
-  void set_probe(obs::SchedulerProbe* probe) { probe_ = probe; }
-
-  /// Attaches a trace-span sink (null detaches); same lifetime rule.
-  void set_tracer(obs::TraceWriter* tracer) { tracer_ = tracer; }
+  /// Attaches an instrumentation sink (null detaches). The sink must
+  /// outlive every schedule() call made while attached. Sinks observe,
+  /// never steer: an attached sink does not change any scheduling decision.
+  void set_sink(obs::Sink* sink) { sink_ = sink; }
 
  protected:
   /// The scheduler's own batch: one outcome per request, in input order.
-  /// It reports its in-batch work (picks, popcounts, rollbacks) to `probe_`
-  /// and its phase spans to `tracer_`; the outcomes are reported by
-  /// schedule().
+  /// It reports its in-batch work (picks, popcounts, rollbacks) to `sink_`;
+  /// the outcomes are reported by schedule().
   virtual ScheduleResult schedule_batch(const FatTree& tree,
                                         std::span<const Request> requests,
                                         LinkState& state) = 0;
 
-  obs::SchedulerProbe* probe_ = nullptr;
-  obs::TraceWriter* tracer_ = nullptr;
-
- private:
-  void record_outcomes(const ScheduleResult& result) {
-    for (const RequestOutcome& out : result.outcomes) {
-      if (out.granted) {
-        probe_->on_grant(out.path.ancestor_level);
-        continue;
-      }
-      probe_->on_reject(out.fail_level,
-                        static_cast<std::uint8_t>(out.reason));
-      if (out.reason == RejectReason::kLeafBusy) {
-        probe_->on_leaf_claim_fail();
-      }
-    }
-  }
+  obs::Sink* sink_ = nullptr;
 };
 
 }  // namespace ftsched

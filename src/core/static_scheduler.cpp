@@ -62,7 +62,7 @@ ScheduleResult StaticDestinationScheduler::schedule_batch(
         break;
       }
       tx_.occupy_up(h, sigma, ports[h]);
-      if (probe_) probe_->on_port_pick(h, ports[h]);
+      if (sink_) sink_->pick(h, ports[h]);
       pval = ports[h] + w * pval;
       src_rest = divm(src_rest);
       dst_rest = divm(dst_rest);
@@ -86,7 +86,7 @@ ScheduleResult StaticDestinationScheduler::schedule_batch(
 
     if (rejected) {
       admission_.release(r, out);
-      if (probe_) probe_->on_rollback(tx_.size());
+      if (sink_) sink_->rollback(tx_.size());
       tx_.rollback();
     } else {
       out.granted = true;

@@ -29,14 +29,14 @@ class TurnbackSearch {
   TurnbackSearch(const FatTree& tree, LinkState& state, std::uint64_t src_leaf,
                  std::uint64_t dst_leaf, std::uint32_t ancestor,
                  const TurnbackOptions& options, Xoshiro256ss& rng,
-                 obs::SchedulerProbe* probe,
+                 const obs::Sink* sink,
                  std::vector<std::vector<std::uint32_t>>& scratch)
       : state_(state),
         tx_(state),
         ancestor_(ancestor),
         options_(options),
         rng_(rng),
-        probe_(probe),
+        sink_(sink),
         scratch_(scratch),
         w_(tree.parent_arity()),
         wpow_(parent_arity_powers(tree)) {
@@ -67,7 +67,7 @@ class TurnbackSearch {
     }
     reason = reason_;
     fail_level = fail_level_;
-    if (probe_) probe_->on_rollback(tx_.size());
+    if (sink_) sink_->rollback(tx_.size());
     return false;  // ~Transaction releases anything still held
   }
 
@@ -81,9 +81,8 @@ class TurnbackSearch {
     if (h == ancestor_) return try_descent();
 
     const std::vector<std::uint32_t>& candidates = candidate_ports(h);
-    if (probe_) {
-      probe_->on_and_popcount(h,
-                              static_cast<std::uint32_t>(candidates.size()));
+    if (sink_) {
+      sink_->and_popcount(h, static_cast<std::uint32_t>(candidates.size()));
     }
     if (candidates.empty()) {
       // No locally free up-port: only a different σ_h (i.e. a choice at a
@@ -93,7 +92,7 @@ class TurnbackSearch {
     }
     for (std::uint32_t p : candidates) {
       tx_.occupy_up(h, sigma_.back(), p);  // hold tentatively
-      if (probe_) probe_->on_port_pick(h, p);
+      if (sink_) sink_->pick(h, p);
       ports_.push_back(p);
       pval_.push_back(p + w_ * pval_.back());
       sigma_.push_back(pval_.back() + wpow_[h + 1] * src_rest_[h + 1]);
@@ -102,7 +101,7 @@ class TurnbackSearch {
       sigma_.pop_back();
       pval_.pop_back();
       ports_.pop_back();
-      if (probe_) probe_->on_rollback(1);
+      if (sink_) sink_->rollback(1);
       tx_.release_last();
       if (probes_left_ == 0 || res < h) return res;  // cannot repair here
     }
@@ -157,7 +156,7 @@ class TurnbackSearch {
   std::uint32_t ancestor_;
   const TurnbackOptions& options_;
   Xoshiro256ss& rng_;
-  obs::SchedulerProbe* probe_;
+  const obs::Sink* sink_;
   std::vector<std::vector<std::uint32_t>>& scratch_;
 
   std::uint64_t w_;
@@ -201,7 +200,7 @@ ScheduleResult TurnbackScheduler::schedule_batch(
     }
 
     TurnbackSearch search(tree, state, src_leaf, dst_leaf, H, options_, rng_,
-                          probe_, candidate_scratch_);
+                          sink_, candidate_scratch_);
     DigitVec ports;
     if (search.run(ports, out.reason, out.fail_level)) {
       out.granted = true;

@@ -24,16 +24,11 @@ std::uint64_t Simulator::run(std::uint64_t limit) {
     FT_ASSERT(t >= now_);
     now_ = t;
     notify_tick(t);
-    if (tracer_) {
-      tracer_->counter("des.queue", "des", t,
-                       static_cast<double>(queue_.size()), obs::kPidDes);
-    }
     // Evaluate phase: drain every event at this timestamp...
     while (!queue_.empty() && queue_.top().time == t && processed < limit) {
       // priority_queue::top() is const; the handler is moved out before pop.
       Event ev = std::move(const_cast<Event&>(queue_.top()));
       queue_.pop();
-      if (tracer_) tracer_->instant("des.dispatch", "des", t, obs::kPidDes);
       ev.fn();
       ++processed;
       ++events_processed_;
@@ -58,14 +53,9 @@ std::uint64_t Simulator::run_until(SimTime until) {
     const SimTime t = queue_.top().time;
     now_ = t;
     notify_tick(t);
-    if (tracer_) {
-      tracer_->counter("des.queue", "des", t,
-                       static_cast<double>(queue_.size()), obs::kPidDes);
-    }
     while (!queue_.empty() && queue_.top().time == t) {
       Event ev = std::move(const_cast<Event&>(queue_.top()));
       queue_.pop();
-      if (tracer_) tracer_->instant("des.dispatch", "des", t, obs::kPidDes);
       ev.fn();
       ++processed;
       ++events_processed_;

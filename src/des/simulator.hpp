@@ -17,7 +17,6 @@
 #include <queue>
 #include <vector>
 
-#include "obs/trace.hpp"
 #include "util/contracts.hpp"
 
 namespace ftsched {
@@ -59,11 +58,6 @@ class Simulator {
 
   std::uint64_t events_processed() const { return events_processed_; }
 
-  /// Attaches a trace sink (null detaches); must outlive subsequent run()
-  /// calls. Events land on the kPidDes track with ts = simulated time, so
-  /// the trace viewer shows the simulation's own clock, not wall time.
-  void set_tracer(obs::TraceWriter* tracer) { tracer_ = tracer; }
-
   /// Opt-in per-timestamp hook: `hook(t)` fires once for every distinct
   /// simulated time the kernel advances to, before that time's first event
   /// dispatch — the sampling point DES-driven telemetry wants (e.g. capture
@@ -103,7 +97,6 @@ class Simulator {
   std::uint64_t events_processed_ = 0;
   std::priority_queue<Event, std::vector<Event>, Later> queue_;
   std::vector<std::function<void()>> pending_updates_;
-  obs::TraceWriter* tracer_ = nullptr;
   std::function<void(SimTime)> tick_hook_;
   SimTime last_hook_time_ = 0;
   bool hook_fired_ = false;

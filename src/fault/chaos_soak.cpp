@@ -140,7 +140,7 @@ SoakReport ChaosSoak::execute(const std::vector<SoakOp>& ops,
   options.retry = config_.retry;
   options.max_pending = config_.max_pending;
   options.horizon = (ops.empty() ? 0 : ops.back().time) + kHorizonSlack;
-  options.flight = primary ? config_.flight : nullptr;
+  options.sink = primary ? config_.sink : nullptr;
   FabricManager fabric(tree_, sim, options);
 
   bool violated = false;

@@ -68,7 +68,7 @@ struct SoakConfig {
   RetryPolicy retry = RetryPolicy::backoff(1, 2.0, 8, 4);
   std::size_t max_pending = 256;
   bool shrink = true;          ///< shrink a violating run to a reproducer
-  obs::FlightRing* flight = nullptr;  ///< lifecycle ledger (primary run only)
+  obs::Sink* sink = nullptr;  ///< instrumentation (primary run only)
   /// Extra invariant evaluated at every epoch after the built-in bundle.
   /// Tests inject synthetic violations here and watch the shrinker converge
   /// without corrupting real state.

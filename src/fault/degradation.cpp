@@ -46,7 +46,7 @@ void run_repetitions(const FatTree& tree, const DegradationConfig& config,
                      std::span<double> ever_granted,
                      std::span<double> imb_max_over_mean,
                      std::span<double> imb_cov, std::span<double> imb_hotspot,
-                     obs::FlightRing* ring, DegradationShard& shard) {
+                     std::size_t lane, DegradationShard& shard) {
   FabricOptions options;
   options.scheduler = config.scheduler;
   options.seed = config.seed;
@@ -54,13 +54,20 @@ void run_repetitions(const FatTree& tree, const DegradationConfig& config,
   options.max_pending = config.max_pending;
   options.horizon = config.horizon;
   options.deep_verify = config.deep_verify;
-  options.flight = ring;
+  obs::Sink sink;
+  if (config.sink) {
+    sink = *config.sink;
+    sink.lane = lane;
+    options.sink = &sink;
+  }
 
   for (std::size_t rep = rep_begin; rep < rep_end; ++rep) {
     // Request ids stay unique across repetitions: the per-rep namespace
     // leaves 24 bits for FabricManager seq numbers.
-    options.flight_base =
-        config.flight_base + ((static_cast<std::uint64_t>(rep) + 1) << 24U);
+    if (config.sink) {
+      sink.id_base = config.sink->id_base +
+                     ((static_cast<std::uint64_t>(rep) + 1) << 24U);
+    }
     // Identical to run_experiment's per-repetition derivation: seeds depend
     // only on the repetition index, never on the thread running it.
     std::uint64_t mix = config.seed + 0x9e3779b97f4a7c15ULL * (rep + 1);
@@ -153,16 +160,17 @@ DegradationPoint run_degradation(const FatTree& tree,
   std::vector<double> imb_cov(config.repetitions, 0.0);
   std::vector<double> imb_hotspot(config.repetitions, 0.0);
 
-  const std::size_t threads = std::min(config.threads, config.repetitions);
-  FT_REQUIRE_MSG(config.flight == nullptr ||
-                     config.flight->ring_count() >= threads,
+  const bool traced = config.sink && config.sink->trace;
+  const std::size_t threads =
+      traced ? 1 : std::min(config.threads, config.repetitions);
+  FT_REQUIRE_MSG(config.sink == nullptr || config.sink->flight == nullptr ||
+                     config.sink->flight->ring_count() >= threads,
                  "flight recorder needs one ring per degradation thread");
   if (threads == 1) {
     DegradationShard shard;
     run_repetitions(tree, config, mtbf, mttr, 0, config.repetitions,
                     first_attempt, open_ratio, ever_granted, imb_max_over_mean,
-                    imb_cov, imb_hotspot,
-                    config.flight ? &config.flight->ring(0) : nullptr, shard);
+                    imb_cov, imb_hotspot, 0, shard);
     merge_shard(point, shard);
   } else {
     std::vector<DegradationShard> shards(threads);
@@ -173,9 +181,7 @@ DegradationPoint run_degradation(const FatTree& tree,
       if (chunk.empty()) return;
       run_repetitions(tree, config, mtbf, mttr, chunk.begin, chunk.end,
                       first_attempt, open_ratio, ever_granted,
-                      imb_max_over_mean, imb_cov, imb_hotspot,
-                      config.flight ? &config.flight->ring(k) : nullptr,
-                      shards[k]);
+                      imb_max_over_mean, imb_cov, imb_hotspot, k, shards[k]);
     });
     // Chunk order == repetition order: bit-identical to the sequential run.
     for (DegradationShard& shard : shards) merge_shard(point, shard);

@@ -17,7 +17,7 @@
 
 #include "des/simulator.hpp"
 #include "fault/retry_policy.hpp"
-#include "obs/flight_recorder.hpp"
+#include "obs/sink.hpp"
 #include "stats/summary.hpp"
 #include "util/contracts.hpp"
 #include "workload/patterns.hpp"
@@ -45,13 +45,13 @@ struct DegradationConfig {
   bool verify = true;       ///< end-of-run invariant bundle per repetition
   bool deep_verify = false; ///< invariants after every event (chaos/tests)
 
-  /// Lifecycle ledger (null = detached). Must own at least min(threads,
-  /// repetitions) rings: chunk k records into ring(k) exclusively, so
+  /// Instrumentation (null = detached), handed to each repetition's
+  /// FabricManager. Its ledger must own at least min(threads, repetitions)
+  /// rings: chunk k records into ring k (the sink's lane) exclusively, so
   /// tracking is race-free and the stitched dump is thread-count-invariant.
   /// Repetition `rep` namespaces its request ids at
-  /// `flight_base + ((rep + 1) << 24)`.
-  obs::FlightRecorder* flight = nullptr;
-  std::uint64_t flight_base = 0;
+  /// `id_base + ((rep + 1) << 24)`. A trace forces one thread.
+  obs::Sink* sink = nullptr;
 };
 
 struct DegradationPoint {

@@ -22,16 +22,14 @@ FabricManager::FabricManager(const FatTree& tree, Simulator& sim,
     : tree_(tree),
       sim_(sim),
       options_(std::move(options)),
+      sink_(options_.sink ? *options_.sink : obs::Sink{}),
       manager_(tree),
       queue_(options_.max_pending),
       jitter_rng_(jitter_seed(options_.seed)) {
   auto scheduler = make_scheduler(options_.scheduler, options_.seed);
   FT_REQUIRE_MSG(scheduler.ok(), "unknown scheduler for FabricManager");
   scheduler_ = std::move(scheduler).value();
-  if (options_.flight != nullptr) {
-    manager_.set_flight(options_.flight);
-    queue_.set_flight(options_.flight, options_.flight_base);
-  }
+  manager_.set_sink(&sink_);
 }
 
 void FabricManager::reseed(std::uint64_t seed) {
@@ -62,9 +60,7 @@ void FabricManager::submit(std::vector<Request> requests, SimTime t) {
     entry.seq = next_seq_++;
     entry.eligible_at = t;
     entry.first_submit = t;
-    FT_FLIGHT_EVENT(options_.flight,
-                    obs::FlightEvent::requested(
-                        options_.flight_base + entry.seq, t));
+    sink_.ledger(obs::FlightEvent::requested(sink_.id(entry.seq), t));
     entries.push_back(entry);
   }
   stats_.submitted += entries.size();
@@ -82,12 +78,10 @@ void FabricManager::run_batch(std::vector<RetryEntry> entries) {
   for (const RetryEntry& e : entries) requests.push_back(e.request);
 
   std::vector<std::uint64_t> flight_ids;
-  if (options_.flight != nullptr) {
+  if (sink_.recording()) {
     flight_ids.reserve(entries.size());
-    for (const RetryEntry& e : entries) {
-      flight_ids.push_back(options_.flight_base + e.seq);
-    }
-    manager_.set_flight_now(now);
+    for (const RetryEntry& e : entries) flight_ids.push_back(sink_.id(e.seq));
+    sink_.now = now;
   }
   const BatchOpenResult result =
       manager_.open_batch(requests, *scheduler_, flight_ids);
@@ -108,14 +102,10 @@ void FabricManager::run_batch(std::vector<RetryEntry> entries) {
         ++stats_.recovered;
         const SimTime latency = now - entry.revoked_at;
         stats_.recovery_latency.push_back(static_cast<double>(latency));
-        FT_FLIGHT_EVENT(options_.flight,
-                        obs::FlightEvent::recovered(
-                            options_.flight_base + entry.seq, now,
-                            static_cast<std::uint32_t>(latency)));
-        if (options_.tracer) {
-          options_.tracer->complete("fault.recover", "fault", entry.revoked_at,
-                                    latency, obs::kPidDes);
-        }
+        sink_.ledger(obs::FlightEvent::recovered(
+            sink_.id(entry.seq), now, static_cast<std::uint32_t>(latency)));
+        sink_.span("fault.recover", "fault", entry.revoked_at, latency,
+                   obs::kPidDes);
       }
       if (now > entry.first_submit) {
         stats_.retry_latency.push_back(
@@ -134,29 +124,31 @@ void FabricManager::handle_reject(RetryEntry entry) {
       options_.retry.delay_for(attempt, jitter_rng_);
   if (!delay) {
     ++stats_.permanent_rejects;
-    FT_FLIGHT_EVENT(options_.flight,
-                    obs::FlightEvent::retry_shed(
-                        options_.flight_base + entry.seq, sim_.now(),
-                        obs::kShedBudget));
+    sink_.ledger(obs::FlightEvent::retry_shed(sink_.id(entry.seq), sim_.now(),
+                                              obs::kShedBudget));
     return;
   }
   // now + delay > horizon, without the sum wrapping for a huge delay.
   const SimTime now = sim_.now();
   if (now > options_.horizon || *delay > options_.horizon - now) {
     ++stats_.abandoned;
-    FT_FLIGHT_EVENT(options_.flight,
-                    obs::FlightEvent::retry_shed(
-                        options_.flight_base + entry.seq, sim_.now(),
-                        obs::kShedHorizon));
+    sink_.ledger(obs::FlightEvent::retry_shed(sink_.id(entry.seq), sim_.now(),
+                                              obs::kShedHorizon));
     return;
   }
   const SimTime eligible = now + *delay;
   entry.attempts = attempt;
   entry.eligible_at = eligible;
-  if (!queue_.admit(entry)) {
+  const std::uint64_t id = sink_.id(entry.seq);
+  const bool victim = entry.victim;
+  if (!queue_.admit(std::move(entry))) {
     ++stats_.shed;
+    sink_.ledger(
+        obs::FlightEvent::retry_shed(id, eligible, obs::kShedQueueFull));
     return;
   }
+  sink_.ledger(obs::FlightEvent::retry_enqueued(
+      id, eligible, static_cast<std::uint16_t>(attempt), victim));
   ++stats_.retries;
   sim_.schedule_at(eligible, [this] { drain_due(); });
 }
@@ -173,12 +165,9 @@ void FabricManager::on_fail(const CableId& cable) {
   const auto [it, inserted] = failed_cables_.insert(cable);
   FT_REQUIRE_MSG(inserted, "cable failed twice without repair");
   (void)it;
-  if (options_.tracer) {
-    options_.tracer->instant("fault.cable_fail", "fault", sim_.now(),
-                             obs::kPidDes);
-  }
   const SimTime now = sim_.now();
-  manager_.set_flight_now(now);  // REVOKED events carry the failure tick
+  sink_.instant("fault.cable_fail", "fault", now, obs::kPidDes);
+  sink_.now = now;  // REVOKED events carry the failure tick
   const std::vector<Revocation> victims = manager_.fail_cable(cable);
   stats_.victims += victims.size();
   for (const Revocation& v : victims) {
@@ -201,10 +190,7 @@ void FabricManager::on_repair(const CableId& cable) {
   ++stats_.repair_events;
   const std::size_t erased = failed_cables_.erase(cable);
   FT_REQUIRE_MSG(erased == 1, "repair of a cable that is not down");
-  if (options_.tracer) {
-    options_.tracer->instant("fault.cable_repair", "fault", sim_.now(),
-                             obs::kPidDes);
-  }
+  sink_.instant("fault.cable_repair", "fault", sim_.now(), obs::kPidDes);
   manager_.repair_cable(cable);
   if (options_.deep_verify) verify_invariants();
 }
@@ -293,7 +279,7 @@ Status FabricManager::close(ConnectionId id) {
   if (it == conn_seq_.end()) {
     return Status::error("close of unknown connection id");
   }
-  manager_.set_flight_now(sim_.now());
+  sink_.now = sim_.now();
   const Status status = manager_.close(id);
   if (!status.ok()) return status;
   conn_seq_.erase(it);

@@ -30,9 +30,8 @@
 #include "fault/fault_timeline.hpp"
 #include "fault/retry_policy.hpp"
 #include "fault/retry_queue.hpp"
-#include "obs/flight_recorder.hpp"
 #include "obs/metrics.hpp"
-#include "obs/trace.hpp"
+#include "obs/sink.hpp"
 #include "util/contracts.hpp"
 
 namespace ftsched {
@@ -48,13 +47,13 @@ struct FabricOptions {
   /// victim's-channels residue check. For tests and chaos runs; O(fabric)
   /// per event.
   bool deep_verify = false;
-  obs::TraceWriter* tracer = nullptr;  ///< fault spans on the DES track
-  /// Lifecycle ledger ring (null = recorder detached, zero-cost path). The
-  /// manager threads it through ConnectionManager and RetryQueue; every
-  /// tracked request gets the stable id `flight_base + seq` so dumps from
-  /// different repetitions never collide.
-  obs::FlightRing* flight = nullptr;
-  std::uint64_t flight_base = 0;
+  /// Instrumentation (null = detached). The manager copies it once, and the
+  /// copy's clock stamps every event: the lifecycle ledger (every tracked
+  /// request gets the stable id `id_base + seq`, so dumps from different
+  /// repetitions never collide) and the fault spans on the DES track. The
+  /// manager's scheduler is not attached: its wall-clock batch spans would
+  /// make the trace differ from run to run.
+  obs::Sink* sink = nullptr;
 };
 
 struct FabricStats {
@@ -83,6 +82,8 @@ class FabricManager {
   /// The tree and simulator must outlive the manager. Aborts on an unknown
   /// scheduler name (configuration is static, like the bench grids).
   FabricManager(const FatTree& tree, Simulator& sim, FabricOptions options);
+  FabricManager(const FabricManager&) = delete;
+  FabricManager& operator=(const FabricManager&) = delete;
 
   /// Reseeds the scheduler and the retry-jitter stream — the degradation
   /// engine's per-repetition hook, mirroring run_experiment's derivation.
@@ -165,6 +166,7 @@ class FabricManager {
   const FatTree& tree_;
   Simulator& sim_;
   FabricOptions options_;
+  obs::Sink sink_;  // the options' sink, with this manager's clock
   ConnectionManager manager_;
   std::unique_ptr<Scheduler> scheduler_;
   RetryQueue queue_;

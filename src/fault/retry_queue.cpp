@@ -7,16 +7,8 @@ namespace ftsched {
 bool RetryQueue::admit(RetryEntry entry) {
   if (max_pending_ != 0 && entries_.size() >= max_pending_) {
     ++shed_;
-    FT_FLIGHT_EVENT(flight_,
-                    obs::FlightEvent::retry_shed(flight_base_ + entry.seq,
-                                                 entry.eligible_at,
-                                                 obs::kShedQueueFull));
     return false;
   }
-  FT_FLIGHT_EVENT(flight_, obs::FlightEvent::retry_enqueued(
-                               flight_base_ + entry.seq, entry.eligible_at,
-                               static_cast<std::uint16_t>(entry.attempts),
-                               entry.victim));
   // Admissions arrive in seq order in normal operation; the insertion sort
   // keeps the invariant even if a caller re-admits an older entry.
   auto pos = std::lower_bound(entries_.begin(), entries_.end(), entry.seq,

@@ -19,7 +19,6 @@
 
 #include "core/request.hpp"
 #include "des/simulator.hpp"
-#include "obs/flight_recorder.hpp"
 #include "util/contracts.hpp"
 
 namespace ftsched {
@@ -56,23 +55,12 @@ class RetryQueue {
   std::uint64_t shed() const { return shed_; }
   std::size_t peak_pending() const { return peak_; }
 
-  /// Attaches the lifecycle ledger (null detaches). `id_base` offsets entry
-  /// seq numbers into stable flight ids: admit() then records
-  /// RETRY_ENQUEUED (stamped with the entry's eligible_at) for accepted
-  /// entries and RETRY_SHED for gate drops.
-  void set_flight(obs::FlightRing* ring, std::uint64_t id_base) {
-    flight_ = ring;
-    flight_base_ = id_base;
-  }
-
  private:
   std::size_t max_pending_;
   std::vector<RetryEntry> entries_;  // kept sorted by seq
   SimTime next_due_ = kNever;        // min eligible_at over entries_
   std::uint64_t shed_ = 0;
   std::size_t peak_ = 0;
-  obs::FlightRing* flight_ = nullptr;
-  std::uint64_t flight_base_ = 0;
 };
 
 }  // namespace ftsched

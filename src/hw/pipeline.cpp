@@ -1,7 +1,5 @@
 #include "hw/pipeline.hpp"
 
-#include <string>
-
 #include "core/scheduler.hpp"
 
 namespace ftsched {
@@ -116,40 +114,14 @@ PipelineReport LevelwisePipeline::schedule(std::span<const Request> requests) {
   std::size_t drained = 0;
   const std::size_t total = stream.size();
 
-  // Trace bookkeeping: a block was busy this cycle iff its busy_cycles()
-  // counter advanced while it fired.
-  std::vector<std::uint64_t> busy_before;
-  std::vector<std::string> block_names;
-  if (tracer_) {
-    busy_before.resize(stages);
-    for (std::size_t k = 0; k < stages; ++k) {
-      block_names.push_back(std::string("P").append(std::to_string(k)));
-      tracer_->set_thread_name(obs::kPidHw, static_cast<std::uint32_t>(k),
-                               "stage " + block_names.back());
-    }
-  }
-
   while (drained < total) {
     // Feed the next request into block 0's input register.
     latch[0] = fed < total ? stream[fed++] : HwDescriptor{};
 
-    if (tracer_) {
-      for (std::size_t k = 0; k < stages; ++k) {
-        busy_before[k] = blocks_[k].busy_cycles();
-      }
-    }
     // All blocks fire in parallel on their current inputs; compute from the
     // right so latch values are consumed before being overwritten.
     for (std::size_t k = stages; k-- > 0;) {
       latch[k + 1] = blocks_[k].process(latch[k]);
-    }
-    if (tracer_) {
-      for (std::size_t k = 0; k < stages; ++k) {
-        if (blocks_[k].busy_cycles() != busy_before[k]) {
-          tracer_->complete(block_names[k], "hw.block", report.cycles, 1,
-                            obs::kPidHw, static_cast<std::uint32_t>(k));
-        }
-      }
     }
     ++report.cycles;
 

@@ -23,7 +23,6 @@
 
 #include "core/request.hpp"
 #include "hw/link_memory.hpp"
-#include "obs/trace.hpp"
 #include "topology/fat_tree.hpp"
 
 namespace ftsched {
@@ -101,16 +100,9 @@ class LevelwisePipeline {
   /// Clears memories and counters.
   void reset();
 
-  /// Attaches a trace sink (null detaches); must outlive schedule() calls.
-  /// Each busy block-cycle becomes a 1-cycle span on the kPidHw track
-  /// (ts = block-cycle number, tid = pipeline stage), so the viewer shows
-  /// the fill/drain pattern of the pipeline.
-  void set_tracer(obs::TraceWriter* tracer) { tracer_ = tracer; }
-
  private:
   const FatTree& tree_;
   std::vector<PBlock> blocks_;
-  obs::TraceWriter* tracer_ = nullptr;
 };
 
 }  // namespace ftsched

@@ -8,13 +8,12 @@
 // the caller), so a post-mortem dump can be stitched back into per-circuit
 // timelines and SLO histograms.
 //
-// Recording discipline mirrors the null-probe path: emitters hold a
-// FlightRing* that is null when the recorder is detached, and every emission
-// goes through FT_FLIGHT_EVENT, which evaluates the event expression only
-// when a ring is attached — one predicted branch on the hot path, zero
-// allocation when recording (the ring overwrites its oldest slot once full
-// and counts the drop). ftlint's flight-event-guard rule pins the macro
-// discipline in src/core, src/fault, and src/linkstate.
+// Recording discipline mirrors the null-probe path: emitters record through
+// an obs::Sink (obs/sink.hpp), whose ledger event tests for an attached
+// recorder before it touches a ring — one predicted branch when detached,
+// zero allocation when recording (the ring overwrites its oldest slot once
+// full and counts the drop). ftlint's flight-event-guard rule keeps raw
+// ring record() calls out of src/core, src/fault, and src/linkstate.
 //
 // Threading: one ring per exec thread (FlightRecorder sizes itself to the
 // pool's thread count); a ring is only ever written by its owning chunk, so
@@ -159,16 +158,6 @@ class FlightRing {
   std::size_t head_ = 0;     // next slot to write
   std::uint64_t total_ = 0;  // monotonically increasing event count
 };
-
-/// Emits a lifecycle event iff a ring is attached. `ring` is a FlightRing*
-/// (null = recorder detached); the event expression is NOT evaluated when
-/// detached, so constructing the event costs nothing on the common path.
-/// ftlint's flight-event-guard rule requires all emission in deterministic
-/// modules to go through this macro.
-#define FT_FLIGHT_EVENT(ring, ...)                       \
-  do {                                                   \
-    if ((ring) != nullptr) (ring)->record(__VA_ARGS__);  \
-  } while (false)
 
 /// Owns one FlightRing per execution lane. The degradation engine hands
 /// chunk k ring(k), so recording is race-free by construction and the union

@@ -5,14 +5,14 @@
 // rejections by level and by reason, grants by common-ancestor level,
 // AND-vector popcounts at every port pick (free-port contention), the port
 // indices the policies actually choose, Transaction rollback volume, and
-// LeafTracker claim failures. Attach one via Scheduler::set_probe (or
-// ExperimentConfig::probe) and it accumulates across every schedule() call
-// until reset(). The probe counts; it keeps no per-request record (the
+// LeafTracker claim failures. Attach one as an obs::Sink's probe
+// (Scheduler::set_sink, or ExperimentConfig::sink) and it accumulates across
+// every schedule() call until reset(). The probe counts; it keeps no per-request record (the
 // lifecycle ledger's GRANTED/REJECTED events are ConnectionManager's).
 //
-// Hook methods are inline unconditional increments; the null check lives at
-// the call site (`if (probe_) probe_->on_...`), so an unattached scheduler
-// pays one predicted branch per hook.
+// Hook methods are inline unconditional increments; the null check lives in
+// the sink's events (obs/sink.hpp), so a detached scheduler pays one
+// predicted branch per hook.
 //
 // This layer deliberately does not depend on core/: rejection reasons
 // arrive as raw uint8 codes and are named only at export time through a

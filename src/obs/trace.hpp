@@ -7,10 +7,11 @@
 // ts/dur), instants ("i"), and counters ("C").
 //
 // Timestamps are caller-supplied microsecond values, which lets each
-// subsystem pick its natural clock: scheduler batch phases use wall time
-// (TraceWriter::wall_now_us, via ScopedSpan), the DES kernel uses simulated
-// ticks, the hw pipeline uses block-cycle numbers. The pid field keeps the
-// clock domains on separate tracks in the viewer (kPidSched/kPidDes/kPidHw).
+// subsystem pick its natural clock: scheduler batches use wall time
+// (TraceWriter::wall_now_us, via ScopedSpan), the fault layer's spans use
+// simulated ticks. The pid field keeps the clock domains on separate tracks
+// in the viewer (kPidSched/kPidDes/kPidHw). Instrumented code reaches the
+// writer through an obs::Sink (obs/sink.hpp).
 //
 // Everything is null-tolerant: a ScopedSpan constructed with a nullptr
 // writer does nothing — not even a clock read — so instrumented hot paths

@@ -64,10 +64,14 @@ ExperimentPoint run_experiment(const FatTree& tree,
                                const ExperimentConfig& config) {
   FT_REQUIRE(config.repetitions > 0);
   FT_REQUIRE(config.threads >= 1);
-  // A tracer serializes the run (TraceWriter is not thread-safe and span
+  // A trace serializes the run (TraceWriter is not thread-safe and span
   // order is part of the trace contract); otherwise idle threads are shed.
+  obs::SchedulerProbe* const probe =
+      config.sink ? config.sink->probe : nullptr;
   const std::size_t threads =
-      config.tracer ? 1 : std::min(config.threads, config.repetitions);
+      config.sink && config.sink->trace
+          ? 1
+          : std::min(config.threads, config.repetitions);
 
   ExperimentPoint point;
   std::vector<double> ratios(config.repetitions, 0.0);
@@ -75,8 +79,7 @@ ExperimentPoint run_experiment(const FatTree& tree,
   if (threads == 1) {
     auto scheduler = make_scheduler(config.scheduler, config.seed);
     FT_REQUIRE(scheduler.ok());
-    scheduler.value()->set_probe(config.probe);
-    scheduler.value()->set_tracer(config.tracer);
+    scheduler.value()->set_sink(config.sink);
     LinkState state(tree);
     run_repetitions(tree, config, *scheduler.value(), state, 0,
                     config.repetitions, config.telemetry, ratios,
@@ -94,7 +97,8 @@ ExperimentPoint run_experiment(const FatTree& tree,
       auto scheduler = make_scheduler(config.scheduler, config.seed);
       FT_REQUIRE(scheduler.ok());
       RepetitionShard& shard = shards[k];
-      scheduler.value()->set_probe(config.probe ? &shard.probe : nullptr);
+      obs::Sink shard_sink{.probe = &shard.probe};
+      scheduler.value()->set_sink(probe ? &shard_sink : nullptr);
       LinkState state(tree);
       run_repetitions(tree, config, *scheduler.value(), state, chunk.begin,
                       chunk.end, config.telemetry ? &shard.telemetry : nullptr,
@@ -105,15 +109,15 @@ ExperimentPoint run_experiment(const FatTree& tree,
     for (RepetitionShard& shard : shards) {
       point.total_requests += shard.total_requests;
       point.total_granted += shard.total_granted;
-      if (config.probe) config.probe->merge_from(shard.probe);
+      if (probe) probe->merge_from(shard.probe);
       if (config.telemetry) config.telemetry->merge_shard(shard.telemetry);
     }
   }
 
   point.schedulability = Summary::from(ratios);
-  if (config.probe) {
-    point.reject_by_level = config.probe->reject_by_level();
-    point.total_rejected = config.probe->rejects();
+  if (probe) {
+    point.reject_by_level = probe->reject_by_level();
+    point.total_rejected = probe->rejects();
   }
   return point;
 }

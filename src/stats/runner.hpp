@@ -14,8 +14,7 @@
 #include "core/registry.hpp"
 #include "core/verifier.hpp"
 #include "obs/link_telemetry.hpp"
-#include "obs/sched_probe.hpp"
-#include "obs/trace.hpp"
+#include "obs/sink.hpp"
 #include "stats/summary.hpp"
 #include "workload/patterns.hpp"
 
@@ -38,18 +37,17 @@ struct ExperimentConfig {
   /// clone + LinkState with private probe/telemetry shards, and the shards
   /// are merged back in repetition order — every ExperimentPoint field is
   /// bit-identical to the sequential run at any thread count (tested; see
-  /// docs/PERFORMANCE.md for the argument). Clamped to repetitions. A
-  /// tracer forces sequential execution: TraceWriter is single-threaded and
-  /// span order is part of the trace contract.
+  /// docs/PERFORMANCE.md for the argument). Clamped to repetitions. A sink
+  /// with a trace forces sequential execution: TraceWriter is
+  /// single-threaded and span order is part of the trace contract.
   std::size_t threads = 1;
 
-  /// Optional accounting probe, attached to the scheduler for the whole
-  /// experiment (all repetitions accumulate into it); must outlive the
-  /// run_experiment call. Null = no probing, no overhead beyond a branch.
-  obs::SchedulerProbe* probe = nullptr;
-  /// Optional trace sink, same lifetime rule. Every repetition's batch spans
-  /// land in it, so keep repetitions small when tracing.
-  obs::TraceWriter* tracer = nullptr;
+  /// Optional instrumentation, attached to the scheduler for the whole
+  /// experiment: its probe accumulates every repetition, and every
+  /// repetition's batch spans land in its trace (keep repetitions small
+  /// when tracing). Must outlive the run_experiment call. Null = no
+  /// overhead beyond a branch.
+  obs::Sink* sink = nullptr;
   /// Optional fabric telemetry, same lifetime rule. The post-schedule
   /// LinkState of every repetition is sampled at t = repetition index (one
   /// batch-boundary snapshot per batch), so the series shows how full each
@@ -62,7 +60,7 @@ struct ExperimentPoint {
   std::uint64_t total_requests = 0;
   std::uint64_t total_granted = 0;
 
-  /// Probe aggregates, filled only when config.probe was attached:
+  /// Probe aggregates, filled only when config.sink carried a probe:
   /// rejections by first-failure level (index = level) and their sum, which
   /// by the probe's reporting contract equals total_requests - total_granted.
   std::vector<std::uint64_t> reject_by_level;

@@ -14,6 +14,7 @@
 #include "core/connection_manager.hpp"
 #include "core/registry.hpp"
 #include "obs/flight_recorder.hpp"
+#include "obs/sink.hpp"
 
 namespace {
 std::size_t g_allocations = 0;
@@ -48,10 +49,11 @@ std::size_t open_batch_allocations(const FatTree& tree,
                                    const std::vector<Request>& batch,
                                    bool tracked, std::uint64_t* granted) {
   ConnectionManager manager(tree);
-  obs::FlightRing ring(1024);
+  obs::FlightRecorder recorder(1, 1024);
+  obs::Sink sink{.flight = &recorder};
   std::vector<std::uint64_t> flight_ids(batch.size());
   std::iota(flight_ids.begin(), flight_ids.end(), std::uint64_t{1});
-  if (tracked) manager.set_flight(&ring);
+  if (tracked) manager.set_sink(&sink);
   const std::unique_ptr<Scheduler> scheduler =
       make_scheduler("levelwise", 1).value();
   // The scheduler's scratch grows on its first batches; warm it so the
@@ -95,8 +97,9 @@ TEST(ConnectionManagerAllocations, CloseAllocatesNothing) {
   for (const FatTreeParams& params : kShapes) {
     const FatTree tree = FatTree::create(params).value();
     ConnectionManager manager(tree);
-    obs::FlightRing ring(1024);
-    manager.set_flight(&ring);
+    obs::FlightRecorder recorder(1, 1024);
+    obs::Sink sink{.flight = &recorder};
+    manager.set_sink(&sink);
     const std::unique_ptr<Scheduler> scheduler =
         make_scheduler("levelwise", 1).value();
     const std::vector<Request> batch = shift_batch(tree);

@@ -24,6 +24,7 @@
 #include "core/connection_manager.hpp"
 #include "core/registry.hpp"
 #include "obs/flight_recorder.hpp"
+#include "obs/sink.hpp"
 #include "topology/path.hpp"
 #include "util/rng.hpp"
 
@@ -58,9 +59,9 @@ class Interleaving {
         manager_(tree),
         scheduler_(make_scheduler(kBatchSchedulers[seed % 3], seed).value()),
         rng_(seed),
-        ring_(1 << 12),
+        recorder_(1, 1 << 12),
         mask_(index_buckets(tree) - 1) {
-    manager_.set_flight(&ring_);
+    manager_.set_sink(&sink_);
     for (std::uint32_t h = 0; h + 1 < tree.levels(); ++h) {
       for (std::uint64_t sw = 0; sw < tree.switches_at(h); ++sw) {
         for (std::uint32_t p = 0; p < tree.parent_arity(); ++p) {
@@ -337,7 +338,9 @@ class Interleaving {
   ConnectionManager manager_;
   std::unique_ptr<Scheduler> scheduler_;
   Xoshiro256ss rng_;
-  obs::FlightRing ring_;
+  obs::FlightRecorder recorder_;
+  obs::Sink sink_{.flight = &recorder_};
+  const obs::FlightRing& ring_ = recorder_.ring(0);
   std::uint64_t mask_;
   std::vector<CableId> cables_;
   // The reference model: the path of every id ever issued (id - 1), and the

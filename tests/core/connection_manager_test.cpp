@@ -5,6 +5,7 @@
 #include "core/registry.hpp"
 #include "core/verifier.hpp"
 #include "obs/flight_recorder.hpp"
+#include "obs/sink.hpp"
 #include "workload/patterns.hpp"
 
 namespace ftsched {
@@ -286,14 +287,15 @@ TEST(ConnectionManagerFlight, RingAloneRecordsEveryOutcome) {
   auto ledger = [&](obs::SchedulerProbe* probe) {
     ConnectionManager manager(tree);
     for (const Request& r : prefill) EXPECT_TRUE(manager.open(r).has_value());
-    obs::FlightRing ring(64);
-    manager.set_flight(&ring);
-    manager.set_flight_now(kNow);
+    // One sink for both: the manager writes the ledger, the scheduler counts.
+    obs::FlightRecorder recorder(1, 64);
+    obs::Sink sink{.probe = probe, .flight = &recorder, .now = kNow};
+    manager.set_sink(&sink);
     const std::unique_ptr<Scheduler> scheduler =
         make_scheduler("levelwise", 1).value();
-    scheduler->set_probe(probe);
+    scheduler->set_sink(&sink);
     EXPECT_EQ(manager.open_batch(batch, *scheduler, ids).granted_count(), 3u);
-    return ring.snapshot();
+    return recorder.ring(0).snapshot();
   };
 
   const std::vector<obs::FlightEvent> bare = ledger(nullptr);

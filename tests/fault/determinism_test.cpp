@@ -14,6 +14,7 @@
 #include "core/connection_manager.hpp"
 #include "fault/fabric_manager.hpp"
 #include "linkstate/faults.hpp"
+#include "obs/sink.hpp"
 #include "obs/trace.hpp"
 
 namespace ftsched {
@@ -68,7 +69,8 @@ OutageReplay replay_outage() {
   FabricOptions options;
   options.retry = RetryPolicy::fixed(3, 10);
   options.deep_verify = true;
-  options.tracer = &tracer;
+  obs::Sink sink{.trace = &tracer};
+  options.sink = &sink;
   FabricManager fabric(tree, sim, options);
 
   std::vector<FaultEvent> events;

@@ -13,6 +13,7 @@
 
 #include "fault/fabric_manager.hpp"
 #include "obs/flight_recorder.hpp"
+#include "obs/sink.hpp"
 #include "topology/path.hpp"
 #include "workload/patterns.hpp"
 
@@ -68,12 +69,13 @@ std::string render(const FabricManager& fabric, const Simulator& sim,
 std::string timeline_run(const RetryPolicy& policy) {
   const FatTree tree = FatTree::symmetric(3, 4);
   Simulator sim;
-  obs::FlightRing ring(1 << 16);
+  obs::FlightRecorder recorder(1, 1 << 16);
+  obs::Sink sink{.flight = &recorder};
   FabricOptions options;
   options.retry = policy;
   options.horizon = 200;
   options.deep_verify = true;
-  options.flight = &ring;
+  options.sink = &sink;
   FabricManager fabric(tree, sim, options);
   Xoshiro256ss rng(11);
   fabric.install(FaultTimeline::from_mtbf(tree, 120.0, 40.0, 200, 13));
@@ -84,7 +86,7 @@ std::string timeline_run(const RetryPolicy& policy) {
                                  rng, WorkloadOptions{}),
                 60);
   sim.run();
-  return render(fabric, sim, ring);
+  return render(fabric, sim, recorder.ring(0));
 }
 
 /// The immediate chaos surface: at every fourth tick, closes and cable
@@ -94,12 +96,13 @@ std::string timeline_run(const RetryPolicy& policy) {
 std::string chaos_run(const RetryPolicy& policy) {
   const FatTree tree = FatTree::symmetric(3, 4);
   Simulator sim;
-  obs::FlightRing ring(1 << 16);
+  obs::FlightRecorder recorder(1, 1 << 16);
+  obs::Sink sink{.flight = &recorder};
   FabricOptions options;
   options.retry = policy;
   options.horizon = 200;
   options.deep_verify = true;
-  options.flight = &ring;
+  options.sink = &sink;
   FabricManager fabric(tree, sim, options);
   Xoshiro256ss workload(5);
   fabric.submit(generate_pattern(tree, TrafficPattern::kRandomPermutation,
@@ -135,7 +138,7 @@ std::string chaos_run(const RetryPolicy& policy) {
     sim.schedule_at(t, close_one);
   }
   sim.run();
-  return render(fabric, sim, ring);
+  return render(fabric, sim, recorder.ring(0));
 }
 
 TEST(FabricManagerPinned, DefaultBackoffTimeline) {

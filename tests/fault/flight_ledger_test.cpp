@@ -14,6 +14,7 @@
 #include "linkstate/faults.hpp"
 #include "obs/flight_decoder.hpp"
 #include "obs/flight_recorder.hpp"
+#include "obs/sink.hpp"
 
 namespace ftsched {
 namespace {
@@ -37,8 +38,8 @@ LedgerRun run_scripted_outage(obs::FlightRecorder& recorder,
   FabricOptions options;
   options.retry = RetryPolicy::fixed(3, 10);
   options.deep_verify = true;
-  options.flight = &recorder.ring(0);
-  options.flight_base = flight_base;
+  obs::Sink sink{.flight = &recorder, .id_base = flight_base};
+  options.sink = &sink;
   FabricManager fabric(tree, sim, options);
 
   std::vector<FaultEvent> events;
@@ -119,7 +120,8 @@ std::vector<obs::CircuitTimeline> degradation_timelines(std::size_t threads) {
   config.fault_rate = 0.5;
   config.horizon = 200;
   config.retry = RetryPolicy::backoff(1, 2.0, 64, 8);
-  config.flight = &recorder;
+  obs::Sink sink{.flight = &recorder};
+  config.sink = &sink;
   run_degradation(tree, config);
   EXPECT_EQ(recorder.dropped(), 0u);
   EXPECT_GT(recorder.recorded(), 0u);

@@ -184,7 +184,7 @@ TEST(Rules, FlightEventGuardRequiresMacro) {
                        "flight-event-guard"));
   EXPECT_TRUE(has_rule(findings_for("src/core/f.cpp", bad),
                        "flight-event-guard"));
-  // obs owns the recorder; the macro's own expansion lives there.
+  // obs owns the recorder; the sink's guarded ledger event lives there.
   EXPECT_FALSE(has_rule(findings_for("src/obs/f.cpp", bad),
                         "flight-event-guard"));
   // Non-flight receivers (trace writers, metrics) are someone else's API.

@@ -1,5 +1,5 @@
 // Flight recorder + decoder tests: ring wrap-around semantics (newest events
-// kept, drops counted), the null-guarded FT_FLIGHT_EVENT macro, dump format
+// kept, drops counted), the sink's null-guarded ledger event, dump format
 // v1 round-trips, timeline stitching invariance across ring layouts, and the
 // SLO layer's latency math.
 #include "obs/flight_recorder.hpp"
@@ -12,6 +12,7 @@
 
 #include "obs/flight_decoder.hpp"
 #include "obs/metrics.hpp"
+#include "obs/sink.hpp"
 #include "util/json.hpp"
 
 namespace ftsched::obs {
@@ -60,21 +61,19 @@ TEST(FlightRing, ClearResetsTotalsAndDrops) {
   EXPECT_TRUE(ring.snapshot().empty());
 }
 
-TEST(FlightEventMacro, DetachedRingEvaluatesNothing) {
-  FlightRing* ring = nullptr;
-  int constructions = 0;
-  const auto make = [&constructions]() {
-    ++constructions;
-    return FlightEvent::requested(1, 2);
-  };
-  FT_FLIGHT_EVENT(ring, make());
-  EXPECT_EQ(constructions, 0) << "event expression must not run when detached";
+TEST(SinkLedger, RecordsOnlyWhenAttachedAndIntoItsLane) {
+  Sink sink{.id_base = 100};
+  EXPECT_FALSE(sink.recording());
+  sink.ledger(FlightEvent::requested(sink.id(1), 2));  // detached: no-op
 
-  FlightRing real(4);
-  ring = &real;
-  FT_FLIGHT_EVENT(ring, make());
-  EXPECT_EQ(constructions, 1);
-  EXPECT_EQ(real.total(), 1u);
+  FlightRecorder recorder(2, 4);
+  sink.flight = &recorder;
+  sink.lane = 1;
+  EXPECT_TRUE(sink.recording());
+  sink.ledger(FlightEvent::requested(sink.id(1), 2));
+  EXPECT_EQ(recorder.ring(0).total(), 0u);
+  ASSERT_EQ(recorder.ring(1).total(), 1u);
+  EXPECT_EQ(recorder.ring(1).snapshot()[0], FlightEvent::requested(101, 2));
 }
 
 TEST(FlightEventKinds, NamesRoundTripThroughParser) {

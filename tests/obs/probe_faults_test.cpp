@@ -19,6 +19,7 @@
 #include "linkstate/link_state.hpp"
 #include "linkstate/telemetry.hpp"
 #include "obs/sched_probe.hpp"
+#include "obs/sink.hpp"
 #include "topology/fat_tree.hpp"
 #include "util/rng.hpp"
 #include "workload/patterns.hpp"
@@ -42,7 +43,8 @@ TEST(ProbeUnderFaults, InvariantsHoldForEveryScheduler) {
     auto sched = make_scheduler(name, 42);
     ASSERT_TRUE(sched.ok()) << name;
     obs::SchedulerProbe probe;
-    sched.value()->set_probe(&probe);
+    obs::Sink sink{.probe = &probe};
+    sched.value()->set_sink(&sink);
 
     LinkState state(tree);
     apply_faults(state, plan);
@@ -73,8 +75,12 @@ TEST(ProbeUnderFaults, AttachedProbeStillDoesNotSteer) {
     auto probed = make_scheduler(name, 7);
     ASSERT_TRUE(bare.ok());
     ASSERT_TRUE(probed.ok());
+    // The full sink: probe, ledger and trace writer.
     obs::SchedulerProbe probe;
-    probed.value()->set_probe(&probe);
+    obs::FlightRecorder flight(1, 64);
+    obs::TraceWriter trace;
+    obs::Sink sink{.probe = &probe, .flight = &flight, .trace = &trace};
+    probed.value()->set_sink(&sink);
 
     LinkState state_a(tree);
     LinkState state_b(tree);
@@ -86,6 +92,8 @@ TEST(ProbeUnderFaults, AttachedProbeStillDoesNotSteer) {
     const ScheduleResult b = probed.value()->schedule(tree, batch, state_b);
     EXPECT_EQ(a, b) << name;
     EXPECT_EQ(state_a, state_b) << name;
+    EXPECT_EQ(probe.requests(), batch.size()) << name;
+    EXPECT_EQ(trace.size(), 1u) << name;
   }
 }
 
@@ -102,7 +110,8 @@ TEST(ProbeUnderFaults, HeavierFaultsNeverShrinkRejectAccounting) {
     auto sched = make_scheduler("levelwise", 1);
     ASSERT_TRUE(sched.ok());
     obs::SchedulerProbe probe;
-    sched.value()->set_probe(&probe);
+    obs::Sink sink{.probe = &probe};
+    sched.value()->set_sink(&sink);
     LinkState state(tree);
     apply_faults(state, plan);
     sched.value()->schedule(tree, batch, state);

@@ -10,6 +10,7 @@
 #include "core/registry.hpp"
 #include "core/request.hpp"
 #include "linkstate/link_state.hpp"
+#include "obs/sink.hpp"
 #include "topology/fat_tree.hpp"
 #include "util/json.hpp"
 #include "util/rng.hpp"
@@ -104,10 +105,11 @@ TEST(SchedulerProbe, ExportMetricsNamesAndJsonl) {
   }
 }
 
-/// The acceptance invariant: a probe never steers. Running the identical
-/// batch with and without a probe attached must produce byte-identical
-/// ScheduleResults for every registered scheduler, and the probe's per-level
-/// rejection histogram must sum to the rejected-request count.
+/// The acceptance invariant: a sink never steers. Running the identical
+/// batch with and without a full sink attached (probe, ledger and trace
+/// writer) must produce byte-identical ScheduleResults and link states for
+/// every registered scheduler, and the probe's per-level rejection
+/// histogram must sum to the rejected-request count.
 TEST(SchedulerProbe, AttachedProbeDoesNotChangeResults) {
   struct Case {
     std::uint32_t levels;
@@ -127,7 +129,10 @@ TEST(SchedulerProbe, AttachedProbeDoesNotChangeResults) {
       ASSERT_TRUE(bare.ok());
       ASSERT_TRUE(probed.ok());
       obs::SchedulerProbe probe;
-      probed.value()->set_probe(&probe);
+      obs::FlightRecorder flight(1, 64);
+      obs::TraceWriter trace;
+      obs::Sink sink{.probe = &probe, .flight = &flight, .trace = &trace};
+      probed.value()->set_sink(&sink);
 
       LinkState state_a(tree);
       LinkState state_b(tree);
@@ -138,6 +143,8 @@ TEST(SchedulerProbe, AttachedProbeDoesNotChangeResults) {
           probed.value()->schedule(tree, batch, state_b);
 
       EXPECT_EQ(a, b) << name << " FT(" << c.levels << "," << c.arity << ")";
+      EXPECT_EQ(state_a, state_b) << name;
+      EXPECT_EQ(trace.size(), 1u) << name << ": one sched.batch span";
       EXPECT_EQ(probe.requests(), batch.size()) << name;
       EXPECT_EQ(probe.grants(), b.granted_count()) << name;
       EXPECT_EQ(probe.rejects(), b.outcomes.size() - b.granted_count())

@@ -13,6 +13,7 @@
 
 #include "obs/link_telemetry.hpp"
 #include "obs/sched_probe.hpp"
+#include "obs/sink.hpp"
 
 namespace ftsched {
 namespace {
@@ -34,7 +35,8 @@ FullPoint run_at(const FatTree& tree, const std::string& scheduler,
   config.repetitions = reps;
   config.threads = threads;
   config.allow_residual = scheduler == "local-hold";
-  config.probe = &probe;
+  obs::Sink sink{.probe = &probe};
+  config.sink = &sink;
   config.telemetry = &telemetry;
   FullPoint full;
   full.point = run_experiment(tree, config);
@@ -106,9 +108,10 @@ TEST(RunnerParallel, TracerForcesSequentialButKeepsResults) {
   ExperimentConfig config;
   config.repetitions = 4;
   config.threads = 4;
-  config.tracer = &tracer;
+  obs::Sink sink{.trace = &tracer};
+  config.sink = &sink;
   const ExperimentPoint traced = run_experiment(tree, config);
-  config.tracer = nullptr;
+  config.sink = nullptr;
   config.threads = 1;
   const ExperimentPoint plain = run_experiment(tree, config);
   EXPECT_EQ(traced.total_granted, plain.total_granted);

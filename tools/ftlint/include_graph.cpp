@@ -16,7 +16,7 @@ const std::map<std::string, std::set<std::string>>& dag() {
       {"src/topology", {"src/util"}},
       {"src/obs", {"src/util"}},
       {"src/exec", {"src/util"}},
-      {"src/des", {"src/util", "src/obs"}},
+      {"src/des", {"src/util"}},
       {"src/linkstate", {"src/util", "src/topology", "src/obs"}},
       {"src/core", {"src/util", "src/topology", "src/obs", "src/linkstate"}},
       {"src/workload", {"src/util", "src/topology", "src/core"}},

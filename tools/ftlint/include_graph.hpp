@@ -13,8 +13,8 @@
 //   L1  topology   util
 //       obs        util                  (observe-never-steer: ONLY util)
 //       exec       util                  (the sole <thread> authority)
-//   L2  des        obs
-//       linkstate  topology, obs
+//       des        util                  (no instrumentation seam)
+//   L2  linkstate  topology, obs
 //   L3  core       topology, obs, linkstate
 //   L4  workload   topology, core
 //       hw         topology, obs, linkstate, core

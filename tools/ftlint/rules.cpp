@@ -363,9 +363,9 @@ void rule_pointer_key(const SourceFile& src, std::vector<Finding>& out) {
 // --- Observability discipline -----------------------------------------------
 
 /// Lifecycle-event emission in the scheduling/fault/linkstate layers must go
-/// through FT_FLIGHT_EVENT: the macro null-guards the ring pointer, so a
-/// detached recorder costs one branch and a raw `flight->record(...)` call
-/// either crashes when detached or pays event construction unconditionally.
+/// through obs::Sink::ledger: the sink null-guards the recorder, so a
+/// detached ledger costs one branch and a raw `flight->record(...)` call
+/// crashes when detached.
 void rule_flight_event_guard(const SourceFile& src,
                              std::vector<Finding>& out) {
   if (!module_in(src.module, {"src/core", "src/fault", "src/linkstate"})) {
@@ -376,7 +376,7 @@ void rule_flight_event_guard(const SourceFile& src,
     const std::string recv = receiver_of(src.code, i);
     if (recv.find("flight") == std::string::npos) continue;
     add(out, src, src.code[i].line, "flight-event-guard",
-        "flight-recorder events must be emitted through FT_FLIGHT_EVENT "
+        "flight-recorder events must be emitted through obs::Sink::ledger "
         "(null-guarded, free when detached), not a raw " +
             recv + "->record() call");
   }
@@ -517,7 +517,7 @@ const std::vector<RuleInfo>& rule_catalog() {
        "association"},
       {"flight-event-guard",
        "core/fault/linkstate emit lifecycle events only through the "
-       "null-guarded FT_FLIGHT_EVENT macro, never a raw flight ring record() "
+       "null-guarded obs::Sink::ledger, never a raw flight ring record() "
        "call"},
       {"dead-suppression",
        "ftlint:allow / order-insensitive annotations must suppress something "

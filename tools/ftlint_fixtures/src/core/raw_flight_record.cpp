@@ -1,7 +1,6 @@
 // Fixture: trips flight-event-guard — emitting a lifecycle event through a
-// raw flight-ring record() call instead of the null-guarded FT_FLIGHT_EVENT
-// macro (crashes when the recorder is detached, pays event construction even
-// when disabled). Not compiled.
+// raw flight-ring record() call instead of the null-guarded
+// obs::Sink::ledger (crashes when the recorder is detached). Not compiled.
 
 namespace ftsched {
 
@@ -10,7 +9,7 @@ struct Ring {
 };
 
 void emit_unguarded(Ring* flight_) {
-  flight_->record(42);  // bad: must go through FT_FLIGHT_EVENT
+  flight_->record(42);  // bad: must go through obs::Sink::ledger
 }
 
 }  // namespace ftsched

@@ -1341,6 +1341,12 @@ int run_anchor(const Args& args) {
               << ": not a fig9 sweep (no \"points\")\n";
     return 2;
   }
+  // Every point is keyed strictly: a point whose levels, arity or fault
+  // rate is not a number is refused, never read as 0 and skipped.
+  if (!point_keys(*deg_points, deg_it->second, true) ||
+      !point_keys(*fig9_points, fig9_it->second, false)) {
+    return 2;
+  }
 
   std::size_t failures = 0;
   std::size_t anchored = 0;
@@ -1354,9 +1360,9 @@ int run_anchor(const Args& args) {
       const Json* v = point.find(key);
       return v ? v->num_or(0.0) : 0.0;
     };
-    const double levels = num("levels");
-    const double arity = num("arity");
-    const double rate = num("fault_rate");
+    const double levels = point.find("levels")->number;
+    const double arity = point.find("arity")->number;
+    const double rate = point.find("fault_rate")->number;
     // Multi-scheduler sweeps tag each point; --scheduler covers legacy
     // single-scheduler files.
     std::string point_scheduler = scheduler;
@@ -1432,11 +1438,9 @@ int run_anchor(const Args& args) {
     if (rate != 0.0) continue;
     const Json* anchor = nullptr;
     for (const Json& fp : fig9_points->array) {
-      const Json* fl = fp.find("levels");
-      const Json* fa = fp.find("arity");
-      if (fl && fa && fl->num_or(-1) == levels && fa->num_or(-1) == arity) {
-        const Json* scheds = fp.find("schedulers");
-        anchor = scheds ? scheds->find(point_scheduler) : nullptr;
+      if (fp.find("levels")->number == levels &&
+          fp.find("arity")->number == arity) {
+        anchor = fp.find("schedulers")->find(point_scheduler);
         break;
       }
     }
@@ -1530,6 +1534,7 @@ int run_quality(const Args& args) {
     return 2;
   }
   const Json* points = doc.find("points");
+  if (!point_keys(*points, bench_it->second, true)) return 2;
 
   const auto scheduler_of = [](const Json& point) {
     const Json* s = point.find("scheduler");
@@ -1545,22 +1550,19 @@ int run_quality(const Args& args) {
   std::size_t gated = 0;
   for (const Json& bp : points->array) {
     if (scheduler_of(bp) != baseline) continue;
-    const auto num = [&](const char* key) {
-      const Json* v = bp.find(key);
-      return v ? v->num_or(0.0) : 0.0;
+    // point_keys checked that these are numbers.
+    const auto num = [](const Json& point, const char* key) {
+      return point.find(key)->number;
     };
-    const double levels = num("levels");
-    const double arity = num("arity");
-    const double rate = num("fault_rate");
+    const double levels = num(bp, "levels");
+    const double arity = num(bp, "arity");
+    const double rate = num(bp, "fault_rate");
     const Json* cp = nullptr;
     for (const Json& candidate_point : points->array) {
       if (scheduler_of(candidate_point) != candidate) continue;
-      const auto cnum = [&](const char* key) {
-        const Json* v = candidate_point.find(key);
-        return v ? v->num_or(-1.0) : -1.0;
-      };
-      if (cnum("levels") == levels && cnum("arity") == arity &&
-          cnum("fault_rate") == rate) {
+      if (num(candidate_point, "levels") == levels &&
+          num(candidate_point, "arity") == arity &&
+          num(candidate_point, "fault_rate") == rate) {
         cp = &candidate_point;
         break;
       }

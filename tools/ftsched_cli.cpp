@@ -106,6 +106,7 @@
 #include "obs/link_telemetry.hpp"
 #include "obs/metrics.hpp"
 #include "obs/sched_probe.hpp"
+#include "obs/sink.hpp"
 #include "obs/trace.hpp"
 #include "stats/runner.hpp"
 #include "topology/dot.hpp"
@@ -403,8 +404,10 @@ int cmd_schedule(int argc, char** argv, const ObsFlags& flags) {
   obs::TraceWriter tracer;
   obs::LinkTelemetry telemetry;
   const bool probing = flags.probe || !flags.metrics_out.empty();
-  if (probing) config.probe = &probe;
-  if (!flags.trace_out.empty()) config.tracer = &tracer;
+  obs::Sink sink;
+  if (probing) sink.probe = &probe;
+  if (!flags.trace_out.empty()) sink.trace = &tracer;
+  if (sink.probe || sink.trace) config.sink = &sink;
   if (!flags.telemetry_out.empty()) config.telemetry = &telemetry;
 
   const ExperimentPoint point = run_experiment(*tree, config);
@@ -503,11 +506,13 @@ int cmd_degrade(int argc, char** argv, const ObsFlags& flags) {
   // Lifecycle flight recorder: one ring per degradation worker thread, armed
   // as the contract-failure black box for the whole run.
   std::optional<obs::FlightRecorder> recorder;
+  obs::Sink sink;
   if (!flags.flight_dump.empty()) {
     const std::size_t rings = std::max<std::size_t>(
         1, std::min(config.threads, config.repetitions));
     recorder.emplace(rings);
-    config.flight = &*recorder;
+    sink.flight = &*recorder;
+    config.sink = &sink;
     obs::arm_flight_dump_on_contract_failure(*recorder, flags.flight_dump);
   }
 
@@ -580,12 +585,13 @@ int cmd_degrade(int argc, char** argv, const ObsFlags& flags) {
 
     for (std::size_t rep = 0; rep < config.repetitions; ++rep) {
       obs::TraceWriter tracer;
+      obs::Sink trace_sink{.trace = &tracer};
       FabricOptions options;
       options.scheduler = config.scheduler;
       options.seed = config.seed;
       options.retry = config.retry;
       options.horizon = config.horizon;
-      options.tracer = flags.trace_out.empty() ? nullptr : &tracer;
+      options.sink = flags.trace_out.empty() ? nullptr : &trace_sink;
 
       std::uint64_t mix = config.seed + 0x9e3779b97f4a7c15ULL * (rep + 1);
       Xoshiro256ss workload_rng(splitmix64(mix));
@@ -819,9 +825,11 @@ int cmd_soak(int argc, char** argv, const ObsFlags& flags) {
   // Lifecycle flight recorder over the primary run, armed as the black box
   // for contract failures inside the fault stack.
   std::optional<obs::FlightRecorder> recorder;
+  obs::Sink sink;
   if (!flags.flight_dump.empty()) {
     recorder.emplace(1);
-    config.flight = &recorder->ring(0);
+    sink.flight = &*recorder;
+    config.sink = &sink;
     obs::arm_flight_dump_on_contract_failure(*recorder, flags.flight_dump);
   }
 
