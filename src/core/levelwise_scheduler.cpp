@@ -4,6 +4,7 @@
 #include <vector>
 
 #include "core/label_math.hpp"
+#include "core/port_picker.hpp"
 #include "linkstate/transaction.hpp"
 
 namespace ftsched {
@@ -26,104 +27,12 @@ std::string_view to_string(PortPolicy policy) {
   FT_UNREACHABLE();
 }
 
-std::optional<PortPolicy> parse_port_policy(std::string_view name) {
-  for (const PortPolicy policy :
-       {PortPolicy::kFirstFit, PortPolicy::kRandom, PortPolicy::kRoundRobin,
-        PortPolicy::kBalanced, PortPolicy::kBalancedRR,
-        PortPolicy::kBalancedRandom}) {
-    if (name == to_string(policy)) return policy;
-  }
-  return std::nullopt;
-}
-
 LevelwiseScheduler::LevelwiseScheduler(LevelwiseOptions options)
     : options_(options), rng_(options.seed) {
   name_ = "levelwise-" + std::string(to_string(options_.policy));
   if (options_.order == LevelwiseOptions::Order::kRequestMajor) {
     name_ += "-reqmajor";
   }
-}
-
-std::uint32_t LevelwiseScheduler::pick_port(
-    const LinkState& state, const LinkState::LevelView& rows,
-    std::uint64_t src_sw, std::uint64_t dst_sw,
-    std::vector<std::uint32_t>& rr_hint) {
-  if (sink_) [[unlikely]] {
-    return pick_port_impl<true>(state, rows, src_sw, dst_sw, rr_hint);
-  }
-  return pick_port_impl<false>(state, rows, src_sw, dst_sw, rr_hint);
-}
-
-template <bool kInstrumented>
-std::uint32_t LevelwiseScheduler::pick_port_impl(
-    const LinkState& state, const LinkState::LevelView& rows,
-    std::uint64_t src_sw, std::uint64_t dst_sw,
-    std::vector<std::uint32_t>& rr_hint) {
-  constexpr std::uint32_t kNoPort = LinkState::kNoPort;
-  const std::uint32_t level = rows.level();
-  if constexpr (kInstrumented) {
-    sink_->and_popcount(level,
-                        state.available_port_count(level, src_sw, dst_sw));
-  }
-  const auto picked = [&](std::uint32_t port) {
-    if constexpr (kInstrumented) {
-      if (port != kNoPort) sink_->pick(level, port);
-    }
-    return port;
-  };
-  switch (options_.policy) {
-    case PortPolicy::kFirstFit:
-      return picked(rows.first_available_port(src_sw, dst_sw));
-    case PortPolicy::kRandom: {
-      const std::uint32_t count =
-          state.available_port_count(level, src_sw, dst_sw);
-      if (count == 0) return kNoPort;
-      return picked(state
-                        .nth_available_port(
-                            level, src_sw, dst_sw,
-                            static_cast<std::uint32_t>(rng_.below(count)))
-                        .value_or(kNoPort));
-    }
-    case PortPolicy::kRoundRobin: {
-      const std::uint32_t w = state.ports_per_switch();
-      std::uint32_t& hint = rr_hint[src_sw];
-      std::uint32_t port = rows.next_available_port(src_sw, dst_sw, hint);
-      if (port == kNoPort) {  // wrap around
-        port = rows.first_available_port(src_sw, dst_sw);
-      }
-      // The round-robin hint rule: after a successful pick the row's hint
-      // becomes (port + 1) mod w; a failed pick leaves it untouched. The
-      // RoundRobinPin regression test pins the resulting pick sequence.
-      if (port != kNoPort) hint = (port + 1) % w;
-      return picked(port);
-    }
-    case PortPolicy::kBalanced:
-      return picked(
-          state.balanced_port(level, src_sw, dst_sw).value_or(kNoPort));
-    case PortPolicy::kBalancedRR: {
-      const std::uint32_t w = state.ports_per_switch();
-      std::uint32_t& hint = rr_hint[src_sw];
-      // Same hint rule as round-robin, applied WITHIN the max-weight tie
-      // set (balanced_port_from wraps to the lowest max-weight port when no
-      // candidate sits at or after the hint).
-      const std::uint32_t port =
-          state.balanced_port_from(level, src_sw, dst_sw, hint)
-              .value_or(kNoPort);
-      if (port != kNoPort) hint = (port + 1) % w;
-      return picked(port);
-    }
-    case PortPolicy::kBalancedRandom: {
-      const std::uint32_t count =
-          state.balanced_port_count(level, src_sw, dst_sw);
-      if (count == 0) return kNoPort;
-      return picked(state
-                        .nth_balanced_port(
-                            level, src_sw, dst_sw,
-                            static_cast<std::uint32_t>(rng_.below(count)))
-                        .value_or(kNoPort));
-    }
-  }
-  FT_UNREACHABLE();
 }
 
 ScheduleResult LevelwiseScheduler::schedule_batch(
@@ -189,7 +98,8 @@ ScheduleResult LevelwiseScheduler::schedule_level_major(
       const std::size_t i = live_[j];
       RequestOutcome& out = result.outcomes[i];
       const std::uint32_t port =
-          pick_port(state, rows, sigma_[i], delta_[i], rr_hint_);
+          pick_port(options_.policy, rows, rows.and_row(sigma_[i], delta_[i]),
+                    rr_hint_, rng_, sink_);
       if (port == LinkState::kNoPort) {
         out.reason = RejectReason::kNoCommonPort;
         out.fail_level = h;
@@ -305,7 +215,8 @@ ScheduleResult LevelwiseScheduler::schedule_request_major(
     bool rejected = false;
     for (std::uint32_t h = 0; h < H; ++h) {
       const std::uint32_t port =
-          pick_port(state, rows[h], sigma, delta, rr_hint_by_level_[h]);
+          pick_port(options_.policy, rows[h], rows[h].and_row(sigma, delta),
+                    rr_hint_by_level_[h], rng_, sink_);
       if (port == LinkState::kNoPort) {
         out.reason = RejectReason::kNoCommonPort;
         out.fail_level = h;

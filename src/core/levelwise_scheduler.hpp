@@ -63,26 +63,6 @@ class LevelwiseScheduler final : public Scheduler {
                                         std::span<const Request> requests,
                                         LinkState& state);
 
-  /// Applies the port policy to the AND row of `rows` (the current level's
-  /// view of `state`); LinkState::kNoPort when the row is zero. Inlined
-  /// into both loops, so the first-fit pick is the view's AND + ctz in
-  /// place.
-  [[gnu::always_inline]] inline std::uint32_t pick_port(
-      const LinkState& state, const LinkState::LevelView& rows,
-      std::uint64_t src_sw, std::uint64_t dst_sw,
-      std::vector<std::uint32_t>& rr_hint);
-
-  /// kInstrumented=false compiles to exactly the uninstrumented pick
-  /// (direct returns, no popcount) so a detached sink costs a branch in
-  /// pick_port(), not a slower codepath. kInstrumented adds the popcount
-  /// and pick events. The round-robin hint update follows
-  /// docs/PERFORMANCE.md "Round-robin hint rule".
-  template <bool kInstrumented>
-  [[gnu::always_inline]] inline std::uint32_t pick_port_impl(
-      const LinkState& state, const LinkState::LevelView& rows,
-      std::uint64_t src_sw, std::uint64_t dst_sw,
-      std::vector<std::uint32_t>& rr_hint);
-
   LevelwiseOptions options_;
   Xoshiro256ss rng_;
   std::string name_;

@@ -3,84 +3,20 @@
 #include <array>
 
 #include "core/label_math.hpp"
+#include "core/port_picker.hpp"
 #include "linkstate/transaction.hpp"
 
 namespace ftsched {
 
 LocalAdaptiveScheduler::LocalAdaptiveScheduler(LocalOptions options)
     : options_(options), rng_(options.seed) {
+  // The balanced policies weigh both sides of a column; a scheduler that
+  // sees only the source side has no such weight.
+  FT_REQUIRE(options_.policy == PortPolicy::kFirstFit ||
+             options_.policy == PortPolicy::kRandom ||
+             options_.policy == PortPolicy::kRoundRobin);
   name_ = "local-" + std::string(to_string(options_.policy));
   if (!options_.release_on_fail) name_ += "-hold";
-}
-
-std::uint32_t LocalAdaptiveScheduler::pick_local_port(
-    const LinkState& state, const LinkState::LevelView& rows,
-    std::uint64_t src_sw, std::vector<std::uint32_t>& rr_hint) {
-  if (sink_) [[unlikely]] {
-    return pick_local_port_impl<true>(state, rows, src_sw, rr_hint);
-  }
-  return pick_local_port_impl<false>(state, rows, src_sw, rr_hint);
-}
-
-template <bool kInstrumented>
-std::uint32_t LocalAdaptiveScheduler::pick_local_port_impl(
-    const LinkState& state, const LinkState::LevelView& rows,
-    std::uint64_t src_sw, std::vector<std::uint32_t>& rr_hint) {
-  constexpr std::uint32_t kNoPort = LinkState::kNoPort;
-  const std::uint32_t level = rows.level();
-  if constexpr (kInstrumented) {
-    sink_->and_popcount(level, rows.local_ulink_count(src_sw));
-  }
-  const auto picked = [&](std::uint32_t port) {
-    if constexpr (kInstrumented) {
-      if (port != kNoPort) sink_->pick(level, port);
-    }
-    return port;
-  };
-  switch (options_.policy) {
-    case PortPolicy::kFirstFit:
-      return picked(rows.first_local_ulink(src_sw));
-    case PortPolicy::kRandom: {
-      const std::uint32_t count = rows.local_ulink_count(src_sw);
-      if (count == 0) return kNoPort;
-      return picked(rows.nth_local_ulink(
-          src_sw, static_cast<std::uint32_t>(rng_.below(count))));
-    }
-    case PortPolicy::kRoundRobin: {
-      const std::uint32_t w = state.ports_per_switch();
-      std::uint32_t& hint = rr_hint[src_sw];
-      std::uint32_t port = rows.next_local_ulink(src_sw, hint);
-      if (port == kNoPort) port = rows.first_local_ulink(src_sw);
-      if (port != kNoPort) hint = (port + 1) % w;
-      return picked(port);
-    }
-    // Balanced variants act on the source-side column weights only — the
-    // residual-capacity signal a locally-informed scheduler could plausibly
-    // aggregate — mirroring the levelwise variants' tie-break rules.
-    case PortPolicy::kBalanced:
-      return picked(
-          state.balanced_local_ulink(level, src_sw).value_or(kNoPort));
-    case PortPolicy::kBalancedRR: {
-      const std::uint32_t w = state.ports_per_switch();
-      std::uint32_t& hint = rr_hint[src_sw];
-      const std::uint32_t port =
-          state.balanced_local_ulink_from(level, src_sw, hint)
-              .value_or(kNoPort);
-      if (port != kNoPort) hint = (port + 1) % w;
-      return picked(port);
-    }
-    case PortPolicy::kBalancedRandom: {
-      const std::uint32_t count =
-          state.balanced_local_ulink_count(level, src_sw);
-      if (count == 0) return kNoPort;
-      return picked(state
-                        .nth_balanced_local_ulink(
-                            level, src_sw,
-                            static_cast<std::uint32_t>(rng_.below(count)))
-                        .value_or(kNoPort));
-    }
-  }
-  FT_UNREACHABLE();
 }
 
 ScheduleResult LocalAdaptiveScheduler::schedule_batch(
@@ -132,7 +68,8 @@ ScheduleResult LocalAdaptiveScheduler::schedule_batch(
     for (std::uint32_t h = 0; h < H; ++h) {
       delta_at[h] = pval + wpow[h] * dst_rest;
       const std::uint32_t port =
-          pick_local_port(state, rows[h], sigma, rr_hint_by_level_[h]);
+          pick_port(options_.policy, rows[h], rows[h].ulink_row(sigma),
+                    rr_hint_by_level_[h], rng_, sink_);
       if (port == LinkState::kNoPort) {
         out.reason = RejectReason::kNoLocalUplink;
         out.fail_level = h;

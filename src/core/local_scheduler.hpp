@@ -22,6 +22,8 @@ namespace ftsched {
 struct LocalOptions {
   /// The paper evaluates "greedy or random local scheduling": greedy =
   /// first-fit on the local free-port vector, random = uniform among them.
+  /// Round-robin is the third choice; the balanced policies are level-wise
+  /// only (their weight needs the destination side).
   PortPolicy policy = PortPolicy::kFirstFit;
   bool release_on_fail = true;
   std::uint64_t seed = 0x10ca1ULL;
@@ -41,19 +43,6 @@ class LocalAdaptiveScheduler final : public Scheduler {
   ScheduleResult schedule_batch(const FatTree& tree,
                                 std::span<const Request> requests,
                                 LinkState& state) override;
-
-  /// Inlined into the ascent loop, like LevelwiseScheduler::pick_port.
-  [[gnu::always_inline]] inline std::uint32_t pick_local_port(
-      const LinkState& state, const LinkState::LevelView& rows,
-      std::uint64_t src_sw, std::vector<std::uint32_t>& rr_hint);
-
-  /// kInstrumented=false compiles to exactly the uninstrumented pick, so a
-  /// detached sink costs a branch in pick_local_port(), not a slower
-  /// codepath.
-  template <bool kInstrumented>
-  [[gnu::always_inline]] inline std::uint32_t pick_local_port_impl(
-      const LinkState& state, const LinkState::LevelView& rows,
-      std::uint64_t src_sw, std::vector<std::uint32_t>& rr_hint);
 
   LocalOptions options_;
   Xoshiro256ss rng_;

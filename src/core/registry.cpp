@@ -76,9 +76,7 @@ Result<std::unique_ptr<Scheduler>> make_scheduler(const std::string& name,
     return Ptr(new LocalAdaptiveScheduler(options));
   }
   if (name == "turnback") {
-    TurnbackOptions options;
-    options.seed = seed;
-    return Ptr(new TurnbackScheduler(options));
+    return Ptr(new TurnbackScheduler());
   }
   if (name == "matching2") {
     return Ptr(new MatchingScheduler());

@@ -44,10 +44,6 @@ enum class PortPolicy : std::uint8_t {
 
 std::string_view to_string(PortPolicy policy);
 
-/// Inverse of to_string ("first-fit", "random", "round-robin", "balanced",
-/// "balanced-rr", "balanced-random"); nullopt on anything else.
-std::optional<PortPolicy> parse_port_policy(std::string_view name);
-
 /// Policies that keep a per-row rotating pointer (the rr hint rule).
 constexpr bool policy_uses_hint(PortPolicy policy) {
   return policy == PortPolicy::kRoundRobin || policy == PortPolicy::kBalancedRR;

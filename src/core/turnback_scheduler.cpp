@@ -1,6 +1,5 @@
 #include "core/turnback_scheduler.hpp"
 
-#include <algorithm>
 #include <array>
 #include <vector>
 
@@ -10,10 +9,9 @@
 namespace ftsched {
 
 TurnbackScheduler::TurnbackScheduler(TurnbackOptions options)
-    : options_(options), rng_(options.seed) {
+    : options_(options) {
   FT_REQUIRE(options_.max_probes >= 1);
-  name_ = "turnback-" + std::string(to_string(options_.policy)) + "-p" +
-          std::to_string(options_.max_probes);
+  name_ = "turnback-first-fit-p" + std::to_string(options_.max_probes);
 }
 
 namespace {
@@ -28,14 +26,12 @@ class TurnbackSearch {
  public:
   TurnbackSearch(const FatTree& tree, LinkState& state, std::uint64_t src_leaf,
                  std::uint64_t dst_leaf, std::uint32_t ancestor,
-                 const TurnbackOptions& options, Xoshiro256ss& rng,
-                 const obs::Sink* sink,
+                 const TurnbackOptions& options, const obs::Sink* sink,
                  std::vector<std::vector<std::uint32_t>>& scratch)
       : state_(state),
         tx_(state),
         ancestor_(ancestor),
         options_(options),
-        rng_(rng),
         sink_(sink),
         scratch_(scratch),
         w_(tree.parent_arity()),
@@ -135,13 +131,11 @@ class TurnbackSearch {
   const std::vector<std::uint32_t>& candidate_ports(std::uint32_t h) {
     std::vector<std::uint32_t>& candidates = scratch_[h];
     candidates.clear();
-    const std::uint64_t sw = sigma_.back();
-    for (auto p = state_.first_local_ulink(h, sw); p;
-         p = state_.next_local_ulink(h, sw, *p + 1)) {
-      candidates.push_back(*p);
-    }
-    if (options_.policy == PortPolicy::kRandom) {
-      rng_.shuffle(candidates.begin(), candidates.end());
+    const LinkState::LevelView view = state_.level_view(h);
+    const LinkState::LevelView::Row row = view.ulink_row(sigma_.back());
+    for (std::uint32_t p = view.first_set(row); p != LinkState::kNoPort;
+         p = view.next_set(row, p + 1)) {
+      candidates.push_back(p);
     }
     return candidates;
   }
@@ -155,7 +149,6 @@ class TurnbackSearch {
   Transaction tx_;
   std::uint32_t ancestor_;
   const TurnbackOptions& options_;
-  Xoshiro256ss& rng_;
   const obs::Sink* sink_;
   std::vector<std::vector<std::uint32_t>>& scratch_;
 
@@ -199,8 +192,8 @@ ScheduleResult TurnbackScheduler::schedule_batch(
       continue;
     }
 
-    TurnbackSearch search(tree, state, src_leaf, dst_leaf, H, options_, rng_,
-                          sink_, candidate_scratch_);
+    TurnbackSearch search(tree, state, src_leaf, dst_leaf, H, options_, sink_,
+                          candidate_scratch_);
     DigitVec ports;
     if (search.run(ports, out.reason, out.fail_level)) {
       out.granted = true;

@@ -20,12 +20,12 @@
 
 namespace ftsched {
 
+/// The search tries each level's locally free up-ports in ascending order
+/// (first-fit), so it is deterministic.
 struct TurnbackOptions {
-  PortPolicy policy = PortPolicy::kFirstFit;
   /// Maximum number of complete descent attempts per request (1 = plain
   /// LocalAdaptiveScheduler behaviour).
   std::uint32_t max_probes = 8;
-  std::uint64_t seed = 0x7b2bULL;
 };
 
 class TurnbackScheduler final : public Scheduler {
@@ -34,7 +34,7 @@ class TurnbackScheduler final : public Scheduler {
 
   std::string_view name() const override { return name_; }
 
-  void reseed(std::uint64_t seed) override { rng_ = Xoshiro256ss(seed); }
+  void reseed(std::uint64_t) override {}  // deterministic
 
   const TurnbackOptions& options() const { return options_; }
 
@@ -44,7 +44,6 @@ class TurnbackScheduler final : public Scheduler {
                                 LinkState& state) override;
 
   TurnbackOptions options_;
-  Xoshiro256ss rng_;
   std::string name_;
 
   /// Per-level candidate lists for the DFS, reused across requests and

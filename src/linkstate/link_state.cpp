@@ -170,292 +170,6 @@ void LinkState::set_dlink(std::uint32_t level, std::uint64_t sw,
       available ? 1 : std::uint64_t(-1);
 }
 
-std::uint32_t LinkState::available_port_count(std::uint32_t level,
-                                              std::uint64_t src_sw,
-                                              std::uint64_t dst_sw) const {
-  FT_REQUIRE(level < link_levels_);
-  FT_REQUIRE(src_sw < rows_[level]);
-  FT_REQUIRE(dst_sw < rows_[level]);
-  const std::uint64_t* su = &u_[level][src_sw * row_words_];
-  const std::uint64_t* dd = &d_[level][dst_sw * row_words_];
-  std::uint32_t count = 0;
-  for (std::uint64_t wd = 0; wd < row_words_; ++wd) {
-    count += static_cast<std::uint32_t>(bits::popcount(su[wd] & dd[wd]));
-  }
-  return count;
-}
-
-std::optional<std::uint32_t> LinkState::nth_available_port(
-    std::uint32_t level, std::uint64_t src_sw, std::uint64_t dst_sw,
-    std::uint32_t index) const {
-  FT_REQUIRE(level < link_levels_);
-  const std::uint64_t* su = &u_[level][src_sw * row_words_];
-  const std::uint64_t* dd = &d_[level][dst_sw * row_words_];
-  for (std::uint64_t wd = 0; wd < row_words_; ++wd) {
-    std::uint64_t word = su[wd] & dd[wd];
-    while (word != 0) {
-      const std::size_t bit = bits::find_first_word(word);
-      if (index == 0) return static_cast<std::uint32_t>(wd * 64 + bit);
-      --index;
-      word &= word - 1;
-    }
-  }
-  return std::nullopt;
-}
-
-std::optional<std::uint32_t> LinkState::balanced_port(
-    std::uint32_t level, std::uint64_t src_sw, std::uint64_t dst_sw) const {
-  FT_REQUIRE(level < link_levels_);
-  FT_REQUIRE(src_sw < rows_[level]);
-  FT_REQUIRE(dst_sw < rows_[level]);
-  const std::uint64_t* su = &u_[level][src_sw * row_words_];
-  const std::uint64_t* dd = &d_[level][dst_sw * row_words_];
-  const std::uint64_t* cu = &col_free_u_[std::uint64_t{level} * w_];
-  const std::uint64_t* cd = &col_free_d_[std::uint64_t{level} * w_];
-  std::optional<std::uint32_t> best;
-  std::uint64_t best_weight = 0;
-  for (std::uint64_t wd = 0; wd < row_words_; ++wd) {
-    std::uint64_t word = su[wd] & dd[wd];
-    while (word != 0) {
-      const auto p = static_cast<std::uint32_t>(wd * 64 +
-                                                bits::find_first_word(word));
-      const std::uint64_t weight = cu[p] + cd[p];
-      // Strictly-greater keeps the LOWEST port on ties, matching the
-      // paper's priority selector within the max-weight plane set.
-      if (!best || weight > best_weight) {
-        best = p;
-        best_weight = weight;
-      }
-      word &= word - 1;
-    }
-  }
-  return best;
-}
-
-std::optional<std::uint32_t> LinkState::balanced_port_from(
-    std::uint32_t level, std::uint64_t src_sw, std::uint64_t dst_sw,
-    std::uint32_t from) const {
-  FT_REQUIRE(level < link_levels_);
-  FT_REQUIRE(src_sw < rows_[level]);
-  FT_REQUIRE(dst_sw < rows_[level]);
-  const std::uint64_t* su = &u_[level][src_sw * row_words_];
-  const std::uint64_t* dd = &d_[level][dst_sw * row_words_];
-  const std::uint64_t* cu = &col_free_u_[std::uint64_t{level} * w_];
-  const std::uint64_t* cd = &col_free_d_[std::uint64_t{level} * w_];
-  // One pass tracks both the global argmax (lowest-port tiebreak) and the
-  // argmax restricted to ports >= from; the hint rule prefers the latter
-  // when it reaches the same maximum weight, else wraps to the former.
-  std::optional<std::uint32_t> best;
-  std::optional<std::uint32_t> best_from;
-  std::uint64_t best_weight = 0;
-  std::uint64_t best_from_weight = 0;
-  for (std::uint64_t wd = 0; wd < row_words_; ++wd) {
-    std::uint64_t word = su[wd] & dd[wd];
-    while (word != 0) {
-      const auto p = static_cast<std::uint32_t>(wd * 64 +
-                                                bits::find_first_word(word));
-      const std::uint64_t weight = cu[p] + cd[p];
-      if (!best || weight > best_weight) {
-        best = p;
-        best_weight = weight;
-      }
-      if (p >= from && (!best_from || weight > best_from_weight)) {
-        best_from = p;
-        best_from_weight = weight;
-      }
-      word &= word - 1;
-    }
-  }
-  if (best_from && best_from_weight == best_weight) return best_from;
-  return best;
-}
-
-std::uint32_t LinkState::balanced_port_count(std::uint32_t level,
-                                             std::uint64_t src_sw,
-                                             std::uint64_t dst_sw) const {
-  FT_REQUIRE(level < link_levels_);
-  FT_REQUIRE(src_sw < rows_[level]);
-  FT_REQUIRE(dst_sw < rows_[level]);
-  const std::uint64_t* su = &u_[level][src_sw * row_words_];
-  const std::uint64_t* dd = &d_[level][dst_sw * row_words_];
-  const std::uint64_t* cu = &col_free_u_[std::uint64_t{level} * w_];
-  const std::uint64_t* cd = &col_free_d_[std::uint64_t{level} * w_];
-  bool any = false;
-  std::uint64_t best_weight = 0;
-  std::uint32_t count = 0;
-  for (std::uint64_t wd = 0; wd < row_words_; ++wd) {
-    std::uint64_t word = su[wd] & dd[wd];
-    while (word != 0) {
-      const auto p = static_cast<std::uint32_t>(wd * 64 +
-                                                bits::find_first_word(word));
-      const std::uint64_t weight = cu[p] + cd[p];
-      if (!any || weight > best_weight) {
-        any = true;
-        best_weight = weight;
-        count = 1;
-      } else if (weight == best_weight) {
-        ++count;
-      }
-      word &= word - 1;
-    }
-  }
-  return count;
-}
-
-std::optional<std::uint32_t> LinkState::nth_balanced_port(
-    std::uint32_t level, std::uint64_t src_sw, std::uint64_t dst_sw,
-    std::uint32_t index) const {
-  FT_REQUIRE(level < link_levels_);
-  const std::uint64_t* su = &u_[level][src_sw * row_words_];
-  const std::uint64_t* dd = &d_[level][dst_sw * row_words_];
-  const std::uint64_t* cu = &col_free_u_[std::uint64_t{level} * w_];
-  const std::uint64_t* cd = &col_free_d_[std::uint64_t{level} * w_];
-  bool any = false;
-  std::uint64_t best_weight = 0;
-  for (std::uint64_t wd = 0; wd < row_words_; ++wd) {
-    std::uint64_t word = su[wd] & dd[wd];
-    while (word != 0) {
-      const auto p = static_cast<std::uint32_t>(wd * 64 +
-                                                bits::find_first_word(word));
-      const std::uint64_t weight = cu[p] + cd[p];
-      if (!any || weight > best_weight) {
-        any = true;
-        best_weight = weight;
-      }
-      word &= word - 1;
-    }
-  }
-  if (!any) return std::nullopt;
-  for (std::uint64_t wd = 0; wd < row_words_; ++wd) {
-    std::uint64_t word = su[wd] & dd[wd];
-    while (word != 0) {
-      const auto p = static_cast<std::uint32_t>(wd * 64 +
-                                                bits::find_first_word(word));
-      if (cu[p] + cd[p] == best_weight) {
-        if (index == 0) return p;
-        --index;
-      }
-      word &= word - 1;
-    }
-  }
-  return std::nullopt;
-}
-
-std::optional<std::uint32_t> LinkState::balanced_local_ulink(
-    std::uint32_t level, std::uint64_t src_sw) const {
-  FT_REQUIRE(level < link_levels_);
-  FT_REQUIRE(src_sw < rows_[level]);
-  const std::uint64_t* su = &u_[level][src_sw * row_words_];
-  const std::uint64_t* cu = &col_free_u_[std::uint64_t{level} * w_];
-  std::optional<std::uint32_t> best;
-  std::uint64_t best_weight = 0;
-  for (std::uint64_t wd = 0; wd < row_words_; ++wd) {
-    std::uint64_t word = su[wd];
-    while (word != 0) {
-      const auto p = static_cast<std::uint32_t>(wd * 64 +
-                                                bits::find_first_word(word));
-      if (!best || cu[p] > best_weight) {
-        best = p;
-        best_weight = cu[p];
-      }
-      word &= word - 1;
-    }
-  }
-  return best;
-}
-
-std::optional<std::uint32_t> LinkState::balanced_local_ulink_from(
-    std::uint32_t level, std::uint64_t src_sw, std::uint32_t from) const {
-  FT_REQUIRE(level < link_levels_);
-  FT_REQUIRE(src_sw < rows_[level]);
-  const std::uint64_t* su = &u_[level][src_sw * row_words_];
-  const std::uint64_t* cu = &col_free_u_[std::uint64_t{level} * w_];
-  std::optional<std::uint32_t> best;
-  std::optional<std::uint32_t> best_from;
-  std::uint64_t best_weight = 0;
-  std::uint64_t best_from_weight = 0;
-  for (std::uint64_t wd = 0; wd < row_words_; ++wd) {
-    std::uint64_t word = su[wd];
-    while (word != 0) {
-      const auto p = static_cast<std::uint32_t>(wd * 64 +
-                                                bits::find_first_word(word));
-      if (!best || cu[p] > best_weight) {
-        best = p;
-        best_weight = cu[p];
-      }
-      if (p >= from && (!best_from || cu[p] > best_from_weight)) {
-        best_from = p;
-        best_from_weight = cu[p];
-      }
-      word &= word - 1;
-    }
-  }
-  if (best_from && best_from_weight == best_weight) return best_from;
-  return best;
-}
-
-std::uint32_t LinkState::balanced_local_ulink_count(std::uint32_t level,
-                                                    std::uint64_t src_sw) const {
-  FT_REQUIRE(level < link_levels_);
-  FT_REQUIRE(src_sw < rows_[level]);
-  const std::uint64_t* su = &u_[level][src_sw * row_words_];
-  const std::uint64_t* cu = &col_free_u_[std::uint64_t{level} * w_];
-  bool any = false;
-  std::uint64_t best_weight = 0;
-  std::uint32_t count = 0;
-  for (std::uint64_t wd = 0; wd < row_words_; ++wd) {
-    std::uint64_t word = su[wd];
-    while (word != 0) {
-      const auto p = static_cast<std::uint32_t>(wd * 64 +
-                                                bits::find_first_word(word));
-      if (!any || cu[p] > best_weight) {
-        any = true;
-        best_weight = cu[p];
-        count = 1;
-      } else if (cu[p] == best_weight) {
-        ++count;
-      }
-      word &= word - 1;
-    }
-  }
-  return count;
-}
-
-std::optional<std::uint32_t> LinkState::nth_balanced_local_ulink(
-    std::uint32_t level, std::uint64_t src_sw, std::uint32_t index) const {
-  FT_REQUIRE(level < link_levels_);
-  const std::uint64_t* su = &u_[level][src_sw * row_words_];
-  const std::uint64_t* cu = &col_free_u_[std::uint64_t{level} * w_];
-  bool any = false;
-  std::uint64_t best_weight = 0;
-  for (std::uint64_t wd = 0; wd < row_words_; ++wd) {
-    std::uint64_t word = su[wd];
-    while (word != 0) {
-      const auto p = static_cast<std::uint32_t>(wd * 64 +
-                                                bits::find_first_word(word));
-      if (!any || cu[p] > best_weight) {
-        any = true;
-        best_weight = cu[p];
-      }
-      word &= word - 1;
-    }
-  }
-  if (!any) return std::nullopt;
-  for (std::uint64_t wd = 0; wd < row_words_; ++wd) {
-    std::uint64_t word = su[wd];
-    while (word != 0) {
-      const auto p = static_cast<std::uint32_t>(wd * 64 +
-                                                bits::find_first_word(word));
-      if (cu[p] == best_weight) {
-        if (index == 0) return p;
-        --index;
-      }
-      word &= word - 1;
-    }
-  }
-  return std::nullopt;
-}
-
 void LinkState::occupy(std::uint32_t level, std::uint64_t src_sw,
                        std::uint64_t dst_sw, std::uint32_t port) {
   occupy_ulink(level, src_sw, port);

@@ -60,75 +60,83 @@ class LinkState {
 
   /// One level's packed rows, resolved once per level sweep. A scheduler's
   /// hot loop fetches the view when it enters level h and then picks
-  /// through it: the pick is the paper's priority selector, a single-word
-  /// AND of Ulink(h, σ) with Dlink(h, δ) and a count-trailing-zeros, with no
-  /// per-pick reload of the level's matrices. Rows wider than 64 ports take
-  /// the multi-word loop inside the same functions. The picks return a plain
-  /// port or kNoPort, not an optional: merged across a policy switch, GCC
-  /// spills an optional<uint32_t> to the stack as two narrow stores and
-  /// reloads it as one wide load, which stalls store forwarding on every
-  /// pick. A view is invalidated by whatever invalidates ulink_row/dlink_row;
-  /// it sees every occupy and release made after it was taken.
+  /// through it (core/port_picker.hpp): the pick is the paper's priority
+  /// selector, a single-word AND of Ulink(h, σ) with Dlink(h, δ) and a
+  /// count-trailing-zeros, with no per-pick reload of the level's matrices.
+  /// Rows wider than 64 ports take the multi-word loop inside the same
+  /// functions. The primitives return a plain port or kNoPort, not an
+  /// optional: merged across a policy switch, GCC spills an
+  /// optional<uint32_t> to the stack as two narrow stores and reloads it as
+  /// one wide load, which stalls store forwarding on every pick. A view is
+  /// invalidated by whatever invalidates ulink_row/dlink_row; it sees every
+  /// occupy and release made after it was taken.
   class LevelView {
    public:
-    std::uint32_t level() const { return level_; }
+    /// A candidate row: Ulink(σ = src_sw) AND one more packed row of this
+    /// level — Dlink(δ) for the level-wise pick, Ulink(σ) again for the
+    /// local one. Held as switch indices rather than row pointers, so a
+    /// one-word row reads as u[σ] & d[δ] with no row-width multiply.
+    struct Row {
+      std::uint64_t src_sw = 0;
+      const std::uint64_t* mate = nullptr;  ///< the second row's matrix
+      std::uint64_t mate_sw = 0;
+    };
 
-    /// First port at or after `from` free on BOTH Ulink(σ = src_sw) and
-    /// Dlink(δ = dst_sw), or kNoPort if none is.
-    std::uint32_t next_available_port(std::uint64_t src_sw,
-                                      std::uint64_t dst_sw,
-                                      std::uint32_t from) const {
+    std::uint32_t level() const { return level_; }
+    std::uint32_t ports() const { return w_; }
+
+    /// Ulink(σ = src_sw) AND Dlink(δ = dst_sw): the ports free on both
+    /// sides, which is all the level-wise scheduler picks from.
+    Row and_row(std::uint64_t src_sw, std::uint64_t dst_sw) const {
       FT_REQUIRE(src_sw < rows_);
       FT_REQUIRE(dst_sw < rows_);
+      return {src_sw, d_, dst_sw};
+    }
+
+    /// Ulink(σ = src_sw) alone (ANDed with itself): the ports free on the
+    /// source side, all a locally-informed scheduler can see.
+    Row ulink_row(std::uint64_t src_sw) const {
+      FT_REQUIRE(src_sw < rows_);
+      return {src_sw, u_, src_sw};
+    }
+
+    /// First port of `row` at or after `from`, or kNoPort if none is.
+    std::uint32_t next_set(Row row, std::uint32_t from) const {
       if (from >= w_) return kNoPort;
       if (words_ == 1) [[likely]] {
-        return first_set(u_[src_sw] & d_[dst_sw] &
-                         (~std::uint64_t{0} << from));
+        return lowest(u_[row.src_sw] & row.mate[row.mate_sw] &
+                      (~std::uint64_t{0} << from));
       }
-      return next_set(u_ + src_sw * words_, d_ + dst_sw * words_, from);
-    }
-
-    std::uint32_t first_available_port(std::uint64_t src_sw,
-                                       std::uint64_t dst_sw) const {
-      return next_available_port(src_sw, dst_sw, 0);
-    }
-
-    /// First port at or after `from` free on the source side alone
-    /// (Ulink(σ = src_sw)) — the local scheduler's pick — or kNoPort.
-    std::uint32_t next_local_ulink(std::uint64_t src_sw,
-                                   std::uint32_t from) const {
-      FT_REQUIRE(src_sw < rows_);
-      if (from >= w_) return kNoPort;
-      if (words_ == 1) [[likely]] {
-        return first_set(u_[src_sw] & (~std::uint64_t{0} << from));
+      const std::uint64_t* a = u_ + row.src_sw * words_;
+      const std::uint64_t* b = row.mate + row.mate_sw * words_;
+      std::uint64_t wd = from / 64;
+      std::uint64_t word = a[wd] & b[wd] & ~bits::low_mask(from % 64);
+      while (word == 0) {
+        if (++wd >= words_) return kNoPort;
+        word = a[wd] & b[wd];
       }
-      const std::uint64_t* su = u_ + src_sw * words_;
-      return next_set(su, su, from);
+      return static_cast<std::uint32_t>(wd * 64 + bits::find_first_word(word));
     }
 
-    std::uint32_t first_local_ulink(std::uint64_t src_sw) const {
-      return next_local_ulink(src_sw, 0);
-    }
+    std::uint32_t first_set(Row row) const { return next_set(row, 0); }
 
-    /// Ports free on the source side (popcount of Ulink(σ = src_sw)).
-    std::uint32_t local_ulink_count(std::uint64_t src_sw) const {
-      FT_REQUIRE(src_sw < rows_);
-      const std::uint64_t* su = u_ + src_sw * words_;
+    /// Number of ports in `row`.
+    std::uint32_t popcount(Row row) const {
+      const std::uint64_t* a = u_ + row.src_sw * words_;
+      const std::uint64_t* b = row.mate + row.mate_sw * words_;
       std::uint32_t count = 0;
       for (std::uint64_t wd = 0; wd < words_; ++wd) {
-        count += static_cast<std::uint32_t>(bits::popcount(su[wd]));
+        count += static_cast<std::uint32_t>(bits::popcount(a[wd] & b[wd]));
       }
       return count;
     }
 
-    /// The `index`-th (0-based) source-side free port, or kNoPort if fewer
-    /// are free.
-    std::uint32_t nth_local_ulink(std::uint64_t src_sw,
-                                  std::uint32_t index) const {
-      FT_REQUIRE(src_sw < rows_);
-      const std::uint64_t* su = u_ + src_sw * words_;
+    /// The `index`-th (0-based) port of `row`, or kNoPort if it has fewer.
+    std::uint32_t nth_set(Row row, std::uint32_t index) const {
+      const std::uint64_t* a = u_ + row.src_sw * words_;
+      const std::uint64_t* b = row.mate + row.mate_sw * words_;
       for (std::uint64_t wd = 0; wd < words_; ++wd) {
-        std::uint64_t word = su[wd];
+        std::uint64_t word = a[wd] & b[wd];
         while (word != 0) {
           const std::size_t bit = bits::find_first_word(word);
           if (index == 0) return static_cast<std::uint32_t>(wd * 64 + bit);
@@ -139,28 +147,28 @@ class LinkState {
       return kNoPort;
     }
 
+    /// This level's column counters (LinkState::column_free_ulinks/_dlinks).
+    std::uint64_t column_free_ulinks(std::uint32_t port) const {
+      FT_ASSERT(port < w_);
+      return col_u_[port];
+    }
+    std::uint64_t column_free_dlinks(std::uint32_t port) const {
+      FT_ASSERT(port < w_);
+      return col_d_[port];
+    }
+
    private:
     friend class LinkState;
 
-    static std::uint32_t first_set(std::uint64_t word) {
+    static std::uint32_t lowest(std::uint64_t word) {
       if (word == 0) return kNoPort;
       return static_cast<std::uint32_t>(bits::find_first_word(word));
     }
 
-    /// Multi-word rows: first set bit at or after `from` (< w) of a & b.
-    std::uint32_t next_set(const std::uint64_t* a, const std::uint64_t* b,
-                           std::uint32_t from) const {
-      std::uint64_t wd = from / 64;
-      std::uint64_t word = a[wd] & b[wd] & ~bits::low_mask(from % 64);
-      while (word == 0) {
-        if (++wd >= words_) return kNoPort;
-        word = a[wd] & b[wd];
-      }
-      return static_cast<std::uint32_t>(wd * 64 + bits::find_first_word(word));
-    }
-
     const std::uint64_t* u_ = nullptr;
     const std::uint64_t* d_ = nullptr;
+    const std::uint64_t* col_u_ = nullptr;
+    const std::uint64_t* col_d_ = nullptr;
     std::uint64_t rows_ = 0;
     std::uint64_t words_ = 0;
     std::uint32_t w_ = 0;
@@ -172,6 +180,8 @@ class LinkState {
     LevelView view;
     view.u_ = u_[level].data();
     view.d_ = d_[level].data();
+    view.col_u_ = col_free_u_.data() + std::uint64_t{level} * w_;
+    view.col_d_ = col_free_d_.data() + std::uint64_t{level} * w_;
     view.rows_ = rows_[level];
     view.words_ = row_words_;
     view.w_ = w_;
@@ -185,41 +195,30 @@ class LinkState {
   std::optional<std::uint32_t> first_available_port(std::uint32_t level,
                                                     std::uint64_t src_sw,
                                                     std::uint64_t dst_sw) const {
-    return port_or_nullopt(
-        level_view(level).first_available_port(src_sw, dst_sw));
+    return next_available_port(level, src_sw, dst_sw, 0);
   }
 
-  /// Like first_available_port but skips ports below `from` — used by the
-  /// round-robin policy ablation.
+  /// Like first_available_port but skips ports below `from`.
   std::optional<std::uint32_t> next_available_port(std::uint32_t level,
                                                    std::uint64_t src_sw,
                                                    std::uint64_t dst_sw,
                                                    std::uint32_t from) const {
-    return port_or_nullopt(
-        level_view(level).next_available_port(src_sw, dst_sw, from));
+    const LevelView view = level_view(level);
+    const std::uint32_t port =
+        view.next_set(view.and_row(src_sw, dst_sw), from);
+    if (port == kNoPort) return std::nullopt;
+    return port;
   }
 
-  /// Number of ports available on BOTH sides (popcount of the AND).
-  std::uint32_t available_port_count(std::uint32_t level, std::uint64_t src_sw,
-                                     std::uint64_t dst_sw) const;
-
-  /// The `index`-th (0-based) available port of the AND row, or nullopt if
-  /// fewer are free — used by the random port policy.
-  std::optional<std::uint32_t> nth_available_port(std::uint32_t level,
-                                                  std::uint64_t src_sw,
-                                                  std::uint64_t dst_sw,
-                                                  std::uint32_t index) const;
-
-  // --- Balanced (capacity-weighted) picks -----------------------------------
+  // --- Column free counters -------------------------------------------------
   //
   // Port column p at level h feeds a distinct 1/w slice of the level-(h+1)
   // switches (the Theorem-1 port digit is the next label digit), so the
   // number of free channels in that column is the residual capacity of a
-  // whole subtree plane. The balanced policies pick, among the AND row's
-  // free ports, one whose column has the MOST free channels left — the
-  // weight is maintained incrementally (column_free counters below) as
-  // circuits come and go and as cables fail and repair, so a degraded
-  // fabric steers new circuits away from the depleted planes.
+  // whole subtree plane. The balanced port policies weigh each candidate
+  // port by these counts (core/port_picker.hpp); they are maintained
+  // incrementally as circuits come and go and as cables fail and repair,
+  // so a degraded fabric steers new circuits away from the depleted planes.
 
   /// Free up-channels in column `port` of `level` (count over switches).
   std::uint64_t column_free_ulinks(std::uint32_t level,
@@ -234,66 +233,6 @@ class LinkState {
     FT_ASSERT(level < link_levels_);
     FT_ASSERT(port < w_);
     return col_free_d_[std::uint64_t{level} * w_ + port];
-  }
-
-  /// Max-weight available port of the AND row (weight = column_free_ulinks +
-  /// column_free_dlinks); ties break to the lowest port. nullopt when the
-  /// AND row is empty.
-  std::optional<std::uint32_t> balanced_port(std::uint32_t level,
-                                             std::uint64_t src_sw,
-                                             std::uint64_t dst_sw) const;
-
-  /// Like balanced_port, but ties break to the first max-weight candidate at
-  /// or after `from`, wrapping to the lowest — the balanced round-robin
-  /// hint rule.
-  std::optional<std::uint32_t> balanced_port_from(std::uint32_t level,
-                                                  std::uint64_t src_sw,
-                                                  std::uint64_t dst_sw,
-                                                  std::uint32_t from) const;
-
-  /// Number of available ports tied at the maximum weight (0 iff the AND
-  /// row is empty) — the candidate-set size the randomized policy draws
-  /// from.
-  std::uint32_t balanced_port_count(std::uint32_t level, std::uint64_t src_sw,
-                                    std::uint64_t dst_sw) const;
-
-  /// The `index`-th (0-based, ascending port order) max-weight available
-  /// port, or nullopt if the tie set is smaller.
-  std::optional<std::uint32_t> nth_balanced_port(std::uint32_t level,
-                                                 std::uint64_t src_sw,
-                                                 std::uint64_t dst_sw,
-                                                 std::uint32_t index) const;
-
-  // Source-side-only balanced picks (weight = column_free_ulinks alone) —
-  // what the local-information baseline can act on.
-  std::optional<std::uint32_t> balanced_local_ulink(std::uint32_t level,
-                                                    std::uint64_t src_sw) const;
-  std::optional<std::uint32_t> balanced_local_ulink_from(
-      std::uint32_t level, std::uint64_t src_sw, std::uint32_t from) const;
-  std::uint32_t balanced_local_ulink_count(std::uint32_t level,
-                                           std::uint64_t src_sw) const;
-  std::optional<std::uint32_t> nth_balanced_local_ulink(
-      std::uint32_t level, std::uint64_t src_sw, std::uint32_t index) const;
-
-  /// Ports free on the SOURCE side only (local information — what the
-  /// conventional adaptive scheduler sees).
-  std::uint32_t local_ulink_count(std::uint32_t level,
-                                  std::uint64_t src_sw) const {
-    return level_view(level).local_ulink_count(src_sw);
-  }
-  std::optional<std::uint32_t> first_local_ulink(std::uint32_t level,
-                                                 std::uint64_t src_sw) const {
-    return port_or_nullopt(level_view(level).first_local_ulink(src_sw));
-  }
-  std::optional<std::uint32_t> next_local_ulink(std::uint32_t level,
-                                                std::uint64_t src_sw,
-                                                std::uint32_t from) const {
-    return port_or_nullopt(level_view(level).next_local_ulink(src_sw, from));
-  }
-  std::optional<std::uint32_t> nth_local_ulink(std::uint32_t level,
-                                               std::uint64_t src_sw,
-                                               std::uint32_t index) const {
-    return port_or_nullopt(level_view(level).nth_local_ulink(src_sw, index));
   }
 
   // --- Raw-row access -------------------------------------------------------
@@ -409,11 +348,6 @@ class LinkState {
 
  private:
   using Matrix = std::vector<std::uint64_t>;  // one per level, rows flattened
-
-  static std::optional<std::uint32_t> port_or_nullopt(std::uint32_t port) {
-    if (port == kNoPort) return std::nullopt;
-    return port;
-  }
 
   bool test(const std::vector<Matrix>& mats, std::uint32_t level,
             std::uint64_t sw, std::uint32_t port) const {

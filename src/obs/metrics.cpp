@@ -120,34 +120,4 @@ void MetricsRegistry::write_jsonl(std::ostream& os) const {
   }
 }
 
-void MetricsRegistry::write_csv(std::ostream& os) const {
-  os << "metric,type,key,value\n";
-  for (const Entry& e : entries_) {
-    switch (e.kind) {
-      case Kind::kCounter:
-        os << e.name << ",counter,value," << e.counter->value() << "\n";
-        break;
-      case Kind::kGauge:
-        os << e.name << ",gauge,value," << e.gauge->value() << "\n";
-        break;
-      case Kind::kHistogram: {
-        const Histogram& h = *e.histogram;
-        os << e.name << ",histogram,underflow," << h.underflow() << "\n";
-        for (std::size_t i = 0; i < h.bins(); ++i) {
-          os << e.name << ",histogram,bin" << i << "," << h.bin(i) << "\n";
-        }
-        os << e.name << ",histogram,overflow," << h.overflow() << "\n";
-        os << e.name << ",histogram,count," << h.count() << "\n";
-        os << e.name << ",histogram,sum," << h.sum() << "\n";
-        if (h.count() > 0) {
-          os << e.name << ",histogram,p50," << h.percentile(0.50) << "\n";
-          os << e.name << ",histogram,p90," << h.percentile(0.90) << "\n";
-          os << e.name << ",histogram,p99," << h.percentile(0.99) << "\n";
-        }
-        break;
-      }
-    }
-  }
-}
-
 }  // namespace ftsched::obs

@@ -5,8 +5,7 @@
 // through a stable reference — increments are plain integer adds, cheap
 // enough for per-request call sites. Export is pulled, never pushed: the
 // registry renders every metric as JSON-lines (one object per metric, easy
-// to stream and to `json.loads` line by line) or CSV (one row per scalar,
-// one row per histogram bin) on demand.
+// to stream and to `json.loads` line by line) on demand.
 //
 // Naming convention (see docs/OBSERVABILITY.md): dotted lowercase paths,
 // `<subsystem>.<noun>[.<qualifier>]`, e.g. `sched.reject.level0`,
@@ -156,11 +155,6 @@ class MetricsRegistry {
   ///   {"metric":"<name>","type":"histogram","lo":..,"hi":..,
   ///    "bins":[..],"underflow":..,"overflow":..,"count":..,"sum":..}
   void write_jsonl(std::ostream& os) const;
-
-  /// Header `metric,type,key,value`; scalars are one row with key "value",
-  /// histograms one row per bucket (`bin0`..`binN`, `underflow`,
-  /// `overflow`) plus `count` and `sum`.
-  void write_csv(std::ostream& os) const;
 
  private:
   enum class Kind : std::uint8_t { kCounter, kGauge, kHistogram };

@@ -1,16 +1,16 @@
-// Chrome trace-event writer — spans and counters loadable in Perfetto.
+// Chrome trace-event writer — spans and instants loadable in Perfetto.
 //
 // Events buffer in memory (instrumented code never blocks on I/O) and are
 // rendered on demand as the Trace Event Format JSON that chrome://tracing
-// and https://ui.perfetto.dev consume: {"traceEvents":[...]}. Three phases
+// and https://ui.perfetto.dev consume: {"traceEvents":[...]}. Two phases
 // cover everything the repo needs: complete spans ("X", with explicit
-// ts/dur), instants ("i"), and counters ("C").
+// ts/dur) and instants ("i").
 //
 // Timestamps are caller-supplied microsecond values, which lets each
 // subsystem pick its natural clock: scheduler batches use wall time
 // (TraceWriter::wall_now_us, via ScopedSpan), the fault layer's spans use
 // simulated ticks. The pid field keeps the clock domains on separate tracks
-// in the viewer (kPidSched/kPidDes/kPidHw). Instrumented code reaches the
+// in the viewer (kPidSched/kPidDes). Instrumented code reaches the
 // writer through an obs::Sink (obs/sink.hpp).
 //
 // Everything is null-tolerant: a ScopedSpan constructed with a nullptr
@@ -29,32 +29,28 @@ namespace ftsched::obs {
 /// Track ("process") ids separating the clock domains in trace viewers.
 inline constexpr std::uint32_t kPidSched = 1;  ///< wall-clock microseconds
 inline constexpr std::uint32_t kPidDes = 2;    ///< simulated ticks
-inline constexpr std::uint32_t kPidHw = 3;     ///< block-cycle numbers
 
 struct TraceEvent {
   std::string name;
   std::string cat;
-  char phase = 'X';        ///< 'X' complete, 'i' instant, 'C' counter
+  char phase = 'X';        ///< 'X' complete, 'i' instant
   std::uint64_t ts_us = 0;
   std::uint64_t dur_us = 0;  ///< complete events only
   std::uint32_t pid = 0;
   std::uint32_t tid = 0;
-  double value = 0.0;        ///< counter events only
 };
 
-/// Viewer metadata ("ph":"M"): names the pid/tid tracks so Perfetto shows
-/// "sched (wall us)" instead of a raw pid number.
+/// Viewer metadata ("ph":"M" process_name): names a pid track so Perfetto
+/// shows "sched (wall us)" instead of a raw pid number.
 struct TraceMetadata {
   std::uint32_t pid = 0;
-  std::uint32_t tid = 0;
-  bool thread = false;  ///< false = process_name, true = thread_name
   std::string name;
 };
 
 class TraceWriter {
  public:
-  /// Pre-names the three standard clock-domain tracks (kPidSched/kPidDes/
-  /// kPidHw); set_process_name overrides them.
+  /// Pre-names the two standard clock-domain tracks (kPidSched/kPidDes);
+  /// set_process_name overrides them.
   TraceWriter();
 
   void complete(std::string_view name, std::string_view cat,
@@ -63,18 +59,11 @@ class TraceWriter {
   void instant(std::string_view name, std::string_view cat,
                std::uint64_t ts_us, std::uint32_t pid = kPidSched,
                std::uint32_t tid = 0);
-  void counter(std::string_view name, std::string_view cat,
-               std::uint64_t ts_us, double value,
-               std::uint32_t pid = kPidSched);
 
   /// Names a pid track (replaces an earlier name for the same pid). Rendered
   /// as a {"ph":"M","name":"process_name"} metadata event ahead of the
   /// event stream, so viewers label the track.
   void set_process_name(std::uint32_t pid, std::string_view name);
-
-  /// Names a (pid, tid) row within a track ({"ph":"M","name":"thread_name"}).
-  void set_thread_name(std::uint32_t pid, std::uint32_t tid,
-                       std::string_view name);
 
   /// size()/empty()/events() cover payload events only; track names live in
   /// metadata() and survive clear().

@@ -2,11 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cstdint>
+#include <sstream>
 #include <string>
 #include <vector>
 
+#include "core/registry.hpp"
 #include "core/verifier.hpp"
+#include "obs/sink.hpp"
 #include "workload/patterns.hpp"
 
 namespace ftsched {
@@ -326,6 +330,160 @@ TEST(RoundRobinPin, PickSequencePinned) {
       {0}, {1}, {3}, {}, {0}, {2}, {3}, {},
   };
   EXPECT_EQ(sequence, expected);
+}
+
+/// Order-sensitive FNV-1a 64 over `text`.
+std::uint64_t fnv1a(const std::string& text) {
+  std::uint64_t hash = 0xcbf29ce484222325ULL;
+  for (const char c : text) {
+    hash = (hash ^ static_cast<unsigned char>(c)) * 0x100000001b3ULL;
+  }
+  return hash;
+}
+
+/// Every outcome's granted flag, reason, fail level and port digits, in
+/// batch order.
+std::uint64_t outcome_digest(const ScheduleResult& result) {
+  std::ostringstream os;
+  for (const RequestOutcome& out : result.outcomes) {
+    os << out.granted << ' ' << static_cast<int>(out.reason) << ' '
+       << out.fail_level << ':';
+    for (const std::uint32_t port : out.path.ports) os << port << ',';
+    os << ';';
+  }
+  return fnv1a(os.str());
+}
+
+struct PinWorkload {
+  const char* name;
+  FatTree tree;
+  std::vector<Request> batch;
+  LinkState state;
+};
+
+/// A fresh FT(l,w) fabric and the seed-9 permutation.
+PinWorkload pristine_seed9(const char* name, std::uint32_t levels,
+                           std::uint32_t w) {
+  const FatTree tree = FatTree::symmetric(levels, w);
+  Xoshiro256ss rng(9);
+  auto batch = random_permutation(tree.node_count(), rng);
+  return {name, tree, std::move(batch), LinkState(tree)};
+}
+
+/// The damaged fabric of BalancedPoliciesVerifyOnFaultedFabric at w = 65:
+/// two-word rows, column 0 depleted, faults in both word halves.
+PinWorkload ft265_faulted() {
+  const std::uint32_t w = 65;
+  const FatTree tree = FatTree::symmetric(2, w);
+  LinkState state(tree);
+  for (std::uint64_t sw = 0; sw < 5; ++sw) state.fail_cable(0, sw, 0);
+  state.fail_cable(0, 6, w - 1);
+  state.fail_cable(0, 7, w / 2);
+  Xoshiro256ss rng(13);
+  auto batch = random_permutation(tree.node_count(), rng);
+  return {"FT(2,65) faulted", tree, std::move(batch), std::move(state)};
+}
+
+TEST(RoundRobinPin, EveryPickPathPinned) {
+  // Per (scheduler, workload), two digests: one over every outcome's
+  // granted, reason, fail_level and ports in batch order, one over the
+  // probe's histograms (pick and popcount events included) from an
+  // instrumented rerun, which must also grant exactly the same. Covers
+  // every port policy of the level-wise and local schedulers and
+  // turnback's candidate walk; any change to a pick, an RNG draw, the rr
+  // hint rule or a balanced tie-break moves a digest.
+  const std::vector<PinWorkload> workloads = {
+      pristine_seed9("FT(2,4) seed 9", 2, 4),
+      ft265_faulted(),
+      pristine_seed9("FT(3,4) seed 9", 3, 4),
+  };
+  using Digests = std::array<std::uint64_t, 6>;  // (outcomes, probe) each
+  struct Pin {
+    const char* scheduler;
+    Digests digests;
+  };
+  // GENERATED: printed by this test on a mismatch.
+  const std::vector<Pin> pins = {
+      {"levelwise",
+       {0x9ae120781fa9c4c7ULL, 0xb526ea628e44c311ULL,
+        0x1126181485503954ULL, 0x1bd577b6dd1f7f68ULL,
+        0xeffcbd8c0d6a9c07ULL, 0x18267dd9dc29ce09ULL}},
+      {"levelwise-random",
+       {0xd4382c04d4581c65ULL, 0xe485a7065bfb600eULL,
+        0x8b52ebe5bd566d09ULL, 0x72053069a35d5b7aULL,
+        0xec509773d6269745ULL, 0xe0a67d4cc7a5888cULL}},
+      {"levelwise-rr",
+       {0x9ae120781fa9c4c7ULL, 0xb526ea628e44c311ULL,
+        0xe1d72fe4f6c5a641ULL, 0xfae3f4155121c289ULL,
+        0x250f4681eba5d38cULL, 0xa91ae792cc5e4686ULL}},
+      {"levelwise-balanced",
+       {0xbc8fa4a66eb43702ULL, 0xfef2f214d80c78bULL,
+        0xa1ca76d0e28b76f3ULL, 0xf9d8ea4ccdba1ce7ULL,
+        0x4acad73830fccd58ULL, 0x1f3838937610a20eULL}},
+      {"levelwise-balanced-rr",
+       {0xbc8fa4a66eb43702ULL, 0xfef2f214d80c78bULL,
+        0xb57f1cb66a36994ULL, 0xd5c50d87e123be61ULL,
+        0xdb2b22c6c138a61bULL, 0x4ed5b4eefab6c9efULL}},
+      {"levelwise-balanced-random",
+       {0x8f6d03494fe0641fULL, 0x2febe951407a6fbULL,
+        0x2126c5d4a35274caULL, 0x2c902e10f016e76bULL,
+        0x8c04e20ae86eedeaULL, 0x5c89e4ef68a2102ULL}},
+      {"levelwise-reqmajor",
+       {0x9ae120781fa9c4c7ULL, 0xb526ea628e44c311ULL,
+        0x1126181485503954ULL, 0x1bd577b6dd1f7f68ULL,
+        0x2f3460f9bee6cf68ULL, 0x1df4b2d427e4a3fbULL}},
+      {"local",
+       {0x3571c9ec7f2065acULL, 0xc484d219eae9c084ULL,
+        0x6a45023ae4364e3cULL, 0x6d53ef7a1b72f0c5ULL,
+        0x72cbf03de1efce64ULL, 0xb817c0f5a5b5aec3ULL}},
+      {"local-random",
+       {0x9f14b004649700b3ULL, 0x6cd89fc05183d6b2ULL,
+        0x165348f364bafa47ULL, 0x1f504667f84a705cULL,
+        0xc046a410f97d0a94ULL, 0x40ff63ef728b4287ULL}},
+      {"local-rr",
+       {0x871105886c168bbdULL, 0x3029f3af8fa0bf0dULL,
+        0x7ec69f6e9f4bc761ULL, 0xadd48c6ceae781a6ULL,
+        0xb714c41f43f999a7ULL, 0xb50b8c590cfcfbdaULL}},
+      {"local-hold",
+       {0x871105886c168bbdULL, 0x99aeb1b8bd822245ULL,
+        0x62dc1b91e155a14bULL, 0xf1096a644699f1dULL,
+        0xbb1365e09be3717aULL, 0x20eafa4a5be86f21ULL}},
+      {"turnback",
+       {0x84c5517f7f2accebULL, 0xdd33373c076db547ULL,
+        0xce08fcf31358335ULL, 0xf4f29df8b2454597ULL,
+        0x3209af0403fa6648ULL, 0xd9167e640b36d31fULL}},
+  };
+  for (const Pin& pin : pins) {
+    Digests got{};
+    for (std::size_t k = 0; k < workloads.size(); ++k) {
+      const PinWorkload& work = workloads[k];
+      auto detached = make_scheduler(pin.scheduler, 5);
+      auto attached = make_scheduler(pin.scheduler, 5);
+      ASSERT_TRUE(detached.ok() && attached.ok()) << pin.scheduler;
+      LinkState a = work.state;
+      LinkState b = work.state;
+      const ScheduleResult plain =
+          detached.value()->schedule(work.tree, work.batch, a);
+      obs::SchedulerProbe probe;
+      obs::Sink sink;
+      sink.probe = &probe;
+      attached.value()->set_sink(&sink);
+      const ScheduleResult seen =
+          attached.value()->schedule(work.tree, work.batch, b);
+      EXPECT_EQ(plain.outcomes, seen.outcomes)
+          << pin.scheduler << " on " << work.name;
+      EXPECT_TRUE(a == b) << pin.scheduler << " on " << work.name;
+      std::ostringstream os;
+      probe.write_json(os, reject_reason_name);
+      got[2 * k] = outcome_digest(plain);
+      got[2 * k + 1] = fnv1a(os.str());
+    }
+    std::ostringstream literal;
+    literal << std::hex << "{\"" << pin.scheduler << "\", {";
+    for (const std::uint64_t d : got) literal << "0x" << d << "ULL, ";
+    literal << "}},";
+    EXPECT_EQ(got, pin.digests) << literal.str();
+  }
 }
 
 }  // namespace

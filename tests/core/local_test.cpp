@@ -177,5 +177,18 @@ TEST(Local, NameReflectsConfiguration) {
   EXPECT_EQ(LocalAdaptiveScheduler(options).name(), "local-random-hold");
 }
 
+TEST(LocalDeath, RejectsBalancedPolicies) {
+  // A balanced weight counts both sides of a column; the local scheduler
+  // sees only the source side, so it takes the oblivious policies alone.
+  for (const PortPolicy policy :
+       {PortPolicy::kBalanced, PortPolicy::kBalancedRR,
+        PortPolicy::kBalancedRandom}) {
+    LocalOptions options;
+    options.policy = policy;
+    EXPECT_DEATH(LocalAdaptiveScheduler{options}, "precondition")
+        << to_string(policy);
+  }
+}
+
 }  // namespace
 }  // namespace ftsched

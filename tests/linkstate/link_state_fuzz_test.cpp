@@ -94,7 +94,9 @@ TEST_P(LinkStateFuzzTest, AgreesWithNaiveModel) {
         for (std::uint32_t q = 0; q < w; ++q) {
           if (mirror.u[{h, a, q}] && mirror.d[{h, b, q}]) ++model_count;
         }
-        ASSERT_EQ(state.available_port_count(h, a, b), model_count) << step;
+        const LinkState::LevelView view = state.level_view(h);
+        const LinkState::LevelView::Row row = view.and_row(a, b);
+        ASSERT_EQ(view.popcount(row), model_count) << step;
         if (model_count > 0) {
           const auto idx =
               static_cast<std::uint32_t>(rng.below(model_count));
@@ -109,8 +111,7 @@ TEST_P(LinkStateFuzzTest, AgreesWithNaiveModel) {
               ++seen;
             }
           }
-          ASSERT_EQ(*state.nth_available_port(h, a, b, idx), expect_port)
-              << step;
+          ASSERT_EQ(view.nth_set(row, idx), expect_port) << step;
         }
         break;
       }
@@ -123,11 +124,12 @@ TEST_P(LinkStateFuzzTest, AgreesWithNaiveModel) {
             if (model_first < 0) model_first = q;
           }
         }
-        ASSERT_EQ(state.local_ulink_count(h, a), model_local) << step;
-        const auto got = state.first_local_ulink(h, a);
-        ASSERT_EQ(got.has_value(), model_first >= 0) << step;
-        if (got) {
-          ASSERT_EQ(*got, static_cast<std::uint32_t>(model_first)) << step;
+        const LinkState::LevelView view = state.level_view(h);
+        ASSERT_EQ(view.popcount(view.ulink_row(a)), model_local) << step;
+        const std::uint32_t got = view.first_set(view.ulink_row(a));
+        ASSERT_EQ(got != LinkState::kNoPort, model_first >= 0) << step;
+        if (model_first >= 0) {
+          ASSERT_EQ(got, static_cast<std::uint32_t>(model_first)) << step;
         }
         std::uint64_t occupied_u = 0;
         for (const auto& [key, available] : mirror.u) {

@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <vector>
+
+#include "core/port_picker.hpp"
+
 namespace ftsched {
 namespace {
 
@@ -71,7 +76,8 @@ TEST(LinkState, FirstAvailablePortNulloptWhenDisjoint) {
   state.set_dlink(0, 9, 0, false);
   state.set_dlink(0, 9, 1, false);
   EXPECT_FALSE(state.first_available_port(0, 2, 9).has_value());
-  EXPECT_EQ(state.available_port_count(0, 2, 9), 0u);
+  const LinkState::LevelView view = state.level_view(0);
+  EXPECT_EQ(view.popcount(view.and_row(2, 9)), 0u);
 }
 
 TEST(LinkState, NextAvailablePortSkips) {
@@ -88,10 +94,12 @@ TEST(LinkState, NthAvailablePort) {
   LinkState state(tree);
   state.set_ulink(0, 1, 1, false);
   // Common free ports: 0, 2, 3.
-  EXPECT_EQ(*state.nth_available_port(0, 1, 5, 0), 0u);
-  EXPECT_EQ(*state.nth_available_port(0, 1, 5, 1), 2u);
-  EXPECT_EQ(*state.nth_available_port(0, 1, 5, 2), 3u);
-  EXPECT_FALSE(state.nth_available_port(0, 1, 5, 3).has_value());
+  const LinkState::LevelView view = state.level_view(0);
+  const LinkState::LevelView::Row row = view.and_row(1, 5);
+  EXPECT_EQ(view.nth_set(row, 0), 0u);
+  EXPECT_EQ(view.nth_set(row, 1), 2u);
+  EXPECT_EQ(view.nth_set(row, 2), 3u);
+  EXPECT_EQ(view.nth_set(row, 3), LinkState::kNoPort);
 }
 
 TEST(LinkState, LocalViewIgnoresDestination) {
@@ -100,8 +108,9 @@ TEST(LinkState, LocalViewIgnoresDestination) {
   state.set_dlink(0, 9, 0, false);  // destination port 0 occupied
   // Local view of source 2 still sees port 0 free: that is the baseline's
   // blindness the paper exploits.
-  EXPECT_EQ(*state.first_local_ulink(0, 2), 0u);
-  EXPECT_EQ(state.local_ulink_count(0, 2), 4u);
+  const LinkState::LevelView view = state.level_view(0);
+  EXPECT_EQ(view.first_set(view.ulink_row(2)), 0u);
+  EXPECT_EQ(view.popcount(view.ulink_row(2)), 4u);
   // But the global AND skips it.
   EXPECT_EQ(*state.first_available_port(0, 2, 9), 1u);
 }
@@ -111,9 +120,10 @@ TEST(LinkState, NthLocalUlink) {
   LinkState state(tree);
   state.set_ulink(0, 2, 0, false);
   state.set_ulink(0, 2, 2, false);
-  EXPECT_EQ(*state.nth_local_ulink(0, 2, 0), 1u);
-  EXPECT_EQ(*state.nth_local_ulink(0, 2, 1), 3u);
-  EXPECT_FALSE(state.nth_local_ulink(0, 2, 2).has_value());
+  const LinkState::LevelView view = state.level_view(0);
+  EXPECT_EQ(view.nth_set(view.ulink_row(2), 0), 1u);
+  EXPECT_EQ(view.nth_set(view.ulink_row(2), 1), 3u);
+  EXPECT_EQ(view.nth_set(view.ulink_row(2), 2), LinkState::kNoPort);
 }
 
 TEST(LinkState, ResetRestoresEverything) {
@@ -151,7 +161,8 @@ TEST(LinkState, WideRowsSpanMultipleWords) {
     EXPECT_EQ(*state.first_available_port(0, 0, 1), 0u);
     for (std::uint32_t p = 0; p + 1 < w; ++p) state.set_ulink(0, 0, p, false);
     EXPECT_EQ(*state.first_available_port(0, 0, 1), w - 1);
-    EXPECT_EQ(state.available_port_count(0, 0, 1), 1u);
+    const LinkState::LevelView view = state.level_view(0);
+    EXPECT_EQ(view.popcount(view.and_row(0, 1)), 1u);
     EXPECT_TRUE(state.audit().ok());
   }
 }
@@ -240,6 +251,44 @@ TEST(LinkState, ColumnCountersSurviveFailWhileOccupied) {
   EXPECT_TRUE(state.audit().ok());
 }
 
+// The balanced policies live in the one port picker (core/port_picker.hpp)
+// and weigh each port of the AND row by its column's free channels, up and
+// down; these pin its tie-breaks on the column counters kept here.
+
+/// `policy`'s pick on the level-0 AND row of (src_sw, dst_sw), starting
+/// from round-robin hint `from`.
+std::uint32_t balanced_pick(const LinkState& state, PortPolicy policy,
+                            std::uint64_t src_sw, std::uint64_t dst_sw,
+                            std::uint32_t from = 0) {
+  const LinkState::LevelView view = state.level_view(0);
+  std::vector<std::uint32_t> hint(state.rows_at(0), 0);
+  hint[src_sw] = from;
+  Xoshiro256ss rng(1);
+  return pick_port(policy, view, view.and_row(src_sw, dst_sw), hint, rng,
+                   nullptr);
+}
+
+std::uint32_t balanced_port(const LinkState& state, std::uint64_t src_sw,
+                            std::uint64_t dst_sw) {
+  return balanced_pick(state, PortPolicy::kBalanced, src_sw, dst_sw);
+}
+
+/// Size of the max-weight tie set the randomized policy draws from.
+std::uint32_t balanced_port_count(const LinkState& state,
+                                  std::uint64_t src_sw, std::uint64_t dst_sw) {
+  const LinkState::LevelView view = state.level_view(0);
+  return port_picker::max_weight(view, view.and_row(src_sw, dst_sw)).count;
+}
+
+/// The `index`-th max-weight port, ascending.
+std::uint32_t nth_balanced_port(const LinkState& state, std::uint64_t src_sw,
+                                std::uint64_t dst_sw, std::uint32_t index) {
+  const LinkState::LevelView view = state.level_view(0);
+  const LinkState::LevelView::Row row = view.and_row(src_sw, dst_sw);
+  return port_picker::nth_tie(view, row,
+                              port_picker::max_weight(view, row).weight, index);
+}
+
 TEST(LinkState, BalancedPortPicksFullestColumnLowestTie) {
   const FatTree tree = make_ft34();
   LinkState state(tree);
@@ -247,17 +296,18 @@ TEST(LinkState, BalancedPortPicksFullestColumnLowestTie) {
   for (std::uint64_t sw = 0; sw < 6; ++sw) state.occupy(0, sw, sw, 0);
   // Rows 10/11 are fully free, so the AND covers all ports: the pick must
   // skip the depleted column and tie-break to the lowest max-weight port.
-  EXPECT_EQ(*state.balanced_port(0, 10, 11), 1u);
-  EXPECT_EQ(state.balanced_port_count(0, 10, 11), 3u);
-  EXPECT_EQ(*state.nth_balanced_port(0, 10, 11, 0), 1u);
-  EXPECT_EQ(*state.nth_balanced_port(0, 10, 11, 1), 2u);
-  EXPECT_EQ(*state.nth_balanced_port(0, 10, 11, 2), 3u);
-  EXPECT_FALSE(state.nth_balanced_port(0, 10, 11, 3).has_value());
+  EXPECT_EQ(balanced_port(state, 10, 11), 1u);
+  EXPECT_EQ(balanced_port_count(state, 10, 11), 3u);
+  EXPECT_EQ(nth_balanced_port(state, 10, 11, 0), 1u);
+  EXPECT_EQ(nth_balanced_port(state, 10, 11, 1), 2u);
+  EXPECT_EQ(nth_balanced_port(state, 10, 11, 2), 3u);
+  EXPECT_EQ(nth_balanced_port(state, 10, 11, 3), LinkState::kNoPort);
 
-  // The round-robin variant starts the tie scan at `from` and wraps.
-  EXPECT_EQ(*state.balanced_port_from(0, 10, 11, 0), 1u);
-  EXPECT_EQ(*state.balanced_port_from(0, 10, 11, 2), 2u);
-  EXPECT_EQ(*state.balanced_port_from(0, 10, 11, 3), 3u);
+  // The round-robin variant starts the tie scan at its hint and wraps.
+  const PortPolicy rr = PortPolicy::kBalancedRR;
+  EXPECT_EQ(balanced_pick(state, rr, 10, 11, 0), 1u);
+  EXPECT_EQ(balanced_pick(state, rr, 10, 11, 2), 2u);
+  EXPECT_EQ(balanced_pick(state, rr, 10, 11, 3), 3u);
 }
 
 TEST(LinkState, BalancedPortIsArgmaxOverAvailableOnly) {
@@ -267,19 +317,19 @@ TEST(LinkState, BalancedPortIsArgmaxOverAvailableOnly) {
   for (std::uint64_t sw = 0; sw < 6; ++sw) state.occupy(0, sw, sw, 0);
   for (std::uint64_t sw = 6; sw < 9; ++sw) state.occupy(0, sw, sw, 1);
   state.occupy(0, 9, 9, 2);
-  EXPECT_EQ(*state.balanced_port(0, 10, 11), 3u);
-  EXPECT_EQ(state.balanced_port_count(0, 10, 11), 1u);
+  EXPECT_EQ(balanced_port(state, 10, 11), 3u);
+  EXPECT_EQ(balanced_port_count(state, 10, 11), 1u);
   // Mask the heaviest column out of the AND row: the argmax re-runs over
   // what is actually available, it does not fall back to first-free.
   state.set_ulink(0, 10, 3, false);
-  EXPECT_EQ(*state.balanced_port(0, 10, 11), 2u);
+  EXPECT_EQ(balanced_port(state, 10, 11), 2u);
   state.set_dlink(0, 11, 2, false);
-  EXPECT_EQ(*state.balanced_port(0, 10, 11), 1u);
-  // Empty AND row → nullopt, count 0.
+  EXPECT_EQ(balanced_port(state, 10, 11), 1u);
+  // Empty AND row → kNoPort, count 0.
   state.set_ulink(0, 10, 0, false);
   state.set_ulink(0, 10, 1, false);
-  EXPECT_FALSE(state.balanced_port(0, 10, 11).has_value());
-  EXPECT_EQ(state.balanced_port_count(0, 10, 11), 0u);
+  EXPECT_EQ(balanced_port(state, 10, 11), LinkState::kNoPort);
+  EXPECT_EQ(balanced_port_count(state, 10, 11), 0u);
 }
 
 TEST(LinkState, BalancedPickSteersAwayFromFaultedColumns) {
@@ -289,30 +339,12 @@ TEST(LinkState, BalancedPickSteersAwayFromFaultedColumns) {
   const FatTree tree = make_ft34();
   LinkState state(tree);
   for (std::uint64_t sw = 0; sw < 5; ++sw) state.fail_cable(0, sw, 0);
-  EXPECT_EQ(*state.balanced_port(0, 10, 11), 1u);
+  EXPECT_EQ(balanced_port(state, 10, 11), 1u);
   // The faulted column is still pickable when it is all that remains.
   state.set_ulink(0, 10, 1, false);
   state.set_ulink(0, 10, 2, false);
   state.set_ulink(0, 10, 3, false);
-  EXPECT_EQ(*state.balanced_port(0, 10, 11), 0u);
-}
-
-TEST(LinkState, BalancedLocalUlinkUsesSourceSideWeightOnly) {
-  const FatTree tree = make_ft34();
-  LinkState state(tree);
-  // Deplete the DOWN side of column 3 heavily; the local balanced pick is
-  // the baseline that cannot see it and must still rank by up-capacity.
-  for (std::uint64_t sw = 0; sw < 8; ++sw) {
-    state.set_dlink(0, sw, 3, false);
-  }
-  for (std::uint64_t sw = 0; sw < 4; ++sw) {
-    state.set_ulink(0, sw, 0, false);
-  }
-  // Up-weights: col0 = 12, cols 1..3 = 16 → lowest max-weight port is 1.
-  EXPECT_EQ(*state.balanced_local_ulink(0, 10), 1u);
-  EXPECT_EQ(state.balanced_local_ulink_count(0, 10), 3u);
-  EXPECT_EQ(*state.nth_balanced_local_ulink(0, 10, 2), 3u);
-  EXPECT_EQ(*state.balanced_local_ulink_from(0, 10, 2), 2u);
+  EXPECT_EQ(balanced_port(state, 10, 11), 0u);
 }
 
 TEST(LinkStateDeath, DoubleOccupyRejected) {

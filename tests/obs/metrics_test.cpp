@@ -244,36 +244,6 @@ TEST(MetricsRegistry, EmptyHistogramOmitsPercentiles) {
   reg.write_jsonl(jsonl);
   EXPECT_EQ(jsonl.str().find("\"p50\""), std::string::npos)
       << "empty histogram must not invent percentile values";
-  std::ostringstream csv;
-  reg.write_csv(csv);
-  EXPECT_EQ(csv.str().find(",p50,"), std::string::npos);
-}
-
-TEST(MetricsRegistry, CsvHistogramCarriesPercentileRows) {
-  MetricsRegistry reg;
-  Histogram& h = reg.histogram("lat", 0.0, 4.0, 4);
-  h.observe(2.5);  // single observation: every quantile is the bin center
-  std::ostringstream os;
-  reg.write_csv(os);
-  const std::string text = os.str();
-  EXPECT_NE(text.find("lat,histogram,p50,2.5"), std::string::npos) << text;
-  EXPECT_NE(text.find("lat,histogram,p90,2.5"), std::string::npos);
-  EXPECT_NE(text.find("lat,histogram,p99,2.5"), std::string::npos);
-}
-
-TEST(MetricsRegistry, CsvHasHeaderAndHistogramRows) {
-  MetricsRegistry reg;
-  reg.counter("n").add(2);
-  Histogram& h = reg.histogram("h", 0.0, 2.0, 2);
-  h.observe(0.5);
-  std::ostringstream os;
-  reg.write_csv(os);
-  const std::string text = os.str();
-  EXPECT_EQ(text.rfind("metric,type,key,value\n", 0), 0u);
-  EXPECT_NE(text.find("n,counter,value,2"), std::string::npos);
-  EXPECT_NE(text.find("h,histogram,bin0,1"), std::string::npos);
-  EXPECT_NE(text.find("h,histogram,underflow,0"), std::string::npos);
-  EXPECT_NE(text.find("h,histogram,count,1"), std::string::npos);
 }
 
 }  // namespace

@@ -23,21 +23,18 @@ TEST(TraceWriter, EventsCarryTheirFields) {
   TraceWriter w;
   w.complete("batch", "sched.batch", 100, 50, kPidSched, 3);
   w.instant("dispatch", "des", 7, kPidDes);
-  w.counter("queue", "des", 7, 12.0, kPidDes);
-  ASSERT_EQ(w.size(), 3u);
+  ASSERT_EQ(w.size(), 2u);
   EXPECT_EQ(w.events()[0].phase, 'X');
   EXPECT_EQ(w.events()[0].dur_us, 50u);
   EXPECT_EQ(w.events()[0].tid, 3u);
   EXPECT_EQ(w.events()[1].phase, 'i');
-  EXPECT_EQ(w.events()[2].phase, 'C');
-  EXPECT_DOUBLE_EQ(w.events()[2].value, 12.0);
+  EXPECT_EQ(w.events()[1].pid, kPidDes);
 }
 
 TEST(TraceWriter, MixedEventStreamRendersValidJson) {
   TraceWriter w;
   w.complete("span \"quoted\"", "cat\\slash", 0, 1);
   w.instant("i1", "des", 5, kPidDes, 2);
-  w.counter("c1", "hw", 9, 0.5, kPidHw);
   std::ostringstream os;
   w.write(os);
   const std::string text = os.str();
@@ -107,12 +104,11 @@ TEST(ScopedSpan, NestedSpansBothRecorded) {
 
 TEST(TraceMetadata, StandardTracksArePrenamed) {
   TraceWriter w;
-  ASSERT_EQ(w.metadata().size(), 3u);
+  ASSERT_EQ(w.metadata().size(), 2u);
   EXPECT_EQ(w.metadata()[0].pid, kPidSched);
-  EXPECT_FALSE(w.metadata()[0].thread);
   EXPECT_EQ(w.metadata()[0].name, "sched (wall us)");
   EXPECT_EQ(w.metadata()[1].pid, kPidDes);
-  EXPECT_EQ(w.metadata()[2].pid, kPidHw);
+  EXPECT_EQ(w.metadata()[1].name, "des (sim ticks)");
   // Pre-named tracks do not count as payload events.
   EXPECT_TRUE(w.empty());
   EXPECT_EQ(w.size(), 0u);
@@ -121,28 +117,16 @@ TEST(TraceMetadata, StandardTracksArePrenamed) {
 TEST(TraceMetadata, SetProcessNameReplacesExistingEntry) {
   TraceWriter w;
   w.set_process_name(kPidDes, "simnet cycles");
-  ASSERT_EQ(w.metadata().size(), 3u);  // replaced, not appended
+  ASSERT_EQ(w.metadata().size(), 2u);  // replaced, not appended
   EXPECT_EQ(w.metadata()[1].name, "simnet cycles");
   w.set_process_name(7, "custom");
-  ASSERT_EQ(w.metadata().size(), 4u);
-  EXPECT_EQ(w.metadata()[3].pid, 7u);
-}
-
-TEST(TraceMetadata, ThreadNamesKeyOnPidAndTid) {
-  TraceWriter w;
-  w.set_thread_name(kPidHw, 0, "stage crossbar");
-  w.set_thread_name(kPidHw, 1, "stage memory");
-  w.set_thread_name(kPidHw, 0, "stage crossbar!");  // same key: replace
-  ASSERT_EQ(w.metadata().size(), 5u);
-  EXPECT_TRUE(w.metadata()[3].thread);
-  EXPECT_EQ(w.metadata()[3].tid, 0u);
-  EXPECT_EQ(w.metadata()[3].name, "stage crossbar!");
-  EXPECT_EQ(w.metadata()[4].tid, 1u);
+  ASSERT_EQ(w.metadata().size(), 3u);
+  EXPECT_EQ(w.metadata()[2].pid, 7u);
 }
 
 TEST(TraceMetadata, RendersMetadataEventsAheadOfStream) {
   TraceWriter w;
-  w.set_thread_name(kPidHw, 2, "stage \"output\"");
+  w.set_process_name(7, "stage \"output\"");
   w.complete("span", "cat", 0, 1);
   std::ostringstream os;
   w.write(os);
@@ -154,7 +138,6 @@ TEST(TraceMetadata, RendersMetadataEventsAheadOfStream) {
   ASSERT_NE(span_pos, std::string::npos);
   EXPECT_LT(meta_pos, span_pos);
   EXPECT_NE(text.find("\"name\":\"process_name\""), std::string::npos);
-  EXPECT_NE(text.find("\"name\":\"thread_name\""), std::string::npos);
   // Name payloads are escaped and carried in args.
   EXPECT_NE(text.find("\"args\":{\"name\":\"stage \\\"output\\\"\"}"),
             std::string::npos);
@@ -162,11 +145,11 @@ TEST(TraceMetadata, RendersMetadataEventsAheadOfStream) {
 
 TEST(TraceMetadata, SurvivesClear) {
   TraceWriter w;
-  w.set_thread_name(kPidSched, 1, "worker");
+  w.set_process_name(7, "worker");
   w.instant("x", "c", 1);
   w.clear();
   EXPECT_TRUE(w.empty());
-  ASSERT_EQ(w.metadata().size(), 4u);
+  ASSERT_EQ(w.metadata().size(), 3u);
   std::ostringstream os;
   w.write(os);
   EXPECT_NE(os.str().find("\"name\":\"worker\""), std::string::npos);

@@ -37,13 +37,6 @@
 //   --threads=N            fan repetitions over N worker threads (0 = all
 //                          hardware threads). Results are bit-identical at
 //                          any thread count; see docs/PERFORMANCE.md.
-//   --port-policy=P        schedule and degrade: pick the level-wise port
-//                          policy by name (first-fit | random | round-robin |
-//                          balanced | balanced-rr | balanced-random) instead
-//                          of spelling the registry name — `levelwise`
-//                          + --port-policy=balanced is `levelwise-balanced`.
-//                          Only valid with the `levelwise` scheduler.
-//
 //   --flight-dump=FILE     degrade only: attach the lifecycle flight
 //                          recorder, arm the dump-on-contract-failure hook,
 //                          and write the self-describing JSONL dump (format
@@ -141,18 +134,18 @@ int usage() {
                "  schedule <levels> <m[:w]> <scheduler> <pattern> <reps>"
                " [seed]\n"
                "           [--probe] [--metrics-out=FILE] [--trace-out=FILE]\n"
-               "           [--threads=N] [--port-policy=P]\n"
+               "           [--threads=N]\n"
                "  degrade <levels> <m[:w]> <scheduler> <pattern> <reps>"
                " [seed]\n"
                "          [--fault-rate=F | --fault-mtbf=T] [--fault-mttr=T]\n"
                "          [--retry-policy=SPEC] [--horizon=N] [--threads=N]\n"
                "          [--metrics-out=FILE] [--trace-out=FILE]\n"
-               "          [--flight-dump=FILE] [--port-policy=P]\n"
+               "          [--flight-dump=FILE]\n"
                "  sweep <scheduler> [reps] [--threads=N]\n"
                "  soak <levels> <m[:w]> [scheduler] [seed]\n"
                "       [--ops=N] [--epoch=N] [--max-pending=N]\n"
                "       [--retry-policy=SPEC] [--soak-out=FILE] [--no-shrink]\n"
-               "       [--json=FILE] [--flight-dump=FILE] [--port-policy=P]\n"
+               "       [--json=FILE] [--flight-dump=FILE]\n"
                "  soak --replay=FILE   re-run a chaos reproducer script\n"
                "  hw <levels> <w>\n";
   return 2;
@@ -264,7 +257,6 @@ struct ObsFlags {
   bool retry_policy_set = false;  ///< soak keeps its own default otherwise
   SimTime horizon = 1000;
   std::string flight_dump;  ///< degrade/soak: lifecycle ledger dump path
-  std::string port_policy;  ///< level-wise port policy override, by name
   // Soak flags (soak command).
   std::uint64_t soak_ops = 4096;
   std::uint64_t soak_epoch = 64;
@@ -274,40 +266,6 @@ struct ObsFlags {
   std::string soak_replay;
   bool soak_shrink = true;
 };
-
-/// Resolves --port-policy=P against the positional scheduler name: the
-/// policy names map onto the levelwise registry family (the registry is the
-/// single source of construction, so the CLI never builds options itself).
-Result<std::string> apply_port_policy(const std::string& scheduler,
-                                      const std::string& policy_name) {
-  if (policy_name.empty()) return scheduler;
-  const std::optional<PortPolicy> policy = parse_port_policy(policy_name);
-  if (!policy) {
-    return Status::error("unknown --port-policy '" + policy_name +
-                         "'; known: first-fit, random, round-robin, "
-                         "balanced, balanced-rr, balanced-random");
-  }
-  if (scheduler != "levelwise") {
-    return Status::error(
-        "--port-policy only combines with the 'levelwise' scheduler; use "
-        "the policy-specific registry name otherwise (ftsched schedulers)");
-  }
-  switch (*policy) {
-    case PortPolicy::kFirstFit:
-      return std::string("levelwise");
-    case PortPolicy::kRandom:
-      return std::string("levelwise-random");
-    case PortPolicy::kRoundRobin:
-      return std::string("levelwise-rr");
-    case PortPolicy::kBalanced:
-      return std::string("levelwise-balanced");
-    case PortPolicy::kBalancedRR:
-      return std::string("levelwise-balanced-rr");
-    case PortPolicy::kBalancedRandom:
-      return std::string("levelwise-balanced-random");
-  }
-  return Status::error("unhandled port policy");
-}
 
 /// "metrics.jsonl" -> "metrics.rep3.jsonl" — one artifact per repetition, so
 /// a sweep's observability output is never silently rep-0-only.
@@ -382,12 +340,7 @@ int cmd_schedule(int argc, char** argv, const ObsFlags& flags) {
     return usage();
   }
   ExperimentConfig config;
-  auto scheduler_or = apply_port_policy(argv[4], flags.port_policy);
-  if (!scheduler_or.ok()) {
-    std::cerr << scheduler_or.message() << "\n";
-    return 1;
-  }
-  config.scheduler = scheduler_or.value();
+  config.scheduler = argv[4];
   if (!make_scheduler(config.scheduler).ok()) {
     std::cerr << make_scheduler(config.scheduler).message() << "\n";
     return 1;
@@ -481,12 +434,7 @@ int cmd_degrade(int argc, char** argv, const ObsFlags& flags) {
   }
 
   DegradationConfig config;
-  auto scheduler_or = apply_port_policy(argv[4], flags.port_policy);
-  if (!scheduler_or.ok()) {
-    std::cerr << scheduler_or.message() << "\n";
-    return 1;
-  }
-  config.scheduler = scheduler_or.value();
+  config.scheduler = argv[4];
   if (!make_scheduler(config.scheduler).ok()) {
     std::cerr << make_scheduler(config.scheduler).message() << "\n";
     return 1;
@@ -795,13 +743,7 @@ int cmd_soak(int argc, char** argv, const ObsFlags& flags) {
   const FatTree& tree = *tree_arg;
 
   SoakConfig config;
-  auto scheduler_or = apply_port_policy(
-      argc > 4 ? argv[4] : config.scheduler, flags.port_policy);
-  if (!scheduler_or.ok()) {
-    std::cerr << scheduler_or.message() << "\n";
-    return 1;
-  }
-  config.scheduler = scheduler_or.value();
+  if (argc > 4) config.scheduler = argv[4];
   if (!make_scheduler(config.scheduler).ok()) {
     std::cerr << make_scheduler(config.scheduler).message() << "\n";
     return 1;
@@ -987,8 +929,6 @@ int main(int argc, char** argv) {
       flags.soak_replay = arg.substr(9);
     } else if (arg == "--no-shrink") {
       flags.soak_shrink = false;
-    } else if (arg.rfind("--port-policy=", 0) == 0) {
-      flags.port_policy = arg.substr(14);
     } else if (arg.rfind("--flight-dump=", 0) == 0) {
       flags.flight_dump = arg.substr(14);
     } else if (arg.rfind("--horizon=", 0) == 0) {
