@@ -15,12 +15,12 @@
 #include <string_view>
 #include <vector>
 
-#include "core/label_math.hpp"
 #include "core/request.hpp"
 #include "linkstate/link_state.hpp"
 #include "obs/sink.hpp"
 #include "topology/fat_tree.hpp"
 #include "util/bitvec.hpp"
+#include "util/child_divider.hpp"
 #include "util/contracts.hpp"
 #include "util/rng.hpp"
 
@@ -139,7 +139,7 @@ class BatchAdmission {
     if (leaves_.node_count() != tree.node_count()) {
       leaves_ = LeafTracker(tree.node_count());
     }
-    divm_ = ChildDivider(tree.child_arity());
+    divm_ = tree.child_divider();
     return Batch(this, requests);
   }
 

@@ -2,7 +2,8 @@
 
 #include <algorithm>
 #include <array>
-#include <optional>
+#include <bit>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -37,73 +38,60 @@ std::string VerifyReport::to_string() const {
   return out;
 }
 
-ScheduleVerifier::ScheduleVerifier(const FatTree& tree, VerifyOptions options)
-    : tree_(tree), options_(options) {}
-
 namespace {
 
-using Digits = std::array<std::uint32_t, kMaxTreeLevels>;
+/// The tree's dimensions as the verifier's own Theorem-1 derivation uses
+/// them. Deliberately re-implemented here (not MixedRadix, FatTree or the
+/// shared ChildDivider) so the verifier shares no arithmetic with the code
+/// it checks; /m is its own shift when m is a power of two.
+struct OwnRadix {
+  explicit OwnRadix(const FatTree& tree)
+      : m(tree.child_arity()),
+        w(tree.parent_arity()),
+        m_pow2((m & (m - 1)) == 0),
+        m_shift(m_pow2 ? static_cast<std::uint32_t>(std::countr_zero(m))
+                       : 0) {}
 
-/// Base-m digits of a leaf-switch label, LSB first — the paper's t_0…t_{l-2}.
-/// Deliberately re-implemented here (not MixedRadix) so the verifier shares
-/// no arithmetic with the code it checks.
-Digits leaf_digits(std::uint64_t leaf, std::uint32_t m, std::uint32_t count) {
-  Digits digits{};
-  for (std::uint32_t i = 0; i < count; ++i) {
-    digits[i] = static_cast<std::uint32_t>(leaf % m);
-    leaf /= m;
+  std::uint64_t div_m(std::uint64_t x) const {
+    return m_pow2 ? x >> m_shift : x / m;
   }
-  return digits;
-}
 
-/// Theorem 1, as pure digit arithmetic: the level-h switch on the side of
-/// `leaf` (digits t_0…t_{count-1}) given port digits P_0…P_{h-1} has label
-///   [P_{h-1} … P_0]_w  followed by  [t_h … t_{l-2}]_m
-/// (digit 0 least significant, the low h digits in radix w, the rest radix m).
-std::uint64_t side_value(const Digits& t, std::uint32_t count,
-                         const DigitVec& ports, std::uint32_t h,
-                         std::uint32_t m, std::uint32_t w) {
-  std::uint64_t value = 0;
-  std::uint64_t place = 1;
-  for (std::uint32_t i = 0; i < h; ++i) {
-    value += place * ports[h - 1 - i];
-    place *= w;
-  }
-  for (std::uint32_t j = h; j < count; ++j) {
-    value += place * t[j];
-    place *= m;
-  }
-  return value;
-}
+  std::uint64_t m;
+  std::uint64_t w;
+  bool m_pow2;
+  std::uint32_t m_shift;
+};
 
 /// The Theorem-1 re-derivation of a path's channels into `out`, in
-/// expand_path order; returns 2·H. Uses only the tree's dimensions.
-std::size_t rederive(const FatTree& tree, const Path& path,
+/// expand_path order; returns 2·H. Both sides in one pass, carrying the
+/// level-h label σ_h = pval + w^h·rest level by level:
+///   pval ← P_h + w·pval   (the port prefix [P_{h-1} … P_0]_w)
+///   rest ← rest / m       (the leaf's remaining digits t_h … t_{l-2})
+/// so no level re-reads the digits below it.
+std::size_t rederive(const OwnRadix& radix, const Path& path,
                      std::span<ChannelId> out) {
-  const std::uint32_t m = tree.child_arity();
-  const std::uint32_t w = tree.parent_arity();
-  const std::uint32_t count = tree.levels() - 1;
   const std::uint32_t H = path.ancestor_level;
   FT_REQUIRE(path.ports.size() >= H);
   FT_REQUIRE(out.size() >= 2 * static_cast<std::size_t>(H));
-  const Digits s = leaf_digits(path.src / m, m, count);
-  const Digits d = leaf_digits(path.dst / m, m, count);
-
-  std::size_t n = 0;
+  std::uint64_t src_rest = radix.div_m(path.src);
+  std::uint64_t dst_rest = radix.div_m(path.dst);
+  std::uint64_t pval = 0;
+  std::uint64_t place = 1;
   for (std::uint32_t h = 0; h < H; ++h) {
-    out[n++] = ChannelId{
-        CableId{h, side_value(s, count, path.ports, h, m, w), path.ports[h]},
-        Direction::kUp};
+    const std::uint32_t port = path.ports[h];
+    out[h] = ChannelId{CableId{h, pval + place * src_rest, port},
+                       Direction::kUp};
+    out[2 * H - 1 - h] = ChannelId{CableId{h, pval + place * dst_rest, port},
+                                   Direction::kDown};
+    pval = port + radix.w * pval;
+    place *= radix.w;
+    src_rest = radix.div_m(src_rest);
+    dst_rest = radix.div_m(dst_rest);
   }
-  for (std::uint32_t h = H; h-- > 0;) {
-    out[n++] = ChannelId{
-        CableId{h, side_value(d, count, path.ports, h, m, w), path.ports[h]},
-        Direction::kDown};
-  }
-  return n;
+  return 2 * static_cast<std::size_t>(H);
 }
 
-/// Dense index of a directed channel for the per-batch claim bitmap:
+/// Dense index of a directed channel for the claim bitmap of check (a):
 /// (offset of its level + lower_index·w + port) · 2 + direction. A cable
 /// outside the tree has no index (npos).
 class ChannelIndex {
@@ -139,6 +127,128 @@ class ChannelIndex {
   std::uint64_t size_ = 0;
 };
 
+/// Check (d)'s expected occupancy: one up and one down bit plane per link
+/// level in LinkState's row layout (row_words() words per switch, bit i =
+/// port i), but with a set bit meaning occupied — by the state before the
+/// batch or by a granted circuit claimed so far. The planes hold only the
+/// expected availability bits: a LinkState's occupancy counters follow
+/// from its bits, and audit() checks that they do.
+class ClaimPlanes {
+ public:
+  explicit ClaimPlanes(const FatTree& tree)
+      : w_(tree.parent_arity()), row_words_(BitVec::word_count(w_)) {
+    std::uint64_t words = 0;
+    for (std::uint32_t h = 0; h + 1 < tree.levels(); ++h) {
+      offset_.push_back(words);
+      rows_.push_back(tree.switches_at(h));
+      words += tree.switches_at(h) * row_words_;
+    }
+    up_.assign(words, 0);
+    down_.assign(words, 0);
+    for (std::uint64_t wd = 0; wd < row_words_; ++wd) {
+      row_mask_.push_back(
+          bits::low_mask(std::min<std::uint64_t>(64, w_ - wd * 64)));
+    }
+  }
+
+  /// Starts a batch: empty for a fresh state, else `before`'s occupied
+  /// (and faulted) channels.
+  void seed(const LinkState* before) {
+    if (before == nullptr) {
+      std::fill(up_.begin(), up_.end(), 0);
+      std::fill(down_.begin(), down_.end(), 0);
+      return;
+    }
+    FT_REQUIRE(same_shape(*before));
+    for (std::uint32_t h = 0; h < offset_.size(); ++h) {
+      copy_level(before->ulink_row(h, 0), up_.data() + offset_[h], h);
+      copy_level(before->dlink_row(h, 0), down_.data() + offset_[h], h);
+    }
+  }
+
+  /// Claims a channel of a legal path; false when it is already occupied.
+  bool claim(const ChannelId& ch) {
+    const CableId& c = ch.cable;
+    FT_ASSERT(c.level < offset_.size());
+    FT_ASSERT(c.lower_index < rows_[c.level]);
+    FT_ASSERT(c.port < w_);
+    std::uint64_t& word =
+        (ch.direction == Direction::kUp ? up_ : down_)
+            [offset_[c.level] + c.lower_index * row_words_ + c.port / 64];
+    const std::uint64_t bit = std::uint64_t{1} << (c.port % 64);
+    if ((word & bit) != 0) return false;
+    word |= bit;
+    return true;
+  }
+
+  /// True when `after`'s availability bits are exactly the complement of
+  /// the planes (spare high bits zero), word by word.
+  bool matches(const LinkState& after) const {
+    if (!same_shape(after)) return false;
+    for (std::uint32_t h = 0; h < offset_.size(); ++h) {
+      if (!level_matches(after.ulink_row(h, 0), up_.data() + offset_[h], h) ||
+          !level_matches(after.dlink_row(h, 0), down_.data() + offset_[h],
+                         h)) {
+        return false;
+      }
+    }
+    return true;
+  }
+
+  /// Occupied channels of one direction at `level`.
+  std::uint64_t occupied_at(std::uint32_t level, Direction direction) const {
+    const std::uint64_t* plane =
+        (direction == Direction::kUp ? up_ : down_).data() + offset_[level];
+    std::uint64_t count = 0;
+    for (std::uint64_t i = 0; i < rows_[level] * row_words_; ++i) {
+      count += bits::popcount(plane[i]);
+    }
+    return count;
+  }
+
+ private:
+  bool same_shape(const LinkState& state) const {
+    if (state.link_levels() != offset_.size() ||
+        state.ports_per_switch() != w_ || state.row_words() != row_words_) {
+      return false;
+    }
+    for (std::uint32_t h = 0; h < offset_.size(); ++h) {
+      if (state.rows_at(h) != rows_[h]) return false;
+    }
+    return true;
+  }
+
+  void copy_level(const std::uint64_t* rows, std::uint64_t* plane,
+                  std::uint32_t level) const {
+    for (std::uint64_t sw = 0; sw < rows_[level]; ++sw) {
+      for (std::uint64_t wd = 0; wd < row_words_; ++wd) {
+        const std::uint64_t i = sw * row_words_ + wd;
+        plane[i] = ~rows[i] & row_mask_[wd];
+      }
+    }
+  }
+
+  bool level_matches(const std::uint64_t* rows, const std::uint64_t* plane,
+                     std::uint32_t level) const {
+    std::uint64_t diff = 0;
+    for (std::uint64_t sw = 0; sw < rows_[level]; ++sw) {
+      for (std::uint64_t wd = 0; wd < row_words_; ++wd) {
+        const std::uint64_t i = sw * row_words_ + wd;
+        diff |= rows[i] ^ (~plane[i] & row_mask_[wd]);
+      }
+    }
+    return diff == 0;
+  }
+
+  std::uint64_t w_;
+  std::uint64_t row_words_;
+  SmallVec<std::uint64_t, kMaxTreeLevels> offset_;
+  SmallVec<std::uint64_t, kMaxTreeLevels> rows_;
+  std::vector<std::uint64_t> row_mask_;
+  std::vector<std::uint64_t> up_;
+  std::vector<std::uint64_t> down_;
+};
+
 bool available(const LinkState& state, const ChannelId& ch) {
   const CableId& c = ch.cable;
   return ch.direction == Direction::kUp
@@ -148,10 +258,34 @@ bool available(const LinkState& state, const ChannelId& ch) {
 
 }  // namespace
 
+/// Everything verify() reuses from batch to batch, sized for the tree on
+/// first use.
+struct ScheduleVerifier::Scratch {
+  explicit Scratch(const FatTree& tree)
+      : radix(tree),
+        channel_index(tree),
+        claimed(channel_index.size()),
+        src_used(tree.node_count()),
+        dst_used(tree.node_count()),
+        planes(tree) {}
+
+  OwnRadix radix;
+  ChannelIndex channel_index;
+  BitVec claimed;  ///< check (a): directed channels granted so far
+  BitVec src_used;
+  BitVec dst_used;
+  ClaimPlanes planes;  ///< check (d)
+};
+
+ScheduleVerifier::ScheduleVerifier(const FatTree& tree, VerifyOptions options)
+    : tree_(tree), options_(options) {}
+
+ScheduleVerifier::~ScheduleVerifier() = default;
+
 std::vector<ChannelId> ScheduleVerifier::rederive_channels(
     const Path& path) const {
   ChannelBuffer buffer;
-  const std::size_t n = rederive(tree_, path, buffer);
+  const std::size_t n = rederive(OwnRadix(tree_), path, buffer);
   return {buffer.begin(), buffer.begin() + static_cast<std::ptrdiff_t>(n)};
 }
 
@@ -206,26 +340,32 @@ VerifyReport ScheduleVerifier::verify(std::span<const Request> requests,
     return report;
   }
 
-  // Per-batch scratch, sized once: nothing below allocates per grant unless
-  // it has a violation to report.
+  // Scratch lives as long as the verifier: sized for the tree on the first
+  // verify(), cleared here. Nothing below allocates unless it has a
+  // violation to report.
+  if (!scratch_) scratch_ = std::make_unique<Scratch>(tree_);
+  Scratch& scratch = *scratch_;
+  const OwnRadix& radix = scratch.radix;
+  const ChannelIndex& channel_index = scratch.channel_index;
+  BitVec& claimed = scratch.claimed;
+  BitVec& src_used = scratch.src_used;
+  BitVec& dst_used = scratch.dst_used;
+  ClaimPlanes& planes = scratch.planes;
+  claimed.reset_all();
+  src_used.reset_all();
+  dst_used.reset_all();
   const std::uint32_t link_levels = tree_.levels() - 1;
-  const ChannelIndex channel_index(tree_);
-  BitVec claimed(channel_index.size());
-  BitVec src_used(tree_.node_count());
-  BitVec dst_used(tree_.node_count());
   ChannelBuffer derived;
   ChannelBuffer expanded;
 
   // Check (d) runs in the same pass, on the same re-derivation, against the
-  // expected occupancy: the state before the batch (fresh if not supplied)
-  // plus the union of granted circuits. Its findings are held back and
-  // reported after every (a)–(c) finding and the audit.
+  // expected occupancy: the claim planes, seeded with the state before the
+  // batch (empty if not supplied) and claimed with every granted circuit.
+  // Its findings are held back and reported after every (a)–(c) finding
+  // and the audit.
   const bool relaxed = options_.allow_residual_occupancy;
-  std::optional<LinkState> expected;
-  if (state_after != nullptr) {
-    expected.emplace(state_before != nullptr ? *state_before
-                                             : LinkState(tree_));
-  }
+  const bool occupancy = state_after != nullptr;
+  if (occupancy) planes.seed(state_before);
   std::vector<std::string> preoccupied;
   std::vector<std::string> unoccupied;
   auto hold = [&](std::vector<std::string>& held, std::string msg) {
@@ -239,17 +379,10 @@ VerifyReport ScheduleVerifier::verify(std::span<const Request> requests,
                              to_string(path) +
                              " is not occupied in the final state");
       }
-      if (!available(*expected, ch)) {
+      if (!planes.claim(ch)) {
         hold(preoccupied, "channel " + to_string(ch) +
                               " of granted circuit " + to_string(path) +
                               " was already occupied before the batch");
-        continue;
-      }
-      const CableId& c = ch.cable;
-      if (ch.direction == Direction::kUp) {
-        expected->occupy_ulink(c.level, c.lower_index, c.port);
-      } else {
-        expected->occupy_dlink(c.level, c.lower_index, c.port);
       }
     }
   };
@@ -285,9 +418,9 @@ VerifyReport ScheduleVerifier::verify(std::span<const Request> requests,
       add("outcome " + std::to_string(i) +
           " carries a path for the wrong endpoints");
       // A legal path still occupies its channels, so check (d) counts it.
-      if (expected && check_path_legal(tree_, out.path).ok()) {
+      if (occupancy && check_path_legal(tree_, out.path).ok()) {
         account(out.path,
-                std::span(derived).first(rederive(tree_, out.path, derived)));
+                std::span(derived).first(rederive(radix, out.path, derived)));
       }
       continue;
     }
@@ -306,7 +439,7 @@ VerifyReport ScheduleVerifier::verify(std::span<const Request> requests,
     // Independent Theorem-1 re-derivation: the expansion produced by the
     // topology layer must equal the one recomputed from raw digits.
     const std::span<const ChannelId> own =
-        std::span(derived).first(rederive(tree_, out.path, derived));
+        std::span(derived).first(rederive(radix, out.path, derived));
     const std::span<const ChannelId> topo = std::span(expanded).first(
         expand_channels(tree_, out.path, expanded));
     if (!std::ranges::equal(own, topo)) {
@@ -342,7 +475,7 @@ VerifyReport ScheduleVerifier::verify(std::span<const Request> requests,
       claimed.set(slot);
     }
 
-    if (expected) account(out.path, own);
+    if (occupancy) account(out.path, own);
   }
 
   if (state_after == nullptr) return report;
@@ -352,7 +485,8 @@ VerifyReport ScheduleVerifier::verify(std::span<const Request> requests,
   for (std::string& msg : preoccupied) add(std::move(msg));
 
   if (!relaxed) {
-    if (!(*expected == *state_after)) {
+    if (!planes.matches(*state_after) ||
+        !state_after->same_faults(state_before)) {
       add("final link state differs from the union of granted circuits "
           "(rejected requests left residue, or grants were not applied)");
     }
@@ -367,8 +501,8 @@ VerifyReport ScheduleVerifier::verify(std::span<const Request> requests,
   // down-channels only between its failure level and its true ancestor
   // level (local descent). Residue a rejection cannot explain means a
   // leaked or double-counted reservation.
-  std::vector<std::uint64_t> up_bound(link_levels, 0);
-  std::vector<std::uint64_t> dn_bound(link_levels, 0);
+  std::array<std::uint64_t, kMaxTreeLevels> up_bound{};
+  std::array<std::uint64_t, kMaxTreeLevels> dn_bound{};
   for (std::size_t i = 0; i < requests.size(); ++i) {
     const RequestOutcome& out = result.outcomes[i];
     if (out.granted) continue;
@@ -405,9 +539,9 @@ VerifyReport ScheduleVerifier::verify(std::span<const Request> requests,
     }
   }
   for (std::uint32_t h = 0; h < link_levels; ++h) {
-    const std::uint64_t expected_u = expected->occupied_ulinks_at(h);
+    const std::uint64_t expected_u = planes.occupied_at(h, Direction::kUp);
     const std::uint64_t after_u = state_after->occupied_ulinks_at(h);
-    const std::uint64_t expected_d = expected->occupied_dlinks_at(h);
+    const std::uint64_t expected_d = planes.occupied_at(h, Direction::kDown);
     const std::uint64_t after_d = state_after->occupied_dlinks_at(h);
     if (after_u < expected_u || after_d < expected_d) {
       continue;  // already reported above as an unoccupied granted channel

@@ -24,13 +24,17 @@
 // verifier never aborts on a corrupted schedule, it reports every violation
 // it finds (up to `max_violations`).
 //
-// Cost: verify() sizes its scratch once per batch (a bitmap over the tree's
-// directed channels, the expected LinkState) and derives each granted path
-// once for all four checks; a clean grant allocates nothing
-// (docs/PERFORMANCE.md §6).
+// Cost: a verifier holds its scratch — the claim bitmap over the tree's
+// directed channels, the endpoint sets and check (d)'s claim planes — from
+// its first verify() to its destruction, and derives each granted path once,
+// level by level, for all four checks. A warm verifier allocates nothing on
+// a clean batch (docs/PERFORMANCE.md §6). The scratch makes verify() a
+// const call that is not safe to make concurrently: use one verifier per
+// thread.
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <span>
 #include <string>
 #include <vector>
@@ -79,18 +83,22 @@ struct VerifyReport {
 class ScheduleVerifier {
  public:
   explicit ScheduleVerifier(const FatTree& tree, VerifyOptions options = {});
+  ~ScheduleVerifier();
 
   /// Verifies one batch. `state_after` enables the occupancy checks;
   /// `state_before` additionally enables exact before/after delta accounting
-  /// (pass nullptr for a batch that started from a fresh state).
+  /// (pass nullptr for a batch that started from a fresh state). Both must
+  /// be sized for this verifier's tree. Reuses the verifier's scratch, so
+  /// calls on one verifier must not overlap.
   VerifyReport verify(std::span<const Request> requests,
                       const ScheduleResult& result,
                       const LinkState* state_after = nullptr,
                       const LinkState* state_before = nullptr) const;
 
   /// Independent Theorem-1 re-derivation of the channel sequence of a
-  /// (legal) path: pure digit arithmetic over the request's endpoints, no
-  /// calls into FatTree's neighbor algebra. Exposed for tests.
+  /// (legal) path: pure label arithmetic over the request's endpoints and
+  /// the tree's l, m, w, no calls into FatTree's neighbor algebra. Exposed
+  /// for tests.
   std::vector<ChannelId> rederive_channels(const Path& path) const;
 
   /// Theorem-2 mirror check over an explicit expansion: the up-channel and
@@ -102,8 +110,11 @@ class ScheduleVerifier {
                              std::uint32_t ancestor_level);
 
  private:
+  struct Scratch;
+
   const FatTree& tree_;
   VerifyOptions options_;
+  mutable std::unique_ptr<Scratch> scratch_;
 };
 
 /// Single-status convenience wrapper used by tests and the experiment

@@ -1,6 +1,5 @@
 #include "linkstate/imbalance.hpp"
 
-#include <bit>
 #include <cmath>
 #include <string>
 
@@ -48,7 +47,7 @@ class FractionStats {
 std::uint32_t row_popcount(const std::uint64_t* row, std::uint64_t words) {
   std::uint32_t bits = 0;
   for (std::uint64_t k = 0; k < words; ++k) {
-    bits += static_cast<std::uint32_t>(std::popcount(row[k]));
+    bits += static_cast<std::uint32_t>(bits::popcount(row[k]));
   }
   return bits;
 }

@@ -1,5 +1,7 @@
 #include "linkstate/link_state.hpp"
 
+#include <array>
+
 #include "util/bitvec.hpp"
 
 namespace ftsched {
@@ -251,23 +253,9 @@ Status LinkState::audit() const {
   for (std::uint32_t h = 0; h < link_levels_; ++h) {
     std::uint64_t set_u = 0;
     std::uint64_t set_d = 0;
-    std::vector<std::uint64_t> col_u(w_, 0);
-    std::vector<std::uint64_t> col_d(w_, 0);
-    for (std::uint64_t sw = 0; sw < rows_[h]; ++sw) {
-      for (std::uint64_t wd = 0; wd < row_words_; ++wd) {
-        std::uint64_t wu = u_[h][sw * row_words_ + wd];
-        std::uint64_t wv = d_[h][sw * row_words_ + wd];
-        set_u += bits::popcount(wu);
-        set_d += bits::popcount(wv);
-        while (wu != 0) {
-          ++col_u[wd * 64 + bits::find_first_word(wu)];
-          wu &= wu - 1;
-        }
-        while (wv != 0) {
-          ++col_d[wd * 64 + bits::find_first_word(wv)];
-          wv &= wv - 1;
-        }
-      }
+    for (std::uint64_t i = 0; i < rows_[h] * row_words_; ++i) {
+      set_u += bits::popcount(u_[h][i]);
+      set_d += bits::popcount(d_[h][i]);
     }
     const std::uint64_t total = rows_[h] * w_;
     if (total - set_u != occupied_u_[h]) {
@@ -278,14 +266,35 @@ Status LinkState::audit() const {
       return Status::error("dlink occupancy counter drift at level " +
                            std::to_string(h));
     }
-    for (std::uint32_t p = 0; p < w_; ++p) {
-      if (col_u[p] != col_free_u_[std::uint64_t{h} * w_ + p]) {
-        return Status::error("ulink column-free counter drift at level " +
-                             std::to_string(h) + " port " + std::to_string(p));
+    // Column tallies 64 ports (one row word) at a time, so they fit on the
+    // stack: an audit allocates nothing, whatever w is.
+    for (std::uint64_t wd = 0; wd < row_words_; ++wd) {
+      std::array<std::uint64_t, 64> col_u{};
+      std::array<std::uint64_t, 64> col_d{};
+      for (std::uint64_t sw = 0; sw < rows_[h]; ++sw) {
+        std::uint64_t wu = u_[h][sw * row_words_ + wd];
+        std::uint64_t wv = d_[h][sw * row_words_ + wd];
+        while (wu != 0) {
+          ++col_u[bits::find_first_word(wu)];
+          wu &= wu - 1;
+        }
+        while (wv != 0) {
+          ++col_d[bits::find_first_word(wv)];
+          wv &= wv - 1;
+        }
       }
-      if (col_d[p] != col_free_d_[std::uint64_t{h} * w_ + p]) {
-        return Status::error("dlink column-free counter drift at level " +
-                             std::to_string(h) + " port " + std::to_string(p));
+      const std::uint32_t first = static_cast<std::uint32_t>(wd * 64);
+      for (std::uint32_t p = first; p < w_ && p < first + 64; ++p) {
+        if (col_u[p - first] != col_free_u_[std::uint64_t{h} * w_ + p]) {
+          return Status::error("ulink column-free counter drift at level " +
+                               std::to_string(h) + " port " +
+                               std::to_string(p));
+        }
+        if (col_d[p - first] != col_free_d_[std::uint64_t{h} * w_ + p]) {
+          return Status::error("dlink column-free counter drift at level " +
+                               std::to_string(h) + " port " +
+                               std::to_string(p));
+        }
       }
     }
   }
@@ -333,13 +342,22 @@ bool overlay_equal(const std::vector<std::vector<std::uint64_t>>& a,
 
 }  // namespace
 
+bool LinkState::same_faults(const LinkState* other) const {
+  static const std::vector<Matrix> kNone;
+  if (other == nullptr) {
+    return faulted_ == 0 && overlay_equal(f_, kNone) &&
+           overlay_equal(su_, kNone) && overlay_equal(sd_, kNone);
+  }
+  return faulted_ == other->faulted_ && overlay_equal(f_, other->f_) &&
+         overlay_equal(su_, other->su_) && overlay_equal(sd_, other->sd_);
+}
+
 bool operator==(const LinkState& a, const LinkState& b) {
   return a.link_levels_ == b.link_levels_ && a.w_ == b.w_ &&
          a.rows_ == b.rows_ && a.u_ == b.u_ && a.d_ == b.d_ &&
          a.occupied_u_ == b.occupied_u_ && a.occupied_d_ == b.occupied_d_ &&
          a.col_free_u_ == b.col_free_u_ && a.col_free_d_ == b.col_free_d_ &&
-         a.faulted_ == b.faulted_ && overlay_equal(a.f_, b.f_) &&
-         overlay_equal(a.su_, b.su_) && overlay_equal(a.sd_, b.sd_);
+         a.same_faults(&b);
 }
 
 }  // namespace ftsched

@@ -341,6 +341,11 @@ class LinkState {
   /// occupy/release/fail/repair sequencing.
   Status audit() const;
 
+  /// The fault half of operator==: the faulted-cable count and the fault
+  /// and shadow overlay. `other == nullptr` stands for a fresh state, which
+  /// has no faults.
+  bool same_faults(const LinkState* other) const;
+
   /// Value equality over effective availability, occupancy, and the fault
   /// overlay. The overlay is allocated lazily, so an empty overlay compares
   /// equal to an allocated all-zero one.

@@ -11,7 +11,8 @@ namespace ftsched {
 
 namespace {
 
-/// One contiguous chunk of repetitions, run on one scheduler + state pair.
+/// One contiguous chunk of repetitions, run on one scheduler + state pair
+/// (and one verifier).
 /// Ratios land in per-repetition slots of the shared (pre-sized) vector;
 /// everything else accumulates into caller-owned shard storage. This is the
 /// single repetition loop both the sequential and the parallel paths run, so
@@ -22,6 +23,8 @@ void run_repetitions(const FatTree& tree, const ExperimentConfig& config,
                      obs::LinkTelemetry* telemetry, std::span<double> ratios,
                      std::uint64_t& total_requests,
                      std::uint64_t& total_granted) {
+  // One verifier per chunk, so its scratch is sized once, not per batch.
+  const ScheduleVerifier verifier(tree, VerifyOptions{config.allow_residual});
   for (std::size_t rep = rep_begin; rep < rep_end; ++rep) {
     // Independent, reproducible streams per repetition: one for the
     // workload, one for the scheduler's internal randomness. Seeds depend
@@ -38,8 +41,7 @@ void run_repetitions(const FatTree& tree, const ExperimentConfig& config,
     // what occupies the fabric now.
     if (telemetry) sample_link_state(state, rep, *telemetry);
     if (config.verify) {
-      const Status ok = verify_schedule(tree, batch, result, &state,
-                                        VerifyOptions{config.allow_residual});
+      const Status ok = verifier.verify(batch, result, &state).status();
       FT_REQUIRE_MSG(ok.ok(), ok.message().c_str());
     }
     ratios[rep] = result.schedulability_ratio();

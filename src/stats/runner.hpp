@@ -26,7 +26,7 @@ struct ExperimentConfig {
   WorkloadOptions workload;
   std::size_t repetitions = 100;  ///< the paper's 100 permutations per point
   std::uint64_t seed = 2006;      ///< base seed; repetition r uses seed ⊕ mix(r)
-  bool verify = true;             ///< run verify_schedule on every repetition
+  bool verify = true;             ///< verify every repetition's schedule
   /// Set for schedulers deliberately run in no-release mode ("local-hold"):
   /// relaxes the final-state check to subset semantics.
   bool allow_residual = false;

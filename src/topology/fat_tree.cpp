@@ -46,7 +46,8 @@ Status FatTreeParams::validate() const {
   return Status();
 }
 
-FatTree::FatTree(const FatTreeParams& params) : params_(params) {
+FatTree::FatTree(const FatTreeParams& params)
+    : params_(params), divm_(params.child_arity) {
   const std::uint32_t l = params.levels;
   const std::uint64_t m = params.child_arity;
   const std::uint64_t w = params.parent_arity;
@@ -106,16 +107,6 @@ std::uint64_t FatTree::cables_at(std::uint32_t level) const {
 const MixedRadix& FatTree::label_system(std::uint32_t level) const {
   FT_REQUIRE(level < params_.levels);
   return label_systems_[level];
-}
-
-SwitchId FatTree::leaf_switch(NodeId node) const {
-  FT_REQUIRE(node < node_count_);
-  return SwitchId{0, node / params_.child_arity};
-}
-
-std::uint32_t FatTree::leaf_port(NodeId node) const {
-  FT_REQUIRE(node < node_count_);
-  return static_cast<std::uint32_t>(node % params_.child_arity);
 }
 
 NodeId FatTree::node_at(std::uint64_t leaf_switch_index,
@@ -178,46 +169,6 @@ std::uint32_t FatTree::parent_down_port(const SwitchId& sw) const {
   const MixedRadix& system = label_systems_[sw.level];
   FT_REQUIRE(sw.index < system.cardinality());
   return system.decompose(sw.index)[sw.level];
-}
-
-std::uint32_t FatTree::common_ancestor_level(std::uint64_t leaf_a,
-                                             std::uint64_t leaf_b) const {
-  const MixedRadix& leaves = label_systems_[0];
-  FT_REQUIRE(leaf_a < leaves.cardinality());
-  FT_REQUIRE(leaf_b < leaves.cardinality());
-  if (leaf_a == leaf_b) return 0;
-  const DigitVec a = leaves.decompose(leaf_a);
-  const DigitVec b = leaves.decompose(leaf_b);
-  std::uint32_t highest_diff = 0;
-  for (std::uint32_t i = 0; i < a.size(); ++i) {
-    if (a[i] != b[i]) highest_diff = i;
-  }
-  return highest_diff + 1;
-}
-
-std::uint64_t FatTree::side_switch(std::uint64_t leaf, std::uint32_t level,
-                                   const DigitVec& ports) const {
-  FT_REQUIRE(level < params_.levels);
-  FT_REQUIRE(ports.size() >= level);
-  const MixedRadix& leaves = label_systems_[0];
-  FT_REQUIRE(leaf < leaves.cardinality());
-  if (level == 0) return leaf;
-
-  // δ_h (LSB first) = P_{h-1}, …, P_0, d_h, …, d_{l-2}, weighted by the
-  // level-h label system's place values. The leaf's digits d_h … d_{l-2}
-  // are ⌊leaf / m^h⌋ in the leaf system, and in the level-h system they sit
-  // above the h port digits, at place w^h: one division, no digit string.
-  const MixedRadix& system = label_systems_[level];
-  std::uint64_t label = 0;
-  for (std::uint32_t i = 0; i < level; ++i) {
-    const std::uint32_t port = ports[level - 1 - i];
-    FT_REQUIRE(port < params_.parent_arity);
-    label += system.place_value(i) * port;
-  }
-  if (level < system.digit_count()) {  // the top level has no leaf digits
-    label += system.place_value(level) * (leaf / leaves.place_value(level));
-  }
-  return label;
 }
 
 }  // namespace ftsched

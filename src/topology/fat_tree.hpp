@@ -16,6 +16,8 @@
 #include <cstdint>
 
 #include "topology/ids.hpp"
+#include "util/child_divider.hpp"
+#include "util/contracts.hpp"
 #include "util/mixed_radix.hpp"
 #include "util/result.hpp"
 
@@ -72,10 +74,21 @@ class FatTree {
   /// digits h..l-2 have radix m (the paper's t_h..t_{l-2}).
   const MixedRadix& label_system(std::uint32_t level) const;
 
+  /// Division by the child arity m, strength-reduced once per tree: the
+  /// divider behind leaf_switch, common_ancestor_level and side_switch, and
+  /// the one a scheduler's admission front end copies.
+  const ChildDivider& child_divider() const { return divm_; }
+
   // --- Node <-> leaf switch -------------------------------------------------
 
-  SwitchId leaf_switch(NodeId node) const;
-  std::uint32_t leaf_port(NodeId node) const;
+  SwitchId leaf_switch(NodeId node) const {
+    FT_REQUIRE(node < node_count_);
+    return SwitchId{0, divm_(node)};
+  }
+  std::uint32_t leaf_port(NodeId node) const {
+    FT_REQUIRE(node < node_count_);
+    return static_cast<std::uint32_t>(node - divm_(node) * child_arity());
+  }
   NodeId node_at(std::uint64_t leaf_switch_index, std::uint32_t port) const;
 
   // --- Theorem-1 neighbor algebra ------------------------------------------
@@ -105,16 +118,38 @@ class FatTree {
 
   /// Lowest level H such that the leaf switches' labels agree on all digits
   /// >= H; a request between them climbs exactly H levels (H == 0 means the
-  /// same leaf switch). Always < l.
+  /// same leaf switch). Always < l. Computed as the number of base-m
+  /// truncations until the labels coincide (ChildDivider::meet), with no
+  /// digit string.
   std::uint32_t common_ancestor_level(std::uint64_t leaf_a,
-                                      std::uint64_t leaf_b) const;
+                                      std::uint64_t leaf_b) const {
+    FT_REQUIRE(leaf_a < switches_per_level_[0]);
+    FT_REQUIRE(leaf_b < switches_per_level_[0]);
+    return divm_.meet(leaf_a, leaf_b);
+  }
 
   /// δ_h: the destination-side switch at level h on the (unique) downward
   /// path toward leaf switch `leaf`, given ports P_0..P_{h-1} (Theorem 2:
   /// identical port digits, destination source digits).
-  /// `ports[i]` must hold P_i for i < level.
+  /// `ports[i]` must hold P_i for i < level. The label is the port prefix
+  /// [P_{h-1} … P_0]_w (Horner, no digit string) plus the leaf's digits
+  /// d_h … d_{l-2} = ⌊leaf/m^h⌋ at place w^h; the top level has none.
   std::uint64_t side_switch(std::uint64_t leaf, std::uint32_t level,
-                            const DigitVec& ports) const;
+                            const DigitVec& ports) const {
+    FT_REQUIRE(level < params_.levels);
+    FT_REQUIRE(ports.size() >= level);
+    FT_REQUIRE(leaf < switches_per_level_[0]);
+    const std::uint64_t w = params_.parent_arity;
+    std::uint64_t label = 0;
+    for (std::uint32_t i = 0; i < level; ++i) {
+      FT_REQUIRE(ports[i] < w);
+      label = ports[i] + w * label;
+    }
+    if (level + 1 == params_.levels) return label;
+    return label + label_systems_[level].place_value(level) *
+                       divm_.div_pow(leaf, level,
+                                     label_systems_[0].place_value(level));
+  }
 
  private:
   explicit FatTree(const FatTreeParams& params);
@@ -123,6 +158,7 @@ class FatTree {
   std::uint64_t node_count_ = 0;
   SmallVec<std::uint64_t, kMaxTreeLevels> switches_per_level_;
   SmallVec<MixedRadix, kMaxTreeLevels> label_systems_;
+  ChildDivider divm_;
 };
 
 }  // namespace ftsched

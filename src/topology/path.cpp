@@ -26,24 +26,32 @@ PathExpansion expand_path(const FatTree& tree, const Path& path) {
 std::size_t expand_channels(const FatTree& tree, const Path& path,
                             std::span<ChannelId> out) {
   const std::uint32_t H = path.ancestor_level;
+  FT_REQUIRE(H < tree.levels());
   FT_REQUIRE(path.ports.size() == H);
   FT_REQUIRE(out.size() >= 2 * static_cast<std::size_t>(H));
-  const std::uint64_t src_leaf = tree.leaf_switch(path.src).index;
-  const std::uint64_t dst_leaf = tree.leaf_switch(path.dst).index;
-  std::size_t n = 0;
-  // Upward side: Ulink(h, σ_h, P_h) for h = 0 … H-1.
+  // Both sides in one pass, carrying each level's label incrementally:
+  // σ_h = pval + w^h·⌊σ_0/m^h⌋ and δ_h likewise, with pval the port prefix
+  // [P_{h-1} … P_0]_w shared by both sides (Theorem 2).
+  const ChildDivider& divm = tree.child_divider();
+  const std::uint64_t w = tree.parent_arity();
+  std::uint64_t src_rest = tree.leaf_switch(path.src).index;
+  std::uint64_t dst_rest = tree.leaf_switch(path.dst).index;
+  std::uint64_t pval = 0;
+  std::uint64_t wpow = 1;
   for (std::uint32_t h = 0; h < H; ++h) {
-    out[n++] = ChannelId{
-        CableId{h, tree.side_switch(src_leaf, h, path.ports), path.ports[h]},
-        Direction::kUp};
+    const std::uint32_t port = path.ports[h];
+    FT_REQUIRE(port < w);
+    // Ulink(h, σ_h, P_h) ascending, Dlink(h, δ_h, P_h) descending.
+    out[h] = ChannelId{CableId{h, pval + wpow * src_rest, port},
+                       Direction::kUp};
+    out[2 * H - 1 - h] = ChannelId{CableId{h, pval + wpow * dst_rest, port},
+                                   Direction::kDown};
+    pval = port + w * pval;
+    wpow *= w;
+    src_rest = divm(src_rest);
+    dst_rest = divm(dst_rest);
   }
-  // Downward side: Dlink(h, δ_h, P_h) for h = H-1 … 0.
-  for (std::uint32_t h = H; h-- > 0;) {
-    out[n++] = ChannelId{
-        CableId{h, tree.side_switch(dst_leaf, h, path.ports), path.ports[h]},
-        Direction::kDown};
-  }
-  return n;
+  return 2 * static_cast<std::size_t>(H);
 }
 
 Status check_path_legal(const FatTree& tree, const Path& path) {

@@ -132,8 +132,14 @@ inline std::uint64_t low_mask(std::size_t n) {
   return n == 64 ? ~std::uint64_t{0} : (std::uint64_t{1} << n) - 1;
 }
 
+/// Number of set bits. A table-free SWAR count rather than
+/// __builtin_popcountll: without -mpopcnt (no build enables it) the builtin
+/// compiles to a call into libgcc's __popcountdi2.
 inline std::size_t popcount(std::uint64_t word) {
-  return static_cast<std::size_t>(__builtin_popcountll(word));
+  word -= (word >> 1) & 0x5555555555555555ULL;
+  word = (word & 0x3333333333333333ULL) + ((word >> 2) & 0x3333333333333333ULL);
+  word = (word + (word >> 4)) & 0x0f0f0f0f0f0f0f0fULL;
+  return static_cast<std::size_t>((word * 0x0101010101010101ULL) >> 56);
 }
 
 }  // namespace bits

@@ -1,7 +1,7 @@
-// ScheduleVerifier::verify sizes its scratch once per batch: the number of
-// heap allocations a clean verify() makes must not depend on how many
-// requests were granted. This binary replaces the global operator new to
-// count them, so it holds no other tests.
+// ScheduleVerifier holds its scratch across batches: the number of heap
+// allocations a clean verify() makes must not depend on how many requests
+// were granted, and a warm verifier makes none at all. This binary replaces
+// the global operator new to count them, so it holds no other tests.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
@@ -58,6 +58,42 @@ TEST(VerifierAllocations, IndependentOfGrantCount) {
     ASSERT_GT(granted_full, 10 * granted_few);
     EXPECT_EQ(full_allocs, few_allocs)
         << granted_full << " grants vs " << granted_few;
+  }
+}
+
+// Mirrors the scheduler's warm-schedule() test: once a verifier has sized
+// its scratch, verifying further clean batches allocates nothing.
+TEST(VerifierAllocations, WarmVerifierAllocatesNothing) {
+  for (const FatTreeParams& params :
+       {FatTreeParams{3, 4, 4}, FatTreeParams{3, 6, 5}}) {
+    const FatTree tree = FatTree::create(params).value();
+    std::vector<std::vector<Request>> batches(3);
+    for (NodeId n = 0; n < tree.node_count(); ++n) {
+      for (std::size_t k = 0; k < batches.size(); ++k) {
+        batches[k].push_back(
+            Request{n, (n + 5 + 11 * k) % tree.node_count()});
+      }
+    }
+    LevelwiseScheduler scheduler;
+    std::vector<LinkState> states;
+    std::vector<ScheduleResult> results;
+    for (const std::vector<Request>& batch : batches) {
+      states.emplace_back(tree);
+      results.push_back(scheduler.schedule(tree, batch, states.back()));
+    }
+    const ScheduleVerifier verifier(tree);
+    ASSERT_TRUE(verifier.verify(batches[0], results[0], &states[0]).ok());
+    for (std::size_t k = 1; k < batches.size(); ++k) {
+      const std::size_t before = g_allocations;
+      const VerifyReport report =
+          verifier.verify(batches[k], results[k], &states[k]);
+      const std::size_t made = g_allocations - before;
+      EXPECT_TRUE(report.ok()) << report.to_string();
+      EXPECT_GT(report.granted, 0u);
+      EXPECT_EQ(made, 0u) << "batch " << k << " on FT(" << params.levels
+                          << "," << params.child_arity << ","
+                          << params.parent_arity << ")";
+    }
   }
 }
 

@@ -10,6 +10,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 namespace ftsched {
 namespace {
 
@@ -146,6 +148,36 @@ TEST(BitsEdgeTest, PopcountBoundaries) {
   EXPECT_EQ(bits::popcount(0), 0u);
   EXPECT_EQ(bits::popcount(~std::uint64_t{0}), 64u);
   EXPECT_EQ(bits::popcount(std::uint64_t{1} << 63), 1u);
+}
+
+// The SWAR popcount against a one-bit-at-a-time count over edge words:
+// empty, full, every single bit, alternating and byte patterns, every low
+// and high mask, and the high bit with each other bit.
+TEST(BitsEdgeTest, PopcountMatchesBitLoop) {
+  auto loop_count = [](std::uint64_t word) {
+    std::size_t count = 0;
+    for (int bit = 0; bit < 64; ++bit) count += (word >> bit) & 1u;
+    return count;
+  };
+  std::vector<std::uint64_t> words{0,
+                                   ~std::uint64_t{0},
+                                   0x5555555555555555ULL,
+                                   0xAAAAAAAAAAAAAAAAULL,
+                                   0x00FF00FF00FF00FFULL,
+                                   0xFF00FF00FF00FF00ULL,
+                                   0x0F0F0F0F0F0F0F0FULL,
+                                   0x8000000000000001ULL};
+  for (int bit = 0; bit < 64; ++bit) {
+    const std::uint64_t one = std::uint64_t{1} << bit;
+    words.push_back(one);
+    words.push_back(~one);
+    words.push_back(one - 1);     // low mask
+    words.push_back(~(one - 1));  // high mask
+    words.push_back((std::uint64_t{1} << 63) | one);
+  }
+  for (const std::uint64_t word : words) {
+    EXPECT_EQ(bits::popcount(word), loop_count(word)) << std::hex << word;
+  }
 }
 
 }  // namespace
