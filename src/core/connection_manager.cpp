@@ -5,6 +5,7 @@
 #include <string>
 #include <utility>
 
+#include "topology/circuit_labels.hpp"
 #include "topology/path.hpp"
 
 namespace ftsched {
@@ -27,9 +28,10 @@ ConnectionManager::ConnectionManager(const FatTree& tree)
 
 bool ConnectionManager::walk(Path& path, Block& block) const {
   path.ports.clear();
-  std::uint64_t sigma = tree_.leaf_switch(path.src).index;
-  std::uint64_t delta = tree_.leaf_switch(path.dst).index;
+  CircuitLabels labels = CircuitLabels::from_nodes(tree_, path.src, path.dst);
   for (std::uint32_t h = 0; h < path.ancestor_level; ++h) {
+    const std::uint64_t sigma = labels.sigma();
+    const std::uint64_t delta = labels.delta();
     const std::optional<std::uint32_t> port =
         state_.first_available_port(h, sigma, delta);
     if (!port) {
@@ -37,10 +39,9 @@ bool ConnectionManager::walk(Path& path, Block& block) const {
       return false;
     }
     path.ports.push_back(*port);
-    sigma = tree_.ascend(h, sigma, *port);
-    delta = tree_.ascend(h, delta, *port);
+    labels.ascend(tree_, *port);
   }
-  FT_ASSERT(sigma == delta);
+  FT_ASSERT(labels.met());
   return true;
 }
 
@@ -311,14 +312,12 @@ void ConnectionManager::set_owner(const Path& path, ConnectionId owner) {
     FT_ASSERT((slot == 0) != (owner == 0));
     slot = owner;
   };
-  const std::uint64_t src_leaf = tree_.leaf_switch(path.src).index;
-  const std::uint64_t dst_leaf = tree_.leaf_switch(path.dst).index;
+  CircuitLabels labels = CircuitLabels::from_nodes(tree_, path.src, path.dst);
   for (std::uint32_t h = 0; h < path.ancestor_level; ++h) {
     const std::uint32_t port = path.ports[h];
-    const std::uint64_t sigma = tree_.side_switch(src_leaf, h, path.ports);
-    const std::uint64_t delta = tree_.side_switch(dst_leaf, h, path.ports);
-    store(ChannelId{CableId{h, sigma, port}, Direction::kUp});
-    store(ChannelId{CableId{h, delta, port}, Direction::kDown});
+    store(ChannelId{CableId{h, labels.sigma(), port}, Direction::kUp});
+    store(ChannelId{CableId{h, labels.delta(), port}, Direction::kDown});
+    labels.ascend(tree_, port);
   }
 }
 

@@ -3,9 +3,9 @@
 #include <array>
 #include <vector>
 
-#include "core/label_math.hpp"
 #include "core/port_picker.hpp"
 #include "linkstate/transaction.hpp"
+#include "topology/circuit_labels.hpp"
 
 namespace ftsched {
 
@@ -45,37 +45,24 @@ ScheduleResult LevelwiseScheduler::schedule_batch(
 
 ScheduleResult LevelwiseScheduler::schedule_level_major(
     const FatTree& tree, std::span<const Request> requests, LinkState& state) {
+  // The scratch is sized before the outcome vector, and in one step: a
+  // fresh scheduler's first-batch allocations decide where glibc's heap top
+  // settles, which the bench/e2e fig9 and admit numbers feel
+  // (docs/PERFORMANCE.md §2).
+  labels_.resize(requests.size());
+  live_.clear();
+  live_.reserve(requests.size());
   ScheduleResult result;
   result.outcomes.resize(requests.size());
   const auto batch = admission_.begin(tree, requests);
 
-  const std::uint64_t w = tree.parent_arity();
-  const auto wpow = parent_arity_powers(tree);
-  const ChildDivider& divm = admission_.divm();
-
-  // Batch precomputation: decompose every request's labels ONCE — σ_0/δ_0,
-  // the remainder quotients, and the meet level — into flat per-request
-  // arrays the level sweeps touch contiguously. The per-level work then
-  // reduces to the incremental digit shift (see the header's scratch note).
-  sigma_.resize(requests.size());
-  delta_.resize(requests.size());
-  pval_.resize(requests.size());
-  src_rest_.resize(requests.size());
-  dst_rest_.resize(requests.size());
-  ancestor_.resize(requests.size());
-  live_.clear();
-
   // Admission: claim leaf channels, resolve intra-switch (H == 0) requests,
-  // and initialize σ_0 / δ_0 for the rest.
+  // and start a label cursor at σ_0 / δ_0 for the rest.
   for (std::size_t i = 0; i < requests.size(); ++i) {
     const auto admitted = admission_.admit(requests[i], result.outcomes[i]);
     if (!admitted) continue;
-    sigma_[i] = admitted->src_leaf;
-    delta_[i] = admitted->dst_leaf;
-    pval_[i] = 0;
-    src_rest_[i] = admitted->src_leaf;
-    dst_rest_[i] = admitted->dst_leaf;
-    ancestor_[i] = admitted->ancestor;
+    labels_[i] =
+        CircuitLabels::start(tree, admitted->src_leaf, admitted->dst_leaf);
     live_.push_back(i);
   }
 
@@ -89,7 +76,6 @@ ScheduleResult LevelwiseScheduler::schedule_level_major(
     // The level's rows are fetched once; every pick below is an AND of two
     // of them (docs/PERFORMANCE.md §4).
     const LinkState::LevelView rows = state.level_view(h);
-    const std::uint64_t wnext = wpow[h + 1];
     const std::size_t n_live = live_.size();
     std::size_t kept = 0;
     // Compaction (live_[kept++] = i below) writes at or before the read
@@ -97,8 +83,11 @@ ScheduleResult LevelwiseScheduler::schedule_level_major(
     for (std::size_t j = 0; j < n_live; ++j) {
       const std::size_t i = live_[j];
       RequestOutcome& out = result.outcomes[i];
+      CircuitLabels& labels = labels_[i];
+      const std::uint64_t sigma = labels.sigma();
+      const std::uint64_t delta = labels.delta();
       const std::uint32_t port =
-          pick_port(options_.policy, rows, rows.and_row(sigma_[i], delta_[i]),
+          pick_port(options_.policy, rows, rows.and_row(sigma, delta),
                     rr_hint_, rng_, sink_);
       if (port == LinkState::kNoPort) {
         out.reason = RejectReason::kNoCommonPort;
@@ -107,25 +96,19 @@ ScheduleResult LevelwiseScheduler::schedule_level_major(
       }
       // Direct occupation — no transaction journal. The recorded port
       // digits ARE the journal: a rejected request's partial circuit is
-      // reconstructed in the cleanup sweep by replaying the digit shift
+      // reconstructed in the cleanup sweep by replaying the label walk
       // from the leaves, so the hot path records nothing beyond the path
       // it already builds.
-      state.occupy_ulink(h, sigma_[i], port);
-      state.occupy_dlink(h, delta_[i], port);
+      state.occupy_ulink(h, sigma, port);
+      state.occupy_dlink(h, delta, port);
       out.path.ports.push_back(port);
-      // Theorem-1 digit shift, incrementally: new port digit in front, one
-      // source digit consumed on each side.
-      pval_[i] = port + w * pval_[i];
-      src_rest_[i] = divm(src_rest_[i]);
-      dst_rest_[i] = divm(dst_rest_[i]);
-      if (out.path.ports.size() == ancestor_[i]) {
-        // Theorem 2: sides meet at level H (σ_H == δ_H ⇔ equal remainders).
-        FT_ASSERT(src_rest_[i] == dst_rest_[i]);
+      labels.ascend(tree, port);
+      if (labels.met()) {
+        // Theorem 2: the sides meet at level H, and the circuit exists.
+        FT_ASSERT(out.path.ports.size() == out.path.ancestor_level);
         out.granted = true;
         continue;  // dropped from the live list
       }
-      sigma_[i] = pval_[i] + wnext * src_rest_[i];
-      delta_[i] = pval_[i] + wnext * dst_rest_[i];
       live_[kept++] = i;
     }
     live_.resize(kept);
@@ -134,8 +117,8 @@ ScheduleResult LevelwiseScheduler::schedule_level_major(
   // Cleanup: rejected requests release their leaf claims and (optionally)
   // their partial channel allocations. Since the sweep occupies channels
   // directly, a granted request needs no commit step at all; a rejected one
-  // replays the Theorem-1 digit shift over its recorded port
-  // digits to rediscover each level's (σ_h, δ_h) and release the pair —
+  // replays the label walk over its recorded port digits to rediscover
+  // each level's (σ_h, δ_h) and release the pair —
   // exactly the entries a transaction journal would have held (the sink's
   // released-entry count is preserved: two channels per recorded port, and
   // the rollback event still fires, possibly with zero entries, for every
@@ -145,23 +128,14 @@ ScheduleResult LevelwiseScheduler::schedule_level_major(
     if (out.granted) continue;
     if (options_.release_rejected) {
       if (sink_) sink_->rollback(2 * out.path.ports.size());
-      if (!out.path.ports.empty()) {
-        std::uint64_t sigma = divm(requests[i].src);
-        std::uint64_t delta = divm(requests[i].dst);
-        std::uint64_t pval = 0;
-        std::uint64_t src_rest = sigma;
-        std::uint64_t dst_rest = delta;
-        for (std::uint32_t h = 0; h < out.path.ports.size(); ++h) {
-          const std::uint32_t port = out.path.ports[h];
-          // The recorded path IS the journal; this loop is the rollback.
-          state.set_ulink(h, sigma, port, true);  // ftlint:allow(transaction-discipline)
-          state.set_dlink(h, delta, port, true);  // ftlint:allow(transaction-discipline)
-          pval = port + w * pval;
-          src_rest = divm(src_rest);
-          dst_rest = divm(dst_rest);
-          sigma = pval + wpow[h + 1] * src_rest;
-          delta = pval + wpow[h + 1] * dst_rest;
-        }
+      CircuitLabels labels =
+          CircuitLabels::from_nodes(tree, requests[i].src, requests[i].dst);
+      for (std::uint32_t h = 0; h < out.path.ports.size(); ++h) {
+        const std::uint32_t port = out.path.ports[h];
+        // The recorded path IS the journal; this loop is the rollback.
+        state.set_ulink(h, labels.sigma(), port, true);  // ftlint:allow(transaction-discipline)
+        state.set_dlink(h, labels.delta(), port, true);  // ftlint:allow(transaction-discipline)
+        labels.ascend(tree, port);
       }
     }
     // hardware-fidelity mode (!release_rejected): partial allocation
@@ -178,10 +152,6 @@ ScheduleResult LevelwiseScheduler::schedule_request_major(
   ScheduleResult result;
   result.outcomes.resize(requests.size());
   const auto batch = admission_.begin(tree, requests);
-
-  const std::uint64_t w = tree.parent_arity();
-  const auto wpow = parent_arity_powers(tree);
-  const ChildDivider& divm = admission_.divm();
 
   const std::uint32_t link_levels = tree.levels() - 1;
   rr_hint_by_level_.resize(link_levels);
@@ -207,13 +177,12 @@ ScheduleResult LevelwiseScheduler::schedule_request_major(
     const std::uint32_t H = admitted->ancestor;
 
     tx_.rebind(state);
-    std::uint64_t sigma = admitted->src_leaf;
-    std::uint64_t delta = admitted->dst_leaf;
-    std::uint64_t pval = 0;
-    std::uint64_t src_rest = sigma;
-    std::uint64_t dst_rest = delta;
+    CircuitLabels labels =
+        CircuitLabels::start(tree, admitted->src_leaf, admitted->dst_leaf);
     bool rejected = false;
     for (std::uint32_t h = 0; h < H; ++h) {
+      const std::uint64_t sigma = labels.sigma();
+      const std::uint64_t delta = labels.delta();
       const std::uint32_t port =
           pick_port(options_.policy, rows[h], rows[h].and_row(sigma, delta),
                     rr_hint_by_level_[h], rng_, sink_);
@@ -225,12 +194,7 @@ ScheduleResult LevelwiseScheduler::schedule_request_major(
       }
       tx_.occupy(h, sigma, delta, port);
       out.path.ports.push_back(port);
-      // Theorem-1 digit shift, incrementally (see schedule_level_major).
-      pval = port + w * pval;
-      src_rest = divm(src_rest);
-      dst_rest = divm(dst_rest);
-      sigma = pval + wpow[h + 1] * src_rest;
-      delta = pval + wpow[h + 1] * dst_rest;
+      labels.ascend(tree, port);
     }
     if (rejected) {
       admission_.release(r, out);
@@ -241,7 +205,7 @@ ScheduleResult LevelwiseScheduler::schedule_request_major(
         tx_.commit();  // hardware-fidelity mode: partial allocation persists
       }
     } else {
-      FT_ASSERT(sigma == delta);
+      FT_ASSERT(labels.met());
       out.granted = true;
       tx_.commit();
     }

@@ -23,6 +23,7 @@
 
 #include "core/scheduler.hpp"
 #include "linkstate/transaction.hpp"
+#include "topology/circuit_labels.hpp"
 
 namespace ftsched {
 
@@ -69,23 +70,11 @@ class LevelwiseScheduler final : public Scheduler {
 
   // --- Per-batch scratch, reused across schedule() calls -------------------
   // The paper's pipelined hardware derives each request's Theorem-1 labels
-  // once and streams them level by level; the software mirror of that is a
-  // batch precomputation pass into flat arrays (below) swept level-major,
-  // plus an incremental label update in place of FatTree::ascend's full
-  // mixed-radix decompose/compose. Writing σ_h = Pval_h + w^h·⌊src/m^h⌋
-  // (and δ_h with dst), where Pval_h is the value of the port-digit prefix
-  // P_{h-1}…P_0, the Theorem-1 digit shift becomes
-  //   Pval ← port + w·Pval,  src_rest ← src_rest / m,  dst_rest ← dst_rest / m
-  // — three integer ops per level instead of two decompose/compose rounds.
-  // The vectors keep their capacity batch to batch, so the steady-state hot
-  // path allocates nothing (including `rr_hint`, hoisted here from the old
-  // per-call local).
-  std::vector<std::uint64_t> sigma_;     ///< σ_h per request (current level)
-  std::vector<std::uint64_t> delta_;     ///< δ_h per request (current level)
-  std::vector<std::uint64_t> pval_;      ///< Pval_h per request
-  std::vector<std::uint64_t> src_rest_;  ///< ⌊src_leaf / m^h⌋ per request
-  std::vector<std::uint64_t> dst_rest_;  ///< ⌊dst_leaf / m^h⌋ per request
-  std::vector<std::uint32_t> ancestor_;  ///< H per request
+  // once and streams them level by level; the software mirror of that is one
+  // label cursor per request (topology/circuit_labels.hpp), started at
+  // admission and stepped by each level's sweep. The vectors keep their
+  // capacity batch to batch, so the steady-state hot path allocates nothing.
+  std::vector<CircuitLabels> labels_;  ///< σ_h / δ_h per request
   /// In-flight request indices, compacted in place each level (stable order,
   /// so pick order — and with it every RNG/sink stream — matches a sweep
   /// over all requests in batch order exactly).

@@ -2,9 +2,9 @@
 
 #include <array>
 
-#include "core/label_math.hpp"
 #include "core/port_picker.hpp"
 #include "linkstate/transaction.hpp"
+#include "topology/circuit_labels.hpp"
 
 namespace ftsched {
 
@@ -24,10 +24,6 @@ ScheduleResult LocalAdaptiveScheduler::schedule_batch(
   ScheduleResult result;
   result.outcomes.resize(requests.size());
   const auto batch = admission_.begin(tree, requests);
-
-  const std::uint64_t w = tree.parent_arity();
-  const auto wpow = parent_arity_powers(tree);
-  const ChildDivider& divm = admission_.divm();
 
   const std::uint32_t link_levels = tree.levels() - 1;
   rr_hint_by_level_.resize(link_levels);
@@ -57,16 +53,15 @@ ScheduleResult LocalAdaptiveScheduler::schedule_batch(
 
     // Ascent: pick a locally free up-port at each level; the destination
     // side's availability is invisible here — that is the point. The
-    // destination-side switch δ_h = Pval_h + w^h·⌊dst/m^h⌋ is fully
-    // determined by the ports chosen so far (Theorem 2), so it is recorded
-    // on the way up and the descent below never has to recompose it.
-    std::uint64_t sigma = admitted->src_leaf;
-    std::uint64_t pval = 0;
-    std::uint64_t src_rest = admitted->src_leaf;
-    std::uint64_t dst_rest = admitted->dst_leaf;
+    // destination-side switch δ_h is fully determined by the ports chosen
+    // so far (Theorem 2), so it is recorded on the way up and the descent
+    // below never has to recompose it.
+    CircuitLabels labels =
+        CircuitLabels::start(tree, admitted->src_leaf, admitted->dst_leaf);
     std::array<std::uint64_t, kMaxTreeLevels> delta_at{};
     for (std::uint32_t h = 0; h < H; ++h) {
-      delta_at[h] = pval + wpow[h] * dst_rest;
+      const std::uint64_t sigma = labels.sigma();
+      delta_at[h] = labels.delta();
       const std::uint32_t port =
           pick_port(options_.policy, rows[h], rows[h].ulink_row(sigma),
                     rr_hint_by_level_[h], rng_, sink_);
@@ -78,10 +73,7 @@ ScheduleResult LocalAdaptiveScheduler::schedule_batch(
       }
       tx_.occupy_up(h, sigma, port);
       out.path.ports.push_back(port);
-      pval = port + w * pval;
-      src_rest = divm(src_rest);
-      dst_rest = divm(dst_rest);
-      sigma = pval + wpow[h + 1] * src_rest;
+      labels.ascend(tree, port);
     }
 
     // Descent: the downward path is forced by Theorem 2; the first occupied

@@ -1,5 +1,8 @@
 #include "core/registry.hpp"
 
+#include <array>
+#include <string_view>
+
 #include "core/levelwise_scheduler.hpp"
 #include "core/local_scheduler.hpp"
 #include "core/matching_scheduler.hpp"
@@ -8,97 +11,90 @@
 
 namespace ftsched {
 
+namespace {
+
+using Ptr = std::unique_ptr<Scheduler>;
+
+Ptr levelwise(std::uint64_t seed, PortPolicy policy,
+              LevelwiseOptions::Order order =
+                  LevelwiseOptions::Order::kLevelMajor) {
+  LevelwiseOptions options;
+  options.policy = policy;
+  options.order = order;
+  options.seed = seed;
+  return std::make_unique<LevelwiseScheduler>(options);
+}
+
+Ptr local(std::uint64_t seed, PortPolicy policy, bool release_on_fail = true) {
+  LocalOptions options;
+  options.policy = policy;
+  options.release_on_fail = release_on_fail;
+  options.seed = seed;
+  return std::make_unique<LocalAdaptiveScheduler>(options);
+}
+
+struct Entry {
+  std::string_view name;
+  Ptr (*make)(std::uint64_t seed);
+};
+
+/// Every registered scheduler, in the stable order scheduler_names() lists.
+constexpr std::array<Entry, 14> kRegistry{{
+    {"levelwise",
+     [](std::uint64_t s) { return levelwise(s, PortPolicy::kFirstFit); }},
+    {"levelwise-random",
+     [](std::uint64_t s) { return levelwise(s, PortPolicy::kRandom); }},
+    {"levelwise-rr",
+     [](std::uint64_t s) { return levelwise(s, PortPolicy::kRoundRobin); }},
+    {"levelwise-balanced",
+     [](std::uint64_t s) { return levelwise(s, PortPolicy::kBalanced); }},
+    {"levelwise-balanced-rr",
+     [](std::uint64_t s) { return levelwise(s, PortPolicy::kBalancedRR); }},
+    {"levelwise-balanced-random",
+     [](std::uint64_t s) {
+       return levelwise(s, PortPolicy::kBalancedRandom);
+     }},
+    {"levelwise-reqmajor",
+     [](std::uint64_t s) {
+       return levelwise(s, PortPolicy::kFirstFit,
+                        LevelwiseOptions::Order::kRequestMajor);
+     }},
+    {"local", [](std::uint64_t s) { return local(s, PortPolicy::kFirstFit); }},
+    {"local-random",
+     [](std::uint64_t s) { return local(s, PortPolicy::kRandom); }},
+    {"local-rr",
+     [](std::uint64_t s) { return local(s, PortPolicy::kRoundRobin); }},
+    {"local-hold",
+     [](std::uint64_t s) { return local(s, PortPolicy::kFirstFit, false); }},
+    {"turnback",
+     [](std::uint64_t) -> Ptr { return std::make_unique<TurnbackScheduler>(); }},
+    {"matching2",
+     [](std::uint64_t) -> Ptr { return std::make_unique<MatchingScheduler>(); }},
+    {"dmodk",
+     [](std::uint64_t) -> Ptr {
+       return std::make_unique<StaticDestinationScheduler>();
+     }},
+}};
+
+}  // namespace
+
 Result<std::unique_ptr<Scheduler>> make_scheduler(const std::string& name,
                                                   std::uint64_t seed) {
-  using Ptr = std::unique_ptr<Scheduler>;
-  if (name == "levelwise") {
-    LevelwiseOptions options;
-    options.seed = seed;
-    return Ptr(new LevelwiseScheduler(options));
+  for (const Entry& entry : kRegistry) {
+    if (entry.name == name) return entry.make(seed);
   }
-  if (name == "levelwise-random") {
-    LevelwiseOptions options;
-    options.policy = PortPolicy::kRandom;
-    options.seed = seed;
-    return Ptr(new LevelwiseScheduler(options));
+  std::string known;
+  for (const Entry& entry : kRegistry) {
+    if (!known.empty()) known += ", ";
+    known += entry.name;
   }
-  if (name == "levelwise-rr") {
-    LevelwiseOptions options;
-    options.policy = PortPolicy::kRoundRobin;
-    options.seed = seed;
-    return Ptr(new LevelwiseScheduler(options));
-  }
-  if (name == "levelwise-balanced") {
-    LevelwiseOptions options;
-    options.policy = PortPolicy::kBalanced;
-    options.seed = seed;
-    return Ptr(new LevelwiseScheduler(options));
-  }
-  if (name == "levelwise-balanced-rr") {
-    LevelwiseOptions options;
-    options.policy = PortPolicy::kBalancedRR;
-    options.seed = seed;
-    return Ptr(new LevelwiseScheduler(options));
-  }
-  if (name == "levelwise-balanced-random") {
-    LevelwiseOptions options;
-    options.policy = PortPolicy::kBalancedRandom;
-    options.seed = seed;
-    return Ptr(new LevelwiseScheduler(options));
-  }
-  if (name == "levelwise-reqmajor") {
-    LevelwiseOptions options;
-    options.order = LevelwiseOptions::Order::kRequestMajor;
-    options.seed = seed;
-    return Ptr(new LevelwiseScheduler(options));
-  }
-  if (name == "local") {
-    LocalOptions options;
-    options.seed = seed;
-    return Ptr(new LocalAdaptiveScheduler(options));
-  }
-  if (name == "local-random") {
-    LocalOptions options;
-    options.policy = PortPolicy::kRandom;
-    options.seed = seed;
-    return Ptr(new LocalAdaptiveScheduler(options));
-  }
-  if (name == "local-rr") {
-    LocalOptions options;
-    options.policy = PortPolicy::kRoundRobin;
-    options.seed = seed;
-    return Ptr(new LocalAdaptiveScheduler(options));
-  }
-  if (name == "local-hold") {
-    LocalOptions options;
-    options.release_on_fail = false;
-    options.seed = seed;
-    return Ptr(new LocalAdaptiveScheduler(options));
-  }
-  if (name == "turnback") {
-    return Ptr(new TurnbackScheduler());
-  }
-  if (name == "matching2") {
-    return Ptr(new MatchingScheduler());
-  }
-  if (name == "dmodk") {
-    return Ptr(new StaticDestinationScheduler());
-  }
-  return Status::error("unknown scheduler '" + name +
-                       "'; known: levelwise, levelwise-random, levelwise-rr, "
-                       "levelwise-balanced, levelwise-balanced-rr, "
-                       "levelwise-balanced-random, levelwise-reqmajor, local, "
-                       "local-random, local-rr, local-hold, turnback, "
-                       "matching2, dmodk");
+  return Status::error("unknown scheduler '" + name + "'; known: " + known);
 }
 
 std::vector<std::string> scheduler_names() {
-  return {"levelwise",   "levelwise-random", "levelwise-rr",
-          "levelwise-balanced", "levelwise-balanced-rr",
-          "levelwise-balanced-random",
-          "levelwise-reqmajor", "local",     "local-random",
-          "local-rr",    "local-hold",       "turnback",
-          "matching2",   "dmodk"};
+  std::vector<std::string> names;
+  for (const Entry& entry : kRegistry) names.emplace_back(entry.name);
+  return names;
 }
 
 }  // namespace ftsched

@@ -14,6 +14,8 @@ namespace ftsched {
 ///   levelwise            — paper algorithm, first-fit ports, level-major
 ///   levelwise-random     — paper algorithm, random port pick
 ///   levelwise-rr         — paper algorithm, round-robin port pick
+///   levelwise-balanced*  — paper algorithm, max residual plane capacity
+///                          (ties: lowest port, -rr rotating, -random drawn)
 ///   levelwise-reqmajor   — paper algorithm, request-major order
 ///   local                — conventional adaptive baseline, greedy (first-fit)
 ///   local-random         — conventional adaptive baseline, random ports

@@ -173,10 +173,6 @@ class BatchAdmission {
     out.path.ancestor_level = 0;
   }
 
-  /// Division by the tree's child arity m: the leaf index of a PE, and the
-  /// per-level label shift.
-  const ChildDivider& divm() const { return divm_; }
-
  private:
   void end(std::span<const Request> requests) {
     if (requests.size() < BitVec::word_count(leaves_.node_count())) {

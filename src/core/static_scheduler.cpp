@@ -2,8 +2,8 @@
 
 #include <array>
 
-#include "core/label_math.hpp"
 #include "linkstate/transaction.hpp"
+#include "topology/circuit_labels.hpp"
 
 namespace ftsched {
 
@@ -30,10 +30,6 @@ ScheduleResult StaticDestinationScheduler::schedule_batch(
   result.outcomes.resize(requests.size());
   const auto batch = admission_.begin(tree, requests);
 
-  const std::uint64_t w = tree.parent_arity();
-  const auto wpow = parent_arity_powers(tree);
-  const ChildDivider& divm = admission_.divm();
-
   for (std::size_t i = 0; i < requests.size(); ++i) {
     const Request& r = requests[i];
     RequestOutcome& out = result.outcomes[i];
@@ -44,17 +40,16 @@ ScheduleResult StaticDestinationScheduler::schedule_batch(
 
     // The whole path is forced; only the up side can be contended (see
     // header: a down collision implies an identical destination PE).
-    // δ_h = Pval_h + w^h·⌊dst/m^h⌋ is recorded during the ascent so the
-    // descent never recomposes labels (same trick as the local scheduler).
+    // δ_h is recorded during the ascent so the descent never recomposes
+    // labels (same trick as the local scheduler).
     tx_.rebind(state);
     bool rejected = false;
-    std::uint64_t sigma = admitted->src_leaf;
-    std::uint64_t pval = 0;
-    std::uint64_t src_rest = admitted->src_leaf;
-    std::uint64_t dst_rest = admitted->dst_leaf;
+    CircuitLabels labels =
+        CircuitLabels::start(tree, admitted->src_leaf, admitted->dst_leaf);
     std::array<std::uint64_t, kMaxTreeLevels> delta_at{};
     for (std::uint32_t h = 0; h < H; ++h) {
-      delta_at[h] = pval + wpow[h] * dst_rest;
+      const std::uint64_t sigma = labels.sigma();
+      delta_at[h] = labels.delta();
       if (!state.ulink(h, sigma, ports[h])) {
         out.reason = RejectReason::kNoCommonPort;
         out.fail_level = h;
@@ -63,10 +58,7 @@ ScheduleResult StaticDestinationScheduler::schedule_batch(
       }
       tx_.occupy_up(h, sigma, ports[h]);
       if (sink_) sink_->pick(h, ports[h]);
-      pval = ports[h] + w * pval;
-      src_rest = divm(src_rest);
-      dst_rest = divm(dst_rest);
-      sigma = pval + wpow[h + 1] * src_rest;
+      labels.ascend(tree, ports[h]);
     }
     if (!rejected) {
       for (std::uint32_t h = H; h-- > 0;) {

@@ -3,8 +3,8 @@
 #include <array>
 #include <vector>
 
-#include "core/label_math.hpp"
 #include "linkstate/transaction.hpp"
+#include "topology/circuit_labels.hpp"
 
 namespace ftsched {
 
@@ -18,35 +18,24 @@ namespace {
 
 /// DFS driver for one request. Holds up-channels along the current branch
 /// through a Transaction and releases them entry-by-entry on backtrack.
-/// Labels along the branch are carried incrementally (see label_math.hpp):
-/// the σ and Pval stacks grow/shrink with the DFS, and the per-request
-/// ⌊leaf/m^h⌋ remainders are fixed arrays filled once in the constructor,
-/// so neither the walk nor the descent ever decomposes a label.
+/// The branch's labels are one cursor per level: labels_[h] stands at σ_h
+/// and δ_h for the ports held below h, so neither the walk nor the descent
+/// ever recomposes a label.
 class TurnbackSearch {
  public:
-  TurnbackSearch(const FatTree& tree, LinkState& state, std::uint64_t src_leaf,
-                 std::uint64_t dst_leaf, std::uint32_t ancestor,
-                 const TurnbackOptions& options, const obs::Sink* sink,
+  TurnbackSearch(const FatTree& tree, LinkState& state,
+                 const Admitted& admitted, const TurnbackOptions& options,
+                 const obs::Sink* sink,
                  std::vector<std::vector<std::uint32_t>>& scratch)
-      : state_(state),
+      : tree_(tree),
+        state_(state),
         tx_(state),
-        ancestor_(ancestor),
+        ancestor_(admitted.ancestor),
         options_(options),
         sink_(sink),
-        scratch_(scratch),
-        w_(tree.parent_arity()),
-        wpow_(parent_arity_powers(tree)) {
-    const std::uint64_t m = tree.child_arity();
-    std::uint64_t s = src_leaf;
-    std::uint64_t d = dst_leaf;
-    for (std::uint32_t h = 0; h <= ancestor_; ++h) {
-      src_rest_[h] = s;
-      dst_rest_[h] = d;
-      s /= m;
-      d /= m;
-    }
-    sigma_.push_back(src_leaf);
-    pval_.push_back(0);
+        scratch_(scratch) {
+    labels_[0] =
+        CircuitLabels::start(tree, admitted.src_leaf, admitted.dst_leaf);
   }
 
   /// On success, `ports` is filled and all channels (up and down) are
@@ -87,15 +76,13 @@ class TurnbackSearch {
       return h == 0 ? 0 : h - 1;
     }
     for (std::uint32_t p : candidates) {
-      tx_.occupy_up(h, sigma_.back(), p);  // hold tentatively
+      tx_.occupy_up(h, labels_[h].sigma(), p);  // hold tentatively
       if (sink_) sink_->pick(h, p);
       ports_.push_back(p);
-      pval_.push_back(p + w_ * pval_.back());
-      sigma_.push_back(pval_.back() + wpow_[h + 1] * src_rest_[h + 1]);
+      labels_[h + 1] = labels_[h];
+      labels_[h + 1].ascend(tree_, p);
       const std::uint32_t res = descend_from(h + 1);
       if (res == kSuccess) return kSuccess;
-      sigma_.pop_back();
-      pval_.pop_back();
       ports_.pop_back();
       if (sink_) sink_->rollback(1);
       tx_.release_last();
@@ -109,7 +96,7 @@ class TurnbackSearch {
     FT_ASSERT(probes_left_ > 0);
     --probes_left_;
     for (std::uint32_t h = ancestor_; h-- > 0;) {
-      if (!state_.dlink(h, delta_at(h), ports_[h])) {
+      if (!state_.dlink(h, labels_[h].delta(), ports_[h])) {
         note_failure(RejectReason::kDownConflict, h);
         return h;  // only levels <= h can repair this conflict
       }
@@ -117,22 +104,16 @@ class TurnbackSearch {
     // Free path found: occupy the downward channels (upward ones are already
     // held along the DFS branch).
     for (std::uint32_t h = ancestor_; h-- > 0;) {
-      tx_.occupy_down(h, delta_at(h), ports_[h]);
+      tx_.occupy_down(h, labels_[h].delta(), ports_[h]);
     }
     return kSuccess;
-  }
-
-  /// Destination-side switch at level h for the ports currently held:
-  /// δ_h = Pval_h + w^h·⌊dst/m^h⌋ (Theorem 2).
-  std::uint64_t delta_at(std::uint32_t h) const {
-    return pval_[h] + wpow_[h] * dst_rest_[h];
   }
 
   const std::vector<std::uint32_t>& candidate_ports(std::uint32_t h) {
     std::vector<std::uint32_t>& candidates = scratch_[h];
     candidates.clear();
     const LinkState::LevelView view = state_.level_view(h);
-    const LinkState::LevelView::Row row = view.ulink_row(sigma_.back());
+    const LinkState::LevelView::Row row = view.ulink_row(labels_[h].sigma());
     for (std::uint32_t p = view.first_set(row); p != LinkState::kNoPort;
          p = view.next_set(row, p + 1)) {
       candidates.push_back(p);
@@ -145,6 +126,7 @@ class TurnbackSearch {
     fail_level_ = level;
   }
 
+  const FatTree& tree_;
   LinkState& state_;  // read-only queries; all mutation goes through tx_
   Transaction tx_;
   std::uint32_t ancestor_;
@@ -152,12 +134,7 @@ class TurnbackSearch {
   const obs::Sink* sink_;
   std::vector<std::vector<std::uint32_t>>& scratch_;
 
-  std::uint64_t w_;
-  std::array<std::uint64_t, kMaxTreeLevels + 1> wpow_;
-  std::array<std::uint64_t, kMaxTreeLevels + 1> src_rest_{};
-  std::array<std::uint64_t, kMaxTreeLevels + 1> dst_rest_{};
-  SmallVec<std::uint64_t, kMaxTreeLevels> sigma_;  // σ_0 … σ_h along branch
-  SmallVec<std::uint64_t, kMaxTreeLevels> pval_;   // Pval_0 … Pval_h
+  std::array<CircuitLabels, kMaxTreeLevels> labels_;  // σ_h/δ_h along branch
   DigitVec ports_;
   std::uint32_t probes_left_ = 0;
   RejectReason reason_ = RejectReason::kNoLocalUplink;
@@ -169,40 +146,21 @@ class TurnbackSearch {
 ScheduleResult TurnbackScheduler::schedule_batch(
     const FatTree& tree, std::span<const Request> requests, LinkState& state) {
   ScheduleResult result;
-  result.outcomes.reserve(requests.size());
-  LeafTracker leaves(tree.node_count());
-
-  const std::uint64_t m = tree.child_arity();
+  result.outcomes.resize(requests.size());
+  const auto batch = admission_.begin(tree, requests);
   candidate_scratch_.resize(tree.levels() - 1);
 
-  for (const Request& r : requests) {
-    RequestOutcome out;
-    out.path = Path{r.src, r.dst, 0, {}};
-    if (!leaves.try_claim(r.src, r.dst)) {
-      out.reason = RejectReason::kLeafBusy;
-      result.outcomes.push_back(out);
-      continue;
-    }
-    const std::uint64_t src_leaf = tree.leaf_switch(r.src).index;
-    const std::uint64_t dst_leaf = tree.leaf_switch(r.dst).index;
-    const std::uint32_t H = meet_level(src_leaf, dst_leaf, m);
-    if (H == 0) {
-      out.granted = true;
-      result.outcomes.push_back(out);
-      continue;
-    }
-
-    TurnbackSearch search(tree, state, src_leaf, dst_leaf, H, options_, sink_,
+  for (std::size_t i = 0; i < requests.size(); ++i) {
+    RequestOutcome& out = result.outcomes[i];
+    const auto admitted = admission_.admit(requests[i], out);
+    if (!admitted) continue;
+    TurnbackSearch search(tree, state, *admitted, options_, sink_,
                           candidate_scratch_);
-    DigitVec ports;
-    if (search.run(ports, out.reason, out.fail_level)) {
+    if (search.run(out.path.ports, out.reason, out.fail_level)) {
       out.granted = true;
-      out.path.ancestor_level = H;
-      out.path.ports = ports;
     } else {
-      leaves.release(r.src, r.dst);
+      admission_.release(requests[i], out);
     }
-    result.outcomes.push_back(out);
   }
   return result;
 }

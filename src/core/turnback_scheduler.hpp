@@ -45,6 +45,7 @@ class TurnbackScheduler final : public Scheduler {
 
   TurnbackOptions options_;
   std::string name_;
+  BatchAdmission admission_;  ///< batch front end and its leaf tracker
 
   /// Per-level candidate lists for the DFS, reused across requests and
   /// batches. The search holds exactly one active depth per level (h

@@ -2,6 +2,7 @@
 
 #include <array>
 
+#include "topology/circuit_labels.hpp"
 #include "util/bitvec.hpp"
 
 namespace ftsched {
@@ -202,31 +203,29 @@ void LinkState::release(std::uint32_t level, std::uint64_t src_sw,
 }
 
 void LinkState::occupy_path(const FatTree& tree, const Path& path) {
-  const std::uint64_t src_leaf = tree.leaf_switch(path.src).index;
-  const std::uint64_t dst_leaf = tree.leaf_switch(path.dst).index;
+  CircuitLabels labels = CircuitLabels::from_nodes(tree, path.src, path.dst);
   for (std::uint32_t h = 0; h < path.ancestor_level; ++h) {
-    occupy(h, tree.side_switch(src_leaf, h, path.ports),
-           tree.side_switch(dst_leaf, h, path.ports), path.ports[h]);
+    occupy(h, labels.sigma(), labels.delta(), path.ports[h]);
+    labels.ascend(tree, path.ports[h]);
   }
 }
 
 void LinkState::release_path(const FatTree& tree, const Path& path) {
-  const std::uint64_t src_leaf = tree.leaf_switch(path.src).index;
-  const std::uint64_t dst_leaf = tree.leaf_switch(path.dst).index;
+  CircuitLabels labels = CircuitLabels::from_nodes(tree, path.src, path.dst);
   for (std::uint32_t h = 0; h < path.ancestor_level; ++h) {
-    release(h, tree.side_switch(src_leaf, h, path.ports),
-            tree.side_switch(dst_leaf, h, path.ports), path.ports[h]);
+    release(h, labels.sigma(), labels.delta(), path.ports[h]);
+    labels.ascend(tree, path.ports[h]);
   }
 }
 
 bool LinkState::path_available(const FatTree& tree, const Path& path) const {
-  const std::uint64_t src_leaf = tree.leaf_switch(path.src).index;
-  const std::uint64_t dst_leaf = tree.leaf_switch(path.dst).index;
+  CircuitLabels labels = CircuitLabels::from_nodes(tree, path.src, path.dst);
   for (std::uint32_t h = 0; h < path.ancestor_level; ++h) {
-    if (!ulink(h, tree.side_switch(src_leaf, h, path.ports), path.ports[h]) ||
-        !dlink(h, tree.side_switch(dst_leaf, h, path.ports), path.ports[h])) {
+    if (!ulink(h, labels.sigma(), path.ports[h]) ||
+        !dlink(h, labels.delta(), path.ports[h])) {
       return false;
     }
+    labels.ascend(tree, path.ports[h]);
   }
   return true;
 }

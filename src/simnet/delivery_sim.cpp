@@ -1,5 +1,9 @@
 #include "simnet/delivery_sim.hpp"
 
+#include <array>
+
+#include "topology/circuit_labels.hpp"
+
 namespace ftsched {
 
 Status DeliverySim::configure(std::span<const Path> circuits) {
@@ -21,47 +25,45 @@ Status DeliverySim::configure(std::span<const Path> circuits) {
       continue;
     }
 
+    // σ_h and δ_h of every level the circuit touches, in one label walk.
+    std::array<std::uint64_t, kMaxTreeLevels> sigma{};
+    std::array<std::uint64_t, kMaxTreeLevels> delta{};
+    CircuitLabels labels = CircuitLabels::start(tree_, src_leaf, dst_leaf);
+    for (std::uint32_t h = 0; h <= H; ++h) {
+      sigma[h] = labels.sigma();
+      delta[h] = labels.delta();
+      if (h < H) labels.ascend(tree_, path.ports[h]);
+    }
+
     // Upward side: σ_0 enters from the source PE; σ_h (h >= 1) from the
     // down port leading back to σ_{h-1}; each exits through up port P_h.
-    SwitchId prev{0, src_leaf};
     for (std::uint32_t h = 0; h < H; ++h) {
-      const SwitchId sigma{h, tree_.side_switch(src_leaf, h, path.ports)};
-      SwitchNode& sw = network_.at(sigma);
+      SwitchNode& sw = network_.at(SwitchId{h, sigma[h]});
       const std::uint32_t input =
           h == 0 ? sw.down_port(tree_.leaf_port(path.src))
-                 : sw.down_port(tree_.parent_down_port(prev));
+                 : sw.down_port(
+                       tree_.parent_down_port(SwitchId{h - 1, sigma[h - 1]}));
       Status s = sw.connect(input, sw.up_port(path.ports[h]));
       if (!s.ok()) return s;
-      prev = sigma;
     }
 
     // Ancestor: arrives from σ_{H-1}, leaves toward δ_{H-1}.
     {
-      const SwitchId ancestor{H, tree_.side_switch(src_leaf, H, path.ports)};
-      SwitchNode& sw = network_.at(ancestor);
-      const SwitchId sigma_below{H - 1,
-                                 tree_.side_switch(src_leaf, H - 1, path.ports)};
-      const SwitchId delta_below{H - 1,
-                                 tree_.side_switch(dst_leaf, H - 1, path.ports)};
-      Status s =
-          sw.connect(sw.down_port(tree_.parent_down_port(sigma_below)),
-                     sw.down_port(tree_.parent_down_port(delta_below)));
+      SwitchNode& sw = network_.at(SwitchId{H, sigma[H]});
+      Status s = sw.connect(
+          sw.down_port(tree_.parent_down_port(SwitchId{H - 1, sigma[H - 1]})),
+          sw.down_port(tree_.parent_down_port(SwitchId{H - 1, delta[H - 1]})));
       if (!s.ok()) return s;
     }
 
     // Downward side: δ_h receives from its parent through upper port P_h
     // (Theorem 2) and forwards down toward δ_{h-1} / the destination PE.
     for (std::uint32_t h = H; h-- > 0;) {
-      const SwitchId delta{h, tree_.side_switch(dst_leaf, h, path.ports)};
-      SwitchNode& sw = network_.at(delta);
-      std::uint32_t output;
-      if (h == 0) {
-        output = sw.down_port(tree_.leaf_port(path.dst));
-      } else {
-        const SwitchId delta_below{
-            h - 1, tree_.side_switch(dst_leaf, h - 1, path.ports)};
-        output = sw.down_port(tree_.parent_down_port(delta_below));
-      }
+      SwitchNode& sw = network_.at(SwitchId{h, delta[h]});
+      const std::uint32_t output =
+          h == 0 ? sw.down_port(tree_.leaf_port(path.dst))
+                 : sw.down_port(
+                       tree_.parent_down_port(SwitchId{h - 1, delta[h - 1]}));
       Status s = sw.connect(sw.up_port(path.ports[h]), output);
       if (!s.ok()) return s;
     }

@@ -4,6 +4,7 @@
 #include <tuple>
 
 #include "linkstate/telemetry.hpp"
+#include "topology/circuit_labels.hpp"
 
 namespace ftsched {
 
@@ -26,13 +27,15 @@ struct Token {
   std::size_t request_index = 0;
   State state = State::kAscending;
   std::uint32_t level = 0;     ///< levels climbed so far (ascending)
-  std::uint64_t sigma = 0;     ///< σ_level while ascending
+  CircuitLabels labels;        ///< σ_level / δ_level while ascending
   std::uint32_t ancestor = 0;  ///< H
   std::uint64_t src_leaf = 0;
   std::uint64_t dst_leaf = 0;
   DigitVec ports;              ///< held P_0 … P_{level-1}
   /// σ_h for each held up channel (parallel to ports).
   SmallVec<std::uint64_t, kMaxTreeLevels> up_switches;
+  /// δ_h for each held port, recorded on the way up for the descent.
+  SmallVec<std::uint64_t, kMaxTreeLevels> down_switches;
   std::uint32_t down_claimed = 0;  ///< down channels held (levels H-1 …)
   std::uint64_t start_cycle = 0;
   std::uint32_t attempts = 1;      ///< launches so far (this one included)
@@ -93,7 +96,7 @@ SetupSimReport DistributedSetupSim::run(std::span<const Request> requests,
     }
     Token t;
     t.request_index = i;
-    t.sigma = src_leaf;
+    t.labels = CircuitLabels::start(tree_, src_leaf, dst_leaf);
     t.src_leaf = src_leaf;
     t.dst_leaf = dst_leaf;
     t.ancestor = H;
@@ -130,11 +133,10 @@ SetupSimReport DistributedSetupSim::run(std::span<const Request> requests,
     for (std::size_t ti = 0; ti < tokens.size(); ++ti) {
       Token& t = tokens[ti];
       if (t.state == Token::State::kAscending) {
-        up_intents[{t.level, t.sigma}].push_back(ti);
+        up_intents[{t.level, t.labels.sigma()}].push_back(ti);
       } else if (t.state == Token::State::kDescending) {
         const std::uint32_t h = t.ancestor - 1 - t.down_claimed;
-        const std::uint64_t delta = tree_.side_switch(t.dst_leaf, h, t.ports);
-        down_intents[{h, delta, t.ports[h]}].push_back(ti);
+        down_intents[{h, t.down_switches[h], t.ports[h]}].push_back(ti);
       }
     }
 
@@ -221,10 +223,11 @@ SetupSimReport DistributedSetupSim::run(std::span<const Request> requests,
     // ---- Phase 3: commit moves. ------------------------------------------
     for (const UpMove& mv : up_moves) {
       Token& t = tokens[mv.token];
-      state.set_ulink(t.level, t.sigma, mv.port, false);
-      t.up_switches.push_back(t.sigma);
+      state.set_ulink(t.level, t.labels.sigma(), mv.port, false);
+      t.up_switches.push_back(t.labels.sigma());
+      t.down_switches.push_back(t.labels.delta());
       t.ports.push_back(mv.port);
-      t.sigma = tree_.ascend(t.level, t.sigma, mv.port);
+      t.labels.ascend(tree_, mv.port);
       ++t.level;
       if (t.level == t.ancestor) t.state = Token::State::kDescending;
     }
@@ -255,13 +258,13 @@ SetupSimReport DistributedSetupSim::run(std::span<const Request> requests,
       if (t.down_claimed > 0) {
         --t.down_claimed;
         const std::uint32_t h = t.ancestor - 1 - t.down_claimed;
-        const std::uint64_t delta = tree_.side_switch(t.dst_leaf, h, t.ports);
-        state.set_dlink(h, delta, t.ports[h], true);
+        state.set_dlink(h, t.down_switches[h], t.ports[h], true);
       } else if (!t.ports.empty()) {
         const auto h = static_cast<std::uint32_t>(t.ports.size() - 1);
         state.set_ulink(h, t.up_switches[h], t.ports[h], true);
         t.ports.pop_back();
         t.up_switches.pop_back();
+        t.down_switches.pop_back();
       } else if (std::optional<std::uint64_t> delay =
                      relaunch_delay(t.attempts, cycle)) {
         // Relaunch from the source — next cycle by default, or after the
@@ -275,7 +278,7 @@ SetupSimReport DistributedSetupSim::run(std::span<const Request> requests,
           t.state = Token::State::kAscending;
         }
         t.level = 0;
-        t.sigma = t.src_leaf;
+        t.labels = CircuitLabels::start(tree_, t.src_leaf, t.dst_leaf);
         // start_cycle is intentionally NOT reset: setup latency measures
         // injection-to-grant, teardown and relaunch time included.
       } else {

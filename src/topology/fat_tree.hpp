@@ -75,8 +75,8 @@ class FatTree {
   const MixedRadix& label_system(std::uint32_t level) const;
 
   /// Division by the child arity m, strength-reduced once per tree: the
-  /// divider behind leaf_switch, common_ancestor_level and side_switch, and
-  /// the one a scheduler's admission front end copies.
+  /// divider behind leaf_switch, common_ancestor_level and CircuitLabels,
+  /// and the one a scheduler's admission front end copies.
   const ChildDivider& child_divider() const { return divm_; }
 
   // --- Node <-> leaf switch -------------------------------------------------
@@ -126,29 +126,6 @@ class FatTree {
     FT_REQUIRE(leaf_a < switches_per_level_[0]);
     FT_REQUIRE(leaf_b < switches_per_level_[0]);
     return divm_.meet(leaf_a, leaf_b);
-  }
-
-  /// δ_h: the destination-side switch at level h on the (unique) downward
-  /// path toward leaf switch `leaf`, given ports P_0..P_{h-1} (Theorem 2:
-  /// identical port digits, destination source digits).
-  /// `ports[i]` must hold P_i for i < level. The label is the port prefix
-  /// [P_{h-1} … P_0]_w (Horner, no digit string) plus the leaf's digits
-  /// d_h … d_{l-2} = ⌊leaf/m^h⌋ at place w^h; the top level has none.
-  std::uint64_t side_switch(std::uint64_t leaf, std::uint32_t level,
-                            const DigitVec& ports) const {
-    FT_REQUIRE(level < params_.levels);
-    FT_REQUIRE(ports.size() >= level);
-    FT_REQUIRE(leaf < switches_per_level_[0]);
-    const std::uint64_t w = params_.parent_arity;
-    std::uint64_t label = 0;
-    for (std::uint32_t i = 0; i < level; ++i) {
-      FT_REQUIRE(ports[i] < w);
-      label = ports[i] + w * label;
-    }
-    if (level + 1 == params_.levels) return label;
-    return label + label_systems_[level].place_value(level) *
-                       divm_.div_pow(leaf, level,
-                                     label_systems_[0].place_value(level));
   }
 
  private:

@@ -1,23 +1,23 @@
 #include "topology/path.hpp"
 
+#include "topology/circuit_labels.hpp"
+
 namespace ftsched {
 
 PathExpansion expand_path(const FatTree& tree, const Path& path) {
   FT_REQUIRE(check_path_legal(tree, path).ok());
-  const std::uint64_t src_leaf = tree.leaf_switch(path.src).index;
-  const std::uint64_t dst_leaf = tree.leaf_switch(path.dst).index;
   const std::uint32_t H = path.ancestor_level;
 
   PathExpansion out;
-  // σ_0 … σ_H, then δ_{H-1} … δ_0.
-  for (std::uint32_t h = 0; h <= H; ++h) {
-    out.switches.push_back(
-        SwitchId{h, tree.side_switch(src_leaf, h, path.ports)});
+  // σ_0 … σ_H, then δ_{H-1} … δ_0: both ends filled in one walk.
+  out.switches.resize(2 * static_cast<std::size_t>(H) + 1);
+  CircuitLabels labels = CircuitLabels::from_nodes(tree, path.src, path.dst);
+  for (std::uint32_t h = 0; h < H; ++h) {
+    out.switches[h] = SwitchId{h, labels.sigma()};
+    out.switches[2 * H - h] = SwitchId{h, labels.delta()};
+    labels.ascend(tree, path.ports[h]);
   }
-  for (std::uint32_t h = H; h-- > 0;) {
-    out.switches.push_back(
-        SwitchId{h, tree.side_switch(dst_leaf, h, path.ports)});
-  }
+  out.switches[H] = SwitchId{H, labels.sigma()};
   out.channels.resize(2 * static_cast<std::size_t>(H));
   expand_channels(tree, path, out.channels);
   return out;
@@ -29,27 +29,15 @@ std::size_t expand_channels(const FatTree& tree, const Path& path,
   FT_REQUIRE(H < tree.levels());
   FT_REQUIRE(path.ports.size() == H);
   FT_REQUIRE(out.size() >= 2 * static_cast<std::size_t>(H));
-  // Both sides in one pass, carrying each level's label incrementally:
-  // σ_h = pval + w^h·⌊σ_0/m^h⌋ and δ_h likewise, with pval the port prefix
-  // [P_{h-1} … P_0]_w shared by both sides (Theorem 2).
-  const ChildDivider& divm = tree.child_divider();
-  const std::uint64_t w = tree.parent_arity();
-  std::uint64_t src_rest = tree.leaf_switch(path.src).index;
-  std::uint64_t dst_rest = tree.leaf_switch(path.dst).index;
-  std::uint64_t pval = 0;
-  std::uint64_t wpow = 1;
+  CircuitLabels labels = CircuitLabels::from_nodes(tree, path.src, path.dst);
   for (std::uint32_t h = 0; h < H; ++h) {
     const std::uint32_t port = path.ports[h];
-    FT_REQUIRE(port < w);
+    FT_REQUIRE(port < tree.parent_arity());
     // Ulink(h, σ_h, P_h) ascending, Dlink(h, δ_h, P_h) descending.
-    out[h] = ChannelId{CableId{h, pval + wpow * src_rest, port},
-                       Direction::kUp};
-    out[2 * H - 1 - h] = ChannelId{CableId{h, pval + wpow * dst_rest, port},
-                                   Direction::kDown};
-    pval = port + w * pval;
-    wpow *= w;
-    src_rest = divm(src_rest);
-    dst_rest = divm(dst_rest);
+    out[h] = ChannelId{CableId{h, labels.sigma(), port}, Direction::kUp};
+    out[2 * H - 1 - h] =
+        ChannelId{CableId{h, labels.delta(), port}, Direction::kDown};
+    labels.ascend(tree, port);
   }
   return 2 * static_cast<std::size_t>(H);
 }
@@ -80,10 +68,13 @@ Status check_path_legal(const FatTree& tree, const Path& path) {
     }
   }
   // Theorem 2: with identical ports both sides must reach the same level-H
-  // switch. side_switch() computes each side independently; equality here is
-  // what makes the downward path exist at all.
-  const std::uint64_t sigma_h = tree.side_switch(src_leaf, true_h, path.ports);
-  const std::uint64_t delta_h = tree.side_switch(dst_leaf, true_h, path.ports);
+  // switch; equality here is what makes the downward path exist at all.
+  CircuitLabels labels = CircuitLabels::start(tree, src_leaf, dst_leaf);
+  for (std::uint32_t h = 0; h < true_h; ++h) {
+    labels.ascend(tree, path.ports[h]);
+  }
+  const std::uint64_t sigma_h = labels.sigma();
+  const std::uint64_t delta_h = labels.delta();
   if (sigma_h != delta_h) {
     return Status::error("up and down sides do not meet at level " +
                          std::to_string(true_h) + " (σ_H=" +
@@ -97,12 +88,12 @@ bool path_crosses_cable(const FatTree& tree, const Path& path,
                         const CableId& cable) {
   if (cable.level >= path.ancestor_level) return false;
   if (path.ports[cable.level] != cable.port) return false;
-  const std::uint64_t src_leaf = tree.leaf_switch(path.src).index;
-  const std::uint64_t dst_leaf = tree.leaf_switch(path.dst).index;
-  return tree.side_switch(src_leaf, cable.level, path.ports) ==
-             cable.lower_index ||
-         tree.side_switch(dst_leaf, cable.level, path.ports) ==
-             cable.lower_index;
+  CircuitLabels labels = CircuitLabels::from_nodes(tree, path.src, path.dst);
+  for (std::uint32_t h = 0; h < cable.level; ++h) {
+    labels.ascend(tree, path.ports[h]);
+  }
+  return labels.sigma() == cable.lower_index ||
+         labels.delta() == cable.lower_index;
 }
 
 std::string to_string(const Path& path) {

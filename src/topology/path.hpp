@@ -2,8 +2,8 @@
 //
 // Per Theorems 1–2 a circuit from leaf switch σ_0 to leaf switch δ_0 with
 // common ancestor at level H is fully determined by the up-port choices
-// P_0 … P_{H-1}: the upward path visits σ_h = side_switch(σ_0, h, P) and the
-// downward path visits δ_h = side_switch(δ_0, h, P), using the SAME port
+// P_0 … P_{H-1}: the upward path visits σ_h and the downward path visits δ_h
+// (topology/circuit_labels.hpp derives both from P), using the SAME port
 // number at each level. Path stores exactly that compact form; expand()
 // materializes the switch/channel sequence for verification and display.
 #pragma once

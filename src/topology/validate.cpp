@@ -2,6 +2,7 @@
 
 #include <map>
 
+#include "topology/circuit_labels.hpp"
 #include "util/rng.hpp"
 
 namespace ftsched {
@@ -39,19 +40,20 @@ Status check_meeting_point(const FatTree& tree, std::uint64_t leaf_a,
   }
   // Random port string; both sides must coincide at level H (Theorem 2) and,
   // when H > 0, must still differ at level H-1 (H is minimal).
-  DigitVec ports;
-  for (std::uint32_t i = 0; i < H; ++i) {
-    ports.push_back(static_cast<std::uint32_t>(
-        rng.below(tree.parent_arity())));
+  CircuitLabels labels = CircuitLabels::start(tree, leaf_a, leaf_b);
+  bool apart_below = true;
+  for (std::uint32_t h = 0; h < H; ++h) {
+    apart_below = labels.sigma() != labels.delta();
+    labels.ascend(tree,
+                  static_cast<std::uint32_t>(rng.below(tree.parent_arity())));
   }
-  if (tree.side_switch(leaf_a, H, ports) != tree.side_switch(leaf_b, H, ports)) {
+  if (labels.sigma() != labels.delta()) {
     return Status::error("leaves " + std::to_string(leaf_a) + "," +
                          std::to_string(leaf_b) +
                          " do not meet at their ancestor level " +
                          std::to_string(H));
   }
-  if (H > 0 && tree.side_switch(leaf_a, H - 1, ports) ==
-                   tree.side_switch(leaf_b, H - 1, ports)) {
+  if (!apart_below) {
     return Status::error("ancestor level " + std::to_string(H) +
                          " is not minimal for leaves " +
                          std::to_string(leaf_a) + "," + std::to_string(leaf_b));

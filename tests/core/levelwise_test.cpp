@@ -86,8 +86,7 @@ TEST(Levelwise, ReleaseRejectedReturnsPartialAllocations) {
   for (std::uint32_t port = 0; port < 4; ++port) {
     // δ_1 depends on P_0; block every possible δ_1 row entirely.
     for (std::uint32_t p0 = 0; p0 < 4; ++p0) {
-      DigitVec ports{p0};
-      const std::uint64_t delta1 = tree.side_switch(dst_leaf, 1, ports);
+      const std::uint64_t delta1 = tree.ascend(0, dst_leaf, p0);
       if (state.dlink(1, delta1, port)) state.set_dlink(1, delta1, port, false);
     }
   }
@@ -108,8 +107,7 @@ TEST(Levelwise, NoReleaseModeKeepsPartialAllocations) {
   const std::uint64_t dst_leaf = tree.leaf_switch(63).index;
   for (std::uint32_t port = 0; port < 4; ++port) {
     for (std::uint32_t p0 = 0; p0 < 4; ++p0) {
-      DigitVec ports{p0};
-      const std::uint64_t delta1 = tree.side_switch(dst_leaf, 1, ports);
+      const std::uint64_t delta1 = tree.ascend(0, dst_leaf, p0);
       if (state.dlink(1, delta1, port)) state.set_dlink(1, delta1, port, false);
     }
   }

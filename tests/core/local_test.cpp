@@ -159,7 +159,7 @@ TEST(Local, FailLevelIsTopDownFirstConflict) {
   LinkState state(tree);
   const std::uint64_t dst_leaf = tree.leaf_switch(63).index;
   // Greedy from leaf 0 will pick P = (0, 0). Occupy both forced downs.
-  const std::uint64_t delta1 = tree.side_switch(dst_leaf, 1, DigitVec{0, 0});
+  const std::uint64_t delta1 = tree.ascend(0, dst_leaf, 0);
   state.set_dlink(1, delta1, 0, false);
   state.set_dlink(0, dst_leaf, 0, false);
   LocalAdaptiveScheduler scheduler;

@@ -80,8 +80,7 @@ TEST(Turnback, UnlimitedProbesFindIsolatedFreePath) {
   for (std::uint32_t p0 = 0; p0 < 4; ++p0) {
     for (std::uint32_t p1 = 0; p1 < 4; ++p1) {
       if (p0 == 3 && p1 == 3) continue;
-      const DigitVec ports{p0, p1};
-      const std::uint64_t delta1 = tree.side_switch(dst_leaf, 1, ports);
+      const std::uint64_t delta1 = tree.ascend(0, dst_leaf, p0);
       if (state.dlink(1, delta1, p1)) state.set_dlink(1, delta1, p1, false);
     }
   }

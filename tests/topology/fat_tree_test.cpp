@@ -4,6 +4,8 @@
 
 #include <set>
 
+#include "topology/circuit_labels.hpp"
+
 namespace ftsched {
 namespace {
 
@@ -163,8 +165,13 @@ TEST(FatTree, DownNeighborInvertsAscend) {
 
 TEST(FatTree, SideSwitchWithNoPortsIsLeafLabel) {
   const FatTree tree = FatTree::symmetric(3, 4);
-  for (std::uint64_t leaf = 0; leaf < tree.switches_at(0); ++leaf) {
-    EXPECT_EQ(tree.side_switch(leaf, 0, DigitVec{}), leaf);
+  const std::uint64_t leaves = tree.switches_at(0);
+  for (std::uint64_t leaf = 0; leaf < leaves; ++leaf) {
+    const CircuitLabels labels =
+        CircuitLabels::start(tree, leaf, leaves - 1 - leaf);
+    EXPECT_EQ(labels.sigma(), leaf);
+    EXPECT_EQ(labels.delta(), leaves - 1 - leaf);
+    EXPECT_EQ(labels.met(), 2 * leaf == leaves - 1);
   }
 }
 

@@ -1,14 +1,16 @@
-// FatTree's label helpers and expand_channels against a reference built from
-// the digit algebra they replace: MixedRadix::decompose/compose for leaf
-// labels and meet levels, step-by-step FatTree::ascend for every switch on a
-// path. Exhaustive over every node, every leaf pair and every port vector,
-// on power-of-two shapes (where ChildDivider divides by shifting) and on
-// shapes whose child arity is not a power of two (where it divides).
+// FatTree's label helpers, the CircuitLabels cursor and expand_channels
+// against a reference built from the digit algebra they replace:
+// MixedRadix::decompose/compose for leaf labels and meet levels,
+// step-by-step FatTree::ascend for every switch on a path. Exhaustive over
+// every node, every leaf pair and every port vector, on power-of-two shapes
+// (where ChildDivider divides by shifting), on shapes whose child arity is
+// not a power of two (where it divides) and on m ≠ w shapes.
 #include <gtest/gtest.h>
 
 #include <string>
 #include <vector>
 
+#include "topology/circuit_labels.hpp"
 #include "topology/fat_tree.hpp"
 #include "topology/path.hpp"
 
@@ -80,16 +82,32 @@ TEST_P(LabelHelpersTest, LeafSwitchMatchesDigitReference) {
   }
 }
 
+// The cursor's σ_h and δ_h on both sides of every leaf pair, at every level
+// up to the top (where the leaf remainder is empty), against one ascend per
+// hop; met() must hold exactly where the two sides coincide.
 TEST_P(LabelHelpersTest, SideSwitchMatchesAscendOnEveryPortVector) {
   const std::uint64_t leaves = tree_.switches_at(0);
-  for (std::uint32_t level = 0; level < tree_.levels(); ++level) {
-    const std::vector<DigitVec> vectors =
-        all_port_vectors(level, tree_.parent_arity());
-    for (std::uint64_t leaf = 0; leaf < leaves; ++leaf) {
+  const std::uint32_t top = tree_.levels() - 1;
+  const std::vector<DigitVec> vectors =
+      all_port_vectors(top, tree_.parent_arity());
+  for (std::uint64_t a = 0; a < leaves; ++a) {
+    for (std::uint64_t b = 0; b < leaves; ++b) {
       for (const DigitVec& ports : vectors) {
-        ASSERT_EQ(tree_.side_switch(leaf, level, ports),
-                  ref_side_switch(tree_, leaf, level, ports))
-            << "leaf " << leaf << " level " << level;
+        CircuitLabels labels = CircuitLabels::start(tree_, a, b);
+        std::uint64_t sigma = a;
+        std::uint64_t delta = b;
+        for (std::uint32_t level = 0;; ++level) {
+          ASSERT_EQ(labels.sigma(), sigma)
+              << "leaves " << a << "," << b << " level " << level;
+          ASSERT_EQ(labels.delta(), delta)
+              << "leaves " << a << "," << b << " level " << level;
+          ASSERT_EQ(labels.met(), sigma == delta)
+              << "leaves " << a << "," << b << " level " << level;
+          if (level == top) break;
+          labels.ascend(tree_, ports[level]);
+          sigma = tree_.ascend(level, sigma, ports[level]);
+          delta = tree_.ascend(level, delta, ports[level]);
+        }
       }
     }
   }

@@ -4,6 +4,7 @@
 // larger ones.
 #include <gtest/gtest.h>
 
+#include "topology/circuit_labels.hpp"
 #include "topology/fat_tree.hpp"
 #include "util/rng.hpp"
 
@@ -37,6 +38,16 @@ class TheoremTest : public testing::TestWithParam<Shape> {
           static_cast<std::uint32_t>(rng_.below(tree_.parent_arity())));
     }
     return ports;
+  }
+
+  /// The level-`level` switch above `leaf` through `ports`, one ascend per
+  /// hop.
+  std::uint64_t climb(std::uint64_t leaf, std::uint32_t level,
+                      const DigitVec& ports) const {
+    for (std::uint32_t h = 0; h < level; ++h) {
+      leaf = tree_.ascend(h, leaf, ports[h]);
+    }
+    return leaf;
   }
 
   FatTree tree_;
@@ -107,23 +118,32 @@ TEST_P(TheoremTest, Theorem2PortStringForced) {
     // Perturb one digit.
     const std::uint32_t pos = static_cast<std::uint32_t>(rng_.below(H));
     down[pos] = (down[pos] + 1) % tree_.parent_arity();
-    EXPECT_NE(tree_.side_switch(a, H, up), tree_.side_switch(b, H, down))
+    EXPECT_NE(climb(a, H, up), climb(b, H, down))
         << "distinct port strings must not meet";
   }
 }
 
-// side_switch must agree with step-by-step ascend at every level.
+// The CircuitLabels cursor must agree with step-by-step ascend on both
+// sides at every level, the top one included.
 TEST_P(TheoremTest, SideSwitchMatchesIterativeAscend) {
   const std::uint64_t leaves = tree_.switches_at(0);
   for (int probe = 0; probe < 500; ++probe) {
-    const std::uint64_t leaf = rng_.below(leaves);
+    const std::uint64_t a = rng_.below(leaves);
+    const std::uint64_t b = rng_.below(leaves);
     const DigitVec ports = random_ports(tree_.levels() - 1);
-    std::uint64_t sigma = leaf;
+    CircuitLabels labels = CircuitLabels::start(tree_, a, b);
+    std::uint64_t sigma = a;
+    std::uint64_t delta = b;
     for (std::uint32_t h = 0; h + 1 < tree_.levels(); ++h) {
-      EXPECT_EQ(tree_.side_switch(leaf, h, ports), sigma);
+      EXPECT_EQ(labels.sigma(), sigma);
+      EXPECT_EQ(labels.delta(), delta);
+      labels.ascend(tree_, ports[h]);
       sigma = tree_.ascend(h, sigma, ports[h]);
+      delta = tree_.ascend(h, delta, ports[h]);
     }
-    EXPECT_EQ(tree_.side_switch(leaf, tree_.levels() - 1, ports), sigma);
+    EXPECT_EQ(labels.sigma(), sigma);
+    EXPECT_EQ(labels.delta(), delta);
+    EXPECT_TRUE(labels.met()) << "every pair meets at the top level";
   }
 }
 
@@ -139,8 +159,7 @@ TEST_P(TheoremTest, AncestorLevelIsMinimal) {
       continue;
     }
     const DigitVec ports = random_ports(H);
-    EXPECT_NE(tree_.side_switch(a, H - 1, ports),
-              tree_.side_switch(b, H - 1, ports));
+    EXPECT_NE(climb(a, H - 1, ports), climb(b, H - 1, ports));
   }
 }
 
