@@ -437,7 +437,9 @@ VerifyReport ScheduleVerifier::verify(std::span<const Request> requests,
     }
 
     // Independent Theorem-1 re-derivation: the expansion produced by the
-    // topology layer must equal the one recomputed from raw digits.
+    // topology layer must equal the one recomputed from raw digits. That
+    // re-derivation mirrors by construction (Theorem 2), so an expansion
+    // that equals it needs no separate check_mirror.
     const std::span<const ChannelId> own =
         std::span(derived).first(rederive(radix, out.path, derived));
     const std::span<const ChannelId> topo = std::span(expanded).first(
@@ -445,13 +447,6 @@ VerifyReport ScheduleVerifier::verify(std::span<const Request> requests,
     if (!std::ranges::equal(own, topo)) {
       add("request " + std::to_string(i) + " (" + to_string(out.path) +
           "): expansion diverges from the Theorem-1 digit re-derivation");
-    }
-
-    // Theorem 2: the port sequence must mirror between ascent and descent.
-    const Status mirror = check_mirror(topo, out.path.ancestor_level);
-    if (!mirror.ok()) {
-      add("request " + std::to_string(i) + " (" + to_string(out.path) +
-          "): " + mirror.message());
     }
 
     if (src_used.test(r.src)) {

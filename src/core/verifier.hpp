@@ -16,7 +16,9 @@
 //       a request rejected at level h can hold reservations only below h
 //       (and only in the deliberate no-release ablation);
 //   (c) up-path and down-path port sequences mirror per Theorem 2 (the same
-//       port digit P_h is used on both sides of level h);
+//       port digit P_h is used on both sides of level h): the topology
+//       layer's expansion must equal the verifier's digit re-derivation,
+//       which mirrors by construction;
 //   (d) the LinkState occupancy after a batch equals exactly the occupancy
 //       before it plus the union of the granted circuits.
 //
@@ -102,8 +104,9 @@ class ScheduleVerifier {
   std::vector<ChannelId> rederive_channels(const Path& path) const;
 
   /// Theorem-2 mirror check over an explicit expansion: the up-channel and
-  /// down-channel at each level must carry the same port digit. Exposed for
-  /// tests, which corrupt expansions directly.
+  /// down-channel at each level must carry the same port digit. verify()
+  /// gets (c) from the re-derivation instead; this is for tests, which
+  /// corrupt expansions directly.
   static Status check_mirror(const PathExpansion& expansion,
                              std::uint32_t ancestor_level);
   static Status check_mirror(std::span<const ChannelId> channels,

@@ -19,7 +19,6 @@
 #include <cstdint>
 #include <functional>
 #include <thread>
-#include <utility>
 #include <vector>
 
 #include "exec/sync.hpp"
@@ -87,23 +86,12 @@ class ThreadPool {
   bool stop_ FT_GUARDED_BY(mutex_) = false;
 };
 
-/// Statically-chunked parallel for: fn(i) for every i in [0, count), chunk k
-/// on thread k. fn must only touch state disjoint per index (or per chunk).
-template <typename Fn>
-void parallel_for(ThreadPool& pool, std::size_t count, Fn&& fn) {
-  if (count == 0) return;
-  const std::size_t chunks = pool.thread_count();
-  pool.run([&](std::size_t k) {
-    const ChunkRange r = chunk_range(count, chunks, k);
-    for (std::size_t i = r.begin; i < r.end; ++i) fn(i);
-  });
-}
-
-/// Statically-chunked lane loop: fn(k, range) once per lane k with chunk k's
-/// half-open range, chunk k on thread k. The lane index is what a caller
-/// needs to select per-thread state owned exclusively by that chunk — e.g.
-/// the flight recorder hands ring(k) to lane k, so event recording stays
-/// race-free without locks and lane outputs can be folded in lane order.
+/// The repetition engine: fn(k, range) once per lane k with chunk k's
+/// half-open range, chunk k on thread k. The lane index selects the state
+/// that chunk owns exclusively: run_experiment and run_degradation give
+/// each lane a private shard (scheduler, probe, telemetry or flight ring)
+/// and fold the shards in lane order after the join, which is repetition
+/// order. On a pool of one the single lane runs inline on the caller.
 template <typename Fn>
 void parallel_chunks(ThreadPool& pool, std::size_t count, Fn&& fn) {
   if (count == 0) return;
@@ -112,32 +100,6 @@ void parallel_chunks(ThreadPool& pool, std::size_t count, Fn&& fn) {
     const ChunkRange r = chunk_range(count, chunks, k);
     if (!r.empty()) fn(k, r);
   });
-}
-
-/// map(i) into slot i of a pre-sized vector — each thread writes disjoint
-/// slots, so the result is positionally deterministic. T must be default-
-/// constructible and movable.
-template <typename T, typename MapFn>
-std::vector<T> parallel_map(ThreadPool& pool, std::size_t count, MapFn&& map) {
-  std::vector<T> out(count);
-  parallel_for(pool, count, [&](std::size_t i) { out[i] = map(i); });
-  return out;
-}
-
-/// Deterministic reduce: maps in parallel, then folds the mapped values in
-/// INDEX order on the calling thread. The fold order never depends on which
-/// thread finished first, so non-commutative reductions (floating-point
-/// sums, ordered merges) give the same answer at every thread count.
-template <typename T, typename U, typename MapFn, typename ReduceFn>
-T parallel_reduce(ThreadPool& pool, std::size_t count, T init, MapFn&& map,
-                  ReduceFn&& reduce) {
-  std::vector<U> mapped =
-      parallel_map<U>(pool, count, std::forward<MapFn>(map));
-  T acc = std::move(init);
-  for (std::size_t i = 0; i < count; ++i) {
-    acc = reduce(std::move(acc), std::move(mapped[i]));
-  }
-  return acc;
 }
 
 }  // namespace ftsched::exec

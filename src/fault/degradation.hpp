@@ -1,21 +1,24 @@
 // Degradation experiments — the fault-sweep counterpart of run_experiment.
 //
 // One point = (tree, scheduler, pattern, fault intensity, retry policy,
-// repetitions). Each repetition builds a fresh Simulator + FabricManager,
-// submits one workload batch at t = 0, drives a per-repetition MTBF/MTTR
-// fault timeline to the horizon, and aggregates service and recovery
-// metrics. Seeds mirror run_experiment's derivation exactly, so at fault
-// intensity zero the first-attempt schedulability summary is bit-identical
-// to the one-shot engine's — the property the fig_degradation baseline
-// check pins. Repetitions fan out over threads with ordered merges: every
-// output field is bit-identical at any thread count.
+// repetitions). Each repetition is one episode (run_degradation_episode): a
+// fresh Simulator + FabricManager, one workload batch submitted at t = 0, a
+// per-repetition MTBF/MTTR fault timeline driven to the horizon. The point
+// aggregates the episodes' service and recovery metrics. Seeds come from
+// run_experiment's repetition_seed, so at fault intensity zero the
+// first-attempt schedulability summary is bit-identical to the one-shot
+// engine's — the property the fig_degradation baseline check pins.
+// Repetitions fan out over lanes with ordered merges: every output field is
+// bit-identical at any thread count.
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <vector>
 
 #include "des/simulator.hpp"
+#include "fault/fabric_manager.hpp"
 #include "fault/retry_policy.hpp"
 #include "obs/sink.hpp"
 #include "stats/summary.hpp"
@@ -36,7 +39,7 @@ struct DegradationConfig {
   /// within the horizon (0 = no faults). Ignored when mtbf > 0.
   double fault_rate = 0.0;
   double mtbf = 0.0;     ///< explicit mean time between failures, ticks
-  double mttr = 0.0;     ///< mean time to repair; 0 → horizon / 8
+  double mttr = 0.0;     ///< mean time to repair; 0 → max(1, horizon / 8)
   SimTime horizon = 1000;
 
   RetryPolicy retry = RetryPolicy::backoff(1, 2.0, 64, 8);
@@ -46,12 +49,18 @@ struct DegradationConfig {
   bool deep_verify = false; ///< invariants after every event (chaos/tests)
 
   /// Instrumentation (null = detached), handed to each repetition's
-  /// FabricManager. Its ledger must own at least min(threads, repetitions)
-  /// rings: chunk k records into ring k (the sink's lane) exclusively, so
-  /// tracking is race-free and the stitched dump is thread-count-invariant.
-  /// Repetition `rep` namespaces its request ids at
-  /// `id_base + ((rep + 1) << 24)`. A trace forces one thread.
+  /// FabricManager. Its ledger must own a ring per lane
+  /// (obs::lane_count): lane k records into ring k (the sink's lane)
+  /// exclusively, so tracking is race-free and the stitched dump is
+  /// thread-count-invariant. A trace runs one lane.
   obs::Sink* sink = nullptr;
+
+  /// The fault timeline's mean time between failures: `mtbf` when set,
+  /// else the one at which `fault_rate` of the cables fail within the
+  /// horizon, else 0 (fault-free).
+  double resolved_mtbf() const;
+  /// The mean time to repair: `mttr` when set, else max(1, horizon / 8).
+  double resolved_mttr() const;
 };
 
 struct DegradationPoint {
@@ -96,5 +105,17 @@ struct DegradationPoint {
 /// Runs one degradation point. Aborts (contract) on unknown scheduler name.
 DegradationPoint run_degradation(const FatTree& tree,
                                  const DegradationConfig& config);
+
+/// Repetition `rep` of a degradation point, the episode run_degradation's
+/// lanes run: a fresh Simulator + FabricManager, repetition rep's workload
+/// batch submitted at t = 0 and its fault timeline driven to the horizon,
+/// then the invariant bundle when config.verify. `done` sees the fabric at
+/// the horizon. `sink` (null = detached) is attached with the repetition's
+/// request-id namespace, id_base + ((rep + 1) << 24); config.sink is not
+/// consulted.
+void run_degradation_episode(
+    const FatTree& tree, const DegradationConfig& config, std::size_t rep,
+    const obs::Sink* sink,
+    const std::function<void(const FabricManager&)>& done);
 
 }  // namespace ftsched

@@ -18,6 +18,7 @@
 // steer: no event feeds anything back into the emitter.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <string_view>
@@ -92,5 +93,14 @@ struct Sink {
     if (trace) trace->instant(name, cat, ts, pid);
   }
 };
+
+/// The lanes a fan-out of `reps` repetitions over `threads` threads runs:
+/// one per thread, idle threads shed, and one lane when `sink` carries a
+/// trace (TraceWriter is single-threaded and span order is part of the
+/// trace contract).
+inline std::size_t lane_count(const Sink* sink, std::size_t threads,
+                              std::size_t reps) {
+  return sink && sink->trace ? 1 : std::min(threads, reps);
+}
 
 }  // namespace ftsched::obs

@@ -25,21 +25,20 @@ struct ExperimentConfig {
   TrafficPattern pattern = TrafficPattern::kRandomPermutation;
   WorkloadOptions workload;
   std::size_t repetitions = 100;  ///< the paper's 100 permutations per point
-  std::uint64_t seed = 2006;      ///< base seed; repetition r uses seed ⊕ mix(r)
+  std::uint64_t seed = 2006;      ///< base seed (see repetition_seed)
   bool verify = true;             ///< verify every repetition's schedule
   /// Set for schedulers deliberately run in no-release mode ("local-hold"):
   /// relaxes the final-state check to subset semantics.
   bool allow_residual = false;
 
-  /// Worker threads for the repetition fan-out. Repetitions already draw
-  /// from independent per-repetition seed streams, so they are partitioned
-  /// into `threads` contiguous chunks, each run on a private scheduler
-  /// clone + LinkState with private probe/telemetry shards, and the shards
-  /// are merged back in repetition order — every ExperimentPoint field is
-  /// bit-identical to the sequential run at any thread count (tested; see
-  /// docs/PERFORMANCE.md for the argument). Clamped to repetitions. A sink
-  /// with a trace forces sequential execution: TraceWriter is
-  /// single-threaded and span order is part of the trace contract.
+  /// Worker threads for the repetition fan-out. Repetitions draw from
+  /// independent per-repetition seed streams (repetition_seed), so they are
+  /// partitioned into `threads` contiguous lanes (exec::parallel_chunks),
+  /// each run on a private scheduler + LinkState with private probe and
+  /// telemetry shards, and the shards are merged back in repetition order:
+  /// every ExperimentPoint field is bit-identical at any thread count
+  /// (tested; see docs/PERFORMANCE.md for the argument). Clamped to
+  /// repetitions; a sink with a trace runs one lane (obs::lane_count).
   std::size_t threads = 1;
 
   /// Optional instrumentation, attached to the scheduler for the whole

@@ -25,6 +25,13 @@ inline std::uint64_t splitmix64(std::uint64_t& state) {
   return z ^ (z >> 31);
 }
 
+/// The splitmix64 state repetition `rep` of an experiment seeded `seed`
+/// draws its streams from (workload first, then the scheduler's). It depends
+/// only on (seed, rep), never on the thread that runs the repetition.
+inline std::uint64_t repetition_seed(std::uint64_t seed, std::size_t rep) {
+  return seed + 0x9e3779b97f4a7c15ULL * (rep + 1);
+}
+
 class Xoshiro256ss {
  public:
   using result_type = std::uint64_t;

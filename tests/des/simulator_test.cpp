@@ -51,118 +51,6 @@ TEST(Simulator, EventsCanCascade) {
   EXPECT_EQ(sim.now(), 49u);
 }
 
-TEST(Simulator, RunLimitStopsEarly) {
-  Simulator sim;
-  int count = 0;
-  for (int i = 0; i < 10; ++i) sim.schedule_at(static_cast<SimTime>(i),
-                                               [&] { ++count; });
-  EXPECT_EQ(sim.run(4), 4u);
-  EXPECT_EQ(count, 4);
-  EXPECT_EQ(sim.run(), 6u);
-  EXPECT_EQ(count, 10);
-}
-
-TEST(Simulator, RunUntilLeavesLaterEventsQueued) {
-  Simulator sim;
-  std::vector<SimTime> fired;
-  for (SimTime t : {5u, 10u, 15u, 20u}) {
-    sim.schedule_at(t, [&fired, &sim] { fired.push_back(sim.now()); });
-  }
-  sim.run_until(12);
-  EXPECT_EQ(fired, (std::vector<SimTime>{5, 10}));
-  sim.run();
-  EXPECT_EQ(fired, (std::vector<SimTime>{5, 10, 15, 20}));
-}
-
-TEST(Simulator, UpdatesApplyBetweenDeltas) {
-  // Two events at the same timestamp both read a "signal" (plain int +
-  // request_update); both must see the old value — evaluate/update split.
-  Simulator sim;
-  int value = 0;
-  int seen_a = -1;
-  int seen_b = -1;
-  sim.schedule_at(1, [&] {
-    seen_a = value;
-    sim.request_update([&] { value = 7; });
-  });
-  sim.schedule_at(1, [&] { seen_b = value; });
-  sim.run();
-  EXPECT_EQ(seen_a, 0);
-  EXPECT_EQ(seen_b, 0);
-  EXPECT_EQ(value, 7);
-}
-
-TEST(Simulator, UpdateTriggeredEventsRunSameTimestamp) {
-  Simulator sim;
-  SimTime when = 999;
-  sim.schedule_at(4, [&] {
-    sim.request_update([&] {
-      sim.schedule_at(sim.now(), [&] { when = sim.now(); });
-    });
-  });
-  sim.run();
-  EXPECT_EQ(when, 4u);
-}
-
-TEST(Simulator, TickHookFiresOncePerDistinctTimestamp) {
-  Simulator sim;
-  std::vector<SimTime> ticks;
-  sim.set_tick_hook([&](SimTime t) { ticks.push_back(t); });
-  sim.schedule_at(3, [] {});
-  sim.schedule_at(3, [] {});  // same timestamp: no second tick
-  sim.schedule_at(7, [] {});
-  sim.run();
-  EXPECT_EQ(ticks, (std::vector<SimTime>{3, 7}));
-}
-
-TEST(Simulator, TickHookFiresBeforeEventsOfTheTick) {
-  Simulator sim;
-  SimTime hook_saw = 999;
-  bool event_ran_first = false;
-  sim.set_tick_hook([&](SimTime t) { hook_saw = t; });
-  sim.schedule_at(5, [&] { event_ran_first = hook_saw != 5; });
-  sim.run();
-  EXPECT_EQ(hook_saw, 5u);
-  EXPECT_FALSE(event_ran_first);  // hook had already seen t=5
-}
-
-TEST(Simulator, TickHookSeesCascadedTimestamps) {
-  Simulator sim;
-  std::vector<SimTime> ticks;
-  sim.set_tick_hook([&](SimTime t) { ticks.push_back(t); });
-  int depth = 0;
-  std::function<void()> recurse = [&] {
-    if (++depth < 4) sim.schedule_in(2, recurse);
-  };
-  sim.schedule_at(0, recurse);
-  sim.run();
-  EXPECT_EQ(ticks, (std::vector<SimTime>{0, 2, 4, 6}));
-}
-
-TEST(Simulator, TickHookWorksAcrossRunUntilSegments) {
-  Simulator sim;
-  std::vector<SimTime> ticks;
-  sim.set_tick_hook([&](SimTime t) { ticks.push_back(t); });
-  for (SimTime t : {2u, 4u, 6u}) sim.schedule_at(t, [] {});
-  sim.run_until(4);
-  EXPECT_EQ(ticks, (std::vector<SimTime>{2, 4}));
-  sim.run();
-  EXPECT_EQ(ticks, (std::vector<SimTime>{2, 4, 6}));
-}
-
-TEST(Simulator, DetachedTickHookStopsFiring) {
-  Simulator sim;
-  int fired = 0;
-  sim.set_tick_hook([&](SimTime) { ++fired; });
-  sim.schedule_at(1, [] {});
-  sim.run();
-  EXPECT_EQ(fired, 1);
-  sim.set_tick_hook({});
-  sim.schedule_at(2, [] {});
-  sim.run();
-  EXPECT_EQ(fired, 1);  // detached: no further ticks
-}
-
 TEST(SimulatorDeath, SchedulingInThePastRejected) {
   Simulator sim;
   sim.schedule_at(10, [&] {

@@ -1,10 +1,11 @@
-// ThreadPool / parallel_for / parallel_reduce contract tests.
+// ThreadPool / parallel_chunks contract tests.
 //
 // Everything here must also be clean under TSan (the sanitize CI matrix runs
 // the full suite): the stress tests intentionally hammer the pool from many
 // chunks at once so a missing fence or a racy shard merge shows up.
 #include "exec/thread_pool.hpp"
 
+#include <algorithm>
 #include <atomic>
 #include <numeric>
 #include <vector>
@@ -74,50 +75,71 @@ TEST(ThreadPool, ReusableAcrossManyRounds) {
   EXPECT_EQ(total.load(), 600);
 }
 
-TEST(ParallelFor, CoversEverySlotOnce) {
+TEST(ThreadPool, ParallelChunksCoverEveryIndexOnce) {
   ThreadPool pool(4);
   std::vector<int> touched(1000, 0);
-  parallel_for(pool, touched.size(), [&](std::size_t i) { ++touched[i]; });
+  std::vector<std::size_t> lane_of(touched.size(), 99);
+  parallel_chunks(pool, touched.size(), [&](std::size_t k, ChunkRange r) {
+    EXPECT_EQ(r.begin, chunk_range(touched.size(), 4, k).begin);
+    for (std::size_t i = r.begin; i < r.end; ++i) {
+      ++touched[i];
+      lane_of[i] = k;
+    }
+  });
   for (int t : touched) EXPECT_EQ(t, 1);
+  EXPECT_TRUE(std::is_sorted(lane_of.begin(), lane_of.end()));
+  EXPECT_EQ(lane_of.back(), 3u);
 }
 
-TEST(ParallelMap, ResultsLandInIndexOrder) {
-  ThreadPool pool(4);
-  const std::vector<std::uint64_t> out =
-      parallel_map<std::uint64_t>(pool, 257, [](std::size_t i) {
-        return static_cast<std::uint64_t>(i) * 3 + 1;
-      });
-  ASSERT_EQ(out.size(), 257u);
-  for (std::size_t i = 0; i < out.size(); ++i) {
-    EXPECT_EQ(out[i], i * 3 + 1);
-  }
-}
-
+// The deterministic reduce the repetition engines perform: each lane folds
+// its own chunk into a private shard, and the caller folds the shards in lane
+// order after the join, which is index order at every pool width.
 TEST(ParallelReduce, FoldIsSequentialInIndexOrder) {
   ThreadPool pool(4);
-  // Non-commutative fold (digit append): the result is only right if the
-  // reduce really walks index order.
-  const std::uint64_t digits = parallel_reduce<std::uint64_t, std::uint64_t>(
-      pool, 7, 0,
-      [](std::size_t i) { return static_cast<std::uint64_t>(i + 1); },
-      [](std::uint64_t acc, const std::uint64_t& v) { return acc * 10 + v; });
+  // Non-commutative fold (digit append): the result is only right if both
+  // the per-lane fold and the shard merge really walk index order.
+  struct Shard {
+    std::uint64_t digits = 0;
+    std::uint64_t scale = 1;
+  };
+  std::vector<Shard> shards(pool.thread_count());
+  parallel_chunks(pool, 7, [&](std::size_t k, ChunkRange r) {
+    for (std::size_t i = r.begin; i < r.end; ++i) {
+      shards[k].digits = shards[k].digits * 10 + (i + 1);
+      shards[k].scale *= 10;
+    }
+  });
+  std::uint64_t digits = 0;
+  for (const Shard& s : shards) digits = digits * s.scale + s.digits;
   EXPECT_EQ(digits, 1234567u);
 }
 
 TEST(ParallelReduce, MatchesSequentialAtEveryWidth) {
-  std::vector<double> expect(512);
-  for (std::size_t i = 0; i < expect.size(); ++i) {
-    expect[i] = static_cast<double>(i) * 0.5;
-  }
-  const double want = std::accumulate(expect.begin(), expect.end(), 0.0);
+  // Per-lane shards appended in lane order give the sequential sequence at
+  // every width: the merge the repetition engines rely on.
+  std::vector<std::uint64_t> sequential(257);
+  std::iota(sequential.begin(), sequential.end(), 1);
   for (std::size_t width : {1_z, 2_z, 3_z, 8_z}) {
     ThreadPool pool(width);
-    const double got = parallel_reduce<double, double>(
-        pool, expect.size(), 0.0,
-        [](std::size_t i) { return static_cast<double>(i) * 0.5; },
-        [](double acc, const double& v) { return acc + v; });
-    EXPECT_DOUBLE_EQ(got, want);
+    std::vector<std::vector<std::uint64_t>> shards(width);
+    parallel_chunks(pool, sequential.size(), [&](std::size_t k, ChunkRange r) {
+      for (std::size_t i = r.begin; i < r.end; ++i) shards[k].push_back(i + 1);
+    });
+    std::vector<std::uint64_t> merged;
+    for (const auto& shard : shards) {
+      merged.insert(merged.end(), shard.begin(), shard.end());
+    }
+    EXPECT_EQ(merged, sequential);
   }
+}
+
+TEST(ThreadPool, ParallelChunksSkipsEmptyLanes) {
+  ThreadPool pool(4);
+  std::atomic<int> lanes{0};
+  parallel_chunks(pool, 2, [&](std::size_t, ChunkRange) { lanes.fetch_add(1); });
+  EXPECT_EQ(lanes.load(), 2);
+  parallel_chunks(pool, 0, [&](std::size_t, ChunkRange) { lanes.fetch_add(1); });
+  EXPECT_EQ(lanes.load(), 2);
 }
 
 // Stress: many rounds of concurrent shard filling followed by an in-order
@@ -136,8 +158,7 @@ TEST(ThreadPoolStress, ShardFillThenMergeIsRaceFree) {
     for (std::size_t k = 0; k < kThreads; ++k) {
       shards.emplace_back(obs::LinkTelemetryOptions{1, 4});
     }
-    pool.run([&](std::size_t k) {
-      const ChunkRange chunk = chunk_range(kReps, kThreads, k);
+    parallel_chunks(pool, kReps, [&](std::size_t k, ChunkRange chunk) {
       for (std::size_t rep = chunk.begin; rep < chunk.end; ++rep) {
         probes[k].on_batch_begin(4);
         probes[k].on_grant(1);

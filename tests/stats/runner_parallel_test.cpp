@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
 #include <vector>
 
@@ -23,6 +24,13 @@ struct FullPoint {
   std::vector<std::uint64_t> probe_reject_by_reason;
   std::vector<std::uint64_t> probe_grant_by_ancestor;
   std::uint64_t probe_picks_total = 0;
+  std::vector<std::vector<std::uint64_t>> probe_popcount_by_level;
+  std::uint64_t probe_rollbacks = 0;
+  std::uint64_t probe_rollback_entries = 0;
+  std::uint64_t probe_leaf_claim_failures = 0;
+  std::uint64_t probe_batches = 0;
+  std::uint64_t probe_requests = 0;
+  std::vector<obs::LinkLevelShape> telemetry_shape;
   std::vector<obs::LinkUtilizationPoint> series;
 };
 
@@ -45,6 +53,13 @@ FullPoint run_at(const FatTree& tree, const std::string& scheduler,
   for (const auto& per_level : probe.pick_by_level()) {
     for (std::uint64_t picks : per_level) full.probe_picks_total += picks;
   }
+  full.probe_popcount_by_level = probe.popcount_by_level();
+  full.probe_rollbacks = probe.rollbacks();
+  full.probe_rollback_entries = probe.rollback_entries();
+  full.probe_leaf_claim_failures = probe.leaf_claim_failures();
+  full.probe_batches = probe.batches();
+  full.probe_requests = probe.requests();
+  full.telemetry_shape = telemetry.shape();
   full.series = telemetry.series();
   return full;
 }
@@ -62,6 +77,17 @@ void expect_identical(const FullPoint& a, const FullPoint& b) {
   EXPECT_EQ(a.probe_reject_by_reason, b.probe_reject_by_reason);
   EXPECT_EQ(a.probe_grant_by_ancestor, b.probe_grant_by_ancestor);
   EXPECT_EQ(a.probe_picks_total, b.probe_picks_total);
+  EXPECT_EQ(a.probe_popcount_by_level, b.probe_popcount_by_level);
+  EXPECT_EQ(a.probe_rollbacks, b.probe_rollbacks);
+  EXPECT_EQ(a.probe_rollback_entries, b.probe_rollback_entries);
+  EXPECT_EQ(a.probe_leaf_claim_failures, b.probe_leaf_claim_failures);
+  EXPECT_EQ(a.probe_batches, b.probe_batches);
+  EXPECT_EQ(a.probe_requests, b.probe_requests);
+  ASSERT_EQ(a.telemetry_shape.size(), b.telemetry_shape.size());
+  for (std::size_t h = 0; h < a.telemetry_shape.size(); ++h) {
+    EXPECT_EQ(a.telemetry_shape[h].rows, b.telemetry_shape[h].rows);
+    EXPECT_EQ(a.telemetry_shape[h].ports, b.telemetry_shape[h].ports);
+  }
   ASSERT_EQ(a.series.size(), b.series.size());
   for (std::size_t i = 0; i < a.series.size(); ++i) {
     EXPECT_EQ(a.series[i].t, b.series[i].t);
@@ -116,7 +142,11 @@ TEST(RunnerParallel, TracerForcesSequentialButKeepsResults) {
   const ExperimentPoint plain = run_experiment(tree, config);
   EXPECT_EQ(traced.total_granted, plain.total_granted);
   EXPECT_EQ(traced.schedulability.mean, plain.schedulability.mean);
-  EXPECT_GT(tracer.size(), 0u);
+  // The one lane carries the caller's trace: one batch span per repetition.
+  const auto batch_spans = std::ranges::count_if(
+      tracer.events(),
+      [](const obs::TraceEvent& e) { return e.cat == "sched.batch"; });
+  EXPECT_EQ(static_cast<std::size_t>(batch_spans), config.repetitions);
 }
 
 }  // namespace

@@ -210,7 +210,7 @@ void rule_raw_thread(const SourceFile& src, std::vector<Finding>& out) {
     add(out, src, tok.line, "no-raw-thread",
         "raw std::" + tok.text +
             " outside src/exec has no determinism contract; use "
-            "exec::ThreadPool / exec::parallel_for instead");
+            "exec::ThreadPool / exec::parallel_chunks instead");
   }
 }
 

@@ -47,7 +47,7 @@
 //                          within the horizon (default 0; ignored when
 //                          --fault-mtbf is given)
 //   --fault-mtbf=T         explicit mean time between failures, ticks
-//   --fault-mttr=T         mean time to repair (default horizon / 8)
+//   --fault-mttr=T         mean time to repair (default max(1, horizon / 8))
 //   --retry-policy=SPEC    none | immediate[:R] | fixed:D[:R] |
 //                          backoff:B[:R[:J]] (default backoff:1:8)
 //   --horizon=N            simulated ticks per repetition (default 1000)
@@ -90,7 +90,6 @@
 #include "fault/chaos_soak.hpp"
 #include "fault/degradation.hpp"
 #include "fault/fabric_manager.hpp"
-#include "fault/fault_timeline.hpp"
 #include "fault/retry_policy.hpp"
 #include "hw/resources.hpp"
 #include "hw/timing_model.hpp"
@@ -451,14 +450,13 @@ int cmd_degrade(int argc, char** argv, const ObsFlags& flags) {
   config.horizon = flags.horizon;
   config.retry = retry_or.value();
 
-  // Lifecycle flight recorder: one ring per degradation worker thread, armed
-  // as the contract-failure black box for the whole run.
+  // Lifecycle flight recorder: one ring per degradation lane, armed as the
+  // contract-failure black box for the whole run.
   std::optional<obs::FlightRecorder> recorder;
   obs::Sink sink;
   if (!flags.flight_dump.empty()) {
-    const std::size_t rings = std::max<std::size_t>(
-        1, std::min(config.threads, config.repetitions));
-    recorder.emplace(rings);
+    recorder.emplace(
+        obs::lane_count(&sink, config.threads, config.repetitions));
     sink.flight = &*recorder;
     config.sink = &sink;
     obs::arm_flight_dump_on_contract_failure(*recorder, flags.flight_dump);
@@ -470,10 +468,7 @@ int cmd_degrade(int argc, char** argv, const ObsFlags& flags) {
             << config.horizon << ", retry " << config.retry.spec() << ":\n";
   if (config.mtbf > 0.0) {
     std::cout << "  faults: mtbf " << config.mtbf << ", mttr "
-              << (config.mttr > 0.0
-                      ? config.mttr
-                      : static_cast<double>(config.horizon) / 8.0)
-              << " ticks\n";
+              << config.resolved_mttr() << " ticks\n";
   } else {
     std::cout << "  faults: rate " << config.fault_rate << "\n";
   }
@@ -516,50 +511,19 @@ int cmd_degrade(int argc, char** argv, const ObsFlags& flags) {
               << " dropped)\n";
   }
 
-  // Observability artifacts re-run every repetition with the tracer and
-  // metrics registry attached — identical per-rep seed derivation, so
-  // artifact rep k describes repetition k of the sweep above and no
-  // repetition's spans are silently missing.
+  // Observability artifacts re-run every repetition's episode with the
+  // tracer and metrics registry attached, so artifact rep k describes
+  // repetition k of the sweep above and no repetition's spans are missing.
   if (!flags.metrics_out.empty() || !flags.trace_out.empty()) {
-    double mtbf = config.mtbf;
-    if (mtbf <= 0.0 && config.fault_rate > 0.0) {
-      mtbf = FaultTimeline::mtbf_for_fault_rate(config.fault_rate,
-                                                config.horizon);
-    }
-    const double mttr =
-        config.mttr > 0.0
-            ? config.mttr
-            : std::max(1.0, static_cast<double>(config.horizon) / 8.0);
-
     for (std::size_t rep = 0; rep < config.repetitions; ++rep) {
       obs::TraceWriter tracer;
-      obs::Sink trace_sink{.trace = &tracer};
-      FabricOptions options;
-      options.scheduler = config.scheduler;
-      options.seed = config.seed;
-      options.retry = config.retry;
-      options.horizon = config.horizon;
-      options.sink = flags.trace_out.empty() ? nullptr : &trace_sink;
-
-      std::uint64_t mix = config.seed + 0x9e3779b97f4a7c15ULL * (rep + 1);
-      Xoshiro256ss workload_rng(splitmix64(mix));
-      const std::vector<Request> batch = generate_pattern(
-          tree, config.pattern, workload_rng, config.workload);
-
-      Simulator sim;
-      FabricManager fabric(tree, sim, options);
-      fabric.reseed(splitmix64(mix));
-      FaultTimeline timeline;
-      if (mtbf > 0.0) {
-        std::uint64_t timeline_mix = mix ^ 0xfa017e11eULL;
-        timeline = FaultTimeline::from_mtbf(tree, mtbf, mttr, config.horizon,
-                                            splitmix64(timeline_mix));
-      }
-      fabric.install(timeline);
-      fabric.submit(batch, 0);
-      sim.run();
-      fabric.verify_invariants();
-
+      const obs::Sink trace_sink{.trace = &tracer};
+      obs::MetricsRegistry registry;
+      run_degradation_episode(
+          tree, config, rep, flags.trace_out.empty() ? nullptr : &trace_sink,
+          [&](const FabricManager& fabric) {
+            if (!flags.metrics_out.empty()) fabric.export_metrics(registry);
+          });
       if (!flags.metrics_out.empty()) {
         const std::string path = rep_path(flags.metrics_out, rep);
         std::ofstream out(path);
@@ -567,8 +531,6 @@ int cmd_degrade(int argc, char** argv, const ObsFlags& flags) {
           std::cerr << "cannot open " << path << "\n";
           return 1;
         }
-        obs::MetricsRegistry registry;
-        fabric.export_metrics(registry);
         registry.write_jsonl(out);
       }
       if (!flags.trace_out.empty()) {
