@@ -47,8 +47,7 @@ inline std::uint64_t weight(const View& view, std::uint32_t port) {
   std::uint32_t best_from = kNoPort;
   std::uint64_t best_weight = 0;
   std::uint64_t best_from_weight = 0;
-  for (std::uint32_t p = view.first_set(row); p != kNoPort;
-       p = view.next_set(row, p + 1)) {
+  view.find_set(row, [&](std::uint32_t p) {
     const std::uint64_t w = weight(view, p);
     if (best == kNoPort || w > best_weight) {
       best = p;
@@ -58,7 +57,8 @@ inline std::uint64_t weight(const View& view, std::uint32_t port) {
       best_from = p;
       best_from_weight = w;
     }
-  }
+    return false;
+  });
   if (best_from != kNoPort && best_from_weight == best_weight) {
     return best_from;
   }
@@ -73,28 +73,24 @@ struct Ties {
 
 inline Ties max_weight(const View& view, const Row& row) {
   Ties ties;
-  for (std::uint32_t p = view.first_set(row); p != kNoPort;
-       p = view.next_set(row, p + 1)) {
+  view.find_set(row, [&](std::uint32_t p) {
     const std::uint64_t w = weight(view, p);
     if (ties.count == 0 || w > ties.weight) {
       ties = {w, 1};
     } else if (w == ties.weight) {
       ++ties.count;
     }
-  }
+    return false;
+  });
   return ties;
 }
 
 /// The `index`-th (0-based, ascending) candidate of weight `w`, or kNoPort.
 inline std::uint32_t nth_tie(const View& view, const Row& row, std::uint64_t w,
                              std::uint32_t index) {
-  for (std::uint32_t p = view.first_set(row); p != kNoPort;
-       p = view.next_set(row, p + 1)) {
-    if (weight(view, p) != w) continue;
-    if (index == 0) return p;
-    --index;
-  }
-  return kNoPort;
+  return view.find_set(row, [&](std::uint32_t p) {
+    return weight(view, p) == w && index-- == 0;
+  });
 }
 
 /// The round-robin hint rule: after a successful pick the row's hint

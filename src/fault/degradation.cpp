@@ -23,10 +23,17 @@ double DegradationConfig::resolved_mttr() const {
   return std::max(1.0, static_cast<double>(horizon) / 8.0);
 }
 
-void run_degradation_episode(
-    const FatTree& tree, const DegradationConfig& config, std::size_t rep,
-    const obs::Sink* sink,
-    const std::function<void(const FabricManager&)>& done) {
+namespace {
+
+/// Repetition `rep` of a degradation point: a fresh Simulator +
+/// FabricManager, repetition rep's workload batch submitted at t = 0 and its
+/// fault timeline driven to the horizon, then the invariant bundle when
+/// config.verify. `done` sees the fabric at the horizon. `sink` (null =
+/// detached) is attached with the repetition's request-id namespace,
+/// id_base + ((rep + 1) << 24).
+void run_episode(const FatTree& tree, const DegradationConfig& config,
+                 std::size_t rep, const obs::Sink* sink,
+                 const std::function<void(const FabricManager&)>& done) {
   FabricOptions options;
   options.scheduler = config.scheduler;
   options.seed = config.seed;
@@ -67,8 +74,11 @@ void run_degradation_episode(
   done(fabric);
 }
 
-DegradationPoint run_degradation(const FatTree& tree,
-                                 const DegradationConfig& config) {
+}  // namespace
+
+DegradationPoint run_degradation(
+    const FatTree& tree, const DegradationConfig& config,
+    const std::function<void(std::size_t rep, const FabricManager&)>& done) {
   FT_REQUIRE(config.repetitions > 0);
   FT_REQUIRE(config.threads >= 1);
   FT_REQUIRE(config.horizon >= 1);
@@ -91,7 +101,7 @@ DegradationPoint run_degradation(const FatTree& tree,
     obs::Sink lane_sink = config.sink ? *config.sink : obs::Sink{};
     lane_sink.lane = k;
     for (std::size_t rep = chunk.begin; rep < chunk.end; ++rep) {
-      run_degradation_episode(
+      run_episode(
           tree, config, rep, config.sink ? &lane_sink : nullptr,
           [&](const FabricManager& fabric) {
             first_attempt[rep] = fabric.first_attempt_ratio();
@@ -104,6 +114,7 @@ DegradationPoint run_degradation(const FatTree& tree,
             imb_cov[rep] = imbalance.worst_cov;
             imb_hotspot[rep] = imbalance.worst_hotspot;
             stats[rep] = fabric.stats();
+            if (done) done(rep, fabric);
           });
     }
   });

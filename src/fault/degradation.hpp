@@ -1,9 +1,9 @@
 // Degradation experiments — the fault-sweep counterpart of run_experiment.
 //
 // One point = (tree, scheduler, pattern, fault intensity, retry policy,
-// repetitions). Each repetition is one episode (run_degradation_episode): a
-// fresh Simulator + FabricManager, one workload batch submitted at t = 0, a
-// per-repetition MTBF/MTTR fault timeline driven to the horizon. The point
+// repetitions). Each repetition is one episode: a fresh Simulator +
+// FabricManager, one workload batch submitted at t = 0, a per-repetition
+// MTBF/MTTR fault timeline driven to the horizon. The point
 // aggregates the episodes' service and recovery metrics. Seeds come from
 // run_experiment's repetition_seed, so at fault intensity zero the
 // first-attempt schedulability summary is bit-identical to the one-shot
@@ -103,19 +103,13 @@ struct DegradationPoint {
 };
 
 /// Runs one degradation point. Aborts (contract) on unknown scheduler name.
-DegradationPoint run_degradation(const FatTree& tree,
-                                 const DegradationConfig& config);
-
-/// Repetition `rep` of a degradation point, the episode run_degradation's
-/// lanes run: a fresh Simulator + FabricManager, repetition rep's workload
-/// batch submitted at t = 0 and its fault timeline driven to the horizon,
-/// then the invariant bundle when config.verify. `done` sees the fabric at
-/// the horizon. `sink` (null = detached) is attached with the repetition's
-/// request-id namespace, id_base + ((rep + 1) << 24); config.sink is not
-/// consulted.
-void run_degradation_episode(
-    const FatTree& tree, const DegradationConfig& config, std::size_t rep,
-    const obs::Sink* sink,
-    const std::function<void(const FabricManager&)>& done);
+/// `done`, when set, sees each repetition's fabric at the horizon on the
+/// lane that ran it, after the invariant bundle: repetitions of different
+/// lanes concurrently, those of one lane in repetition order (so all of
+/// them in order when a trace forces one lane).
+DegradationPoint run_degradation(
+    const FatTree& tree, const DegradationConfig& config,
+    const std::function<void(std::size_t rep, const FabricManager&)>& done =
+        {});
 
 }  // namespace ftsched

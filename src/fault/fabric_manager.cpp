@@ -150,14 +150,24 @@ void FabricManager::handle_reject(RetryEntry entry) {
   sink_.ledger(obs::FlightEvent::retry_enqueued(
       id, eligible, static_cast<std::uint16_t>(attempt), victim));
   ++stats_.retries;
-  sim_.schedule_at(eligible, [this] { drain_due(); });
+  // One wake-up per future tick: with a delay of at least one tick, every
+  // entry due at `eligible` is queued before that tick begins, so the first
+  // wake-up scheduled for it drains them all and a later one would find
+  // nothing. A delay-0 entry can be queued after its tick's first drain
+  // fired, so it always brings its own wake-up.
+  if (eligible == now || wake_ticks_.insert(eligible).second) {
+    ++stats_.wakeups;
+    sim_.schedule_at(eligible, [this] { drain_due(); });
+  }
 }
 
 void FabricManager::drain_due() {
-  // Every due entry drains in admission order, including entries whose own
-  // wake-up event has not fired yet — same-timestamp retries form one batch
-  // and later duplicate wake-ups find an empty queue.
-  run_batch(queue_.take_due(sim_.now()));
+  // Every due entry drains in admission order as one batch; a delay-0
+  // wake-up that finds its entry already taken by an earlier drain of the
+  // same tick drains nothing.
+  const SimTime now = sim_.now();
+  wake_ticks_.erase(now);
+  run_batch(queue_.take_due(now));
 }
 
 void FabricManager::on_fail(const CableId& cable) {
@@ -305,6 +315,7 @@ void FabricManager::export_metrics(obs::MetricsRegistry& registry) const {
   registry.counter("fault.victims").add(stats_.victims);
   registry.counter("fault.recovered").add(stats_.recovered);
   registry.counter("fault.retries").add(stats_.retries);
+  registry.counter("fault.wakeups").add(stats_.wakeups);
   registry.counter("fault.shed").add(stats_.shed);
   registry.counter("fault.closed").add(stats_.closed);
   registry.counter("fault.permanent_rejects").add(stats_.permanent_rejects);

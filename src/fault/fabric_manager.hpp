@@ -12,7 +12,8 @@
 //     victim re-enqueued through the RetryPolicy with a fresh retry budget;
 //   * cable repair   — channels nobody holds become available again.
 // Rejected requests (and victims) wait in the RetryQueue; same-timestamp
-// retries drain as one batch in admission order. Everything is
+// retries drain as one batch in admission order, woken by one DES event per
+// future retry tick (a delay-0 retry brings its own). Everything is
 // deterministic per (workload, seed, timeline): no wall clock, no global
 // RNG, no iteration over unordered containers.
 #pragma once
@@ -66,6 +67,7 @@ struct FabricStats {
   std::uint64_t victims = 0;    ///< circuits revoked by cable failures
   std::uint64_t recovered = 0;  ///< victims re-granted later
   std::uint64_t retries = 0;    ///< re-attempts actually scheduled
+  std::uint64_t wakeups = 0;    ///< retry-drain events put on the DES
   std::uint64_t shed = 0;       ///< dropped by the admission gate
   std::uint64_t closed = 0;     ///< circuits released through close()
   std::uint64_t permanent_rejects = 0;  ///< retry budget exhausted
@@ -173,6 +175,7 @@ class FabricManager {
   Xoshiro256ss jitter_rng_;
   FabricStats stats_;
   std::set<CableId> failed_cables_;  // ordered: deterministic re-derivation
+  std::set<SimTime> wake_ticks_;  // future ticks holding a retry wake-up
   // id-ordered so invariant sweeps walk open circuits in grant order.
   std::map<ConnectionId, std::uint64_t> conn_seq_;
   std::vector<bool> granted_ever_;  // indexed by seq

@@ -7,10 +7,12 @@
 // overload valve: when the queue is full, new entries are shed (counted,
 // never silently dropped) instead of growing the backlog without bound.
 //
-// Every retry schedules its own DES wake-up, so most take_due() calls find
-// nothing due. A watermark (the earliest eligible_at still pending) lets
-// those calls return without touching the entries; only a real drain walks
-// the queue, and it recomputes the watermark in the same compaction pass.
+// The fabric manager schedules one DES wake-up per future retry tick, but
+// each delay-0 retry brings its own, and those after the tick's first drain
+// find nothing due. A watermark (the earliest eligible_at still pending)
+// lets such calls return without touching the entries; only a real drain
+// walks the queue, and it recomputes the watermark in the same compaction
+// pass.
 #pragma once
 
 #include <cstdint>

@@ -131,20 +131,28 @@ class LinkState {
       return count;
     }
 
-    /// The `index`-th (0-based) port of `row`, or kNoPort if it has fewer.
-    std::uint32_t nth_set(Row row, std::uint32_t index) const {
+    /// The ports of `row` in ascending order, handed to `stop` until it
+    /// returns true: returns that port, or kNoPort when it never does. One
+    /// AND per row word, then each set bit is peeled off the word, so a
+    /// scan over every candidate costs a word's AND once, not per port.
+    template <typename Stop>
+    std::uint32_t find_set(Row row, Stop&& stop) const {
       const std::uint64_t* a = u_ + row.src_sw * words_;
       const std::uint64_t* b = row.mate + row.mate_sw * words_;
       for (std::uint64_t wd = 0; wd < words_; ++wd) {
-        std::uint64_t word = a[wd] & b[wd];
-        while (word != 0) {
-          const std::size_t bit = bits::find_first_word(word);
-          if (index == 0) return static_cast<std::uint32_t>(wd * 64 + bit);
-          --index;
-          word &= word - 1;
+        for (std::uint64_t word = a[wd] & b[wd]; word != 0;
+             word &= word - 1) {
+          const auto port = static_cast<std::uint32_t>(
+              wd * 64 + bits::find_first_word(word));
+          if (stop(port)) return port;
         }
       }
       return kNoPort;
+    }
+
+    /// The `index`-th (0-based) port of `row`, or kNoPort if it has fewer.
+    std::uint32_t nth_set(Row row, std::uint32_t index) const {
+      return find_set(row, [&index](std::uint32_t) { return index-- == 0; });
     }
 
     /// This level's column counters (LinkState::column_free_ulinks/_dlinks).

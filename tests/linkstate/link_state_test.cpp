@@ -167,6 +167,60 @@ TEST(LinkState, WideRowsSpanMultipleWords) {
   }
 }
 
+TEST(LinkState, RowWalkMatchesNextSetAcrossWordBoundaries) {
+  // find_set peels a row's set bits word by word. At widths just under, at,
+  // over and twice a 64-bit word, with ports on both sides of each word
+  // boundary sometimes free and sometimes busy, every walk must visit the
+  // ports next_set steps through, in the same order, and nth_set, popcount
+  // and an early-stopping walk must agree with them.
+  for (std::uint32_t w : {63u, 64u, 65u, 128u}) {
+    const FatTree tree = FatTree::symmetric(2, w);
+    LinkState state(tree);
+    Xoshiro256ss rng(w);
+    for (std::uint32_t trial = 0; trial < 16; ++trial) {
+      for (std::uint32_t p = 0; p < w; ++p) {
+        state.set_ulink(0, 0, p, rng.below(3) != 0);
+        state.set_dlink(0, 1, p, rng.below(3) != 0);
+      }
+      for (std::uint32_t p : {0u, 62u, 63u, 64u, 65u, 126u, 127u}) {
+        if (p >= w) continue;
+        const bool free = (trial + p) % 2 == 0;
+        state.set_ulink(0, 0, p, free);
+        state.set_dlink(0, 1, p, free);
+      }
+      const LinkState::LevelView view = state.level_view(0);
+      for (const LinkState::LevelView::Row row :
+           {view.and_row(0, 1), view.ulink_row(0)}) {
+        std::vector<std::uint32_t> stepped;
+        for (std::uint32_t p = view.first_set(row); p != LinkState::kNoPort;
+             p = view.next_set(row, p + 1)) {
+          stepped.push_back(p);
+        }
+        std::vector<std::uint32_t> walked;
+        EXPECT_EQ(view.find_set(row,
+                                [&walked](std::uint32_t p) {
+                                  walked.push_back(p);
+                                  return false;
+                                }),
+                  LinkState::kNoPort);
+        ASSERT_EQ(walked, stepped) << "w=" << w << " trial=" << trial;
+        EXPECT_EQ(view.popcount(row), stepped.size());
+        for (std::uint32_t i = 0; i < stepped.size(); ++i) {
+          EXPECT_EQ(view.nth_set(row, i), stepped[i]);
+        }
+        EXPECT_EQ(view.nth_set(row, static_cast<std::uint32_t>(stepped.size())),
+                  LinkState::kNoPort);
+        for (std::uint32_t from : {0u, 1u, 63u, 64u, 65u, w - 1}) {
+          EXPECT_EQ(view.find_set(row,
+                                  [from](std::uint32_t p) { return p >= from; }),
+                    view.next_set(row, from))
+              << "w=" << w << " from=" << from;
+        }
+      }
+    }
+  }
+}
+
 TEST(LinkState, EqualityDetectsDifferences) {
   const FatTree tree = make_ft34();
   LinkState a(tree);

@@ -450,10 +450,17 @@ int cmd_degrade(int argc, char** argv, const ObsFlags& flags) {
   config.horizon = flags.horizon;
   config.retry = retry_or.value();
 
+  // The trace collects the fault spans of one repetition at a time: a trace
+  // runs one lane, so repetitions reach it in order.
+  obs::Sink sink;
+  obs::TraceWriter tracer;
+  if (!flags.trace_out.empty()) {
+    sink.trace = &tracer;
+    config.sink = &sink;
+  }
   // Lifecycle flight recorder: one ring per degradation lane, armed as the
   // contract-failure black box for the whole run.
   std::optional<obs::FlightRecorder> recorder;
-  obs::Sink sink;
   if (!flags.flight_dump.empty()) {
     recorder.emplace(
         obs::lane_count(&sink, config.threads, config.repetitions));
@@ -462,7 +469,27 @@ int cmd_degrade(int argc, char** argv, const ObsFlags& flags) {
     obs::arm_flight_dump_on_contract_failure(*recorder, flags.flight_dump);
   }
 
-  const DegradationPoint point = run_degradation(tree, config);
+  // Observability artifacts describe the sweep's own repetitions: each one
+  // is rendered on the lane that ran it, so artifact rep k is repetition k.
+  std::vector<std::string> metrics_text(config.repetitions);
+  std::vector<std::string> trace_text(config.repetitions);
+  const auto artifacts = [&](std::size_t rep, const FabricManager& fabric) {
+    if (!flags.metrics_out.empty()) {
+      obs::MetricsRegistry registry;
+      fabric.export_metrics(registry);
+      std::ostringstream out;
+      registry.write_jsonl(out);
+      metrics_text[rep] = out.str();
+    }
+    if (!flags.trace_out.empty()) {
+      std::ostringstream out;
+      tracer.write(out);
+      trace_text[rep] = out.str();
+      tracer.clear();
+    }
+  };
+
+  const DegradationPoint point = run_degradation(tree, config, artifacts);
   std::cout << config.scheduler << " on " << to_string(pattern->second)
             << ", " << config.repetitions << " reps, horizon "
             << config.horizon << ", retry " << config.retry.spec() << ":\n";
@@ -511,36 +538,19 @@ int cmd_degrade(int argc, char** argv, const ObsFlags& flags) {
               << " dropped)\n";
   }
 
-  // Observability artifacts re-run every repetition's episode with the
-  // tracer and metrics registry attached, so artifact rep k describes
-  // repetition k of the sweep above and no repetition's spans are missing.
   if (!flags.metrics_out.empty() || !flags.trace_out.empty()) {
     for (std::size_t rep = 0; rep < config.repetitions; ++rep) {
-      obs::TraceWriter tracer;
-      const obs::Sink trace_sink{.trace = &tracer};
-      obs::MetricsRegistry registry;
-      run_degradation_episode(
-          tree, config, rep, flags.trace_out.empty() ? nullptr : &trace_sink,
-          [&](const FabricManager& fabric) {
-            if (!flags.metrics_out.empty()) fabric.export_metrics(registry);
-          });
-      if (!flags.metrics_out.empty()) {
-        const std::string path = rep_path(flags.metrics_out, rep);
+      for (const auto& [base, text] :
+           {std::pair{&flags.metrics_out, &metrics_text[rep]},
+            std::pair{&flags.trace_out, &trace_text[rep]}}) {
+        if (base->empty()) continue;
+        const std::string path = rep_path(*base, rep);
         std::ofstream out(path);
         if (!out) {
           std::cerr << "cannot open " << path << "\n";
           return 1;
         }
-        registry.write_jsonl(out);
-      }
-      if (!flags.trace_out.empty()) {
-        const std::string path = rep_path(flags.trace_out, rep);
-        std::ofstream out(path);
-        if (!out) {
-          std::cerr << "cannot open " << path << "\n";
-          return 1;
-        }
-        tracer.write(out);
+        out << *text;
       }
     }
     const std::string last = "rep" + std::to_string(config.repetitions - 1);
