@@ -13,9 +13,9 @@
 // the schedulability summary and the post-batch residual-fabric imbalance
 // summaries (imbalance_max_over_mean / imbalance_cov / imbalance_hotspot),
 // the same summary shapes the degradation sweep emits.
-#include <fstream>
 #include <iostream>
 #include <string>
+#include <vector>
 
 #include "bench_args.hpp"
 #include "core/registry.hpp"
@@ -40,36 +40,23 @@ struct AblationPoint {
   Summary imbalance_hotspot;
 };
 
-void write_summary(std::ostream& os, const char* name, const Summary& s) {
-  os << '"' << name << "\":{\"mean\":" << s.mean << ",\"min\":" << s.min
-     << ",\"max\":" << s.max << ",\"stddev\":" << s.stddev << '}';
-}
-
 void write_json(const std::string& path, std::size_t reps,
                 const std::vector<AblationPoint>& points) {
-  std::ofstream os(path);
-  if (!os) {
+  const auto head = [&](std::ostream& os) { os << ",\"reps\":" << reps; };
+  const auto point = [](std::ostream& os, const AblationPoint& p) {
+    os << "{\"levels\":3,\"arity\":8,\"fault_rate\":" << p.rate
+       << ",\"scheduler\":\"" << json_escape(p.scheduler) << '"';
+    write_json_member(os, "schedulability", p.schedulability);
+    write_json_member(os, "imbalance_max_over_mean",
+                      p.imbalance_max_over_mean);
+    write_json_member(os, "imbalance_cov", p.imbalance_cov);
+    write_json_member(os, "imbalance_hotspot", p.imbalance_hotspot);
+    os << '}';
+  };
+  if (!obs::write_artifact(path, "abl_faults", head, points, point)) {
     std::cerr << "cannot open " << path << "\n";
     return;
   }
-  os << "{\"bench\":\"abl_faults\",\"reps\":" << reps << ",\"env\":";
-  obs::write_env_json(os, obs::collect_env());
-  os << ",\"points\":[";
-  for (std::size_t i = 0; i < points.size(); ++i) {
-    const AblationPoint& p = points[i];
-    if (i) os << ',';
-    os << "\n{\"levels\":3,\"arity\":8,\"fault_rate\":" << p.rate
-       << ",\"scheduler\":\"" << json_escape(p.scheduler) << "\",";
-    write_summary(os, "schedulability", p.schedulability);
-    os << ',';
-    write_summary(os, "imbalance_max_over_mean", p.imbalance_max_over_mean);
-    os << ',';
-    write_summary(os, "imbalance_cov", p.imbalance_cov);
-    os << ',';
-    write_summary(os, "imbalance_hotspot", p.imbalance_hotspot);
-    os << '}';
-  }
-  os << "\n]}\n";
   std::cout << "wrote " << path << "\n";
 }
 

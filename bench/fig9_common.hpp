@@ -12,7 +12,6 @@
 // printed for completeness since the paper mentions "greedy or random".
 #pragma once
 
-#include <fstream>
 #include <iostream>
 #include <optional>
 #include <string>
@@ -23,7 +22,6 @@
 #include "obs/env.hpp"
 #include "obs/stopwatch.hpp"
 #include "stats/runner.hpp"
-#include "util/json.hpp"
 #include "util/parse.hpp"
 #include "util/table.hpp"
 
@@ -130,10 +128,9 @@ inline void print_sweep(const std::string& title, std::uint32_t levels,
 
 inline void write_timed_point(std::ostream& os, const char* scheduler,
                               const TimedPoint& timed) {
-  const Summary& s = timed.point.schedulability;
-  os << '"' << scheduler << "\":{\"mean\":" << s.mean << ",\"min\":" << s.min
-     << ",\"max\":" << s.max << ",\"stddev\":" << s.stddev
-     << ",\"wall_ms\":" << timed.wall_ms
+  os << '"' << scheduler << "\":{";
+  write_json_fields(os, timed.point.schedulability);
+  os << ",\"wall_ms\":" << timed.wall_ms
      << ",\"requests_per_sec\":" << timed.requests_per_sec() << '}';
 }
 
@@ -143,26 +140,18 @@ inline void write_timed_point(std::ostream& os, const char* scheduler,
 ///    "stddev","wall_ms","requests_per_sec"},..}},..]}
 /// `threads` records the repetition fan-out the numbers were measured with;
 /// the ratio fields are thread-count-invariant, the wall-clock fields are
-/// not. `env` fingerprints the machine and build (obs::EnvInfo) so ftreport
+/// not. `env` fingerprints the machine and build (obs/env.hpp) so ftreport
 /// can warn when a regression gate compares artifacts from different boxes.
 /// See docs/OBSERVABILITY.md for the schema contract CI validates.
 inline void write_bench_json(const std::string& path,
                              const std::string& bench, std::size_t reps,
                              const std::vector<Fig9Row>& rows,
                              std::size_t threads = 1) {
-  std::ofstream os(path);
-  if (!os) {
-    std::cerr << "cannot open " << path << "\n";
-    return;
-  }
-  os << "{\"bench\":\"" << json_escape(bench) << "\",\"reps\":" << reps
-     << ",\"threads\":" << threads << ",\"env\":";
-  obs::write_env_json(os, obs::collect_env());
-  os << ",\"points\":[";
-  for (std::size_t i = 0; i < rows.size(); ++i) {
-    const Fig9Row& row = rows[i];
-    if (i) os << ',';
-    os << "\n{\"levels\":" << row.levels << ",\"arity\":" << row.arity
+  const auto head = [&](std::ostream& os) {
+    os << ",\"reps\":" << reps << ",\"threads\":" << threads;
+  };
+  const auto point = [](std::ostream& os, const Fig9Row& row) {
+    os << "{\"levels\":" << row.levels << ",\"arity\":" << row.arity
        << ",\"nodes\":" << row.nodes << ",\"schedulers\":{";
     write_timed_point(os, "levelwise", row.global);
     os << ',';
@@ -170,8 +159,11 @@ inline void write_bench_json(const std::string& path,
     os << ',';
     write_timed_point(os, "local", row.local_greedy);
     os << "}}";
+  };
+  if (!obs::write_artifact(path, bench, head, rows, point)) {
+    std::cerr << "cannot open " << path << "\n";
+    return;
   }
-  os << "\n]}\n";
   std::cout << "wrote " << path << "\n";
 }
 

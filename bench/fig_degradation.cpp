@@ -138,11 +138,6 @@ struct DegradationRow {
   double wall_ms = 0.0;
 };
 
-void write_summary(std::ostream& os, const char* name, const Summary& s) {
-  os << '"' << name << "\":{\"mean\":" << s.mean << ",\"min\":" << s.min
-     << ",\"max\":" << s.max << ",\"stddev\":" << s.stddev << '}';
-}
-
 void write_latency(std::ostream& os, const char* name,
                    const std::vector<double>& samples) {
   os << '"' << name << "\":{\"count\":" << samples.size();
@@ -168,34 +163,22 @@ void write_latency(std::ostream& os, const char* name,
 /// cross-machine comparisons.
 void write_json(const std::string& path, const Args& args,
                 const std::vector<DegradationRow>& rows) {
-  std::ofstream os(path);
-  if (!os) {
-    std::cerr << "cannot open " << path << "\n";
-    return;
-  }
-  os << "{\"bench\":\"degradation\",\"reps\":" << args.reps
-     << ",\"threads\":" << args.threads << ",\"horizon\":" << args.horizon
-     << ",\"retry\":\"" << json_escape(args.retry) << "\",\"env\":";
-  obs::write_env_json(os, obs::collect_env());
-  os << ",\"points\":[";
-  for (std::size_t i = 0; i < rows.size(); ++i) {
-    const DegradationRow& row = rows[i];
+  const auto head = [&](std::ostream& os) {
+    os << ",\"reps\":" << args.reps << ",\"threads\":" << args.threads
+       << ",\"horizon\":" << args.horizon << ",\"retry\":\""
+       << json_escape(args.retry) << '"';
+  };
+  const auto point = [](std::ostream& os, const DegradationRow& row) {
     const DegradationPoint& p = row.point;
-    if (i) os << ',';
-    os << "\n{\"levels\":" << row.spec.levels << ",\"arity\":" << row.spec.arity
+    os << "{\"levels\":" << row.spec.levels << ",\"arity\":" << row.spec.arity
        << ",\"nodes\":" << row.nodes << ",\"fault_rate\":" << row.fault_rate
-       << ",\"scheduler\":\"" << json_escape(row.scheduler) << "\",";
-    write_summary(os, "schedulability", p.schedulability);
-    os << ',';
-    write_summary(os, "open_ratio", p.open_ratio);
-    os << ',';
-    write_summary(os, "ever_granted", p.ever_granted);
-    os << ',';
-    write_summary(os, "imbalance_max_over_mean", p.imbalance_max_over_mean);
-    os << ',';
-    write_summary(os, "imbalance_cov", p.imbalance_cov);
-    os << ',';
-    write_summary(os, "imbalance_hotspot", p.imbalance_hotspot);
+       << ",\"scheduler\":\"" << json_escape(row.scheduler) << '"';
+    write_json_member(os, "schedulability", p.schedulability);
+    write_json_member(os, "open_ratio", p.open_ratio);
+    write_json_member(os, "ever_granted", p.ever_granted);
+    write_json_member(os, "imbalance_max_over_mean", p.imbalance_max_over_mean);
+    write_json_member(os, "imbalance_cov", p.imbalance_cov);
+    write_json_member(os, "imbalance_hotspot", p.imbalance_hotspot);
     os << ",\"total_requests\":" << p.total_requests
        << ",\"fail_events\":" << p.fail_events
        << ",\"repair_events\":" << p.repair_events
@@ -208,8 +191,11 @@ void write_json(const std::string& path, const Args& args,
     os << ',';
     write_latency(os, "retry_latency", p.retry_latency);
     os << ",\"wall_ms\":" << row.wall_ms << '}';
+  };
+  if (!obs::write_artifact(path, "degradation", head, rows, point)) {
+    std::cerr << "cannot open " << path << "\n";
+    return;
   }
-  os << "\n]}\n";
   std::cout << "wrote " << path << "\n";
 }
 

@@ -6,10 +6,11 @@
 //   ./trace_scheduler run <levels> <arity> <scheduler>
 //       [--metrics-out=FILE] [--trace-out=FILE] < trace.txt
 //
-// The run mode prints the probe's JSON report (per-level rejections, reject
-// reasons, AND-popcount and port-pick histograms) instead of per-request
-// lines; --metrics-out dumps the same data as JSONL metrics and --trace-out
-// writes a Chrome trace-event file loadable in Perfetto / chrome://tracing.
+// The run mode prints the probe's metrics JSONL (per-level rejections,
+// reject reasons, AND-popcount and port-pick histograms) instead of
+// per-request lines; --metrics-out writes the same lines to a file and
+// --trace-out writes a Chrome trace-event file loadable in Perfetto /
+// chrome://tracing.
 //
 // Patterns: random, reversal, rotation, transpose, complement, shift,
 // neighbor, hotspot. Schedulers: any registry name (see --help).
@@ -170,14 +171,14 @@ int main(int argc, char** argv) {
       return 1;
     }
 
-    // The probe's JSON report replaces hand-rolled per-request printing.
-    probe.write_json(std::cout, reject_reason_name);
+    // The probe's metrics JSONL replaces hand-rolled per-request printing.
+    obs::MetricsRegistry registry;
+    probe.export_metrics(registry, reject_reason_name);
+    registry.write_jsonl(std::cout);
     std::cout << "\n# schedulability " << result.granted_count() << "/"
               << result.outcomes.size() << "\n";
 
     if (!metrics_out.empty()) {
-      obs::MetricsRegistry registry;
-      probe.export_metrics(registry, reject_reason_name);
       if (!write_file(metrics_out,
                       [&](std::ostream& os) { registry.write_jsonl(os); })) {
         return 1;

@@ -1,5 +1,6 @@
 #include "obs/env.hpp"
 
+#include <cstdint>
 #include <fstream>
 #include <ostream>
 #include <string>
@@ -13,6 +14,14 @@
 namespace ftsched::obs {
 
 namespace {
+
+struct EnvInfo {
+  std::string cpu_model;   ///< /proc/cpuinfo "model name" (first core)
+  std::uint32_t cores = 0; ///< online hardware threads
+  std::string compiler;    ///< __VERSION__ of the compiler that built obs/
+  std::string build_type;  ///< CMAKE_BUILD_TYPE baked in at configure time
+  std::string governor;    ///< cpu0 cpufreq governor, "unknown" if unreadable
+};
 
 std::string first_line_matching(const char* path, std::string_view key) {
   std::ifstream in(path);
@@ -57,19 +66,35 @@ EnvInfo collect_env_uncached() {
   return env;
 }
 
-}  // namespace
-
-const EnvInfo& collect_env() {
-  static const EnvInfo env = collect_env_uncached();
-  return env;
-}
-
 void write_env_json(std::ostream& os, const EnvInfo& env) {
   os << "{\"cpu\":\"" << json_escape(env.cpu_model)
      << "\",\"cores\":" << env.cores << ",\"compiler\":\""
      << json_escape(env.compiler) << "\",\"build\":\""
      << json_escape(env.build_type) << "\",\"governor\":\""
      << json_escape(env.governor) << "\"}";
+}
+
+/// Cached after the first call: the answer cannot change within one
+/// process.
+const EnvInfo& collect_env() {
+  static const EnvInfo env = collect_env_uncached();
+  return env;
+}
+
+}  // namespace
+
+bool write_artifact(const std::string& path, std::string_view bench,
+                    const std::function<void(std::ostream&)>& head,
+                    const std::function<void(std::ostream&)>& body) {
+  std::ofstream os(path);
+  if (!os) return false;
+  os << "{\"bench\":\"" << json_escape(bench) << '"';
+  head(os);
+  os << ",\"env\":";
+  write_env_json(os, collect_env());
+  if (body) body(os);
+  os << "}\n";
+  return true;
 }
 
 }  // namespace ftsched::obs

@@ -1,9 +1,6 @@
 #include "obs/sched_probe.hpp"
 
-#include <ostream>
 #include <string>
-
-#include "util/json.hpp"
 
 namespace ftsched::obs {
 
@@ -99,57 +96,6 @@ void SchedulerProbe::export_metrics(MetricsRegistry& registry,
           .add(dist[p]);
     }
   }
-}
-
-namespace {
-
-void write_array(std::ostream& os, const std::vector<std::uint64_t>& values) {
-  os << '[';
-  for (std::size_t i = 0; i < values.size(); ++i) {
-    if (i) os << ',';
-    os << values[i];
-  }
-  os << ']';
-}
-
-void write_nested(std::ostream& os,
-                  const std::vector<std::vector<std::uint64_t>>& values) {
-  os << '[';
-  for (std::size_t i = 0; i < values.size(); ++i) {
-    if (i) os << ',';
-    write_array(os, values[i]);
-  }
-  os << ']';
-}
-
-}  // namespace
-
-void SchedulerProbe::write_json(std::ostream& os,
-                                ReasonNameFn reason_name) const {
-  os << "{\"batches\":" << batches_ << ",\"requests\":" << requests_
-     << ",\"grants\":" << grants_ << ",\"rejects\":" << rejects_
-     << ",\"leaf_claim_failures\":" << leaf_claim_failures_
-     << ",\"rollbacks\":" << rollbacks_ << ",\"rollback_entries\":"
-     << rollback_entries_;
-  os << ",\"reject_by_level\":";
-  write_array(os, reject_by_level_);
-  os << ",\"reject_by_reason\":{";
-  bool first = true;
-  for (std::size_t r = 0; r < reject_by_reason_.size(); ++r) {
-    if (reject_by_reason_[r] == 0) continue;
-    if (!first) os << ',';
-    first = false;
-    os << '"' << json_escape(reason_name(static_cast<std::uint8_t>(r)))
-       << "\":" << reject_by_reason_[r];
-  }
-  os << '}';
-  os << ",\"grant_by_ancestor\":";
-  write_array(os, grant_by_ancestor_);
-  os << ",\"and_popcount_by_level\":";
-  write_nested(os, popcount_by_level_);
-  os << ",\"pick_by_level\":";
-  write_nested(os, pick_by_level_);
-  os << "}\n";
 }
 
 }  // namespace ftsched::obs

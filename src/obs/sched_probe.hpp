@@ -20,7 +20,6 @@
 #pragma once
 
 #include <cstdint>
-#include <iosfwd>
 #include <string_view>
 #include <vector>
 
@@ -117,9 +116,6 @@ class SchedulerProbe {
   /// counter per level/reason/popcount/port slot; see docs/OBSERVABILITY.md
   /// for the exact names).
   void export_metrics(MetricsRegistry& registry, ReasonNameFn reason_name) const;
-
-  /// One self-contained JSON object (not JSON-lines).
-  void write_json(std::ostream& os, ReasonNameFn reason_name) const;
 
  private:
   static void bump(std::vector<std::uint64_t>& v, std::size_t index) {

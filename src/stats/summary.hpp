@@ -7,8 +7,10 @@
 #pragma once
 
 #include <cstddef>
+#include <ostream>
 #include <span>
 #include <string>
+#include <string_view>
 
 namespace ftsched {
 
@@ -29,6 +31,22 @@ struct Summary {
   /// "mean [min, max]" with percentages, for ratio-valued samples.
   std::string ratio_string() const;
 };
+
+/// Writes `s` as JSON object fields at the stream's precision,
+/// "mean":..,"min":..,"max":..,"stddev":.. — the summary form every
+/// BENCH_*.json artifact carries.
+inline void write_json_fields(std::ostream& os, const Summary& s) {
+  os << "\"mean\":" << s.mean << ",\"min\":" << s.min << ",\"max\":" << s.max
+     << ",\"stddev\":" << s.stddev;
+}
+
+/// Writes the member ,"<name>":{<write_json_fields>}.
+inline void write_json_member(std::ostream& os, std::string_view name,
+                              const Summary& s) {
+  os << ",\"" << name << "\":{";
+  write_json_fields(os, s);
+  os << '}';
+}
 
 /// The q-quantile (q in [0, 1]) of `samples` by linear interpolation
 /// between order statistics (the common "type 7" definition). Copies and

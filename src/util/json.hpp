@@ -54,9 +54,6 @@ struct Json {
     }
     return nullptr;
   }
-  double num_or(double fallback) const {
-    return type == Type::kNumber ? number : fallback;
-  }
   /// The exact value of a number written as a plain run of digits that
   /// fits 64 bits; nullopt for anything else (a sign, fraction or
   /// exponent, or a value that is not a number).

@@ -10,6 +10,7 @@
 
 #include "core/registry.hpp"
 #include "core/verifier.hpp"
+#include "obs/metrics.hpp"
 #include "obs/sink.hpp"
 #include "workload/patterns.hpp"
 
@@ -385,7 +386,7 @@ PinWorkload ft265_faulted() {
 TEST(RoundRobinPin, EveryPickPathPinned) {
   // Per (scheduler, workload), two digests: one over every outcome's
   // granted, reason, fail_level and ports in batch order, one over the
-  // probe's histograms (pick and popcount events included) from an
+  // probe's metrics JSONL (pick and popcount counters included) from an
   // instrumented rerun, which must also grant exactly the same. Covers
   // every port policy of the level-wise and local schedulers and
   // turnback's candidate walk; any change to a pick, an RNG draw, the rr
@@ -403,53 +404,53 @@ TEST(RoundRobinPin, EveryPickPathPinned) {
   // GENERATED: printed by this test on a mismatch.
   const std::vector<Pin> pins = {
       {"levelwise",
-       {0x9ae120781fa9c4c7ULL, 0xb526ea628e44c311ULL,
-        0x1126181485503954ULL, 0x1bd577b6dd1f7f68ULL,
-        0xeffcbd8c0d6a9c07ULL, 0x18267dd9dc29ce09ULL}},
+       {0x9ae120781fa9c4c7ULL, 0xe9affd9ec731d65eULL,
+        0x1126181485503954ULL, 0xe6713135b268fdecULL,
+        0xeffcbd8c0d6a9c07ULL, 0xb660fa5803231934ULL}},
       {"levelwise-random",
-       {0xd4382c04d4581c65ULL, 0xe485a7065bfb600eULL,
-        0x8b52ebe5bd566d09ULL, 0x72053069a35d5b7aULL,
-        0xec509773d6269745ULL, 0xe0a67d4cc7a5888cULL}},
+       {0xd4382c04d4581c65ULL, 0x4f1913c6e10a7f96ULL,
+        0x8b52ebe5bd566d09ULL, 0x6618b75e12931fb4ULL,
+        0xec509773d6269745ULL, 0xc643df36eaa1b931ULL}},
       {"levelwise-rr",
-       {0x9ae120781fa9c4c7ULL, 0xb526ea628e44c311ULL,
-        0xe1d72fe4f6c5a641ULL, 0xfae3f4155121c289ULL,
-        0x250f4681eba5d38cULL, 0xa91ae792cc5e4686ULL}},
+       {0x9ae120781fa9c4c7ULL, 0xe9affd9ec731d65eULL,
+        0xe1d72fe4f6c5a641ULL, 0x7d9c686419e010efULL,
+        0x250f4681eba5d38cULL, 0xcdf6dcdf0d47e24aULL}},
       {"levelwise-balanced",
-       {0xbc8fa4a66eb43702ULL, 0xfef2f214d80c78bULL,
-        0xa1ca76d0e28b76f3ULL, 0xf9d8ea4ccdba1ce7ULL,
-        0x4acad73830fccd58ULL, 0x1f3838937610a20eULL}},
+       {0xbc8fa4a66eb43702ULL, 0x5e258709ffccff50ULL,
+        0xa1ca76d0e28b76f3ULL, 0x431e0adf8606f40aULL,
+        0x4acad73830fccd58ULL, 0x322ef840fffa91aULL}},
       {"levelwise-balanced-rr",
-       {0xbc8fa4a66eb43702ULL, 0xfef2f214d80c78bULL,
-        0xb57f1cb66a36994ULL, 0xd5c50d87e123be61ULL,
-        0xdb2b22c6c138a61bULL, 0x4ed5b4eefab6c9efULL}},
+       {0xbc8fa4a66eb43702ULL, 0x5e258709ffccff50ULL,
+        0xb57f1cb66a36994ULL, 0x9edec26048f9cebdULL,
+        0xdb2b22c6c138a61bULL, 0xfff9dc7c438cf1daULL}},
       {"levelwise-balanced-random",
-       {0x8f6d03494fe0641fULL, 0x2febe951407a6fbULL,
-        0x2126c5d4a35274caULL, 0x2c902e10f016e76bULL,
-        0x8c04e20ae86eedeaULL, 0x5c89e4ef68a2102ULL}},
+       {0x8f6d03494fe0641fULL, 0xe9c8cb7cba5b6aa8ULL,
+        0x2126c5d4a35274caULL, 0xda12b2026e84350fULL,
+        0x8c04e20ae86eedeaULL, 0x43b5a85eda26ed39ULL}},
       {"levelwise-reqmajor",
-       {0x9ae120781fa9c4c7ULL, 0xb526ea628e44c311ULL,
-        0x1126181485503954ULL, 0x1bd577b6dd1f7f68ULL,
-        0x2f3460f9bee6cf68ULL, 0x1df4b2d427e4a3fbULL}},
+       {0x9ae120781fa9c4c7ULL, 0xe9affd9ec731d65eULL,
+        0x1126181485503954ULL, 0xe6713135b268fdecULL,
+        0x2f3460f9bee6cf68ULL, 0x6ebb443ac83ddef7ULL}},
       {"local",
-       {0x3571c9ec7f2065acULL, 0xc484d219eae9c084ULL,
-        0x6a45023ae4364e3cULL, 0x6d53ef7a1b72f0c5ULL,
-        0x72cbf03de1efce64ULL, 0xb817c0f5a5b5aec3ULL}},
+       {0x3571c9ec7f2065acULL, 0x905335be22a13923ULL,
+        0x6a45023ae4364e3cULL, 0x2bdb852bdf41d6b2ULL,
+        0x72cbf03de1efce64ULL, 0xf3336bab7a9cce8dULL}},
       {"local-random",
-       {0x9f14b004649700b3ULL, 0x6cd89fc05183d6b2ULL,
-        0x165348f364bafa47ULL, 0x1f504667f84a705cULL,
-        0xc046a410f97d0a94ULL, 0x40ff63ef728b4287ULL}},
+       {0x9f14b004649700b3ULL, 0xe34f1ace22cdef23ULL,
+        0x165348f364bafa47ULL, 0x5cf88646a7e9250ULL,
+        0xc046a410f97d0a94ULL, 0x4e806d6576495c10ULL}},
       {"local-rr",
-       {0x871105886c168bbdULL, 0x3029f3af8fa0bf0dULL,
-        0x7ec69f6e9f4bc761ULL, 0xadd48c6ceae781a6ULL,
-        0xb714c41f43f999a7ULL, 0xb50b8c590cfcfbdaULL}},
+       {0x871105886c168bbdULL, 0x6bfdf9d995e8f62ULL,
+        0x7ec69f6e9f4bc761ULL, 0x8c6da8b86587d337ULL,
+        0xb714c41f43f999a7ULL, 0xadd5b653aa07ef6aULL}},
       {"local-hold",
-       {0x871105886c168bbdULL, 0x99aeb1b8bd822245ULL,
-        0x62dc1b91e155a14bULL, 0xf1096a644699f1dULL,
-        0xbb1365e09be3717aULL, 0x20eafa4a5be86f21ULL}},
+       {0x871105886c168bbdULL, 0x26655f2159a7da14ULL,
+        0x62dc1b91e155a14bULL, 0x1dc71c2d352c8b59ULL,
+        0xbb1365e09be3717aULL, 0x6785bde6f8fe058eULL}},
       {"turnback",
-       {0x84c5517f7f2accebULL, 0xdd33373c076db547ULL,
-        0xce08fcf31358335ULL, 0xf4f29df8b2454597ULL,
-        0x3209af0403fa6648ULL, 0xd9167e640b36d31fULL}},
+       {0x84c5517f7f2accebULL, 0x3a83bebea5504952ULL,
+        0xce08fcf31358335ULL, 0x7bf3a0a7a1e3a254ULL,
+        0x3209af0403fa6648ULL, 0xd3d52b74a0aa8f4ULL}},
   };
   for (const Pin& pin : pins) {
     Digests got{};
@@ -471,8 +472,10 @@ TEST(RoundRobinPin, EveryPickPathPinned) {
       EXPECT_EQ(plain.outcomes, seen.outcomes)
           << pin.scheduler << " on " << work.name;
       EXPECT_TRUE(a == b) << pin.scheduler << " on " << work.name;
+      obs::MetricsRegistry registry;
+      probe.export_metrics(registry, reject_reason_name);
       std::ostringstream os;
-      probe.write_json(os, reject_reason_name);
+      registry.write_jsonl(os);
       got[2 * k] = outcome_digest(plain);
       got[2 * k + 1] = fnv1a(os.str());
     }

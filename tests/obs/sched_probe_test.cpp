@@ -58,19 +58,6 @@ TEST(SchedulerProbe, HooksAccumulate) {
   EXPECT_TRUE(probe.reject_by_level().empty());
 }
 
-TEST(SchedulerProbe, WriteJsonIsValid) {
-  obs::SchedulerProbe probe;
-  probe.on_batch_begin(2);
-  probe.on_grant(1);
-  probe.on_reject(0, 1);
-  probe.on_and_popcount(0, 2);
-  probe.on_port_pick(0, 1);
-  std::ostringstream os;
-  probe.write_json(os, reject_reason_name);
-  EXPECT_EQ(parse_json(os.str()).message(), "") << os.str();
-  EXPECT_NE(os.str().find("\"no-common-port\":1"), std::string::npos);
-}
-
 TEST(SchedulerProbe, ExportMetricsNamesAndJsonl) {
   obs::SchedulerProbe probe;
   probe.on_batch_begin(3);

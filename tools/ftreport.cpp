@@ -38,10 +38,8 @@
 // carry "fault_rate") gates each (point, rate) on the schedulability /
 // open_ratio / ever_granted and load-imbalance means and the recovery
 // success ratio. A point present in the baseline but missing from the
-// candidate is a failure; new candidate points are ignored. A point without
-// numeric "levels"/"arity" (and "fault_rate" in a degradation file), or a
-// fig9 point without "schedulers", is a parse error naming the file and the
-// point index.
+// candidate is a failure; new candidate points are ignored. The baseline
+// decides what is gated: a field it does not carry is not compared.
 //
 // Anchor mode: pin the degradation engine's fault-free baseline to the
 // one-shot fig9 bench — the two must agree bit for bit (same seeds, same
@@ -75,11 +73,17 @@
 // to demand equal-or-better schedulability outright. Both sides are
 // deterministic per seed, so the gate is exact, not statistical.
 //
+// Every mode reads its inputs through one strict field accessor (Record):
+// a required field that is absent, or any field of the wrong type, is a
+// parse error naming the file, the record (the point or array element, or
+// the JSONL line) and the field — never a 0. docs/OBSERVABILITY.md lists
+// each artifact's required and optional fields.
+//
 // Exit codes: 0 = ok / no regression, 1 = regression, missing benchmark,
 // anchor mismatch, or quality-gate failure, 2 = usage or parse error.
 #include <algorithm>
-#include <cmath>
 #include <cstdint>
+#include <deque>
 #include <fstream>
 #include <iostream>
 #include <map>
@@ -87,9 +91,12 @@
 #include <sstream>
 #include <string>
 #include <string_view>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "obs/flight_decoder.hpp"
+#include "stats/summary.hpp"
 #include "util/json.hpp"
 #include "util/parse.hpp"
 
@@ -99,7 +106,121 @@ using ftsched::Json;
 using ftsched::parse_json;
 using ftsched::parse_non_negative;
 using ftsched::Result;
+using ftsched::Summary;
 namespace obs = ftsched::obs;
+
+// --- Strict field access ---------------------------------------------------
+
+/// A field that is missing or of the wrong type. main() prints the message
+/// and exits 2.
+struct FieldError {
+  std::string message;
+};
+
+template <class T>
+inline constexpr bool kIsOptional = false;
+template <class T>
+inline constexpr bool kIsOptional<std::optional<T>> = true;
+
+/// Indexed by Json::Type.
+constexpr const char* kTypeNames[] = {"null",     "a bool",   "a number",
+                                      "a string", "an array", "an object"};
+
+/// One record of an input file (a document, a sweep point, a JSONL line, a
+/// trace event) and where it sits: "FILE", "FILE: line 7" or
+/// "FILE: points[3]". get<T>(key) is the one way every mode reads a field:
+///   * double, std::string, bool: the member as that JSON type;
+///   * Summary: an object with numeric mean, min, max and stddev;
+///   * Record: a nested object, whose fields are named by their path;
+///   * std::vector<double>: an array of numbers;
+///   * std::vector<Record>: an array of objects, each its own record;
+///   * std::optional<U>: the explicit optional form, nullopt when absent.
+/// A required member that is absent, or any member of another type, throws
+/// FieldError naming the file, the record and the field.
+class Record {
+ public:
+  Record(const Json& json, std::string where, std::string path = {})
+      : json_(&json), where_(std::move(where)), path_(std::move(path)) {}
+
+  template <class T>
+  T get(std::string_view key) const {
+    const Json* value = json_->find(key);
+    if constexpr (kIsOptional<T>) {
+      if (!value) return std::nullopt;
+      return as<typename T::value_type>(*value, key);
+    } else {
+      if (!value) refuse(key, "is missing");
+      return as<T>(*value, key);
+    }
+  }
+
+  /// The member names, in file order.
+  std::vector<std::string> keys() const {
+    std::vector<std::string> names;
+    for (const auto& [name, value] : json_->object) names.push_back(name);
+    return names;
+  }
+
+  [[noreturn]] void refuse(std::string_view key,
+                           const std::string& what) const {
+    throw FieldError{where_ + ": \"" + path_ + std::string(key) + "\" " +
+                     what};
+  }
+
+ private:
+  template <class T>
+  T as(const Json& value, std::string_view key) const {
+    if constexpr (std::is_same_v<T, double>) {
+      expect(value, Json::Type::kNumber, key);
+      return value.number;
+    } else if constexpr (std::is_same_v<T, std::string>) {
+      expect(value, Json::Type::kString, key);
+      return value.str;
+    } else if constexpr (std::is_same_v<T, bool>) {
+      expect(value, Json::Type::kBool, key);
+      return value.boolean;
+    } else if constexpr (std::is_same_v<T, Record>) {
+      expect(value, Json::Type::kObject, key);
+      return Record(value, where_, path_ + std::string(key) + ".");
+    } else if constexpr (std::is_same_v<T, Summary>) {
+      const Record summary = as<Record>(value, key);
+      Summary out;
+      out.mean = summary.get<double>("mean");
+      out.min = summary.get<double>("min");
+      out.max = summary.get<double>("max");
+      out.stddev = summary.get<double>("stddev");
+      return out;
+    } else {
+      static_assert(std::is_same_v<T, std::vector<double>> ||
+                    std::is_same_v<T, std::vector<Record>>);
+      expect(value, Json::Type::kArray, key);
+      T out;
+      for (std::size_t i = 0; i < value.array.size(); ++i) {
+        const std::string item =
+            std::string(key) + "[" + std::to_string(i) + "]";
+        if constexpr (std::is_same_v<T, std::vector<double>>) {
+          out.push_back(as<double>(value.array[i], item));
+        } else {
+          expect(value.array[i], Json::Type::kObject, item);
+          out.emplace_back(value.array[i], where_ + ": " + path_ + item);
+        }
+      }
+      return out;
+    }
+  }
+
+  void expect(const Json& value, Json::Type type, std::string_view key) const {
+    if (value.type != type) {
+      refuse(key, std::string("must be ") +
+                      kTypeNames[static_cast<int>(type)] + ", not " +
+                      kTypeNames[static_cast<int>(value.type)]);
+    }
+  }
+
+  const Json* json_;
+  std::string where_;
+  std::string path_;  ///< field-name prefix of a nested object ("a.")
+};
 
 bool parse_file(const std::string& path, Json& out) {
   std::ifstream in(path);
@@ -118,8 +239,11 @@ bool parse_file(const std::string& path, Json& out) {
   return true;
 }
 
-/// Parses a JSON-lines file: one value per non-empty line.
-bool parse_jsonl_file(const std::string& path, std::vector<Json>& out) {
+/// Parses a JSON-lines file, one value per non-empty line, into `values`,
+/// with one record per value named by its line. A deque, so the records'
+/// references stay valid as it grows.
+bool parse_jsonl_file(const std::string& path, std::deque<Json>& values,
+                      std::vector<Record>& records) {
   std::ifstream in(path);
   if (!in) {
     std::cerr << "ftreport: cannot open " << path << "\n";
@@ -135,7 +259,9 @@ bool parse_jsonl_file(const std::string& path, std::vector<Json>& out) {
       std::cerr << "ftreport: " << path << ": " << parsed.message() << "\n";
       return false;
     }
-    out.push_back(std::move(parsed).value());
+    values.push_back(std::move(parsed).value());
+    records.emplace_back(values.back(),
+                         path + ": line " + std::to_string(lineno));
   }
   return true;
 }
@@ -170,35 +296,45 @@ std::string_view shade(double fraction) {
   return ".    ";
 }
 
-/// Field-by-field diff of two env fingerprints. Empty when either side did
-/// not record one (old artifacts) — absence is not a mismatch, and neither
-/// is a key only one side carries.
-std::vector<std::string> env_mismatches(const Json& base,
-                                        const Json& cand) {
-  std::vector<std::string> diffs;
-  if (base.type != Json::Type::kObject ||
-      cand.type != Json::Type::kObject) {
-    return diffs;
-  }
-  for (const char* key : {"cpu", "cores", "compiler", "build", "governor"}) {
-    const Json* b = base.find(key);
-    const Json* c = cand.find(key);
-    if (!b || !c) continue;
-    const std::string bs =
-        b->type == Json::Type::kString ? b->str : fmt(b->num_or(0), 0);
-    const std::string cs =
-        c->type == Json::Type::kString ? c->str : fmt(c->num_or(0), 0);
-    if (bs != cs) {
-      diffs.push_back(std::string(key) + ": '" + bs + "' vs '" + cs + "'");
+/// Rows of a two-column counter table: a label and the numeric fields
+/// shown in its value cell, joined by " / ".
+using CounterRows =
+    std::vector<std::pair<const char*, std::vector<const char*>>>;
+
+void counter_table(const char* title, const Record& record,
+                   const CounterRows& rows, std::ostream& md) {
+  md << "| " << title << " | value |\n|---|---:|\n";
+  for (const auto& [label, keys] : rows) {
+    md << "| " << label << " |";
+    for (std::size_t i = 0; i < keys.size(); ++i) {
+      md << (i ? " / " : " ") << fmt(record.get<double>(keys[i]), 0);
     }
+    md << " |\n";
   }
-  return diffs;
 }
 
-void warn_env_mismatches(const Json& base, const Json& cand) {
-  for (const std::string& diff : env_mismatches(base, cand)) {
-    std::cout << "warning: baseline and candidate env differ — " << diff
-              << " (comparing anyway; prefer same-box artifacts)\n";
+/// An env fingerprint field as text: "cores" is a number, the rest are
+/// strings.
+std::optional<std::string> env_field(const Record& env, const char* key) {
+  if (std::string_view(key) == "cores") {
+    const auto cores = env.get<std::optional<double>>(key);
+    if (!cores) return std::nullopt;
+    return fmt(*cores, 0);
+  }
+  return env.get<std::optional<std::string>>(key);
+}
+
+/// Warns on every field the two env fingerprints both carry and disagree
+/// on. A key only one side carries (old artifacts) is not a mismatch.
+void warn_env_mismatches(const Record& base, const Record& cand) {
+  for (const char* key : {"cpu", "cores", "compiler", "build", "governor"}) {
+    const auto b = env_field(base, key);
+    const auto c = env_field(cand, key);
+    if (b && c && *b != *c) {
+      std::cout << "warning: baseline and candidate env differ — " << key
+                << ": '" << *b << "' vs '" << *c
+                << "' (comparing anyway; prefer same-box artifacts)\n";
+    }
   }
 }
 
@@ -263,138 +399,116 @@ struct Comparison {
   std::string name;    ///< benchmark identity (point key, + scheduler in fig9)
   std::string metric;  ///< which field was compared
   double baseline = 0.0;
-  double candidate = 0.0;
+  /// Absent (MISSING) when the candidate or its point lacks the field.
+  std::optional<double> candidate;
   bool higher_is_better = true;
-  bool missing = false;  ///< in baseline but absent from candidate
 };
 
 bool is_regression(const Comparison& c, double threshold_pct) {
-  if (c.missing) return true;
+  if (!c.candidate) return true;
   const double slack = threshold_pct / 100.0;
   if (c.baseline == 0.0) {
     // Nothing to lose; only a sign flip in a lower-is-better metric could
     // regress, which no producer emits.
     return false;
   }
-  if (c.higher_is_better) return c.candidate < c.baseline * (1.0 - slack);
-  return c.candidate > c.baseline * (1.0 + slack);
+  if (c.higher_is_better) return *c.candidate < c.baseline * (1.0 - slack);
+  return *c.candidate > c.baseline * (1.0 + slack);
 }
 
 double delta_pct(const Comparison& c) {
   if (c.baseline == 0.0) return 0.0;
-  return (c.candidate - c.baseline) / c.baseline * 100.0;
+  return (*c.candidate - c.baseline) / c.baseline * 100.0;
 }
 
-bool points_have_fault_rate(const Json& doc) {
-  const Json* points = doc.find("points");
-  if (!points || points->type != Json::Type::kArray ||
-      points->array.empty()) {
-    return false;
-  }
-  return points->array.front().find("fault_rate") != nullptr;
+/// A degradation sweep's points carry a fault rate; a fig9 sweep's do not.
+bool is_degradation(const std::vector<Record>& points) {
+  return !points.empty() &&
+         points.front().get<std::optional<double>>("fault_rate").has_value();
 }
 
-/// The identity of every point in a regression file, in order: levels and
-/// arity, plus the fault rate (and the scheduler, when a multi-scheduler
-/// sweep names one) in a degradation file. A point without one of those
-/// numbers, or a fig9 point without its "schedulers" object, is a parse
-/// error naming the file and the point index: keying it as 0 or skipping it
-/// would silently narrow the gate.
-std::optional<std::vector<std::string>> point_keys(const Json& points,
-                                                   const std::string& path,
-                                                   bool degradation) {
+/// The identity of every point of a sweep, in order: levels and arity, plus
+/// the fault rate (and the scheduler, when a multi-scheduler sweep names
+/// one) in a degradation file. A fig9 point must carry its "schedulers".
+/// Keying a bad point as 0 or skipping it would silently narrow a gate.
+std::vector<std::string> point_keys(const std::vector<Record>& points,
+                                    bool degradation) {
   std::vector<std::string> keys;
-  for (const Json& point : points.array) {
-    const auto bad = [&](const char* what) {
-      std::cerr << "ftreport: " << path << ": point " << keys.size() << ": "
-                << what << "\n";
-      return std::nullopt;
-    };
-    const auto number = [&](const char* field) -> const Json* {
-      const Json* value = point.find(field);
-      return value && value->type == Json::Type::kNumber ? value : nullptr;
-    };
-    const Json* levels = number("levels");
-    const Json* arity = number("arity");
-    if (!levels || !arity) {
-      return bad("\"levels\" and \"arity\" must be numbers");
-    }
-    std::string key =
-        "levels=" + fmt(levels->number, 0) + " arity=" + fmt(arity->number, 0);
+  for (const Record& point : points) {
+    std::string key = "levels=" + fmt(point.get<double>("levels"), 0) +
+                      " arity=" + fmt(point.get<double>("arity"), 0);
     if (degradation) {
-      const Json* rate = number("fault_rate");
-      if (!rate) return bad("\"fault_rate\" must be a number");
-      key += " rate=" + fmt(rate->number, 2);
+      key += " rate=" + fmt(point.get<double>("fault_rate"), 2);
       // Single-scheduler files (no "scheduler" field) keep the legacy key,
       // so old baselines compare.
-      const Json* sched = point.find("scheduler");
-      if (sched && sched->type == Json::Type::kString) {
-        key += " scheduler=" + sched->str;
-      }
+      const auto sched = point.get<std::optional<std::string>>("scheduler");
+      if (sched) key += " scheduler=" + *sched;
     } else {
-      const Json* scheds = point.find("schedulers");
-      if (!scheds || scheds->type != Json::Type::kObject) {
-        return bad("missing \"schedulers\" object");
-      }
+      point.get<Record>("schedulers");
     }
     keys.push_back(std::move(key));
   }
   return keys;
 }
 
-/// Appends one comparison of a baseline value against the candidate's value
-/// of the same field: nothing when the baseline does not carry the field as
-/// a number, MISSING when the candidate (or its point) does not.
-void emit(const std::string& name, const std::string& metric,
-          const Json* base, const Json* cand, bool higher_is_better,
-          std::vector<Comparison>& out) {
-  if (!base || base->type != Json::Type::kNumber) return;
-  Comparison c;
-  c.name = name;
-  c.metric = metric;
-  c.baseline = base->number;
-  c.higher_is_better = higher_is_better;
-  if (!cand || cand->type != Json::Type::kNumber) {
-    c.missing = true;
-  } else {
-    c.candidate = cand->number;
+/// The points of the degradation sweep in `doc`, every one keyed strictly:
+/// a file that is not a degradation sweep is refused like a bad field.
+std::vector<Record> degradation_points(const Json& doc,
+                                       const std::string& path) {
+  auto points = Record(doc, path).get<std::vector<Record>>("points");
+  if (!is_degradation(points)) {
+    throw FieldError{path +
+                     ": not a degradation sweep (no \"fault_rate\" points)"};
   }
-  out.push_back(std::move(c));
+  point_keys(points, true);
+  return points;
 }
 
 /// fig9 schema: gate every scheduler of the point on its schedulability
 /// mean.
-void compare_fig9(const std::string& key, const Json& bp, const Json* cp,
+void compare_fig9(const std::string& key, const Record& bp, const Record* cp,
                   std::vector<Comparison>& out) {
-  const Json* cand_scheds = cp ? cp->find("schedulers") : nullptr;
-  for (const auto& [sched, base_stats] : bp.find("schedulers")->object) {
-    const Json* cand_stats = cand_scheds ? cand_scheds->find(sched) : nullptr;
-    emit(key + " " + sched, "mean", base_stats.find("mean"),
-         cand_stats ? cand_stats->find("mean") : nullptr, true, out);
+  const Record base = bp.get<Record>("schedulers");
+  const std::optional<Record> cand =
+      cp ? std::optional(cp->get<Record>("schedulers")) : std::nullopt;
+  for (const std::string& sched : base.keys()) {
+    const auto stats = cand ? cand->get<std::optional<Record>>(sched)
+                            : std::nullopt;
+    out.push_back(
+        {key + " " + sched, "mean", base.get<Record>(sched).get<double>("mean"),
+         stats ? std::optional(stats->get<double>("mean")) : std::nullopt});
   }
 }
 
 /// Degradation schema: every (levels, arity, fault_rate) point gates on the
 /// three service-level means, the two load-quality means and the recovery
-/// success ratio. All are deterministic per seed, so the default threshold
-/// is safe cross-machine.
-void compare_degradation(const std::string& key, const Json& bp,
-                         const Json* cp, std::vector<Comparison>& out) {
-  const auto emit_mean = [&](const char* section, bool higher_is_better) {
-    const Json* bs = bp.find(section);
-    const Json* cs = cp ? cp->find(section) : nullptr;
-    emit(key, std::string(section) + ".mean", bs ? bs->find("mean") : nullptr,
-         cs ? cs->find("mean") : nullptr, higher_is_better, out);
-  };
-  emit_mean("schedulability", true);
-  emit_mean("open_ratio", true);
-  emit_mean("ever_granted", true);
+/// success ratio, each one the baseline carries. All are deterministic per
+/// seed, so the default threshold is safe cross-machine.
+void compare_degradation(const std::string& key, const Record& bp,
+                         const Record* cp, std::vector<Comparison>& out) {
   // Load-quality means are lower-is-better: a candidate that keeps the
   // same service ratios but piles its circuits onto fewer planes regresses.
-  emit_mean("imbalance_max_over_mean", false);
-  emit_mean("imbalance_hotspot", false);
-  emit(key, "recovery_success_ratio", bp.find("recovery_success_ratio"),
-       cp ? cp->find("recovery_success_ratio") : nullptr, true, out);
+  for (const auto& [section, higher_is_better] :
+       {std::pair{"schedulability", true}, std::pair{"open_ratio", true},
+        std::pair{"ever_granted", true},
+        std::pair{"imbalance_max_over_mean", false},
+        std::pair{"imbalance_hotspot", false}}) {
+    const auto base = bp.get<std::optional<Record>>(section);
+    if (!base) continue;
+    const auto cand = cp ? cp->get<std::optional<Record>>(section)
+                         : std::nullopt;
+    out.push_back(
+        {key, std::string(section) + ".mean", base->get<double>("mean"),
+         cand ? std::optional(cand->get<double>("mean")) : std::nullopt,
+         higher_is_better});
+  }
+  if (const auto base =
+          bp.get<std::optional<double>>("recovery_success_ratio")) {
+    out.push_back(
+        {key, "recovery_success_ratio", *base,
+         cp ? cp->get<std::optional<double>>("recovery_success_ratio")
+            : std::nullopt});
+  }
 }
 
 int run_regression(const Args& args) {
@@ -416,49 +530,37 @@ int run_regression(const Args& args) {
     threshold = *parsed;
   }
 
-  Json base, cand;
-  if (!parse_file(base_it->second, base) ||
-      !parse_file(cand_it->second, cand)) {
+  Json base_json, cand_json;
+  if (!parse_file(base_it->second, base_json) ||
+      !parse_file(cand_it->second, cand_json)) {
     return 2;
   }
-  const Json* base_env = base.find("env");
-  const Json* cand_env = cand.find("env");
+  const Record base(base_json, base_it->second);
+  const Record cand(cand_json, cand_it->second);
+  const auto base_env = base.get<std::optional<Record>>("env");
+  const auto cand_env = cand.get<std::optional<Record>>("env");
   if (base_env && cand_env) warn_env_mismatches(*base_env, *cand_env);
 
-  const auto points_of = [](const Json& doc,
-                            const std::string& path) -> const Json* {
-    const Json* points = doc.find("points");
-    if (points && points->type == Json::Type::kArray) return points;
-    std::cerr << "ftreport: " << path
-              << ": no \"points\" array (neither fig9 nor degradation"
-                 " schema)\n";
-    return nullptr;
-  };
-  const Json* base_points = points_of(base, base_it->second);
-  const Json* cand_points =
-      base_points ? points_of(cand, cand_it->second) : nullptr;
-  if (!cand_points) return 2;
-  const bool degradation = points_have_fault_rate(base);
-  const auto base_keys =
-      point_keys(*base_points, base_it->second, degradation);
-  if (!base_keys) return 2;
-  const auto cand_keys =
-      point_keys(*cand_points, cand_it->second, degradation);
-  if (!cand_keys) return 2;
+  const auto base_points = base.get<std::vector<Record>>("points");
+  const auto cand_points = cand.get<std::vector<Record>>("points");
+  const bool degradation = is_degradation(base_points);
+  const std::vector<std::string> base_keys =
+      point_keys(base_points, degradation);
+  const std::vector<std::string> cand_keys =
+      point_keys(cand_points, degradation);
 
   std::vector<Comparison> comparisons;
-  for (std::size_t i = 0; i < base_keys->size(); ++i) {
-    const std::string& key = (*base_keys)[i];
-    const auto match = std::find(cand_keys->begin(), cand_keys->end(), key);
-    const Json* cp =
-        match == cand_keys->end()
+  for (std::size_t i = 0; i < base_keys.size(); ++i) {
+    const std::string& key = base_keys[i];
+    const auto match = std::find(cand_keys.begin(), cand_keys.end(), key);
+    const Record* cp =
+        match == cand_keys.end()
             ? nullptr
-            : &cand_points->array[static_cast<std::size_t>(
-                  match - cand_keys->begin())];
+            : &cand_points[static_cast<std::size_t>(match - cand_keys.begin())];
     if (degradation) {
-      compare_degradation(key, base_points->array[i], cp, comparisons);
+      compare_degradation(key, base_points[i], cp, comparisons);
     } else {
-      compare_fig9(key, base_points->array[i], cp, comparisons);
+      compare_fig9(key, base_points[i], cp, comparisons);
     }
   }
   if (comparisons.empty()) {
@@ -476,13 +578,13 @@ int run_regression(const Args& args) {
   for (const Comparison& c : comparisons) {
     const bool regressed = is_regression(c, threshold);
     if (regressed) ++regressions;
-    const char* status = c.missing     ? "MISSING"
-                         : regressed   ? "REGRESSED"
-                                       : "ok";
+    const char* status = !c.candidate ? "MISSING"
+                         : regressed    ? "REGRESSED"
+                                        : "ok";
     std::cout << "| " << c.name << " | " << c.metric << " | "
               << fmt(c.baseline) << " | "
-              << (c.missing ? std::string("-") : fmt(c.candidate)) << " | "
-              << (c.missing ? std::string("-") : fmt(delta_pct(c), 2) + "%")
+              << (c.candidate ? fmt(*c.candidate) : std::string("-")) << " | "
+              << (c.candidate ? fmt(delta_pct(c), 2) + "%" : std::string("-"))
               << " | " << status << " |\n";
   }
   std::cout << "\n"
@@ -508,31 +610,21 @@ struct CsvSink {
   }
 };
 
-void report_bench(const Json& bench, std::ostream& md, CsvSink& csv) {
-  md << "## Schedulability (bench sweep)\n\n";
-  const Json* name = bench.find("bench");
-  const Json* reps = bench.find("reps");
-  if (name && name->type == Json::Type::kString) {
-    md << "bench `" << name->str << "`";
-    if (reps) md << ", " << fmt(reps->num_or(0), 0) << " repetitions";
-    md << "\n\n";
-  }
-  const Json* points = bench.find("points");
-  if (!points || points->type != Json::Type::kArray ||
-      points->array.empty()) {
+void report_bench(const Record& bench, const std::vector<Record>& points,
+                  std::ostream& md, CsvSink& csv) {
+  md << "## Schedulability (bench sweep)\n\n"
+     << "bench `" << bench.get<std::string>("bench") << "`, "
+     << fmt(bench.get<double>("reps"), 0) << " repetitions\n\n";
+  if (points.empty()) {
     md << "_no sweep points_\n\n";
     return;
   }
   // Column set = union of scheduler names across points, in first-seen order.
   std::vector<std::string> scheds;
-  for (const Json& point : points->array) {
-    if (const Json* s = point.find("schedulers")) {
-      for (const auto& [sched_name, stats] : s->object) {
-        (void)stats;
-        if (std::find(scheds.begin(), scheds.end(), sched_name) ==
-            scheds.end()) {
-          scheds.push_back(sched_name);
-        }
+  for (const Record& point : points) {
+    for (const std::string& name : point.get<Record>("schedulers").keys()) {
+      if (std::find(scheds.begin(), scheds.end(), name) == scheds.end()) {
+        scheds.push_back(name);
       }
     }
   }
@@ -541,24 +633,24 @@ void report_bench(const Json& bench, std::ostream& md, CsvSink& csv) {
   md << "\n|---:|---:|---:|";
   for (std::size_t i = 0; i < scheds.size(); ++i) md << "---:|";
   md << "\n";
-  for (const Json& point : points->array) {
-    const double nodes = point.find("nodes") ? point.find("nodes")->num_or(0) : 0;
-    const double levels = point.find("levels") ? point.find("levels")->num_or(0) : 0;
-    const double arity = point.find("arity") ? point.find("arity")->num_or(0) : 0;
-    md << "| " << fmt(nodes, 0) << " | " << fmt(levels, 0) << " | "
-       << fmt(arity, 0) << " |";
-    const Json* s = point.find("schedulers");
+  for (const Record& point : points) {
+    const double levels = point.get<double>("levels");
+    const double arity = point.get<double>("arity");
+    md << "| " << fmt(point.get<double>("nodes"), 0) << " | " << fmt(levels, 0)
+       << " | " << fmt(arity, 0) << " |";
+    const Record columns = point.get<Record>("schedulers");
     for (const std::string& sched : scheds) {
-      const Json* stats = s ? s->find(sched) : nullptr;
-      const Json* mean = stats ? stats->find("mean") : nullptr;
-      if (mean && mean->type == Json::Type::kNumber) {
-        md << " " << fmt(mean->number) << " |";
-        csv.add("bench", "levels" + fmt(levels, 0) + ".arity" + fmt(arity, 0) +
-                             "." + sched + ".mean",
-                mean->number);
-      } else {
+      // A point need not run every scheduler the sweep names.
+      const auto column = columns.get<std::optional<Record>>(sched);
+      if (!column) {
         md << " - |";
+        continue;
       }
+      const double mean = column->get<double>("mean");
+      md << " " << fmt(mean) << " |";
+      csv.add("bench", "levels" + fmt(levels, 0) + ".arity" + fmt(arity, 0) +
+                           "." + sched + ".mean",
+              mean);
     }
     md << "\n";
   }
@@ -566,226 +658,182 @@ void report_bench(const Json& bench, std::ostream& md, CsvSink& csv) {
 }
 
 /// Degradation sweep: one row per (topology, fault rate) with the three
-/// service levels, recovery counters, and retry-latency percentiles.
-void report_degradation(const Json& bench, std::ostream& md,
-                        CsvSink& csv) {
-  md << "## Fault degradation sweep\n\n";
-  const Json* reps = bench.find("reps");
-  const Json* horizon = bench.find("horizon");
-  const Json* retry = bench.find("retry");
-  md << "bench `degradation`";
-  if (reps) md << ", " << fmt(reps->num_or(0), 0) << " repetitions";
-  if (horizon) md << ", horizon " << fmt(horizon->num_or(0), 0);
-  if (retry && retry->type == Json::Type::kString) {
-    md << ", retry `" << retry->str << "`";
-  }
-  md << "\n\n";
-  const Json* points = bench.find("points");
-  if (!points || points->type != Json::Type::kArray ||
-      points->array.empty()) {
-    md << "_no sweep points_\n\n";
-    return;
-  }
-  const auto scheduler_of = [](const Json& point) {
-    const Json* s = point.find("scheduler");
-    return s && s->type == Json::Type::kString ? s->str
-                                                    : std::string("levelwise");
-  };
-  md << "| nodes | scheduler | rate | first-attempt | open | ever granted |"
+/// service levels, recovery counters, and retry-latency percentiles, then
+/// the load-quality table when the points carry imbalance summaries.
+void report_degradation(const Record& bench, const std::vector<Record>& points,
+                        std::ostream& md, CsvSink& csv) {
+  md << "## Fault degradation sweep\n\n"
+     << "bench `degradation`, " << fmt(bench.get<double>("reps"), 0)
+     << " repetitions, horizon " << fmt(bench.get<double>("horizon"), 0)
+     << ", retry `" << bench.get<std::string>("retry") << "`\n\n"
+     << "| nodes | scheduler | rate | first-attempt | open | ever granted |"
         " victims | recovered | recovery | retry p50/p90/p99 |\n"
         "|---:|---|---:|---:|---:|---:|---:|---:|---:|---:|\n";
+  // Each point's row lead and CSV key prefix, shared by both tables.
+  std::vector<std::string> leads;
+  std::vector<std::string> keys;
   bool have_imbalance = false;
-  for (const Json& point : points->array) {
-    const auto num = [&](const char* key) {
-      const Json* v = point.find(key);
-      return v ? v->num_or(0.0) : 0.0;
-    };
-    const auto mean_of = [&](const char* section) {
-      const Json* s = point.find(section);
-      const Json* m = s ? s->find("mean") : nullptr;
-      return m ? m->num_or(0.0) : 0.0;
-    };
-    if (point.find("imbalance_hotspot")) have_imbalance = true;
-    const double rate = num("fault_rate");
-    const std::string key_prefix =
-        "levels" + fmt(num("levels"), 0) + ".arity" + fmt(num("arity"), 0) +
-        "." + scheduler_of(point) + ".rate" + fmt(rate, 2);
-    md << "| " << fmt(num("nodes"), 0) << " | " << scheduler_of(point)
-       << " | " << fmt(rate, 2) << " | "
-       << fmt_pct(mean_of("schedulability")) << " | "
-       << fmt_pct(mean_of("open_ratio")) << " | "
-       << fmt_pct(mean_of("ever_granted")) << " | " << fmt(num("victims"), 0)
-       << " | " << fmt(num("recovered"), 0) << " | "
-       << fmt_pct(num("recovery_success_ratio")) << " | ";
-    const Json* lat = point.find("retry_latency");
-    const Json* lat_count = lat ? lat->find("count") : nullptr;
-    if (lat && lat_count && lat_count->num_or(0) > 0) {
-      md << fmt(lat->find("p50") ? lat->find("p50")->num_or(0) : 0, 1) << "/"
-         << fmt(lat->find("p90") ? lat->find("p90")->num_or(0) : 0, 1) << "/"
-         << fmt(lat->find("p99") ? lat->find("p99")->num_or(0) : 0, 1);
+  for (const Record& point : points) {
+    // Single-scheduler files name no scheduler; they ran levelwise.
+    const std::string scheduler =
+        point.get<std::optional<std::string>>("scheduler")
+            .value_or("levelwise");
+    const std::string rate = fmt(point.get<double>("fault_rate"), 2);
+    leads.push_back("| " + fmt(point.get<double>("nodes"), 0) + " | " +
+                    scheduler + " | " + rate + " | ");
+    keys.push_back("levels" + fmt(point.get<double>("levels"), 0) +
+                   ".arity" + fmt(point.get<double>("arity"), 0) + "." +
+                   scheduler + ".rate" + rate + ".");
+    have_imbalance = have_imbalance ||
+                     point.get<std::optional<Record>>("imbalance_hotspot");
+    md << leads.back();
+    for (const char* section : {"schedulability", "open_ratio",
+                                "ever_granted"}) {
+      const double mean = point.get<Record>(section).get<double>("mean");
+      md << fmt_pct(mean) << " | ";
+      csv.add("degradation", keys.back() + section, mean);
+    }
+    const double recovery = point.get<double>("recovery_success_ratio");
+    md << fmt(point.get<double>("victims"), 0) << " | "
+       << fmt(point.get<double>("recovered"), 0) << " | " << fmt_pct(recovery)
+       << " | ";
+    csv.add("degradation", keys.back() + "recovery_success_ratio", recovery);
+    // Percentiles are written only when the point sampled a latency.
+    const Record latency = point.get<Record>("retry_latency");
+    if (latency.get<double>("count") > 0) {
+      md << fmt(latency.get<double>("p50"), 1) << "/"
+         << fmt(latency.get<double>("p90"), 1) << "/"
+         << fmt(latency.get<double>("p99"), 1);
     } else {
       md << "-";
     }
     md << " |\n";
-    csv.add("degradation", key_prefix + ".schedulability",
-            mean_of("schedulability"));
-    csv.add("degradation", key_prefix + ".open_ratio", mean_of("open_ratio"));
-    csv.add("degradation", key_prefix + ".ever_granted",
-            mean_of("ever_granted"));
-    csv.add("degradation", key_prefix + ".recovery_success_ratio",
-            num("recovery_success_ratio"));
   }
   md << "\n";
 
   // Load quality of the residual fabric at the horizon: how evenly the
   // surviving planes carry the open circuits. 1.000x = perfectly even;
   // the policy comparison the quality gate (ftreport quality) automates.
-  if (have_imbalance) {
-    md << "### Degradation quality\n\n"
-          "Residual-fabric load imbalance at the horizon (lower is better;"
-          " 1.000x = even). `hotspot` is the worst subtree plane's occupancy"
-          " over the mean plane; `max/mean` and `CoV` are per-switch"
-          " statistics of the worst level and direction.\n\n"
-          "| nodes | scheduler | rate | max/mean | CoV | hotspot |\n"
-          "|---:|---|---:|---:|---:|---:|\n";
-    for (const Json& point : points->array) {
-      const auto num = [&](const char* key) {
-        const Json* v = point.find(key);
-        return v ? v->num_or(0.0) : 0.0;
-      };
-      const auto mean_of = [&](const char* section) {
-        const Json* s = point.find(section);
-        const Json* m = s ? s->find("mean") : nullptr;
-        return m ? m->num_or(0.0) : 0.0;
-      };
-      const double rate = num("fault_rate");
-      const std::string key_prefix =
-          "levels" + fmt(num("levels"), 0) + ".arity" + fmt(num("arity"), 0) +
-          "." + scheduler_of(point) + ".rate" + fmt(rate, 2);
-      md << "| " << fmt(num("nodes"), 0) << " | " << scheduler_of(point)
-         << " | " << fmt(rate, 2) << " | "
-         << fmt(mean_of("imbalance_max_over_mean"), 3) << "x | "
-         << fmt(mean_of("imbalance_cov"), 3) << " | "
-         << fmt(mean_of("imbalance_hotspot"), 3) << "x |\n";
-      csv.add("degradation", key_prefix + ".imbalance_max_over_mean",
-              mean_of("imbalance_max_over_mean"));
-      csv.add("degradation", key_prefix + ".imbalance_cov",
-              mean_of("imbalance_cov"));
-      csv.add("degradation", key_prefix + ".imbalance_hotspot",
-              mean_of("imbalance_hotspot"));
+  // Pre-imbalance files carry no imbalance summaries and skip the table.
+  if (!have_imbalance) return;
+  md << "### Degradation quality\n\n"
+        "Residual-fabric load imbalance at the horizon (lower is better;"
+        " 1.000x = even). `hotspot` is the worst subtree plane's occupancy"
+        " over the mean plane; `max/mean` and `CoV` are per-switch"
+        " statistics of the worst level and direction.\n\n"
+        "| nodes | scheduler | rate | max/mean | CoV | hotspot |\n"
+        "|---:|---|---:|---:|---:|---:|\n";
+  for (std::size_t i = 0; i < points.size(); ++i) {
+    md << leads[i];
+    for (const auto& [section, suffix] :
+         {std::pair{"imbalance_max_over_mean", "x | "},
+          std::pair{"imbalance_cov", " | "},
+          std::pair{"imbalance_hotspot", "x |\n"}}) {
+      const double mean = points[i].get<Record>(section).get<double>("mean");
+      md << fmt(mean, 3) << suffix;
+      csv.add("degradation", keys[i] + section, mean);
     }
-    md << "\n";
   }
+  md << "\n";
 }
 
 /// Chaos soak summary ({"bench":"chaos_soak"}). Returns false when the
 /// artifact records an invariant violation — the caller exits 2 so a CI
 /// soak job fails even if the report itself rendered fine.
-bool report_chaos_soak(const Json& bench, std::ostream& md,
-                       CsvSink& csv) {
+bool report_chaos_soak(const Record& soak, std::ostream& md, CsvSink& csv) {
   md << "## Chaos soak\n\n";
-  const auto num = [&](const char* key) {
-    const Json* v = bench.find(key);
-    return v ? v->num_or(0.0) : 0.0;
-  };
-  const auto str = [&](const char* key) {
-    const Json* v = bench.find(key);
-    return v && v->type == Json::Type::kString ? v->str : std::string();
-  };
-  const Json* ok_value = bench.find("ok");
-  const bool ok = ok_value && ok_value->type == Json::Type::kBool &&
-                  ok_value->boolean;
-  md << "scheduler `" << str("scheduler") << "` on FT(" << fmt(num("levels"), 0)
-     << "," << fmt(num("m"), 0) << "," << fmt(num("w"), 0) << "), seed "
-     << fmt(num("seed"), 0) << ", " << fmt(num("ops"), 0)
-     << " ops, invariant epoch " << fmt(num("epoch"), 0) << "\n\n";
-  md << "| counter | value |\n|---|---:|\n"
-     << "| executed ops | " << fmt(num("executed"), 0) << " |\n"
-     << "| skipped ops | " << fmt(num("skipped"), 0) << " |\n"
-     << "| invariant epochs | " << fmt(num("epochs"), 0) << " |\n"
-     << "| submitted | " << fmt(num("submitted"), 0) << " |\n"
-     << "| grants | " << fmt(num("grants"), 0) << " |\n"
-     << "| closed | " << fmt(num("closed"), 0) << " |\n"
-     << "| open at end | " << fmt(num("open_at_end"), 0) << " |\n"
-     << "| fail / repair events | " << fmt(num("fail_events"), 0) << " / "
-     << fmt(num("repair_events"), 0) << " |\n"
-     << "| victims / recovered | " << fmt(num("victims"), 0) << " / "
-     << fmt(num("recovered"), 0) << " |\n"
-     << "| retries / shed / permanent rejects / abandoned | "
-     << fmt(num("retries"), 0) << " / " << fmt(num("shed"), 0) << " / "
-     << fmt(num("permanent_rejects"), 0) << " / " << fmt(num("abandoned"), 0)
-     << " |\n\n";
-  for (const char* key :
-       {"executed", "skipped", "epochs", "submitted", "grants", "closed",
-        "open_at_end", "fail_events", "repair_events", "victims", "recovered",
-        "retries", "shed", "permanent_rejects", "abandoned"}) {
-    csv.add("soak", key, num(key));
+  const bool ok = soak.get<bool>("ok");
+  md << "scheduler `" << soak.get<std::string>("scheduler") << "` on FT("
+     << fmt(soak.get<double>("levels"), 0) << ","
+     << fmt(soak.get<double>("m"), 0) << "," << fmt(soak.get<double>("w"), 0)
+     << "), seed " << fmt(soak.get<double>("seed"), 0) << ", "
+     << fmt(soak.get<double>("ops"), 0) << " ops, invariant epoch "
+     << fmt(soak.get<double>("epoch"), 0) << "\n\n";
+  const CounterRows rows = {
+      {"executed ops", {"executed"}},
+      {"skipped ops", {"skipped"}},
+      {"invariant epochs", {"epochs"}},
+      {"submitted", {"submitted"}},
+      {"grants", {"grants"}},
+      {"closed", {"closed"}},
+      {"open at end", {"open_at_end"}},
+      {"fail / repair events", {"fail_events", "repair_events"}},
+      {"victims / recovered", {"victims", "recovered"}},
+      {"retries / shed / permanent rejects / abandoned",
+       {"retries", "shed", "permanent_rejects", "abandoned"}}};
+  counter_table("counter", soak, rows, md);
+  md << "\n";
+  for (const auto& [label, keys] : rows) {
+    for (const char* key : keys) csv.add("soak", key, soak.get<double>(key));
   }
   csv.add("soak", "ok", ok ? 1.0 : 0.0);
   if (ok) {
     md << "verdict: **PASS** — invariants clean at every epoch\n\n";
   } else {
-    md << "verdict: **FAIL** after " << fmt(num("violation_op"), 0)
-       << " executed ops: " << str("violation") << "\n\n";
-    if (num("reproducer_ops") > 0) {
-      md << "minimal reproducer: " << fmt(num("reproducer_ops"), 0)
-         << " ops (shrunk in " << fmt(num("shrink_runs"), 0)
+    md << "verdict: **FAIL** after " << fmt(soak.get<double>("violation_op"), 0)
+       << " executed ops: " << soak.get<std::string>("violation") << "\n\n";
+    const double reproducer_ops = soak.get<double>("reproducer_ops");
+    if (reproducer_ops > 0) {
+      md << "minimal reproducer: " << fmt(reproducer_ops, 0)
+         << " ops (shrunk in " << fmt(soak.get<double>("shrink_runs"), 0)
          << " replays); replay with `ftsched soak --replay=...`\n\n";
     }
   }
   return ok;
 }
 
-void report_metrics(const std::vector<Json>& lines, std::ostream& md,
-                    CsvSink& csv) {
+/// MetricsRegistry JSONL. Every line names its metric, and every line but
+/// a histogram carries a numeric value; the values are gathered into one
+/// record keyed by metric name, which each section reads. A section
+/// renders only when its metrics are present: a degrade run exports no
+/// `sched.*` totals, a schedule run no `fault.*` counters.
+void report_metrics(const std::vector<Record>& lines, const std::string& path,
+                    std::ostream& md, CsvSink& csv) {
   md << "## Scheduler metrics\n\n";
-  const auto value_of = [&](std::string_view metric) -> const Json* {
-    for (const Json& line : lines) {
-      const Json* name = line.find("metric");
-      if (name && name->type == Json::Type::kString &&
-          name->str == metric) {
-        return line.find("value");
-      }
-    }
-    return nullptr;
-  };
-  const auto counter = [&](std::string_view metric) {
-    const Json* v = value_of(metric);
-    return v ? v->num_or(0.0) : 0.0;
-  };
-
-  const double requests = counter("sched.requests");
-  const double grants = counter("sched.grants");
-  const double rejects = counter("sched.rejects");
-  md << "| total | value |\n|---|---:|\n"
-     << "| batches | " << fmt(counter("sched.batches"), 0) << " |\n"
-     << "| requests | " << fmt(requests, 0) << " |\n"
-     << "| grants | " << fmt(grants, 0) << " |\n"
-     << "| rejects | " << fmt(rejects, 0) << " |\n";
-  if (requests > 0) {
-    md << "| schedulability | " << fmt_pct(grants / requests) << " |\n";
-    csv.add("metrics", "schedulability", grants / requests);
+  Json values;
+  values.type = Json::Type::kObject;
+  for (const Record& line : lines) {
+    const std::string name = line.get<std::string>("metric");
+    if (line.get<std::string>("type") == "histogram") continue;
+    Json value;
+    value.type = Json::Type::kNumber;
+    value.number = line.get<double>("value");
+    values.object.emplace_back(name, std::move(value));
   }
-  md << "\n";
-  csv.add("metrics", "requests", requests);
-  csv.add("metrics", "grants", grants);
-  csv.add("metrics", "rejects", rejects);
+  const Record metrics(values, path);
 
-  // Prefix-grouped breakdowns straight off the metric names.
+  if (const auto requests =
+          metrics.get<std::optional<double>>("sched.requests")) {
+    counter_table("total", metrics,
+                  {{"batches", {"sched.batches"}},
+                   {"requests", {"sched.requests"}},
+                   {"grants", {"sched.grants"}},
+                   {"rejects", {"sched.rejects"}}},
+                  md);
+    const double grants = metrics.get<double>("sched.grants");
+    if (*requests > 0) {
+      md << "| schedulability | " << fmt_pct(grants / *requests) << " |\n";
+      csv.add("metrics", "schedulability", grants / *requests);
+    }
+    md << "\n";
+    csv.add("metrics", "requests", *requests);
+    csv.add("metrics", "grants", grants);
+    csv.add("metrics", "rejects", metrics.get<double>("sched.rejects"));
+  }
+
+  // Prefix-grouped breakdowns straight off the metric names: the per-level
+  // and per-reason counters exist only for the levels and reasons seen.
   const auto breakdown = [&](const std::string& prefix,
                              const std::string& title,
                              const std::string& csv_prefix) {
     std::vector<std::pair<std::string, double>> items;
-    for (const Json& line : lines) {
-      const Json* name = line.find("metric");
-      if (!name || name->type != Json::Type::kString) continue;
-      if (name->str.rfind(prefix, 0) != 0) continue;
-      const std::string label = name->str.substr(prefix.size());
+    for (const auto& [name, value] : values.object) {
+      if (name.rfind(prefix, 0) != 0) continue;
+      const std::string label = name.substr(prefix.size());
       // Keep flat children only — "sched.reject.level0" yes,
       // "sched.reject.reason.x" is a different prefix's child.
       if (label.find('.') != std::string::npos) continue;
-      const Json* v = line.find("value");
-      items.emplace_back(label, v ? v->num_or(0.0) : 0.0);
+      items.emplace_back(label, value.number);
     }
     if (items.empty()) return;
     md << "### " << title << "\n\n| key | count | share |\n|---|---:|---:|\n";
@@ -804,47 +852,42 @@ void report_metrics(const std::vector<Json>& lines, std::ostream& md,
   breakdown("sched.grant.ancestor", "Grants by common-ancestor level",
             "grant.ancestor");
 
-  // Fault-recovery counters exported by FabricManager, if present.
-  const double submitted = counter("fault.submitted");
-  if (submitted > 0) {
-    const double victims = counter("fault.victims");
-    const double recovered = counter("fault.recovered");
-    md << "### Fault recovery (FabricManager)\n\n| counter | value |\n"
-          "|---|---:|\n"
-       << "| submitted | " << fmt(submitted, 0) << " |\n"
-       << "| first-attempt granted | "
-       << fmt(counter("fault.first_attempt_granted"), 0) << " |\n"
-       << "| ever granted | " << fmt(counter("fault.ever_granted"), 0)
-       << " |\n"
-       << "| open at end | " << fmt(counter("fault.open_circuits"), 0)
-       << " |\n"
-       << "| fail / repair events | " << fmt(counter("fault.fail_events"), 0)
-       << " / " << fmt(counter("fault.repair_events"), 0) << " |\n"
-       << "| victims | " << fmt(victims, 0) << " |\n"
-       << "| recovered | " << fmt(recovered, 0) << " |\n"
-       << "| retries | " << fmt(counter("fault.retries"), 0) << " |\n"
-       << "| shed / permanent / abandoned | "
-       << fmt(counter("fault.shed"), 0) << " / "
-       << fmt(counter("fault.permanent_rejects"), 0) << " / "
-       << fmt(counter("fault.abandoned"), 0) << " |\n";
+  // Fault-recovery counters exported by FabricManager.
+  if (const auto submitted =
+          metrics.get<std::optional<double>>("fault.submitted")) {
+    md << "### Fault recovery (FabricManager)\n\n";
+    counter_table("counter", metrics,
+                  {{"submitted", {"fault.submitted"}},
+                   {"first-attempt granted", {"fault.first_attempt_granted"}},
+                   {"ever granted", {"fault.ever_granted"}},
+                   {"open at end", {"fault.open_circuits"}},
+                   {"fail / repair events",
+                    {"fault.fail_events", "fault.repair_events"}},
+                   {"victims", {"fault.victims"}},
+                   {"recovered", {"fault.recovered"}},
+                   {"retries", {"fault.retries"}},
+                   {"shed / permanent / abandoned",
+                    {"fault.shed", "fault.permanent_rejects",
+                     "fault.abandoned"}}},
+                  md);
+    const double victims = metrics.get<double>("fault.victims");
+    const double recovered = metrics.get<double>("fault.recovered");
     if (victims > 0) {
       md << "| recovery success | " << fmt_pct(recovered / victims) << " |\n";
       csv.add("metrics", "fault.recovery_success", recovered / victims);
     }
     md << "\n";
-    csv.add("metrics", "fault.submitted", submitted);
+    csv.add("metrics", "fault.submitted", *submitted);
     csv.add("metrics", "fault.victims", victims);
     csv.add("metrics", "fault.recovered", recovered);
   }
 
-  // Fabric utilization gauges exported by LinkTelemetry, if present.
+  // Fabric utilization gauges exported by LinkTelemetry.
   std::vector<std::pair<std::string, double>> fabric;
-  for (const Json& line : lines) {
-    const Json* name = line.find("metric");
-    if (!name || name->type != Json::Type::kString) continue;
-    if (name->str.rfind("fabric.util.", 0) != 0) continue;
-    const Json* v = line.find("value");
-    fabric.emplace_back(name->str.substr(12), v ? v->num_or(0.0) : 0.0);
+  for (const auto& [name, value] : values.object) {
+    if (name.rfind("fabric.util.", 0) == 0) {
+      fabric.emplace_back(name.substr(12), value.number);
+    }
   }
   if (!fabric.empty()) {
     md << "### Fabric utilization (from metrics export)\n\n"
@@ -857,56 +900,58 @@ void report_metrics(const std::vector<Json>& lines, std::ostream& md,
   }
 }
 
-void report_telemetry(const std::vector<Json>& lines, std::ostream& md,
+/// A telemetry line's per-level array ("u" or "d"): exactly one number per
+/// link level of the header.
+std::vector<double> per_level(const Record& line, const char* key,
+                              std::size_t levels) {
+  std::vector<double> values = line.get<std::vector<double>>(key);
+  if (values.size() != levels) {
+    line.refuse(key, "has " + std::to_string(values.size()) +
+                         " entries for " + std::to_string(levels) +
+                         " link levels");
+  }
+  return values;
+}
+
+void report_telemetry(const std::vector<Record>& lines,
+                      const std::string& path, std::ostream& md,
                       CsvSink& csv) {
   md << "## Fabric link telemetry\n\n";
-  const Json* header = nullptr;
-  std::vector<const Json*> samples;
-  const Json* utilization = nullptr;
-  std::vector<const Json*> saturations;
-  const Json* top = nullptr;
-  for (const Json& line : lines) {
-    const Json* type = line.find("type");
-    if (!type || type->type != Json::Type::kString) continue;
-    if (type->str == "link_telemetry") header = &line;
-    else if (type->str == "sample") samples.push_back(&line);
-    else if (type->str == "utilization") utilization = &line;
-    else if (type->str == "saturation") saturations.push_back(&line);
-    else if (type->str == "top_contended") top = &line;
+  const Record* header = nullptr;
+  std::vector<const Record*> samples;
+  const Record* utilization = nullptr;
+  std::vector<const Record*> saturations;
+  const Record* top = nullptr;
+  for (const Record& line : lines) {
+    const std::string type = line.get<std::string>("type");
+    if (type == "link_telemetry") header = &line;
+    else if (type == "sample") samples.push_back(&line);
+    else if (type == "utilization") utilization = &line;
+    else if (type == "saturation") saturations.push_back(&line);
+    else if (type == "top_contended") top = &line;
   }
-  if (!header) {
-    md << "_no link_telemetry header line_\n\n";
-    return;
-  }
-  const Json* levels = header->find("levels");
-  const std::size_t level_count =
-      levels && levels->type == Json::Type::kArray ? levels->array.size()
-                                                        : 0;
-  const Json* total = header->find("samples");
-  md << fmt(total ? total->num_or(0) : 0, 0) << " samples, " << level_count
-     << " link levels\n\n";
-
+  // Every other line is read against the header's link levels.
+  if (!header) throw FieldError{path + ": no link_telemetry header line"};
   // Channel capacity per level (rows * ports) normalizes occupied counts.
-  std::vector<double> capacity(level_count, 0.0);
-  for (std::size_t h = 0; h < level_count; ++h) {
-    const Json& shape = levels->array[h];
-    const Json* rows = shape.find("rows");
-    const Json* ports = shape.find("ports");
-    capacity[h] = (rows ? rows->num_or(0) : 0) * (ports ? ports->num_or(0) : 0);
+  std::vector<double> capacity;
+  for (const Record& shape : header->get<std::vector<Record>>("levels")) {
+    capacity.push_back(shape.get<double>("rows") * shape.get<double>("ports"));
   }
+  const std::size_t level_count = capacity.size();
+  md << fmt(header->get<double>("samples"), 0) << " samples, " << level_count
+     << " link levels\n\n";
 
   if (utilization) {
     md << "### Utilization by level\n\n"
        << "| level | up | down |\n|---:|---:|---:|\n";
-    const Json* up = utilization->find("u");
-    const Json* down = utilization->find("d");
+    const std::vector<double> up = per_level(*utilization, "u", level_count);
+    const std::vector<double> down = per_level(*utilization, "d", level_count);
     for (std::size_t h = 0; h < level_count; ++h) {
-      const double u = up && h < up->array.size() ? up->array[h].num_or(0) : 0;
-      const double d =
-          down && h < down->array.size() ? down->array[h].num_or(0) : 0;
-      md << "| " << h << " | " << fmt_pct(u) << " | " << fmt_pct(d) << " |\n";
-      csv.add("telemetry", "util.level" + std::to_string(h) + ".up", u);
-      csv.add("telemetry", "util.level" + std::to_string(h) + ".down", d);
+      md << "| " << h << " | " << fmt_pct(up[h]) << " | " << fmt_pct(down[h])
+         << " |\n";
+      csv.add("telemetry", "util.level" + std::to_string(h) + ".up", up[h]);
+      csv.add("telemetry", "util.level" + std::to_string(h) + ".down",
+              down[h]);
     }
     md << "\n";
   }
@@ -921,19 +966,12 @@ void report_telemetry(const std::vector<Json>& lines, std::ostream& md,
     for (std::size_t i = 0; i < samples.size(); ++i) {
       const std::size_t stage = i * stages / samples.size();
       ++stage_n[stage];
-      const Json* up = samples[i]->find("u");
-      const Json* down = samples[i]->find("d");
+      const std::vector<double> up = per_level(*samples[i], "u", level_count);
+      const std::vector<double> down =
+          per_level(*samples[i], "d", level_count);
       for (std::size_t h = 0; h < level_count; ++h) {
-        double occupied = 0.0, cap = 0.0;
-        if (up && h < up->array.size()) {
-          occupied += up->array[h].num_or(0);
-          cap += capacity[h];
-        }
-        if (down && h < down->array.size()) {
-          occupied += down->array[h].num_or(0);
-          cap += capacity[h];
-        }
-        if (cap > 0) sum[h][stage] += occupied / cap;
+        const double cap = 2 * capacity[h];
+        if (cap > 0) sum[h][stage] += (up[h] + down[h]) / cap;
       }
     }
     md << "### Occupancy heatmap (level x stage)\n\n"
@@ -960,55 +998,38 @@ void report_telemetry(const std::vector<Json>& lines, std::ostream& md,
   if (!saturations.empty()) {
     md << "### Saturation histograms (occupied channels per row sample)\n\n"
        << "| level | dir | bins (occ0..occN) |\n|---:|---|---|\n";
-    for (const Json* s : saturations) {
-      const Json* level = s->find("level");
-      const Json* dir = s->find("dir");
-      const Json* bins = s->find("bins");
-      md << "| " << fmt(level ? level->num_or(0) : 0, 0) << " | "
-         << (dir && dir->type == Json::Type::kString ? dir->str : "?")
-         << " | ";
-      if (bins && bins->type == Json::Type::kArray) {
-        for (std::size_t i = 0; i < bins->array.size(); ++i) {
-          if (i) md << " ";
-          md << fmt(bins->array[i].num_or(0), 0);
-        }
+    for (const Record* s : saturations) {
+      md << "| " << fmt(s->get<double>("level"), 0) << " | "
+         << s->get<std::string>("dir") << " | ";
+      const std::vector<double> bins = s->get<std::vector<double>>("bins");
+      for (std::size_t i = 0; i < bins.size(); ++i) {
+        if (i) md << " ";
+        md << fmt(bins[i], 0);
       }
       md << " |\n";
     }
     md << "\n";
   }
 
-  if (top) {
-    const Json* links = top->find("links");
-    if (links && links->type == Json::Type::kArray &&
-        !links->array.empty()) {
-      md << "### Most contended links\n\n"
-         << "| level | row | port | dir | busy samples |\n"
-         << "|---:|---:|---:|---|---:|\n";
-      for (const Json& link : links->array) {
-        md << "| " << fmt(link.find("level") ? link.find("level")->num_or(0) : 0, 0)
-           << " | " << fmt(link.find("row") ? link.find("row")->num_or(0) : 0, 0)
-           << " | " << fmt(link.find("port") ? link.find("port")->num_or(0) : 0, 0)
-           << " | "
-           << (link.find("dir") &&
-                       link.find("dir")->type == Json::Type::kString
-                   ? link.find("dir")->str
-                   : "?")
-           << " | " << fmt(link.find("busy") ? link.find("busy")->num_or(0) : 0, 0)
-           << " |\n";
-      }
-      md << "\n";
+  const std::vector<Record> links =
+      top ? top->get<std::vector<Record>>("links") : std::vector<Record>{};
+  if (!links.empty()) {
+    md << "### Most contended links\n\n"
+       << "| level | row | port | dir | busy samples |\n"
+       << "|---:|---:|---:|---|---:|\n";
+    for (const Record& link : links) {
+      md << "| " << fmt(link.get<double>("level"), 0) << " | "
+         << fmt(link.get<double>("row"), 0) << " | "
+         << fmt(link.get<double>("port"), 0) << " | "
+         << link.get<std::string>("dir") << " | "
+         << fmt(link.get<double>("busy"), 0) << " |\n";
     }
+    md << "\n";
   }
 }
 
-void report_trace(const Json& trace, std::ostream& md, CsvSink& csv) {
+void report_trace(const Record& trace, std::ostream& md, CsvSink& csv) {
   md << "## Trace span rollups\n\n";
-  const Json* events = trace.find("traceEvents");
-  if (!events || events->type != Json::Type::kArray) {
-    md << "_no traceEvents array_\n\n";
-    return;
-  }
   struct Rollup {
     std::size_t count = 0;
     double total_us = 0.0;
@@ -1016,24 +1037,20 @@ void report_trace(const Json& trace, std::ostream& md, CsvSink& csv) {
   };
   std::map<std::string, Rollup> spans;
   std::size_t instants = 0, counters = 0;
-  for (const Json& event : events->array) {
-    const Json* ph = event.find("ph");
-    if (!ph || ph->type != Json::Type::kString) continue;
-    if (ph->str == "i" || ph->str == "I") {
+  for (const Record& event : trace.get<std::vector<Record>>("traceEvents")) {
+    const std::string ph = event.get<std::string>("ph");
+    if (ph == "i" || ph == "I") {
       ++instants;
       continue;
     }
-    if (ph->str == "C") {
+    if (ph == "C") {
       ++counters;
       continue;
     }
-    if (ph->str != "X") continue;
-    const Json* name = event.find("name");
-    const Json* dur = event.find("dur");
-    if (!name || name->type != Json::Type::kString) continue;
-    Rollup& r = spans[name->str];
+    if (ph != "X") continue;
+    Rollup& r = spans[event.get<std::string>("name")];
     ++r.count;
-    const double d = dur ? dur->num_or(0.0) : 0.0;
+    const double d = event.get<double>("dur");
     r.total_us += d;
     r.max_us = std::max(r.max_us, d);
   }
@@ -1235,34 +1252,38 @@ int run_report(const Args& args) {
 
   int exit_code = 0;
   if (!bench_path.empty()) {
-    Json bench;
-    if (!parse_file(bench_path, bench)) return 2;
-    const Json* bench_name = bench.find("bench");
-    if (bench_name && bench_name->type == Json::Type::kString &&
-        bench_name->str == "chaos_soak") {
+    Json doc;
+    if (!parse_file(bench_path, doc)) return 2;
+    const Record bench(doc, bench_path);
+    if (bench.get<std::string>("bench") == "chaos_soak") {
       // A violation in the artifact fails the report run itself (exit 2):
       // the CI soak job must go red even though the report rendered fine.
       if (!report_chaos_soak(bench, md, csv)) exit_code = 2;
-    } else if (points_have_fault_rate(bench)) {
-      report_degradation(bench, md, csv);
     } else {
-      report_bench(bench, md, csv);
+      const auto points = bench.get<std::vector<Record>>("points");
+      if (is_degradation(points)) {
+        report_degradation(bench, points, md, csv);
+      } else {
+        report_bench(bench, points, md, csv);
+      }
     }
   }
   if (!metrics_path.empty()) {
-    std::vector<Json> lines;
-    if (!parse_jsonl_file(metrics_path, lines)) return 2;
-    report_metrics(lines, md, csv);
+    std::deque<Json> values;
+    std::vector<Record> lines;
+    if (!parse_jsonl_file(metrics_path, values, lines)) return 2;
+    report_metrics(lines, metrics_path, md, csv);
   }
   if (!telemetry_path.empty()) {
-    std::vector<Json> lines;
-    if (!parse_jsonl_file(telemetry_path, lines)) return 2;
-    report_telemetry(lines, md, csv);
+    std::deque<Json> values;
+    std::vector<Record> lines;
+    if (!parse_jsonl_file(telemetry_path, values, lines)) return 2;
+    report_telemetry(lines, telemetry_path, md, csv);
   }
   if (!trace_path.empty()) {
     Json trace;
     if (!parse_file(trace_path, trace)) return 2;
-    report_trace(trace, md, csv);
+    report_trace(Record(trace, trace_path), md, csv);
   }
   if (!flight_path.empty()) {
     std::ifstream in(flight_path);
@@ -1325,28 +1346,17 @@ int run_anchor(const Args& args) {
   if (const auto it = args.flags.find("scheduler"); it != args.flags.end()) {
     scheduler = it->second;
   }
-  Json deg, fig9;
-  if (!parse_file(deg_it->second, deg) || !parse_file(fig9_it->second, fig9)) {
-    return 2;
-  }
-  const Json* deg_points = deg.find("points");
-  if (!points_have_fault_rate(deg)) {
-    std::cerr << "ftreport: " << deg_it->second
-              << ": not a degradation sweep (no \"fault_rate\" points)\n";
-    return 2;
-  }
-  const Json* fig9_points = fig9.find("points");
-  if (!fig9_points || fig9_points->type != Json::Type::kArray) {
-    std::cerr << "ftreport: " << fig9_it->second
-              << ": not a fig9 sweep (no \"points\")\n";
+  Json deg_json, fig9_json;
+  if (!parse_file(deg_it->second, deg_json) ||
+      !parse_file(fig9_it->second, fig9_json)) {
     return 2;
   }
   // Every point is keyed strictly: a point whose levels, arity or fault
   // rate is not a number is refused, never read as 0 and skipped.
-  if (!point_keys(*deg_points, deg_it->second, true) ||
-      !point_keys(*fig9_points, fig9_it->second, false)) {
-    return 2;
-  }
+  const auto deg_points = degradation_points(deg_json, deg_it->second);
+  const auto fig9_points =
+      Record(fig9_json, fig9_it->second).get<std::vector<Record>>("points");
+  point_keys(fig9_points, false);
 
   std::size_t failures = 0;
   std::size_t anchored = 0;
@@ -1354,22 +1364,20 @@ int run_anchor(const Args& args) {
     std::cout << "FAIL " << where << ": " << what << "\n";
     ++failures;
   };
+  constexpr std::pair<const char*, double Summary::*> kStats[] = {
+      {"mean", &Summary::mean},
+      {"min", &Summary::min},
+      {"max", &Summary::max},
+      {"stddev", &Summary::stddev}};
 
-  for (const Json& point : deg_points->array) {
-    const auto num = [&](const char* key) {
-      const Json* v = point.find(key);
-      return v ? v->num_or(0.0) : 0.0;
-    };
-    const double levels = point.find("levels")->number;
-    const double arity = point.find("arity")->number;
-    const double rate = point.find("fault_rate")->number;
+  for (const Record& point : deg_points) {
+    const double levels = point.get<double>("levels");
+    const double arity = point.get<double>("arity");
+    const double rate = point.get<double>("fault_rate");
     // Multi-scheduler sweeps tag each point; --scheduler covers legacy
     // single-scheduler files.
-    std::string point_scheduler = scheduler;
-    if (const Json* s = point.find("scheduler");
-        s && s->type == Json::Type::kString) {
-      point_scheduler = s->str;
-    }
+    const std::string point_scheduler =
+        point.get<std::optional<std::string>>("scheduler").value_or(scheduler);
     const std::string where = "levels=" + fmt(levels, 0) +
                               " arity=" + fmt(arity, 0) +
                               " rate=" + fmt(rate, 2) + " " + point_scheduler;
@@ -1378,69 +1386,63 @@ int run_anchor(const Args& args) {
     // exceed the victim count, percentiles must be ordered.
     for (const char* section : {"schedulability", "open_ratio",
                                 "ever_granted"}) {
-      const Json* s = point.find(section);
-      if (!s) {
-        fail(where, std::string("missing \"") + section + "\" summary");
-        continue;
-      }
-      for (const char* stat : {"mean", "min", "max"}) {
-        const Json* v = s->find(stat);
-        const double x = v ? v->num_or(-1.0) : -1.0;
+      const Summary summary = point.get<Summary>(section);
+      for (const auto& [stat, field] :
+           {kStats[0], kStats[1], kStats[2]}) {
+        const double x = summary.*field;
         if (x < 0.0 || x > 1.0) {
           fail(where, std::string(section) + "." + stat + " = " + fmt(x) +
                           " outside [0, 1]");
         }
       }
     }
-    const double ratio = num("recovery_success_ratio");
+    const double ratio = point.get<double>("recovery_success_ratio");
     if (ratio < 0.0 || ratio > 1.0) {
       fail(where, "recovery_success_ratio = " + fmt(ratio) +
                       " outside [0, 1]");
     }
-    if (num("recovered") > num("victims")) {
-      fail(where, "recovered " + fmt(num("recovered"), 0) + " > victims " +
-                      fmt(num("victims"), 0));
+    const double recovered = point.get<double>("recovered");
+    const double victims = point.get<double>("victims");
+    if (recovered > victims) {
+      fail(where, "recovered " + fmt(recovered, 0) + " > victims " +
+                      fmt(victims, 0));
     }
     // Imbalance ratios are >= 1 by construction (max over mean; 1.0 when
     // idle) and the CoV is non-negative. Absent in pre-imbalance files.
     for (const char* section : {"imbalance_max_over_mean",
                                 "imbalance_hotspot"}) {
-      const Json* s = point.find(section);
-      const Json* m = s ? s->find("mean") : nullptr;
-      if (s && (!m || m->num_or(0.0) < 1.0 - 1e-9)) {
+      const auto summary = point.get<std::optional<Record>>(section);
+      if (summary && summary->get<double>("mean") < 1.0 - 1e-9) {
         fail(where, std::string(section) + ".mean = " +
-                        (m ? fmt(m->num_or(0.0), 6) : std::string("missing")) +
-                        " below 1");
+                        fmt(summary->get<double>("mean"), 6) + " below 1");
       }
     }
-    if (const Json* s = point.find("imbalance_cov")) {
-      const Json* m = s->find("mean");
-      if (!m || m->num_or(-1.0) < 0.0) {
-        fail(where, "imbalance_cov.mean negative or missing");
-      }
+    if (const auto cov = point.get<std::optional<Record>>("imbalance_cov");
+        cov && cov->get<double>("mean") < 0.0) {
+      fail(where, "imbalance_cov.mean = " + fmt(cov->get<double>("mean"), 6) +
+                      " negative");
     }
     for (const char* lat_key : {"recovery_latency", "retry_latency"}) {
-      const Json* lat = point.find(lat_key);
-      const Json* count = lat ? lat->find("count") : nullptr;
-      if (!lat || !count || count->num_or(0) <= 0) continue;
-      const auto pct = [&](const char* p) {
-        const Json* v = lat->find(p);
-        return v ? v->num_or(0.0) : 0.0;
-      };
-      if (!(pct("p50") <= pct("p90") && pct("p90") <= pct("p99"))) {
+      // Percentiles are written only when the point sampled a latency.
+      const Record lat = point.get<Record>(lat_key);
+      if (lat.get<double>("count") <= 0) continue;
+      const double p50 = lat.get<double>("p50");
+      const double p90 = lat.get<double>("p90");
+      const double p99 = lat.get<double>("p99");
+      if (!(p50 <= p90 && p90 <= p99)) {
         fail(where, std::string(lat_key) + " percentiles not ordered: " +
-                        fmt(pct("p50"), 1) + "/" + fmt(pct("p90"), 1) + "/" +
-                        fmt(pct("p99"), 1));
+                        fmt(p50, 1) + "/" + fmt(p90, 1) + "/" + fmt(p99, 1));
       }
     }
 
     // Fault-free anchor: bit-identical to the fig9 sweep's scheduler column.
     if (rate != 0.0) continue;
-    const Json* anchor = nullptr;
-    for (const Json& fp : fig9_points->array) {
-      if (fp.find("levels")->number == levels &&
-          fp.find("arity")->number == arity) {
-        anchor = fp.find("schedulers")->find(point_scheduler);
+    std::optional<Summary> anchor;
+    for (const Record& fp : fig9_points) {
+      if (fp.get<double>("levels") == levels &&
+          fp.get<double>("arity") == arity) {
+        anchor = fp.get<Record>("schedulers")
+                     .get<std::optional<Summary>>(point_scheduler);
         break;
       }
     }
@@ -1448,26 +1450,17 @@ int run_anchor(const Args& args) {
     // policies without a fig9 column are consistency-checked only).
     if (!anchor) continue;
     ++anchored;
-    const Json* sched_summary = point.find("schedulability");
-    for (const char* stat : {"mean", "min", "max", "stddev"}) {
-      const Json* expect = anchor->find(stat);
-      const Json* got = sched_summary ? sched_summary->find(stat)
-                                           : nullptr;
-      if (!expect || !got || expect->number != got->number) {
+    const Summary got = point.get<Summary>("schedulability");
+    for (const auto& [stat, field] : kStats) {
+      if (got.*field != (*anchor).*field) {
         fail(where, std::string("rate-0 schedulability.") + stat + " = " +
-                        (got ? fmt(got->number, 6) : std::string("missing")) +
-                        " but " + point_scheduler + " fig9 " + stat + " = " +
-                        (expect ? fmt(expect->number, 6)
-                                : std::string("missing")));
+                        fmt(got.*field, 6) + " but " + point_scheduler +
+                        " fig9 " + stat + " = " + fmt((*anchor).*field, 6));
       }
     }
     // At rate 0 nothing is ever revoked, so all three service levels agree.
     for (const char* section : {"open_ratio", "ever_granted"}) {
-      const Json* s = point.find(section);
-      const Json* mean = s ? s->find("mean") : nullptr;
-      const Json* base = sched_summary ? sched_summary->find("mean")
-                                            : nullptr;
-      if (!mean || !base || mean->number != base->number) {
+      if (point.get<Summary>(section).mean != got.mean) {
         fail(where, std::string("rate-0 ") + section +
                         ".mean diverges from schedulability.mean");
       }
@@ -1528,42 +1521,22 @@ int run_quality(const Args& args) {
   }
   Json doc;
   if (!parse_file(bench_it->second, doc)) return 2;
-  if (!points_have_fault_rate(doc)) {
-    std::cerr << "ftreport: " << bench_it->second
-              << ": not a degradation sweep (no \"fault_rate\" points)\n";
-    return 2;
-  }
-  const Json* points = doc.find("points");
-  if (!point_keys(*points, bench_it->second, true)) return 2;
-
-  const auto scheduler_of = [](const Json& point) {
-    const Json* s = point.find("scheduler");
-    return s && s->type == Json::Type::kString ? s->str : std::string();
-  };
-  const auto mean_of = [](const Json& point, const char* section) {
-    const Json* s = point.find(section);
-    const Json* m = s ? s->find("mean") : nullptr;
-    return m ? m->num_or(-1.0) : -1.0;
-  };
+  const auto points = degradation_points(doc, bench_it->second);
 
   std::size_t failures = 0;
   std::size_t gated = 0;
-  for (const Json& bp : points->array) {
-    if (scheduler_of(bp) != baseline) continue;
-    // point_keys checked that these are numbers.
-    const auto num = [](const Json& point, const char* key) {
-      return point.find(key)->number;
-    };
-    const double levels = num(bp, "levels");
-    const double arity = num(bp, "arity");
-    const double rate = num(bp, "fault_rate");
-    const Json* cp = nullptr;
-    for (const Json& candidate_point : points->array) {
-      if (scheduler_of(candidate_point) != candidate) continue;
-      if (num(candidate_point, "levels") == levels &&
-          num(candidate_point, "arity") == arity &&
-          num(candidate_point, "fault_rate") == rate) {
-        cp = &candidate_point;
+  for (const Record& bp : points) {
+    if (bp.get<std::optional<std::string>>("scheduler") != baseline) continue;
+    const double levels = bp.get<double>("levels");
+    const double arity = bp.get<double>("arity");
+    const double rate = bp.get<double>("fault_rate");
+    const Record* cp = nullptr;
+    for (const Record& point : points) {
+      if (point.get<std::optional<std::string>>("scheduler") == candidate &&
+          point.get<double>("levels") == levels &&
+          point.get<double>("arity") == arity &&
+          point.get<double>("fault_rate") == rate) {
+        cp = &point;
         break;
       }
     }
@@ -1579,24 +1552,33 @@ int run_quality(const Args& args) {
     ++gated;
     const std::size_t failures_before = failures;
 
-    const double base_hotspot = mean_of(bp, "imbalance_hotspot");
-    const double cand_hotspot = mean_of(*cp, "imbalance_hotspot");
-    if (base_hotspot < 0.0 || cand_hotspot < 0.0) {
+    // Pre-imbalance files carry no hotspot summary.
+    std::optional<double> base_hotspot;
+    std::optional<double> cand_hotspot;
+    if (const auto s = bp.get<std::optional<Record>>("imbalance_hotspot")) {
+      base_hotspot = s->get<double>("mean");
+    }
+    if (const auto s = cp->get<std::optional<Record>>("imbalance_hotspot")) {
+      cand_hotspot = s->get<double>("mean");
+    }
+    if (!base_hotspot || !cand_hotspot) {
       std::cout << "FAIL " << where
                 << ": imbalance_hotspot summary missing — re-run the bench"
                    " with this repo's fig_degradation\n";
       ++failures;
-    } else if (rate > 0.0 ? !(cand_hotspot < base_hotspot)
-                          : !(cand_hotspot <= base_hotspot)) {
+    } else if (rate > 0.0 ? !(*cand_hotspot < *base_hotspot)
+                          : !(*cand_hotspot <= *base_hotspot)) {
       std::cout << "FAIL " << where << ": " << candidate << " hotspot "
-                << fmt(cand_hotspot, 4) << "x not "
+                << fmt(*cand_hotspot, 4) << "x not "
                 << (rate > 0.0 ? "below" : "at or below") << " " << baseline
-                << " " << fmt(base_hotspot, 4) << "x\n";
+                << " " << fmt(*base_hotspot, 4) << "x\n";
       ++failures;
     }
 
-    const double base_sched = mean_of(bp, "schedulability");
-    const double cand_sched = mean_of(*cp, "schedulability");
+    const double base_sched =
+        bp.get<Record>("schedulability").get<double>("mean");
+    const double cand_sched =
+        cp->get<Record>("schedulability").get<double>("mean");
     const double floor = base_sched * (1.0 - max_sched_drop);
     if (cand_sched < floor) {
       std::cout << "FAIL " << where << ": " << candidate
@@ -1607,8 +1589,8 @@ int run_quality(const Args& args) {
       ++failures;
     }
     if (failures == failures_before) {
-      std::cout << "ok   " << where << ": hotspot " << fmt(base_hotspot, 3)
-                << "x -> " << fmt(cand_hotspot, 3) << "x, schedulability "
+      std::cout << "ok   " << where << ": hotspot " << fmt(*base_hotspot, 3)
+                << "x -> " << fmt(*cand_hotspot, 3) << "x, schedulability "
                 << fmt(base_sched, 4) << " -> " << fmt(cand_sched, 4) << "\n";
     }
   }
@@ -1651,14 +1633,19 @@ int main(int argc, char** argv) {
                   kValueFlags, args)) {
     return 2;
   }
-  if (mode == "report") return run_report(args);
-  if (mode == "anchor") return run_anchor(args);
-  if (mode == "quality") return run_quality(args);
-  if (!args.positional.empty()) {
-    std::cerr << "ftreport: unknown command '" << args.positional.front()
-              << "'\n";
-    usage(std::cerr);
+  try {
+    if (mode == "report") return run_report(args);
+    if (mode == "anchor") return run_anchor(args);
+    if (mode == "quality") return run_quality(args);
+    if (!args.positional.empty()) {
+      std::cerr << "ftreport: unknown command '" << args.positional.front()
+                << "'\n";
+      usage(std::cerr);
+      return 2;
+    }
+    return run_regression(args);
+  } catch (const FieldError& error) {
+    std::cerr << "ftreport: " << error.message << "\n";
     return 2;
   }
-  return run_regression(args);
 }

@@ -40,7 +40,9 @@
 //   --flight-dump=FILE     degrade only: attach the lifecycle flight
 //                          recorder, arm the dump-on-contract-failure hook,
 //                          and write the self-describing JSONL dump (format
-//                          v1; decode with ftreport --flight=FILE)
+//                          v1; decode with ftreport --flight=FILE). The
+//                          recorder reserves 65,536 events (1.5 MB) per
+//                          repetition, at any --threads
 //
 // Fault flags (degrade command; see docs/ROBUSTNESS.md):
 //   --fault-rate=F         expected fraction of cables failing at least once
@@ -459,11 +461,16 @@ int cmd_degrade(int argc, char** argv, const ObsFlags& flags) {
     config.sink = &sink;
   }
   // Lifecycle flight recorder: one ring per degradation lane, armed as the
-  // contract-failure black box for the whole run.
+  // contract-failure black box for the whole run. Each ring holds the
+  // default capacity for every repetition its lane runs, so a repetition
+  // gets the same budget at any --threads.
   std::optional<obs::FlightRecorder> recorder;
   if (!flags.flight_dump.empty()) {
-    recorder.emplace(
-        obs::lane_count(&sink, config.threads, config.repetitions));
+    const std::size_t lanes =
+        obs::lane_count(&sink, config.threads, config.repetitions);
+    const std::size_t reps_per_lane = (config.repetitions + lanes - 1) / lanes;
+    recorder.emplace(lanes,
+                     obs::FlightRecorder::kDefaultCapacity * reps_per_lane);
     sink.flight = &*recorder;
     config.sink = &sink;
     obs::arm_flight_dump_on_contract_failure(*recorder, flags.flight_dump);
@@ -609,37 +616,35 @@ int cmd_sweep(int argc, char** argv, const ObsFlags& flags) {
 /// renders it and exits 2 when the artifact records a violation.
 int write_soak_json(const std::string& path, const FatTreeParams& tree,
                     const SoakConfig& config, const SoakReport& report) {
-  std::ofstream os(path);
-  if (!os) {
+  const auto fields = [&](std::ostream& os) {
+    os << ",\"scheduler\":\"" << json_escape(config.scheduler)
+       << "\",\"levels\":" << tree.levels << ",\"m\":" << tree.child_arity
+       << ",\"w\":" << tree.parent_arity << ",\"seed\":" << config.seed
+       << ",\"ops\":" << config.ops << ",\"epoch\":" << config.epoch_ops
+       << ",\"ok\":" << (report.ok ? "true" : "false") << ",\"violation\":\""
+       << json_escape(report.violation)
+       << "\",\"violation_op\":" << report.violation_op
+       << ",\"reproducer_ops\":" << report.reproducer.size()
+       << ",\"shrink_runs\":" << report.shrink_runs
+       << ",\"executed\":" << report.executed
+       << ",\"skipped\":" << report.skipped << ",\"epochs\":" << report.epochs
+       << ",\"submitted\":" << report.stats.submitted
+       << ",\"grants\":" << report.stats.grants
+       << ",\"closed\":" << report.stats.closed
+       << ",\"open_at_end\":" << report.open_at_end
+       << ",\"fail_events\":" << report.stats.fail_events
+       << ",\"repair_events\":" << report.stats.repair_events
+       << ",\"victims\":" << report.stats.victims
+       << ",\"recovered\":" << report.stats.recovered
+       << ",\"retries\":" << report.stats.retries
+       << ",\"shed\":" << report.stats.shed
+       << ",\"permanent_rejects\":" << report.stats.permanent_rejects
+       << ",\"abandoned\":" << report.stats.abandoned;
+  };
+  if (!obs::write_artifact(path, "chaos_soak", fields)) {
     std::cerr << "cannot open " << path << "\n";
     return 1;
   }
-  os << "{\"bench\":\"chaos_soak\",\"scheduler\":\""
-     << json_escape(config.scheduler) << "\",\"levels\":" << tree.levels
-     << ",\"m\":" << tree.child_arity << ",\"w\":" << tree.parent_arity
-     << ",\"seed\":" << config.seed << ",\"ops\":" << config.ops
-     << ",\"epoch\":" << config.epoch_ops
-     << ",\"ok\":" << (report.ok ? "true" : "false") << ",\"violation\":\""
-     << json_escape(report.violation)
-     << "\",\"violation_op\":" << report.violation_op
-     << ",\"reproducer_ops\":" << report.reproducer.size()
-     << ",\"shrink_runs\":" << report.shrink_runs
-     << ",\"executed\":" << report.executed
-     << ",\"skipped\":" << report.skipped << ",\"epochs\":" << report.epochs
-     << ",\"submitted\":" << report.stats.submitted
-     << ",\"grants\":" << report.stats.grants
-     << ",\"closed\":" << report.stats.closed
-     << ",\"open_at_end\":" << report.open_at_end
-     << ",\"fail_events\":" << report.stats.fail_events
-     << ",\"repair_events\":" << report.stats.repair_events
-     << ",\"victims\":" << report.stats.victims
-     << ",\"recovered\":" << report.stats.recovered
-     << ",\"retries\":" << report.stats.retries
-     << ",\"shed\":" << report.stats.shed
-     << ",\"permanent_rejects\":" << report.stats.permanent_rejects
-     << ",\"abandoned\":" << report.stats.abandoned << ",\"env\":";
-  obs::write_env_json(os, obs::collect_env());
-  os << "}\n";
   std::cout << "  json    -> " << path << "\n";
   return 0;
 }
